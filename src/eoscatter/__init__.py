@@ -17,7 +17,7 @@ from .config import (
     resolve_config,
 )
 from .grid import GridSpec, Material1, Material2, SpatialOps
-from .history import DelayBuffer, HistoryError
+from .history import DelayBuffer, FixedLagSum, HistoryError
 from .mms import (
     ArctanGaussianPulse,
     ErrorReport,
@@ -37,6 +37,7 @@ from .sources import (
     TabulatedSource,
     characteristic_integral,
     incident_pair,
+    incident_series,
     incident_trace,
 )
 from .stability import (
@@ -65,6 +66,7 @@ __all__ = [
     "DecompositionReport",
     "DelayBuffer",
     "DivergenceError",
+    "FixedLagSum",
     "EigenSolverError",
     "ErrorReport",
     "GaussianBump",
@@ -98,6 +100,7 @@ __all__ = [
     "fixed_point",
     "homogeneous_run",
     "incident_pair",
+    "incident_series",
     "incident_trace",
     "load_preset",
     "mms_run",

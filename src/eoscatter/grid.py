@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import numbers
 
 import numpy as np
 
@@ -38,6 +39,8 @@ class GridSpec:
             raise ValueError("a0 and a1 must be finite")
         if not self.a1 > self.a0:
             raise ValueError("a1 must be greater than a0")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.n!r}")
         if self.n < 4:
             raise ValueError("N must be >= 4")
         if not (0.0 <= self.epsilon <= 1.0):

@@ -10,6 +10,7 @@ existed before the switch-on time.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -32,10 +33,12 @@ class DelayBuffer:
     """
 
     def __init__(self, t0: float, dt: float, window: float, shape=()):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if window < 0.0:
-            raise ValueError("window must be nonnegative")
+        if not math.isfinite(t0):
+            raise ValueError("t0 must be finite")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(window) and window >= 0.0):
+            raise ValueError("window must be nonnegative and finite")
         self.t0 = float(t0)
         self.dt = float(dt)
         self.shape = tuple(shape)
@@ -86,8 +89,10 @@ class DelayBuffer:
                 f"(oldest kept: {self.oldest_level})"
             )
 
-    def _weights(self, r, m):
-        s = r - (m - 1)
+    @staticmethod
+    def _weights(s):
+        """Quadratic weights of the samples at levels m-1, m, m+1 for the
+        query at level m - 1 + s."""
         w0 = 0.5 * (s - 1.0) * (s - 2.0)
         w1 = -s * (s - 2.0)
         w2 = 0.5 * s * (s - 1.0)
@@ -118,13 +123,30 @@ class DelayBuffer:
             return out if self.shape else float(out)
         m = int(self._bracket(np.asarray(r)))
         self._check_lower(m - 1)
-        w0, w1, w2 = self._weights(r, m)
+        w0, w1, w2 = self._weights(r - (m - 1))
         out = (
             w0 * self._data[self._row(m - 1)]
             + w1 * self._data[self._row(m)]
             + w2 * self._data[self._row(m + 1)]
         )
         return out if self.shape else float(out)
+
+    def _read_cols(self, r, cols) -> np.ndarray:
+        """Component ``cols[k]`` at fractional level ``r[k] > 0``, by
+        :meth:`query_each`'s rule; the caller has checked the newest level."""
+        if self._levels < 3:
+            if self._levels < 2:
+                return np.zeros(len(cols))
+            s = np.clip(r, 0.0, 1.0)
+            return (1.0 - s) * self._data[0, cols] + s * self._data[1, cols]
+        m = self._bracket(r)
+        self._check_lower(int(m.min()) - 1)
+        w0, w1, w2 = self._weights(r - (m - 1))
+        return (
+            w0 * self._data[self._row(m - 1), cols]
+            + w1 * self._data[self._row(m), cols]
+            + w2 * self._data[self._row(m + 1), cols]
+        )
 
     def query_each(self, times) -> np.ndarray:
         """Per-component read of a nodal history: component i at times[i].
@@ -136,27 +158,105 @@ class DelayBuffer:
         t = np.asarray(times, dtype=float)
         if t.shape != self.shape:
             raise ValueError("times must have one entry per component")
-        live = t > self.t0
         out = np.zeros(self.shape)
-        if not live.any():
+        cols = np.flatnonzero(t > self.t0)
+        if cols.size == 0:
             return out
-        t_max = float(t[live].max())
-        r = (t - self.t0) / self.dt
-        self._check_upper(t_max)
-        if self._levels < 3:
-            if self._levels == 2:
-                s = np.clip(r, 0.0, 1.0)
-                vals = (1.0 - s) * self._data[0] + s * self._data[1]
-                out[live] = vals[live]
-            return out
-        m = self._bracket(r)
-        self._check_lower(int(m[live].min()) - 1)
-        w0, w1, w2 = self._weights(r, m)
-        cols = np.arange(self.shape[0])
-        vals = (
-            w0 * self._data[self._row(m - 1), cols]
-            + w1 * self._data[self._row(m), cols]
-            + w2 * self._data[self._row(m + 1), cols]
-        )
-        out[live] = vals[live]
+        self._check_upper(float(t[cols].max()))
+        out[cols] = self._read_cols((t[cols] - self.t0) / self.dt, cols)
         return out
+
+    def fixed_lag(self, delays) -> "FixedLagSum":
+        """Reader of ``sum_i`` component i at ``t - delays[i]``, for times
+        ``t`` on this buffer's levels; see :class:`FixedLagSum`."""
+        return FixedLagSum(self, delays)
+
+
+class FixedLagSum:
+    """Sum over the components of a nodal history, each at its own fixed delay.
+
+    ``reader(t)`` equals ``np.sum(buf.query_each(t - delays))`` to rounding
+    for any ``t`` on the buffer's levels ``t0 + k*dt``.  There, component i
+    sits at the same offset ``delays[i]/dt`` behind ``t`` at every level, so
+    its integer lag and its three quadratic weights are computed once, and a
+    read is one gather from the ring and one dot product.  The exceptions
+    follow :meth:`DelayBuffer.query_each` exactly: components whose retarded
+    time is at or before ``t0`` read 0 (they are a suffix in delay order), and
+    the few whose bracket ``query_each`` clips -- the wavefront in the first
+    interval, or a read level past the newest sample -- are evaluated by its
+    rule.  Reads raise :class:`HistoryError` wherever ``query_each`` would,
+    and also where a fixed bracket would reach a dropped level.
+    """
+
+    def __init__(self, buf: DelayBuffer, delays) -> None:
+        d = np.asarray(delays, dtype=float)
+        if len(buf.shape) != 1 or d.shape != buf.shape:
+            raise ValueError("need one delay per component of a 1-D history")
+        if not np.all(np.isfinite(d) & (d >= 0.0)):
+            raise ValueError("delays must be finite and nonnegative")
+        n = d.size
+        self._buf = buf
+        self._cols = np.argsort(d, kind="stable")
+        self._d = d[self._cols]
+        q = self._d / buf.dt
+        # read at level L, component i sits at level L - q = (m - 1) + s in
+        # the bracket m - 1, m, m + 1 with m = L - lag, the same for every L
+        lag = np.ceil(q).astype(np.int64)
+        self._lags = lag.tolist()
+        self._w = np.stack(DelayBuffer._weights(lag + 1.0 - q), axis=1).ravel()
+        # flat ring offsets of those three samples relative to row L, taken
+        # into [-size, 0) so that adding (L mod cap) * n stays a valid index
+        rows = lag[:, None] + np.array([1, 0, -1])
+        size = buf._data.size
+        self._base = (self._cols[:, None] - rows * n).ravel() % size - size
+        self._idx = np.empty_like(self._base)
+        self._flat = buf._data.reshape(-1)
+
+    def _live(self, t: float, level: int) -> int:
+        """How many components (in delay order) have a retarded time after t0.
+
+        Those with lag < level are live by almost a whole step; of the rest,
+        the live ones are found with query_each's own test."""
+        d, t0, n = self._d, self._buf.t0, self._d.size
+        k = bisect.bisect_left(self._lags, level)
+        while k < n and t - d[k] > t0:
+            k += 1
+        return k
+
+    def _exact(self, t: float, a: int, b: int) -> float:
+        buf = self._buf
+        r = (t - self._d[a:b] - buf.t0) / buf.dt
+        return float(np.sum(buf._read_cols(r, self._cols[a:b])))
+
+    def __call__(self, t: float) -> float:
+        buf = self._buf
+        pos = (t - buf.t0) / buf.dt
+        level = round(pos)
+        if abs(pos - level) > 1e-6:
+            raise ValueError(f"t={t!r} is not a time level of the history")
+        k = self._live(t, level)
+        if k == 0:
+            return 0.0
+        buf._check_upper(float(t - self._d[0]))
+        if buf.levels < 3:
+            return self._exact(t, 0, k)
+        top = buf.levels - 2
+        lags = self._lags
+        # [a, b): components whose fixed bracket needs no clipping
+        b = min(k, bisect.bisect_left(lags, level))
+        a = min(b, bisect.bisect_left(lags, level - top))
+        r_old = (t - self._d[k - 1] - buf.t0) / buf.dt
+        m_old = min(max(math.floor(r_old), 1), top)
+        if b > a:
+            m_old = min(m_old, level - lags[b - 1])
+        buf._check_lower(m_old - 1)
+        total = 0.0
+        if b > a:
+            idx = np.add(self._base[3 * a:3 * b], (level % buf._cap) * self._d.size,
+                         out=self._idx[3 * a:3 * b])
+            total = float(self._flat[idx] @ self._w[3 * a:3 * b])
+        if a > 0:
+            total += self._exact(t, 0, a)
+        if k > b:
+            total += self._exact(t, b, k)
+        return total

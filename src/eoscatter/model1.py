@@ -17,14 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, Material1, SpatialOps
-from .history import DelayBuffer
+from .history import DelayBuffer, FixedLagSum
 from .mms import ManufacturedFields1, ResidualSources1
-from .sources import incident_trace
-
-#: Run-mode quadrature tolerance; looser than the module default because the
-#: trace is evaluated once per step and its error only needs to sit below the
-#: O(dx^2) discretization error.
-RUN_QUAD_REL_TOL = 1e-6
+from .sources import RUN_QUAD_REL_TOL, incident_trace
 
 
 class DivergenceError(RuntimeError):
@@ -80,6 +75,8 @@ class Scenario1:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError("t0 and t_end must be finite")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed the start time")
         if self.source is not None and self.mms is not None:
@@ -172,13 +169,19 @@ def interior_step_m1(
     return phi_new, rho_new, j_new
 
 
-def boundary_a1_m1(scn: Scenario1, t: float) -> float:
+def boundary_a1_m1(scn: Scenario1, t: float, incident: float | None = None) -> float:
     """Right-boundary trace: retarded source integral, or exact fields in
-    verification mode, or zero for a null run."""
+    verification mode, or zero for a null run.
+
+    ``incident`` is the source's trace at ``t`` when the caller has already
+    computed it (``run_m1`` takes the whole series in one call).
+    """
     if scn.mms is not None:
         return float(scn.mms.phi.value(scn.grid.a1, t))
     if scn.source is None:
         return 0.0
+    if incident is not None:
+        return float(incident)
     return incident_trace(
         scn.source, scn.grid.a1, scn.mat, scn.t0, t, scn.quad_rel_tol
     )
@@ -190,6 +193,7 @@ def boundary_a0_m1(
     pa1_hist: DelayBuffer,
     t_next: float,
     sources: ResidualSources1 | None = None,
+    left: FixedLagSum | None = None,
 ) -> float:
     """Left-boundary trace from the delayed nodal current plus the delayed
     right trace.
@@ -197,14 +201,21 @@ def boundary_a0_m1(
     Every node contributes at its own retarded time; samples at or before
     the start time are zero (the causal mask).  In verification mode the
     integrand gains the potential-equation residual source, under the same
-    mask.
+    mask.  ``left``, a ``j_hist.fixed_lag`` reader over the nodes' delays
+    ``(x - a0)/c1``, sums the current faster when ``t_next`` is a time level.
     """
     g, c1 = scn.grid, scn.mat.c1
-    times = t_next - (g.x - g.a0) / c1
-    vals = j_hist.query_each(times)
+    delays = (g.x - g.a0) / c1
+    if left is not None:
+        total = left(t_next)
+    else:
+        total = float(np.sum(j_hist.query_each(t_next - delays)))
     if sources is not None:
-        vals = vals + np.where(times > scn.t0, sources.src_phi(g.x, times), 0.0)
-    trace = g.dx / c1 * float(np.sum(vals))
+        times = t_next - delays
+        total += float(
+            np.sum(np.where(times > scn.t0, sources.src_phi(g.x, times), 0.0))
+        )
+    trace = g.dx / c1 * total
     trace += pa1_hist.query(t_next - scn.transit)
     return trace
 
@@ -215,7 +226,9 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
     Per-step ordering: interior step with level-n traces, append the new
     current to its history, evaluate the right trace at the new time,
     then the left trace (which may consume the fresh right value when the
-    transit is shorter than a step), and append the traces.
+    transit is shorter than a step), and append the traces.  The left
+    trace's fixed-lag reader and the whole incident series are built once,
+    before the first step.
     """
     g = scn.grid
     ops = SpatialOps(g)
@@ -223,6 +236,14 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
     window = scn.transit + 2.0 * scn.dt
     j_hist = DelayBuffer(scn.t0, scn.dt, window, shape=(g.n,))
     pa1_hist = DelayBuffer(scn.t0, scn.dt, window)
+    left = j_hist.fixed_lag((g.x - g.a0) / scn.mat.c1)
+    steps = scn.steps
+    times = scn.t0 + scn.dt * np.arange(steps + 1)
+    incident = [None] * (steps + 1)
+    if scn.source is not None:
+        incident = incident_trace(
+            scn.source, g.a1, scn.mat, scn.t0, times, scn.quad_rel_tol
+        )
 
     if scn.mms is not None:
         phi = np.asarray(scn.mms.phi.value(g.x, scn.t0), dtype=float)
@@ -232,11 +253,11 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
         phi = np.zeros(g.n)
         rho = np.zeros(g.n)
         j = np.zeros(g.n)
-    state = State1(phi, rho, j, 0.0, boundary_a1_m1(scn, scn.t0), 0, scn.t0)
+    state = State1(phi, rho, j, 0.0, boundary_a1_m1(scn, scn.t0, incident[0]),
+                   0, scn.t0)
     j_hist.append(state.j)
     pa1_hist.append(state.phi_a1)
 
-    steps = scn.steps
     wanted = {}
     for t_req in snapshot_times:
         level = min(steps, max(0, int(round((t_req - scn.t0) / scn.dt))))
@@ -261,7 +282,7 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
                 step=n + 1,
                 partial=Run1Result(
                     scn,
-                    scn.t0 + scn.dt * np.arange(n + 1),
+                    times[: n + 1],
                     trace0[: n + 1],
                     trace1[: n + 1],
                     snapshots,
@@ -269,14 +290,13 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
                 ),
             )
         j_hist.append(j)
-        pa1 = boundary_a1_m1(scn, t_next)
+        pa1 = boundary_a1_m1(scn, t_next, incident[n + 1])
         pa1_hist.append(pa1)
-        pa0 = boundary_a0_m1(scn, j_hist, pa1_hist, t_next, sources)
+        pa0 = boundary_a0_m1(scn, j_hist, pa1_hist, t_next, sources, left)
         state = State1(phi, rho, j, pa0, pa1, n + 1, t_next)
         trace0[n + 1] = pa0
         trace1[n + 1] = pa1
         if n + 1 in wanted:
             snapshots.append((wanted[n + 1], state.copy()))
 
-    times = scn.t0 + scn.dt * np.arange(steps + 1)
     return Run1Result(scn, times, trace0, trace1, snapshots, state)

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, Material2, SpatialOps
-from .history import DelayBuffer
+from .history import DelayBuffer, FixedLagSum
 from .mms import ManufacturedFields2, ResidualSources2
 from .model1 import DivergenceError
-from .sources import incident_pair
-
-RUN_QUAD_REL_TOL = 1e-6
+from .sources import RUN_QUAD_REL_TOL, incident_pair
 
 __all__ = [
     "BoundaryMatrices",
@@ -103,6 +101,8 @@ class Scenario2:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError("t0 and t_end must be finite")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed the start time")
         if self.dt > self.transit:
@@ -203,12 +203,13 @@ def interior_step_m2(
     return phi_new, psi_new, rho_new, j_new
 
 
-def _incident_term(scn: Scenario2, t: float) -> np.ndarray:
+def _incident_term(scn: Scenario2, t: float, pair=None) -> np.ndarray:
     """``2*c0*(incident pair)`` on the right boundary at time ``t``.
 
     In verification mode the role of the incident pair is played by the
     combination of the exact traces that turns the right-hand update rule
-    into an identity for the manufactured fields.
+    into an identity for the manufactured fields.  ``pair`` is the incident
+    pair at ``t`` when the caller has already computed it.
     """
     m = scn.mat
     if scn.mms is not None:
@@ -217,9 +218,10 @@ def _incident_term(scn: Scenario2, t: float) -> np.ndarray:
         return np.array([m.c0 * pe + m.mu0 * se, m.nu0 * pe + m.c0 * se])
     if scn.source is None:
         return np.zeros(2)
-    phi_i, psi_i = incident_pair(
-        scn.source, scn.grid.a1, m, scn.t0, t, scn.quad_rel_tol
-    )
+    if pair is None:
+        pair = incident_pair(scn.source, scn.grid.a1, m, scn.t0, t,
+                             scn.quad_rel_tol)
+    phi_i, psi_i = pair
     return 2.0 * m.c0 * np.array([phi_i, psi_i])
 
 
@@ -231,35 +233,45 @@ def boundary_update_m2(
     pair1_hist: DelayBuffer,
     t_next: float,
     sources: ResidualSources2 | None = None,
+    left: FixedLagSum | None = None,
+    right: FixedLagSum | None = None,
+    incident=None,
 ):
     """Solve both boundary systems at ``t_next``.
 
     ``j_hist`` must reach level n+1; the trace-pair histories reach level
     n (both new pairs are appended by the caller afterwards).  Returns
-    ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
+    ``(phi_a0, psi_a0, phi_a1, psi_a1)``.  ``left`` and ``right`` are
+    ``j_hist.fixed_lag`` readers over the leftward delays ``(x - a0)/c1``
+    and the rightward ones ``(a1 - x)/c1``, and ``incident`` is the incident
+    pair at ``t_next``; each is computed here when not given.
     """
     g, m = scn.grid, scn.mat
     c1 = m.c1
     x = g.x
     weight = g.dx / c1
 
-    def summed(times: np.ndarray) -> np.ndarray:
-        top = j_hist.query_each(times)
-        if sources is not None:
-            live = times > scn.t0
-            top = top + np.where(live, sources.src_phi(x, times), 0.0)
-            bot = np.where(live, sources.src_psi(x, times), 0.0)
-            return np.array([float(np.sum(top)), float(np.sum(bot))])
-        return np.array([float(np.sum(top)), 0.0])
+    def summed(delays: np.ndarray, reader: FixedLagSum | None) -> np.ndarray:
+        if reader is not None:
+            top = reader(t_next)
+        else:
+            top = float(np.sum(j_hist.query_each(t_next - delays)))
+        if sources is None:
+            return np.array([top, 0.0])
+        times = t_next - delays
+        live = times > scn.t0
+        top += float(np.sum(np.where(live, sources.src_phi(x, times), 0.0)))
+        bot = float(np.sum(np.where(live, sources.src_psi(x, times), 0.0)))
+        return np.array([top, bot])
 
     delay = t_next - scn.transit
-    rhs0 = weight * (bm.mix_out @ summed(t_next - (x - g.a0) / c1))
+    rhs0 = weight * (bm.mix_out @ summed((x - g.a0) / c1, left))
     rhs0 += bm.mix_out @ pair1_hist.query(delay)
     pair0 = bm.left_inv @ rhs0
 
-    rhs1 = weight * (bm.mix_back @ summed(t_next - (g.a1 - x) / c1))
+    rhs1 = weight * (bm.mix_back @ summed((g.a1 - x) / c1, right))
     rhs1 += bm.mix_back @ pair0_hist.query(delay)
-    rhs1 += _incident_term(scn, t_next)
+    rhs1 += _incident_term(scn, t_next, incident)
     pair1 = bm.right_inv @ rhs1
     return float(pair0[0]), float(pair0[1]), float(pair1[0]), float(pair1[1])
 
@@ -270,6 +282,8 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
     Per-step ordering mirrors the one-potential solver: interior step with
     level-n traces, append the new current, solve both boundary systems at
     the new time from histories through level n, then append both pairs.
+    Both fixed-lag readers and the whole incident series are built once,
+    before the first step.
     """
     g = scn.grid
     ops = SpatialOps(g)
@@ -279,6 +293,15 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
     j_hist = DelayBuffer(scn.t0, scn.dt, window, shape=(g.n,))
     pair0_hist = DelayBuffer(scn.t0, scn.dt, window, shape=(2,))
     pair1_hist = DelayBuffer(scn.t0, scn.dt, window, shape=(2,))
+    left = j_hist.fixed_lag((g.x - g.a0) / scn.mat.c1)
+    right = j_hist.fixed_lag((g.a1 - g.x) / scn.mat.c1)
+    steps = scn.steps
+    times = scn.t0 + scn.dt * np.arange(steps + 1)
+    incident = [None] * (steps + 1)
+    if scn.source is not None:
+        incident = np.column_stack(incident_pair(
+            scn.source, g.a1, scn.mat, scn.t0, times, scn.quad_rel_tol
+        ))
 
     if scn.mms is not None:
         phi = np.asarray(scn.mms.phi.value(g.x, scn.t0), dtype=float)
@@ -299,7 +322,6 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
     pair0_hist.append(np.array([state.phi_a0, state.psi_a0]))
     pair1_hist.append(np.array([state.phi_a1, state.psi_a1]))
 
-    steps = scn.steps
     wanted = {}
     for t_req in snapshot_times:
         level = min(steps, max(0, int(round((t_req - scn.t0) / scn.dt))))
@@ -321,7 +343,7 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
                 step=n + 1,
                 partial=Run2Result(
                     scn,
-                    scn.t0 + scn.dt * np.arange(n + 1),
+                    times[: n + 1],
                     series[0, : n + 1],
                     series[1, : n + 1],
                     series[2, : n + 1],
@@ -332,7 +354,8 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
             )
         j_hist.append(j)
         pa0, sa0, pa1, sa1 = boundary_update_m2(
-            scn, bm, j_hist, pair0_hist, pair1_hist, t_next, sources
+            scn, bm, j_hist, pair0_hist, pair1_hist, t_next, sources,
+            left, right, incident[n + 1],
         )
         pair0_hist.append(np.array([pa0, sa0]))
         pair1_hist.append(np.array([pa1, sa1]))
@@ -341,7 +364,6 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
         if n + 1 in wanted:
             snapshots.append((wanted[n + 1], state.copy()))
 
-    times = scn.t0 + scn.dt * np.arange(steps + 1)
     return Run2Result(
         scn, times, series[0], series[1], series[2], series[3], snapshots, state
     )

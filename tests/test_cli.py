@@ -246,3 +246,19 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_model2_preset_reruns_are_byte_identical(tmp_path, monkeypatch):
+    from eoscatter import config as config_mod
+
+    preset = json.loads(json.dumps(config_mod.PRESETS["fig4-run-m2"]))
+    preset["grid"]["N"] = 400
+    monkeypatch.setitem(config_mod.PRESETS, "fig4-run-m2", preset)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--preset", "fig4-run-m2", "--out", str(a)]) == 0
+    assert main(["run", "--preset", "fig4-run-m2", "--out", str(b)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == ["boundary.csv"] + [f"snapshot_{t}.csv"
+                                        for t in ("1.0", "2.0", "3.0", "4.0")]
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -61,6 +61,13 @@ def test_grid_validation():
         GridSpec(1.0, 1.0, 8, 1.0)
 
 
+def test_grid_rejects_non_integer_node_count():
+    for n in (100.5, 100.0, True, "100"):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(0.0, 1.0, n)
+    assert GridSpec(0.0, 1.0, np.int64(100)).x.size == 100
+
+
 def test_material_validation():
     with pytest.raises(ValueError, match="c1"):
         Material1(c1=0.0, c0=1.0, alpha=0.0, beta=0.0, gamma=0.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from eoscatter.grid import GridSpec
 from eoscatter.history import DelayBuffer, HistoryError
 
 
@@ -93,3 +94,79 @@ def test_ring_keeps_enough_history_for_transit_delays():
     _fill(buf, q, 600)
     t = buf.latest_t - transit
     assert buf.query(t) == pytest.approx(np.sin(t), abs=1e-6)
+
+
+def test_nonfinite_construction_is_rejected():
+    for kw in ({"dt": float("nan")}, {"dt": float("inf")},
+               {"window": float("inf")}, {"window": float("nan")},
+               {"t0": float("nan")}):
+        args = {"t0": 0.0, "dt": 0.1, "window": 1.0, **kw}
+        with pytest.raises(ValueError):
+            DelayBuffer(**args)
+
+
+# -- fixed-lag sums ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+@pytest.mark.parametrize("dt_cfl", [0.4, 0.9])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+def test_fixed_lag_sum_matches_query_each_every_step(epsilon, dt_cfl, direction):
+    # the solver's setting: nodal current history, delays (x - a0)/c1 or
+    # (a1 - x)/c1, window transit + 2 dt, read at every new level from the
+    # first one on, so the warm-up (live prefix, clipped wavefront node,
+    # two-sample start) is covered.  At epsilon = 0, dt_cfl = 0.4 some
+    # offsets delay/dt are whole numbers.  Nonzero samples at t0 check the
+    # causal mask.
+    g = GridSpec(0.0, 3.0, 24, epsilon=epsilon)
+    c1 = 2.0
+    dt = dt_cfl * g.dx / c1
+    transit = g.length / c1
+    delays = (g.x - g.a0) / c1 if direction == "left" else (g.a1 - g.x) / c1
+    buf = DelayBuffer(0.0, dt, transit + 2 * dt, shape=(g.n,))
+    reader = buf.fixed_lag(delays)
+    rng = np.random.default_rng(7)
+    buf.append(rng.normal(size=g.n))
+    for n in range(int(1.5 * transit / dt) + 3):
+        t_next = (n + 1) * dt
+        buf.append(rng.normal(size=g.n))
+        terms = buf.query_each(t_next - delays)
+        # relative to the summed magnitudes: the terms have both signs
+        scale = np.sum(np.abs(terms))
+        assert abs(reader(t_next) - np.sum(terms)) <= 1e-12 * scale, n
+
+
+def test_fixed_lag_sum_before_any_arrival_is_zero():
+    buf = DelayBuffer(0.0, 0.1, 2.0, shape=(3,))
+    _fill(buf, lambda t: np.full(3, 1.0 + t), 4)
+    assert buf.fixed_lag(np.array([0.5, 0.7, 0.9]))(0.3) == 0.0
+
+
+def test_fixed_lag_sum_keeps_history_checks():
+    delays = np.array([0.05, 0.15, 0.25])
+    buf = DelayBuffer(0.0, 0.1, 0.5, shape=(3,))  # keeps ~9 levels
+    reader = buf.fixed_lag(delays)
+    _fill(buf, lambda t: np.full(3, t), 5)
+    with pytest.raises(HistoryError, match="newest"):
+        reader(0.5)  # one level past the newest sample, at t = 0.4
+    assert reader(0.4) == pytest.approx(3 * 0.4 - delays.sum(), rel=1e-12)
+
+    short = DelayBuffer(0.0, 0.1, 0.5, shape=(3,))
+    reader = short.fixed_lag(np.array([0.05, 1.5, 0.25]))
+    _fill(short, lambda t: np.full(3, t), 40)
+    with pytest.raises(HistoryError, match="retained"):
+        reader(3.9)
+    with pytest.raises(HistoryError, match="retained"):
+        short.query_each(3.9 - np.array([0.05, 1.5, 0.25]))
+
+
+def test_fixed_lag_sum_rejects_bad_input():
+    buf = DelayBuffer(0.0, 0.1, 1.0, shape=(3,))
+    with pytest.raises(ValueError):
+        buf.fixed_lag(np.ones(4))
+    with pytest.raises(ValueError):
+        buf.fixed_lag(np.array([0.1, -0.2, 0.3]))
+    reader = buf.fixed_lag(np.array([0.1, 0.2, 0.3]))
+    _fill(buf, lambda t: np.full(3, t), 8)
+    with pytest.raises(ValueError, match="time level"):
+        reader(0.55)

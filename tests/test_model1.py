@@ -160,6 +160,29 @@ def test_scenario_rejects_source_inside_domain():
         scenario(source=bad)
 
 
+def test_scenario_rejects_nonfinite_times():
+    for kw in ({"t_end": float("inf")}, {"t_end": float("nan")},
+               {"t0": float("-inf")}, {"t0": float("nan")}):
+        with pytest.raises(ValueError, match="finite"):
+            scenario(**kw)
+
+
+def test_boundary_a0_fixed_lag_reader_matches_direct_sum():
+    scn = scenario(n=12, t_end=1.0)
+    g = scn.grid
+    j_hist = DelayBuffer(0.0, scn.dt, scn.transit + 2 * scn.dt, shape=(g.n,))
+    pa1_hist = DelayBuffer(0.0, scn.dt, scn.transit + 2 * scn.dt)
+    left = j_hist.fixed_lag((g.x - g.a0) / MAT.c1)
+    rng = np.random.default_rng(3)
+    for level in range(40):
+        j_hist.append(rng.normal(size=g.n))
+        pa1_hist.append(rng.normal())
+    t_next = 39 * scn.dt
+    want = boundary_a0_m1(scn, j_hist, pa1_hist, t_next)
+    got = boundary_a0_m1(scn, j_hist, pa1_hist, t_next, left=left)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
 def test_scenario_rejects_double_driving():
     with pytest.raises(ValueError, match="both"):
         scenario(source=PULSE, mms=ManufacturedFields1.demo())

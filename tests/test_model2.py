@@ -202,3 +202,16 @@ def test_impedance_matched_medium_is_transparent():
     want = np.interp(t - delays, res.times, res.phi_a1)
     err = np.max(np.abs(res.final.phi - want))
     assert err < 2e-2 * peak
+
+
+def test_scenario_rejects_nonfinite_times():
+    for kw in ({"t_end": float("inf")}, {"t0": float("nan")}):
+        with pytest.raises(ValueError, match="finite"):
+            scenario(**kw)
+
+
+def test_both_models_share_the_run_quadrature_tolerance():
+    from eoscatter import model1, model2, sources
+
+    assert model1.RUN_QUAD_REL_TOL == model2.RUN_QUAD_REL_TOL == sources.RUN_QUAD_REL_TOL
+    assert scenario().quad_rel_tol == sources.RUN_QUAD_REL_TOL

@@ -15,6 +15,7 @@ from eoscatter.sources import (
     _composite_midpoint,
     characteristic_integral,
     incident_pair,
+    incident_series,
     incident_trace,
 )
 
@@ -103,6 +104,74 @@ def test_incident_pair_ratio_and_prefactors():
     assert zero_phi == 0.0 and zero_psi == 0.0
 
 
+# -- whole series at once --------------------------------------------------------
+
+
+def doubled_midpoint(src, a1, c0, t0, t, rel_tol):
+    """Per-time panel doubling written out on its own, one time at a time."""
+    lo = max(a1, src.support[0])
+    hi = min(src.support[1], a1 + c0 * (t - t0))
+    if hi <= lo:
+        return 0.0
+
+    def estimate(panels):
+        width = (hi - lo) / panels
+        mids = lo + width * (np.arange(panels) + 0.5)
+        return float(np.sum(src(mids, t - (mids - a1) / c0))) * width
+
+    panels, prev = 8, estimate(8)
+    while True:
+        panels *= 2
+        cur = estimate(panels)
+        if abs(cur - prev) <= 1e-300 + rel_tol * abs(cur):
+            return cur
+        prev = cur
+
+
+def test_incident_series_is_the_per_time_quadrature_exactly(tmp_path):
+    tab = TabulatedSource.from_csv(bilinear_csv(tmp_path))
+    mat1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
+    mat2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.5, alpha=-1.0, beta=0.3,
+                     gamma=8.0)
+    # tight tolerances push the panel count past the block size, so times
+    # are also split across blocks
+    times = 0.025 * np.arange(120)
+    for src, tol in ((PULSE_M1, 1e-6), (PULSE_M1, 1e-10), (PULSE_M2, 1e-10),
+                     (tab, 1e-6)):
+        series = incident_series(src, 3.0, mat2.c0, 0.0, times, tol)
+        each = [characteristic_integral(src, 3.0, mat2.c0, 0.0, t, tol)
+                for t in times]
+        assert np.array_equal(series, each)
+        if tol == 1e-6:
+            alone = [doubled_midpoint(src, 3.0, mat2.c0, 0.0, t, tol)
+                     for t in times]
+            assert np.array_equal(series, alone)
+    for src in (PULSE_M1, tab):
+        trace = incident_trace(src, 3.0, mat1, 0.0, times, 1e-6)
+        assert np.array_equal(
+            trace, [incident_trace(src, 3.0, mat1, 0.0, t, 1e-6) for t in times])
+        phi, psi = incident_pair(src, 3.0, mat2, 0.0, times, 1e-6)
+        pairs = [incident_pair(src, 3.0, mat2, 0.0, t, 1e-6) for t in times]
+        assert np.array_equal(phi, [p[0] for p in pairs])
+        assert np.array_equal(psi, [p[1] for p in pairs])
+
+
+def test_incident_series_is_zero_before_arrival():
+    # support [4, 6] is 1 away from a1 = 3: with c0 = 2 and t0 = 0.5 the
+    # causal cone reaches it at t = 1
+    far = GaussianSource(5.0, 5.0, 36.0, 1.5, 4.0)
+    times = np.linspace(-1.0, 3.0, 81)
+    got = incident_series(far, 3.0, 2.0, 0.5, times)
+    assert np.all(got[times <= 1.0] == 0.0)
+    assert np.all(got[times > 1.0] != 0.0)
+
+
+def test_incident_series_panel_cap_raises():
+    with pytest.raises(QuadratureError, match="panels"):
+        incident_series(PULSE_M1, 3.0, 1.0, 0.0, [0.5, 1.0], rel_tol=1e-12,
+                        panel_cap=32)
+
+
 def test_midpoint_halving_cuts_error_fourfold():
     exact = math.e - 1.0
     err = [abs(_composite_midpoint(np.exp, 0.0, 1.0, n) - exact) for n in (64, 128)]
@@ -161,4 +230,12 @@ def test_tabulated_rejects_ragged_csv(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,t,value\n4.0,0.0,1.0\n4.0,1.0,1.0\n5.0,0.0,1.0\n")
     with pytest.raises(ValueError, match="rectangular"):
+        TabulatedSource.from_csv(path)
+
+
+def test_tabulated_rejects_duplicate_csv_rows(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("x,t,value\n4.0,0.0,1.0\n4.0,1.0,1.0\n5.0,0.0,1.0\n"
+                    "5.0,1.0,1.0\n4.0,1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"duplicate.*\(4\.0, 1\.0\)"):
         TabulatedSource.from_csv(path)
