@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, PRESETS, RunConfig, load_preset, parse_config
 from .grid import GridSpec
-from .mms import mms_run
+from .mms import convergence_order, mms_run
 from .model1 import DivergenceError, Scenario1, run_m1
 from .model2 import Scenario2, run_m2
 from .sources import QuadratureError
@@ -56,58 +55,40 @@ def _write_csv(path: Path, provenance: dict, header: str, rows) -> None:
 # run mode
 # ---------------------------------------------------------------------------
 
-def _snapshot_rows(cfg: RunConfig, state):
-    g = cfg.grid
-    if cfg.model == 1:
-        yield (g.a0, state.phi_a0, 0.0, 0.0)
-        for k in range(g.n):
-            yield (g.x[k], state.phi[k], state.rho[k], state.j[k])
-        yield (g.a1, state.phi_a1, 0.0, 0.0)
-    else:
-        yield (g.a0, state.phi_a0, state.psi_a0, 0.0, 0.0)
-        for k in range(g.n):
-            yield (g.x[k], state.phi[k], state.psi[k], state.rho[k], state.j[k])
-        yield (g.a1, state.phi_a1, state.psi_a1, 0.0, 0.0)
+def _snapshot_rows(state, scn):
+    """The grid including both boundary points; ``rho``/``j`` read 0.0 on
+    the boundary rows."""
+    g, pots = scn.grid, scn.potentials
+    yield (g.a0, *(getattr(state, f"{p}_a0") for p in pots), 0.0, 0.0)
+    yield from zip(g.x, *(getattr(state, name) for name in scn.field_names))
+    yield (g.a1, *(getattr(state, f"{p}_a1") for p in pots), 0.0, 0.0)
 
 
-def _flush_run(cfg: RunConfig, res, out: Path, prov: dict) -> None:
-    if cfg.model == 1:
-        header = "t,phi_a0,phi_a1"
-        rows = zip(res.times, res.phi_a0, res.phi_a1)
-    else:
-        header = "t,phi_a0,phi_a1,psi_a0,psi_a1"
-        rows = zip(res.times, res.phi_a0, res.phi_a1, res.psi_a0, res.psi_a1)
-    _write_csv(out / "boundary.csv", prov, header, rows)
-    snap_header = "x,phi,rho,j" if cfg.model == 1 else "x,phi,psi,rho,j"
+def _flush_run(res, out: Path, prov: dict) -> None:
+    scn = res.scenario
+    columns = [f"{p}_{side}" for p in scn.potentials for side in ("a0", "a1")]
+    rows = zip(res.times, *(getattr(res, name) for name in columns))
+    _write_csv(out / "boundary.csv", prov, ",".join(["t"] + columns), rows)
+    snap_header = ",".join(("x",) + scn.field_names)
     for t_req, state in res.snapshots:
         _write_csv(out / f"snapshot_{_fmt(t_req)}.csv", prov, snap_header,
-                   _snapshot_rows(cfg, state))
+                   _snapshot_rows(state, scn))
 
 
 def _run_mode(cfg: RunConfig, out: Path) -> int:
-    if cfg.model == 1:
-        scn = Scenario1(grid=cfg.grid, mat=cfg.mat, dt=cfg.dt,
-                        t_end=cfg.t_end, source=cfg.source)
-        res_or_err = _attempt(run_m1, scn, cfg.snapshot_times)
-    else:
-        scn = Scenario2(grid=cfg.grid, mat=cfg.mat, dt=cfg.dt,
-                        t_end=cfg.t_end, source=cfg.source)
-        res_or_err = _attempt(run_m2, scn, cfg.snapshot_times)
+    scenario, runner = (Scenario1, run_m1) if cfg.model == 1 else (Scenario2, run_m2)
+    scn = scenario(grid=cfg.grid, mat=cfg.mat, dt=cfg.dt, t_end=cfg.t_end,
+                   source=cfg.source)
     prov = cfg.provenance()
-    if isinstance(res_or_err, DivergenceError):
-        if res_or_err.partial is not None:
-            _flush_run(cfg, res_or_err.partial, out, prov)
-        print(f"error: {res_or_err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    _flush_run(cfg, res_or_err, out, prov)
-    return EXIT_OK
-
-
-def _attempt(runner, scn, snapshot_times):
     try:
-        return runner(scn, snapshot_times=snapshot_times)
+        res = runner(scn, snapshot_times=cfg.snapshot_times)
     except DivergenceError as exc:
-        return exc
+        if exc.partial is not None:
+            _flush_run(exc.partial, out, prov)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    _flush_run(res, out, prov)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +98,21 @@ def _attempt(runner, scn, snapshot_times):
 def _order_cell(prev, rep, field: str) -> str:
     """Observed order against the previous rung, blank when the rung pair is
     not an N-doubling at fixed dt*N."""
-    if prev is None or rep.n != 2 * prev.n:
+    if prev is None:
         return ""
-    if not math.isclose(rep.dt * rep.n, prev.dt * prev.n, rel_tol=0.02):
+    try:
+        orders = convergence_order([prev, rep])
+    except ValueError:
         return ""
-    ea, eb = prev.linf[field], rep.linf[field]
-    if ea == 0.0 or eb == 0.0:
-        return "nan"
-    return _fmt(math.log2(ea / eb))
+    return _fmt(orders[field][0])
 
 
-def _flush_mms(cfg: RunConfig, reports, out: Path, prov: dict) -> None:
-    fields = ("phi", "rho", "j") if cfg.model == 1 else ("phi", "psi", "rho", "j")
+def _flush_mms(reports, out: Path, prov: dict) -> None:
     rows = []
     trace_rows = []
     prev = None
     for rep in reports:
-        for f in fields:
+        for f in rep.linf:
             rows.append((f, rep.n, rep.dt, rep.linf[f], rep.l2[f],
                          _order_cell(prev, rep, f)))
         for name in sorted(rep.trace_linf):
@@ -157,7 +136,7 @@ def _mms_mode(cfg: RunConfig, out: Path) -> int:
         except DivergenceError as exc:
             failure = exc
             break
-    _flush_mms(cfg, reports, out, prov)
+    _flush_mms(reports, out, prov)
     if failure is not None:
         print(f"error: {failure} (N = {n})", file=sys.stderr)
         return EXIT_DIVERGED

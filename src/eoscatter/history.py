@@ -121,7 +121,7 @@ class DelayBuffer:
         if self._levels < 3:
             out = self._few_samples(r)
             return out if self.shape else float(out)
-        m = int(self._bracket(np.asarray(r)))
+        m = min(max(math.floor(r), 1), self._levels - 2)
         self._check_lower(m - 1)
         w0, w1, w2 = self._weights(r - (m - 1))
         out = (

@@ -1,0 +1,220 @@
+"""The marching core both solvers share.
+
+A model supplies its potentials (``phi``, or ``phi`` and ``psi``), the
+potential half of the interior step and the boundary closure; the scenario
+checks, the density/current half, the current history, the snapshots, the
+trace series and the divergence handling live here once.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .grid import GridSpec, SpatialOps
+from .history import DelayBuffer
+from .sources import RUN_QUAD_REL_TOL
+
+
+class DivergenceError(RuntimeError):
+    """Time stepping produced a non-finite field value.
+
+    ``step`` is the level that failed; ``partial`` holds the run result
+    truncated to the last finite level so callers can flush what exists.
+    """
+
+    def __init__(self, message: str, step: int | None = None, partial=None):
+        super().__init__(message)
+        self.step = step
+        self.partial = partial
+
+
+class FieldState:
+    """Base of a model's state dataclass: nodal fields and boundary traces
+    at one time level."""
+
+    def copy(self):
+        """A copy that owns its field arrays."""
+        return replace(self, **{k: v.copy() for k, v in vars(self).items()
+                                if isinstance(v, np.ndarray)})
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A complete run description.
+
+    Exactly one driving mode applies: an external ``source`` beyond the
+    right boundary (production), a manufactured-solution bundle ``mms``
+    (verification), or neither (null run).  A model's subclass sets the
+    class attributes ``potentials``, ``material``, ``manufactured`` and
+    ``residuals`` (its field-name tuple and classes) and supplies
+    :meth:`incident`.
+    """
+
+    grid: GridSpec
+    mat: object
+    dt: float
+    t_end: float
+    source: object | None = None
+    mms: object | None = None
+    t0: float = 0.0
+    quad_rel_tol: float = RUN_QUAD_REL_TOL
+
+    def __post_init__(self) -> None:
+        expected = [(self.mat, self.material)]
+        if self.mms is not None:
+            expected.append((self.mms, self.manufactured))
+        for value, cls in expected:
+            if not isinstance(value, cls):
+                raise TypeError(f"{type(self).__name__} needs a {cls.__name__}, "
+                                f"got {type(value).__name__}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError("t0 and t_end must be finite")
+        if not self.t_end > self.t0:
+            raise ValueError("t_end must exceed the start time")
+        self._check_step()
+        if self.source is not None and self.mms is not None:
+            raise ValueError(
+                "scenario cannot carry both an external source and "
+                "manufactured fields"
+            )
+        if self.source is not None:
+            if self.source.support[0] < self.grid.a1 - 1e-12:
+                raise ValueError(
+                    "external source support must lie beyond the right boundary"
+                )
+            if np.max(np.abs(self.incident(self.t0))) >= 1e-12:
+                raise ValueError(
+                    "source already influences the boundary at the start time"
+                )
+
+    def _check_step(self) -> None:
+        """Model-specific rule on ``dt``; none by default."""
+
+    def incident(self, t):
+        """The source's incident trace(s) at the right boundary at time(s) ``t``."""
+        raise NotImplementedError
+
+    @property
+    def field_names(self) -> tuple[str, ...]:
+        """The evolved interior fields, in state order."""
+        return self.potentials + ("rho", "j")
+
+    @property
+    def transit(self) -> float:
+        """Interior one-way travel time between the boundaries."""
+        return (self.grid.a1 - self.grid.a0) / self.mat.c1
+
+    @property
+    def window(self) -> float:
+        """Seconds of history the boundary closure reads back."""
+        return self.transit + 2.0 * self.dt
+
+    @property
+    def steps(self) -> int:
+        return max(1, int(math.ceil((self.t_end - self.t0) / self.dt - 1e-9)))
+
+
+def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
+                  potential_half):
+    """Advance the interior fields one step using level-n boundary traces.
+
+    ``potential_half(state, scn, ops, sources, dj, f, g_j)`` returns the new
+    potentials, given the level-n current divergence, response forcing
+    ``(alpha - beta*rho)*phi - gamma*j`` and current residual source.  The
+    density then takes a Taylor step and the current a Heun corrector.
+    """
+    if ops is None:
+        ops = SpatialOps(scn.grid)
+    if sources is None and scn.mms is not None:
+        sources = scn.residuals(scn.mms, scn.mat)
+    m, dt = scn.mat, scn.dt
+    x, t = scn.grid.x, state.t
+    rho, j = state.rho, state.j
+    dj = ops.d1_confined(j)
+    f = (m.alpha - m.beta * rho) * state.phi - m.gamma * j
+    df = ops.d1_confined(f)
+    g_j = sources.src_j(x, t) if sources is not None else None
+    potentials = potential_half(state, scn, ops, sources, dj, f, g_j)
+
+    rho_rate = -dj
+    rho_curv = -df
+    f_now = f
+    if sources is not None:
+        rho_rate = rho_rate + sources.src_rho(x, t)
+        rho_curv = rho_curv + sources.src_rho_dt(x, t) - sources.src_j_dx(x, t)
+        f_now = f + g_j
+
+    rho_new = rho + dt * rho_rate + 0.5 * dt**2 * rho_curv
+
+    j_pred = j + dt * f_now
+    f_next = (m.alpha - m.beta * rho_new) * potentials[0] - m.gamma * j_pred
+    if sources is not None:
+        f_next = f_next + sources.src_j(x, t + dt)
+    j_new = 0.5 * (j + j_pred + dt * f_next)
+    return (*potentials, rho_new, j_new)
+
+
+def _snapshot_levels(scn: Scenario, snapshot_times) -> dict:
+    """Time level -> requested time, the first request per level kept."""
+    wanted = {}
+    for t_req in map(float, snapshot_times):
+        if not scn.t0 - 1e-12 <= t_req <= scn.t_end + 1e-12:
+            raise ValueError(f"snapshot time {t_req!r} outside "
+                             f"[t0, t_end] = [{scn.t0!r}, {scn.t_end!r}]")
+        level = min(scn.steps, max(0, int(round((t_req - scn.t0) / scn.dt))))
+        wanted.setdefault(level, t_req)
+    return wanted
+
+
+def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
+    """Advance ``scn`` from its start time to ``t_end``.
+
+    ``closure(scn, j_hist, sources, incident)`` runs once, given the current
+    history and the incident trace per level; it returns the start traces
+    and ``close(t_next, n)``, the traces at level n.  Each step runs
+    ``step(state, scn, ops, sources)``, appends the new current, then calls
+    ``close``.  A non-finite field raises :class:`DivergenceError`.
+    """
+    g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
+    wanted = _snapshot_levels(scn, snapshot_times)
+    ops = SpatialOps(g)
+    sources = scn.residuals(scn.mms, scn.mat) if scn.mms is not None else None
+    j_hist = DelayBuffer(t0, dt, scn.window, shape=(g.n,))
+    times = t0 + dt * np.arange(steps + 1)
+    incident = [None] * (steps + 1)
+    if scn.source is not None:
+        incident = scn.incident(times)
+
+    if scn.mms is not None:
+        fields = [np.asarray(getattr(scn.mms, name).value(g.x, t0), dtype=float)
+                  for name in scn.field_names]
+    else:
+        fields = [np.zeros(g.n) for _ in scn.field_names]
+    traces, close = closure(scn, j_hist, sources, incident)
+    state = state_cls(*fields, *traces, 0, t0)
+    j_hist.append(state.j)
+    series = np.zeros((len(traces), steps + 1))
+    series[:, 0] = traces
+    snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
+
+    for n in range(1, steps + 1):
+        t_next = t0 + n * dt
+        fields = step(state, scn, ops, sources)
+        if not all(np.all(np.isfinite(a)) for a in fields):
+            raise DivergenceError(
+                f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
+                partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
+            )
+        j_hist.append(fields[-1])
+        traces = close(t_next, n)
+        state = state_cls(*fields, *traces, n, t_next)
+        series[:, n] = traces
+        if n in wanted:
+            snapshots.append((wanted[n], state.copy()))
+
+    return result_cls(scn, times, *series, snapshots, state)

@@ -236,8 +236,9 @@ class ResidualSources1:
 
 
 @dataclass(frozen=True)
-class ResidualSources2:
-    """Residual sources for the two-potential model (see :class:`ResidualSources1`)."""
+class ResidualSources2(ResidualSources1):
+    """Residual sources for the two-potential model (see :class:`ResidualSources1`,
+    whose density and current terms it inherits)."""
 
     fields: ManufacturedFields2
     mat: Material2
@@ -266,31 +267,6 @@ class ResidualSources2:
         f = self.fields
         return f.psi.dtt(x, t) - self.mat.nu1 * f.phi.dxt(x, t)
 
-    def src_rho(self, x, t):
-        f = self.fields
-        return f.rho.dt(x, t) + f.j.dx(x, t)
-
-    def src_rho_dt(self, x, t):
-        f = self.fields
-        return f.rho.dtt(x, t) + f.j.dxt(x, t)
-
-    def src_j(self, x, t):
-        f, m = self.fields, self.mat
-        return (
-            f.j.dt(x, t)
-            - (m.alpha - m.beta * f.rho.value(x, t)) * f.phi.value(x, t)
-            + m.gamma * f.j.value(x, t)
-        )
-
-    def src_j_dx(self, x, t):
-        f, m = self.fields, self.mat
-        return (
-            f.j.dxt(x, t)
-            - (m.alpha - m.beta * f.rho.value(x, t)) * f.phi.dx(x, t)
-            + m.beta * f.rho.dx(x, t) * f.phi.value(x, t)
-            + m.gamma * f.j.dx(x, t)
-        )
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -318,40 +294,29 @@ def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorRepor
     # The solver modules import the field families from here, so pull them
     # in lazily to keep the import graph acyclic.
     if model == 1:
-        from .model1 import Scenario1, run_m1
-
-        scn = Scenario1(grid=grid, mat=mat, dt=dt, t_end=t_end, mms=exact)
-        tic = time.perf_counter()
-        res = run_m1(scn)
-        runtime = time.perf_counter() - tic
-        fields = ("phi", "rho", "j")
-        traces = {"phi_a0": (res.phi_a0, exact.phi, grid.a0),
-                  "phi_a1": (res.phi_a1, exact.phi, grid.a1)}
+        from .model1 import Scenario1 as scenario, run_m1 as runner
     elif model == 2:
-        from .model2 import Scenario2, run_m2
-
-        scn = Scenario2(grid=grid, mat=mat, dt=dt, t_end=t_end, mms=exact)
-        tic = time.perf_counter()
-        res = run_m2(scn)
-        runtime = time.perf_counter() - tic
-        fields = ("phi", "psi", "rho", "j")
-        traces = {"phi_a0": (res.phi_a0, exact.phi, grid.a0),
-                  "psi_a0": (res.psi_a0, exact.psi, grid.a0),
-                  "phi_a1": (res.phi_a1, exact.phi, grid.a1),
-                  "psi_a1": (res.psi_a1, exact.psi, grid.a1)}
+        from .model2 import Scenario2 as scenario, run_m2 as runner
     else:
         raise ValueError("model must be 1 or 2")
 
+    scn = scenario(grid=grid, mat=mat, dt=dt, t_end=t_end, mms=exact)
+    tic = time.perf_counter()
+    res = runner(scn)
+    runtime = time.perf_counter() - tic
+
     t_final = res.final.t
     linf, l2 = {}, {}
-    for name in fields:
+    for name in scn.field_names:
         err = np.abs(getattr(res.final, name)
                      - getattr(exact, name).value(grid.x, t_final))
         linf[name] = float(np.max(err))
         l2[name] = float(math.sqrt(grid.dx * float(np.sum(err**2))))
     trace_linf = {}
-    for name, (series, func, a) in traces.items():
-        trace_linf[name] = float(np.max(np.abs(series - func.value(a, res.times))))
+    for side, a in (("a0", grid.a0), ("a1", grid.a1)):
+        for p in scn.potentials:
+            err = getattr(res, f"{p}_{side}") - getattr(exact, p).value(a, res.times)
+            trace_linf[f"{p}_{side}"] = float(np.max(np.abs(err)))
     return ErrorReport(model, grid.n, dt, t_final, runtime, linf, l2, trace_linf)
 
 

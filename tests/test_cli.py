@@ -202,12 +202,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == 2
 
 
-def test_divergent_run_exits_3_and_flushes_partials(tmp_path, capsys):
+@pytest.mark.parametrize("model", [1, 2])
+def test_divergent_run_exits_3_and_flushes_partials(tmp_path, capsys, model):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {
-        "model": 1,
+        "model": model,
         "grid": {"a0": 0.0, "a1": 3.0, "N": 40},
-        "material": MAT1,
+        "material": MAT1 if model == 1 else MAT2,
         "dt_cfl": 2.0,  # far beyond the stable window
         "t_end": 4.0,
         "source": SRC,
@@ -219,11 +220,14 @@ def test_divergent_run_exits_3_and_flushes_partials(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "step" in err
     # the boundary series written so far is finite and non-trivial
-    _, _, rows = read_rows(out / "boundary.csv")
+    _, header, rows = read_rows(out / "boundary.csv")
+    pots = ["phi"] if model == 1 else ["phi", "psi"]
+    assert header == ["t"] + [f"{p}_{side}" for p in pots for side in ("a0", "a1")]
     assert len(rows) > 2
     values = np.array(rows, dtype=float)
     assert np.all(np.isfinite(values))
-    assert (out / "snapshot_0.2.csv").exists()
+    _, header, _ = read_rows(out / "snapshot_0.2.csv")
+    assert header == ["x"] + pots + ["rho", "j"]
 
 
 def test_preset_plumbing_with_out_override(tmp_path, monkeypatch):
