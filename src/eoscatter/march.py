@@ -123,10 +123,11 @@ def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
                   potential_half):
     """Advance the interior fields one step using level-n boundary traces.
 
-    ``potential_half(state, scn, ops, sources, dj, f, g_j)`` returns the new
-    potentials, given the level-n current divergence, response forcing
-    ``(alpha - beta*rho)*phi - gamma*j`` and current residual source.  The
-    density then takes a Taylor step and the current a Heun corrector.
+    ``potential_half(state, scn, ops, terms, dj, f)`` returns the new
+    potentials, given the residual terms at level n (``sources.src_terms``,
+    or None), the level-n current divergence and the response forcing
+    ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes a Taylor
+    step and the current a Heun corrector.
     """
     if ops is None:
         ops = SpatialOps(scn.grid)
@@ -138,16 +139,16 @@ def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
     dj = ops.d1_confined(j)
     f = (m.alpha - m.beta * rho) * state.phi - m.gamma * j
     df = ops.d1_confined(f)
-    g_j = sources.src_j(x, t) if sources is not None else None
-    potentials = potential_half(state, scn, ops, sources, dj, f, g_j)
+    terms = sources.src_terms(x, t) if sources is not None else None
+    potentials = potential_half(state, scn, ops, terms, dj, f)
 
     rho_rate = -dj
     rho_curv = -df
     f_now = f
-    if sources is not None:
-        rho_rate = rho_rate + sources.src_rho(x, t)
-        rho_curv = rho_curv + sources.src_rho_dt(x, t) - sources.src_j_dx(x, t)
-        f_now = f + g_j
+    if terms is not None:
+        rho_rate = rho_rate + terms["rho"]
+        rho_curv = rho_curv + terms["rho_dt"] - terms["j_dx"]
+        f_now = f + terms["j"]
 
     rho_new = rho + dt * rho_rate + 0.5 * dt**2 * rho_curv
 
@@ -205,7 +206,8 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     for n in range(1, steps + 1):
         t_next = t0 + n * dt
         fields = step(state, scn, ops, sources)
-        if not all(np.all(np.isfinite(a)) for a in fields):
+        # One reduction over all fields: cheaper than one per field.
+        if not np.isfinite(np.concatenate(fields)).all():
             raise DivergenceError(
                 f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
                 partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),

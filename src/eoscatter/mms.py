@@ -21,17 +21,50 @@ import numpy as np
 from .grid import Material1, Material2
 
 
-class ZeroField:
+# Positions in a jet ``(value, dx, dt, dxx, dxt, dtt)``; a jet of order 0, 1
+# or 2 holds the first 1, 3 or 6 of them.
+VALUE, DX, DT, DXX, DXT, DTT = range(6)
+
+
+def _view(method: str, key, *args):
+    """A method ``(x, t)`` that returns entry ``key`` of
+    ``self.<method>(x, t, *args)``."""
+
+    def view(self, x, t):
+        return getattr(self, method)(x, t, *args)[key]
+
+    view.__doc__ = f"Entry {key!r} of :meth:`{method}`."
+    return view
+
+
+class Field:
+    """Base of the field families: a family supplies :meth:`jet`, which
+    builds the value and the derivatives at a point set together, and the
+    six one-derivative methods are views of it."""
+
+    def jet(self, x, t, order: int = 2) -> tuple:
+        """``(value, dx, dt, dxx, dxt, dtt)`` at ``(x, t)``, cut after the
+        entries of ``order`` (0: the value; 1: up to ``dt``; 2: all six)."""
+        raise NotImplementedError
+
+    value = _view("jet", VALUE, 0)
+    dx = _view("jet", DX, 1)
+    dt = _view("jet", DT, 1)
+    dxx = _view("jet", DXX)
+    dxt = _view("jet", DXT)
+    dtt = _view("jet", DTT)
+
+
+class ZeroField(Field):
     """The identically-zero field; every derivative vanishes too."""
 
-    def _zeros(self, x, t):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)
-
-    value = dx = dt = dxx = dxt = dtt = _zeros
+    def jet(self, x, t, order: int = 2) -> tuple:
+        shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
+        return tuple(np.zeros(shape) for _ in range((1, 3, 6)[order]))
 
 
 @dataclass(frozen=True)
-class ArctanGaussianPulse:
+class ArctanGaussianPulse(Field):
     """A drifting Gaussian envelope switched on smoothly from zero.
 
     ``value = (2*amplitude/pi) * arctan((ramp_rate*t)**2)
@@ -48,61 +81,38 @@ class ArctanGaussianPulse:
     center: float
     t_shift: float
 
-    def _ramp(self, t):
-        return (2.0 * self.amplitude / math.pi) * np.arctan((self.ramp_rate * t) ** 2)
-
-    def _ramp_dt(self, t):
-        b2 = self.ramp_rate**2
-        return (2.0 * self.amplitude / math.pi) * 2.0 * b2 * t / (1.0 + b2**2 * t**4)
-
-    def _ramp_dtt(self, t):
-        b2 = self.ramp_rate**2
-        den = 1.0 + b2**2 * t**4
-        return (
-            (2.0 * self.amplitude / math.pi)
-            * (2.0 * b2 * den - 8.0 * b2**3 * t**4)
-            / den**2
-        )
-
-    def _env(self, x, t):
+    def jet(self, x, t, order: int = 2) -> tuple:
+        """See :meth:`Field.jet`; one ``exp``, one ``arctan`` and one ``t*t``."""
+        scale = 2.0 * self.amplitude / math.pi
+        bt = self.ramp_rate * t
+        s = bt * bt
+        ramp = scale * np.arctan(s)
         u = x - self.center + self.drift * (t - self.t_shift)
-        return u, np.exp(-self.rate * u**2)
-
-    def value(self, x, t):
-        _, env = self._env(x, t)
-        return self._ramp(t) * env
-
-    def dx(self, x, t):
-        u, env = self._env(x, t)
-        return self._ramp(t) * (-2.0 * self.rate * u) * env
-
-    def dt(self, x, t):
-        u, env = self._env(x, t)
-        return (self._ramp_dt(t) - self._ramp(t) * 2.0 * self.rate * u * self.drift) * env
-
-    def dxx(self, x, t):
-        u, env = self._env(x, t)
-        return self._ramp(t) * (4.0 * self.rate**2 * u**2 - 2.0 * self.rate) * env
-
-    def dxt(self, x, t):
-        u, env = self._env(x, t)
-        curve = 4.0 * self.rate**2 * u**2 - 2.0 * self.rate
-        return (
-            self._ramp_dt(t) * (-2.0 * self.rate * u) + self._ramp(t) * self.drift * curve
-        ) * env
-
-    def dtt(self, x, t):
-        u, env = self._env(x, t)
-        curve = 4.0 * self.rate**2 * u**2 - 2.0 * self.rate
-        return (
-            self._ramp_dtt(t)
-            + 2.0 * self._ramp_dt(t) * (-2.0 * self.rate * u) * self.drift
-            + self._ramp(t) * self.drift**2 * curve
-        ) * env
+        env = np.exp(-self.rate * (u * u))
+        value = ramp * env
+        if order == 0:
+            return (value,)
+        # The envelope moves with u_t = drift * u_x, so d/dt acts on it as
+        # drift * d/dx; what is left of d/dt hits the ramp.
+        b2 = self.ramp_rate**2
+        den = 1.0 + s * s
+        ramp_t = scale * 2.0 * b2 * t / den
+        p = -2.0 * self.rate * u
+        dx = p * value
+        w = ramp_t * env
+        dt = w + self.drift * dx
+        if order == 1:
+            return value, dx, dt
+        ramp_tt = scale * 2.0 * b2 * (1.0 - 3.0 * s * s) / (den * den)
+        dxx = (p * p - 2.0 * self.rate) * value
+        wx = p * w
+        dxt = wx + self.drift * dxx
+        dtt = ramp_tt * env + self.drift * (wx + dxt)
+        return value, dx, dt, dxx, dxt, dtt
 
 
 @dataclass(frozen=True)
-class GaussianBump:
+class GaussianBump(Field):
     """Separable bump ``amp * exp(-((x-x_center)/x_width)**2 - ((t-t_center)/t_width)**2)``."""
 
     amplitude: float
@@ -111,37 +121,20 @@ class GaussianBump:
     t_center: float
     t_width: float
 
-    def _core(self, x, t):
-        p = -2.0 * (x - self.x_center) / self.x_width**2
-        q = -2.0 * (t - self.t_center) / self.t_width**2
-        v = self.amplitude * np.exp(
-            -(((x - self.x_center) / self.x_width) ** 2)
-            - ((t - self.t_center) / self.t_width) ** 2
-        )
-        return p, q, v
-
-    def value(self, x, t):
-        return self._core(x, t)[2]
-
-    def dx(self, x, t):
-        p, _, v = self._core(x, t)
-        return p * v
-
-    def dt(self, x, t):
-        _, q, v = self._core(x, t)
-        return q * v
-
-    def dxx(self, x, t):
-        p, _, v = self._core(x, t)
-        return (p**2 - 2.0 / self.x_width**2) * v
-
-    def dtt(self, x, t):
-        _, q, v = self._core(x, t)
-        return (q**2 - 2.0 / self.t_width**2) * v
-
-    def dxt(self, x, t):
-        p, q, v = self._core(x, t)
-        return p * q * v
+    def jet(self, x, t, order: int = 2) -> tuple:
+        """See :meth:`Field.jet`; one ``exp``."""
+        sx, st = x - self.x_center, t - self.t_center
+        v = self.amplitude * np.exp(-((sx / self.x_width) ** 2)
+                                    - (st / self.t_width) ** 2)
+        if order == 0:
+            return (v,)
+        p = -2.0 * sx / self.x_width**2
+        q = -2.0 * st / self.t_width**2
+        dx, dt = p * v, q * v
+        if order == 1:
+            return v, dx, dt
+        return (v, dx, dt, (p * p - 2.0 / self.x_width**2) * v, p * dt,
+                (q * q - 2.0 / self.t_width**2) * v)
 
 
 @dataclass(frozen=True)
@@ -191,48 +184,61 @@ class ResidualSources1:
     ``src_phi`` / ``src_rho`` / ``src_j`` are the extra terms in the
     potential, density and current equations; the ``_dx`` / ``_dt``
     companions are the analytic derivatives the second-order time step
-    consumes.
+    consumes.  :meth:`src_terms` builds them from one jet per field, and
+    the single-term methods other than :meth:`src_j` are views of it.
     """
 
     fields: ManufacturedFields1
     mat: Material1
 
-    def src_phi(self, x, t):
-        f = self.fields
-        return f.phi.dt(x, t) - self.mat.c1 * f.phi.dx(x, t) - f.j.value(x, t)
+    potentials = ("phi",)
 
-    def src_phi_dx(self, x, t):
-        f = self.fields
-        return f.phi.dxt(x, t) - self.mat.c1 * f.phi.dxx(x, t) - f.j.dx(x, t)
+    def src_terms(self, x, t, order: int = 2) -> dict:
+        """Residual terms at ``(x, t)`` by name (``phi``, ``phi_dx``, ...).
 
-    def src_phi_dt(self, x, t):
-        f = self.fields
-        return f.phi.dtt(x, t) - self.mat.c1 * f.phi.dxt(x, t) - f.j.dt(x, t)
-
-    def src_rho(self, x, t):
-        f = self.fields
-        return f.rho.dt(x, t) + f.j.dx(x, t)
-
-    def src_rho_dt(self, x, t):
-        f = self.fields
-        return f.rho.dtt(x, t) + f.j.dxt(x, t)
+        Order 2 gives every term, order 1 only the potential equations'
+        terms (``phi``, and ``psi`` in model 2) from first-order jets: what
+        the retarded sums need.
+        """
+        f, m = self.fields, self.mat
+        names = self.potentials + (("rho", "j") if order == 2 else ("j",))
+        jets = {name: getattr(f, name).jet(x, t, order) for name in names}
+        terms = self._potential_terms(jets, order)
+        if order == 1:
+            return terms
+        phi, rho, j = jets["phi"], jets["rho"], jets["j"]
+        terms["rho"] = rho[DT] + j[DX]
+        terms["rho_dt"] = rho[DTT] + j[DXT]
+        terms["j"] = self._current_term(phi, rho, j)
+        terms["j_dx"] = (j[DXT] - (m.alpha - m.beta * rho[VALUE]) * phi[DX]
+                         + m.beta * rho[DX] * phi[VALUE] + m.gamma * j[DX])
+        return terms
 
     def src_j(self, x, t):
-        f, m = self.fields, self.mat
-        return (
-            f.j.dt(x, t)
-            - (m.alpha - m.beta * f.rho.value(x, t)) * f.phi.value(x, t)
-            + m.gamma * f.j.value(x, t)
-        )
+        """The current equation's term, from the values of ``phi`` and
+        ``rho`` and a first-order jet of ``j``."""
+        f = self.fields
+        return self._current_term(f.phi.jet(x, t, 0), f.rho.jet(x, t, 0),
+                                  f.j.jet(x, t, 1))
 
-    def src_j_dx(self, x, t):
-        f, m = self.fields, self.mat
-        return (
-            f.j.dxt(x, t)
-            - (m.alpha - m.beta * f.rho.value(x, t)) * f.phi.dx(x, t)
-            + m.beta * f.rho.dx(x, t) * f.phi.value(x, t)
-            + m.gamma * f.j.dx(x, t)
-        )
+    def _current_term(self, phi, rho, j):
+        m = self.mat
+        return j[DT] - (m.alpha - m.beta * rho[VALUE]) * phi[VALUE] + m.gamma * j[VALUE]
+
+    def _potential_terms(self, jets: dict, order: int) -> dict:
+        phi, j, c1 = jets["phi"], jets["j"], self.mat.c1
+        terms = {"phi": phi[DT] - c1 * phi[DX] - j[VALUE]}
+        if order == 2:
+            terms["phi_dx"] = phi[DXT] - c1 * phi[DXX] - j[DX]
+            terms["phi_dt"] = phi[DTT] - c1 * phi[DXT] - j[DT]
+        return terms
+
+    src_phi = _view("src_terms", "phi", 1)
+    src_phi_dx = _view("src_terms", "phi_dx")
+    src_phi_dt = _view("src_terms", "phi_dt")
+    src_rho = _view("src_terms", "rho")
+    src_rho_dt = _view("src_terms", "rho_dt")
+    src_j_dx = _view("src_terms", "j_dx")
 
 
 @dataclass(frozen=True)
@@ -243,29 +249,22 @@ class ResidualSources2(ResidualSources1):
     fields: ManufacturedFields2
     mat: Material2
 
-    def src_phi(self, x, t):
-        f = self.fields
-        return f.phi.dt(x, t) - self.mat.mu1 * f.psi.dx(x, t) - f.j.value(x, t)
+    potentials = ("phi", "psi")
 
-    def src_phi_dx(self, x, t):
-        f = self.fields
-        return f.phi.dxt(x, t) - self.mat.mu1 * f.psi.dxx(x, t) - f.j.dx(x, t)
+    def _potential_terms(self, jets: dict, order: int) -> dict:
+        phi, psi, j, m = jets["phi"], jets["psi"], jets["j"], self.mat
+        terms = {"phi": phi[DT] - m.mu1 * psi[DX] - j[VALUE],
+                 "psi": psi[DT] - m.nu1 * phi[DX]}
+        if order == 2:
+            terms["phi_dx"] = phi[DXT] - m.mu1 * psi[DXX] - j[DX]
+            terms["phi_dt"] = phi[DTT] - m.mu1 * psi[DXT] - j[DT]
+            terms["psi_dx"] = psi[DXT] - m.nu1 * phi[DXX]
+            terms["psi_dt"] = psi[DTT] - m.nu1 * phi[DXT]
+        return terms
 
-    def src_phi_dt(self, x, t):
-        f = self.fields
-        return f.phi.dtt(x, t) - self.mat.mu1 * f.psi.dxt(x, t) - f.j.dt(x, t)
-
-    def src_psi(self, x, t):
-        f = self.fields
-        return f.psi.dt(x, t) - self.mat.nu1 * f.phi.dx(x, t)
-
-    def src_psi_dx(self, x, t):
-        f = self.fields
-        return f.psi.dxt(x, t) - self.mat.nu1 * f.phi.dxx(x, t)
-
-    def src_psi_dt(self, x, t):
-        f = self.fields
-        return f.psi.dtt(x, t) - self.mat.nu1 * f.phi.dxt(x, t)
+    src_psi = _view("src_terms", "psi", 1)
+    src_psi_dx = _view("src_terms", "psi_dx")
+    src_psi_dt = _view("src_terms", "psi_dt")
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,10 @@ def interior_step_m1(
     return interior_step(state, scn, ops, sources, _potential_m1)
 
 
-def _potential_m1(state, scn, ops, sources, dj, f, g_j):
+def _potential_m1(state, scn, ops, terms, dj, f):
     """The potential half of :func:`interior_step_m1`: a Lax-Wendroff step
     for ``phi``."""
     m, dt = scn.mat, scn.dt
-    x, t = scn.grid.x, state.t
     phi = state.phi
 
     dphi = ops.d1_closed(phi, state.phi_a0, state.phi_a1)
@@ -90,10 +89,9 @@ def _potential_m1(state, scn, ops, sources, dj, f, g_j):
 
     phi_rate = m.c1 * dphi + state.j
     phi_curv = m.c1**2 * d2phi + m.c1 * dj + f
-    if sources is not None:
-        phi_rate = phi_rate + sources.src_phi(x, t)
-        phi_curv = phi_curv + m.c1 * sources.src_phi_dx(x, t) \
-            + sources.src_phi_dt(x, t) + g_j
+    if terms is not None:
+        phi_rate = phi_rate + terms["phi"]
+        phi_curv = phi_curv + m.c1 * terms["phi_dx"] + terms["phi_dt"] + terms["j"]
     return (phi + dt * phi_rate + 0.5 * dt**2 * phi_curv,)
 
 
@@ -138,9 +136,8 @@ def boundary_a0_m1(
         total = float(np.sum(j_hist.query_each(t_next - delays)))
     if sources is not None:
         times = t_next - delays
-        total += float(
-            np.sum(np.where(times > scn.t0, sources.src_phi(g.x, times), 0.0))
-        )
+        src = sources.src_terms(g.x, times, 1)["phi"]
+        total += float(np.sum(np.where(times > scn.t0, src, 0.0)))
     trace = g.dx / c1 * total
     trace += pa1_hist.query(t_next - scn.transit)
     return trace

@@ -123,11 +123,10 @@ def interior_step_m2(
     return interior_step(state, scn, ops, sources, _potential_m2)
 
 
-def _potential_m2(state, scn, ops, sources, dj, f, g_j):
+def _potential_m2(state, scn, ops, terms, dj, f):
     """The potential half of :func:`interior_step_m2`: Lax-Wendroff steps
     for the coupled pair ``phi``, ``psi``."""
     m, dt = scn.mat, scn.dt
-    x, t = scn.grid.x, state.t
     phi, psi = state.phi, state.psi
     c2 = m.mu1 * m.nu1
 
@@ -140,13 +139,11 @@ def _potential_m2(state, scn, ops, sources, dj, f, g_j):
     phi_curv = c2 * d2phi + f
     psi_rate = m.nu1 * dphi
     psi_curv = c2 * d2psi + m.nu1 * dj
-    if sources is not None:
-        phi_rate = phi_rate + sources.src_phi(x, t)
-        phi_curv = phi_curv + g_j + m.mu1 * sources.src_psi_dx(x, t) \
-            + sources.src_phi_dt(x, t)
-        psi_rate = psi_rate + sources.src_psi(x, t)
-        psi_curv = psi_curv + m.nu1 * sources.src_phi_dx(x, t) \
-            + sources.src_psi_dt(x, t)
+    if terms is not None:
+        phi_rate = phi_rate + terms["phi"]
+        phi_curv = phi_curv + terms["j"] + m.mu1 * terms["psi_dx"] + terms["phi_dt"]
+        psi_rate = psi_rate + terms["psi"]
+        psi_curv = psi_curv + m.nu1 * terms["phi_dx"] + terms["psi_dt"]
     return (phi + dt * phi_rate + 0.5 * dt**2 * phi_curv,
             psi + dt * psi_rate + 0.5 * dt**2 * psi_curv)
 
@@ -207,8 +204,9 @@ def boundary_update_m2(
             return np.array([top, 0.0])
         times = t_next - delays
         live = times > scn.t0
-        top += float(np.sum(np.where(live, sources.src_phi(x, times), 0.0)))
-        bot = float(np.sum(np.where(live, sources.src_psi(x, times), 0.0)))
+        src = sources.src_terms(x, times, 1)
+        top += float(np.sum(np.where(live, src["phi"], 0.0)))
+        bot = float(np.sum(np.where(live, src["psi"], 0.0)))
         return np.array([top, bot])
 
     delay = t_next - scn.transit

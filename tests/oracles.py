@@ -150,3 +150,44 @@ def fd4_dt(f, x, t, h=1e-4):
     return (
         f(x, t - 2 * h) - 8.0 * f(x, t - h) + 8.0 * f(x, t + h) - f(x, t + 2 * h)
     ) / (12.0 * h)
+
+
+def pulse_derivatives_longhand(p, x, t):
+    """``(value, dx, dt, dxx, dxt, dtt)`` of an ``ArctanGaussianPulse`` with
+    every derivative expanded on its own by the product rule."""
+    k = 2.0 * p.amplitude / math.pi
+    b2 = p.ramp_rate**2
+    ramp = k * np.arctan(b2 * t**2)
+    ramp_t = k * 2.0 * b2 * t / (1.0 + b2**2 * t**4)
+    ramp_tt = k * (2.0 * b2 * (1.0 + b2**2 * t**4) - 8.0 * b2**3 * t**4) \
+        / (1.0 + b2**2 * t**4) ** 2
+    u = x - p.center + p.drift * (t - p.t_shift)
+    env = np.exp(-p.rate * u**2)
+    env_u = -2.0 * p.rate * u * env
+    env_uu = (4.0 * p.rate**2 * u**2 - 2.0 * p.rate) * env
+    return (
+        ramp * env,
+        ramp * env_u,
+        ramp_t * env + ramp * p.drift * env_u,
+        ramp * env_uu,
+        ramp_t * env_u + ramp * p.drift * env_uu,
+        ramp_tt * env + 2.0 * ramp_t * p.drift * env_u + ramp * p.drift**2 * env_uu,
+    )
+
+
+def bump_derivatives_longhand(b, x, t):
+    """``(value, dx, dt, dxx, dxt, dtt)`` of a ``GaussianBump``, each written
+    out on its own."""
+    ex = np.exp(-(((x - b.x_center) / b.x_width) ** 2))
+    et = np.exp(-(((t - b.t_center) / b.t_width) ** 2))
+    gx = -2.0 * (x - b.x_center) / b.x_width**2
+    gt = -2.0 * (t - b.t_center) / b.t_width**2
+    v = b.amplitude * ex * et
+    return (
+        v,
+        gx * v,
+        gt * v,
+        (gx**2 - 2.0 / b.x_width**2) * v,
+        gx * gt * v,
+        (gt**2 - 2.0 / b.t_width**2) * v,
+    )

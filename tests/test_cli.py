@@ -131,6 +131,22 @@ def test_mms_mode_writes_error_tables(tmp_path):
     assert all(float(r[3]) < 1e-3 for r in rows)
 
 
+def test_mms_reruns_are_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, {
+        "model": 2,
+        "mode": "mms",
+        "grid": {"a0": 0.0, "a1": 3.0, "N": 50},
+        "material": MAT2,
+        "t_end": 0.6,
+        "mms": {"n_ladder": [50, 100]},
+    })
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["mms", cfg, "--out", str(a)]) == 0
+    assert main(["mms", cfg, "--out", str(b)]) == 0
+    for name in ("errors.csv", "trace_errors.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_mms_order_column_blank_when_ladder_jumps(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {

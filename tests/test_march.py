@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from eoscatter import model1, model2
 from eoscatter.grid import GridSpec, Material1, Material2
+from eoscatter.march import DivergenceError
 from eoscatter.mms import ManufacturedFields1, ManufacturedFields2
 from eoscatter.model1 import Scenario1, run_m1
 from eoscatter.model2 import Scenario2, run_m2
@@ -55,3 +57,54 @@ def test_snapshots_own_their_arrays(model):
     assert snap.n == final.n
     snap.phi[0] = 1.0
     assert final.phi[0] == 0.0 and np.all(final.rho == 0.0)
+
+
+STEPPERS = {1: (model1, "interior_step_m1"), 2: (model2, "interior_step_m2")}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("model, field", [
+    (1, "phi"), (1, "rho"), (1, "j"),
+    (2, "phi"), (2, "psi"), (2, "rho"), (2, "j"),
+])
+def test_one_bad_value_in_any_field_stops_the_run(monkeypatch, model, field, bad):
+    module, name = STEPPERS[model]
+    step = getattr(module, name)
+    scn = null_scenario(model)
+    at = 3
+
+    def poisoned(state, *args):
+        fields = list(step(state, *args))
+        if state.n + 1 == at:
+            k = scn.field_names.index(field)
+            fields[k] = fields[k].copy()
+            fields[k][5] = bad
+        return tuple(fields)
+
+    monkeypatch.setattr(module, name, poisoned)
+    with pytest.raises(DivergenceError) as info:
+        MODELS[model][1](scn, snapshot_times=[0.0])
+    err = info.value
+    t = scn.t0 + at * scn.dt
+    assert str(err) == f"non-finite fields at step {at} (t = {t:.6g})"
+    assert err.step == at
+    part = err.partial
+    assert part.final.n == at - 1 and len(part.times) == at
+    assert [s.n for _, s in part.snapshots] == [0]
+    for name in scn.field_names:
+        assert np.all(getattr(part.final, name) == 0.0)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_huge_finite_fields_are_not_divergence(monkeypatch, model):
+    """Values whose sum overflows are still finite and must pass the check."""
+    module, name = STEPPERS[model]
+    scn = null_scenario(model, t_end=0.1)
+
+    def huge(state, *args):
+        return tuple(np.full(scn.grid.n, 1e308) for _ in scn.field_names)
+
+    monkeypatch.setattr(module, name, huge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = MODELS[model][1](scn)
+    assert res.final.n == scn.steps and np.all(res.final.rho == 1e308)

@@ -18,7 +18,12 @@ from eoscatter.mms import (
     ZeroField,
 )
 
-from oracles import fd4_dt, fd4_dx
+from oracles import (
+    bump_derivatives_longhand,
+    fd4_dt,
+    fd4_dx,
+    pulse_derivatives_longhand,
+)
 
 MAT1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 MAT2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
@@ -150,3 +155,124 @@ def test_source_derivatives_model2():
         assert src.src_psi_dt(x, t) == pytest.approx(fd4_dt(src.src_psi, x, t), abs=1e-8)
         assert src.src_rho_dt(x, t) == pytest.approx(fd4_dt(src.src_rho, x, t), abs=1e-8)
         assert src.src_j_dx(x, t) == pytest.approx(fd4_dx(src.src_j, x, t), abs=1e-8)
+
+
+# The point sets the solvers evaluate fields on: one point, the nodes at one
+# time, and the retarded points (one time per node).
+_NODES = np.linspace(0.0, 3.0, 41)
+SHAPES = {
+    "scalar": (1.55, 0.75),
+    "nodes": (_NODES, 1.3),
+    "retarded": (_NODES, 1.9 - _NODES / 2.0),
+}
+METHODS = ("value", "dx", "dt", "dxx", "dxt", "dtt")
+FIELDS = {
+    "pulse": ManufacturedFields1.demo().phi,
+    "pulse-slow-ramp": ArctanGaussianPulse(
+        amplitude=0.7, ramp_rate=0.6, rate=3.0, drift=-1.5, center=1.0, t_shift=0.2),
+    "bump-j": ManufacturedFields1.demo().j,
+    "bump-rho": ManufacturedFields1.demo().rho,
+}
+
+
+def close_to(got, want, rel):
+    """``got`` equals ``want`` within ``rel`` of max|want| (or exactly 0)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", FIELDS)
+def test_jet_matches_the_six_methods_and_its_lower_orders(name, shape):
+    f, (x, t) = FIELDS[name], SHAPES[shape]
+    jet = f.jet(x, t)
+    assert len(jet) == 6
+    for k, method in enumerate(METHODS):
+        assert close_to(jet[k], getattr(f, method)(x, t), 1e-15), method
+    for order, size in ((0, 1), (1, 3)):
+        low = f.jet(x, t, order)
+        assert len(low) == size
+        for k in range(size):
+            assert close_to(low[k], jet[k], 1e-15)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", FIELDS)
+def test_jet_matches_the_longhand_derivatives(name, shape):
+    f, (x, t) = FIELDS[name], SHAPES[shape]
+    longhand = (pulse_derivatives_longhand if name.startswith("pulse")
+                else bump_derivatives_longhand)
+    for k, want in enumerate(longhand(f, x, t)):
+        assert close_to(f.jet(x, t)[k], want, 1e-13), METHODS[k]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_zero_field_jet_is_zeros_of_the_broadcast_shape(shape):
+    x, t = SHAPES[shape]
+    want = np.broadcast(np.asarray(x), np.asarray(t)).shape
+    for order, size in ((0, 1), (1, 3), (2, 6)):
+        jet = ZeroField().jet(x, t, order)
+        assert len(jet) == size
+        for a in jet:
+            assert a.shape == want and np.all(a == 0.0)
+
+
+def _bundle_terms(src):
+    """Every ``src_terms`` key with the single-term method that must agree."""
+    names = ["phi", "phi_dx", "phi_dt", "rho", "rho_dt", "j", "j_dx"]
+    if isinstance(src, ResidualSources2):
+        names += ["psi", "psi_dx", "psi_dt"]
+    return names
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("model", [1, 2])
+def test_source_bundles_equal_the_single_terms(model, shape):
+    x, t = SHAPES[shape]
+    src = (ResidualSources1(ManufacturedFields1.demo(), MAT1) if model == 1
+           else ResidualSources2(ManufacturedFields2.demo(), MAT2))
+    terms = src.src_terms(x, t)
+    names = _bundle_terms(src)
+    assert sorted(terms) == sorted(names)
+    for name in names:
+        assert close_to(terms[name], getattr(src, f"src_{name}")(x, t), 1e-15), name
+    potentials = src.src_terms(x, t, 1)
+    assert sorted(potentials) == sorted(src.potentials)
+    for name in src.potentials:
+        assert close_to(potentials[name], terms[name], 1e-15), name
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("model", [1, 2])
+def test_source_bundle_matches_the_field_methods(model, shape):
+    """Each bundled term against its residual written with the fields'
+    one-derivative methods."""
+    x, t = SHAPES[shape]
+    if model == 1:
+        f, m = ManufacturedFields1.demo(), MAT1
+        src = ResidualSources1(f, m)
+        partner, speed = f.phi, m.c1
+    else:
+        f, m = ManufacturedFields2.demo(), MAT2
+        src = ResidualSources2(f, m)
+        partner, speed = f.psi, m.mu1
+    resp = m.alpha - m.beta * f.rho.value(x, t)
+    want = {
+        "phi": f.phi.dt(x, t) - speed * partner.dx(x, t) - f.j.value(x, t),
+        "phi_dx": f.phi.dxt(x, t) - speed * partner.dxx(x, t) - f.j.dx(x, t),
+        "phi_dt": f.phi.dtt(x, t) - speed * partner.dxt(x, t) - f.j.dt(x, t),
+        "rho": f.rho.dt(x, t) + f.j.dx(x, t),
+        "rho_dt": f.rho.dtt(x, t) + f.j.dxt(x, t),
+        "j": f.j.dt(x, t) - resp * f.phi.value(x, t) + m.gamma * f.j.value(x, t),
+        "j_dx": (f.j.dxt(x, t) - resp * f.phi.dx(x, t)
+                 + m.beta * f.rho.dx(x, t) * f.phi.value(x, t)
+                 + m.gamma * f.j.dx(x, t)),
+    }
+    if model == 2:
+        want["psi"] = f.psi.dt(x, t) - m.nu1 * f.phi.dx(x, t)
+        want["psi_dx"] = f.psi.dxt(x, t) - m.nu1 * f.phi.dxx(x, t)
+        want["psi_dt"] = f.psi.dtt(x, t) - m.nu1 * f.phi.dxt(x, t)
+    terms = src.src_terms(x, t)
+    for name, value in want.items():
+        assert close_to(terms[name], value, 1e-14), name
