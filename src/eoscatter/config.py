@@ -16,6 +16,7 @@ from pathlib import Path
 from .grid import GridSpec, Material1, Material2
 from .mms import ArctanGaussianPulse, GaussianBump, ManufacturedFields1, ManufacturedFields2
 from .sources import GaussianSource, TabulatedSource
+from .stability import DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR, DEFAULT_SCAN_POINTS
 
 DEFAULT_DT_CFL = 0.4
 DEFAULT_EPSILON = 1.0
@@ -71,9 +72,9 @@ class StabilityControls:
 
     n: int = DEFAULT_STABILITY_N
     epsilons: tuple = DEFAULT_EPSILONS
-    dt_max_factor: float = 1.25
-    scan_points: int = 64
-    bisect_tol: float = 1e-4
+    dt_max_factor: float = DEFAULT_DT_MAX_FACTOR
+    scan_points: int = DEFAULT_SCAN_POINTS
+    bisect_tol: float = DEFAULT_BISECT_TOL
     write_samples: bool = True
 
 
@@ -243,18 +244,24 @@ def _parse_stability(block, where="stability") -> StabilityControls:
     n = _integer(block, "N", where, default=DEFAULT_STABILITY_N)
     if n < 4:
         raise ConfigError(f"{where}: N must be >= 4")
-    scan_points = _integer(block, "scan_points", where, default=64)
+    scan_points = _integer(block, "scan_points", where,
+                           default=DEFAULT_SCAN_POINTS)
     if scan_points < 16:
         raise ConfigError(f"'scan_points' in {where} must be >= 16")
+    factor = _number(block, "dt_max_factor", where, default=DEFAULT_DT_MAX_FACTOR)
+    tol = _number(block, "bisect_tol", where, default=DEFAULT_BISECT_TOL)
+    for key, v in (("dt_max_factor", factor), ("bisect_tol", tol)):
+        if not v > 0.0:
+            raise ConfigError(f"'{key}' in {where} must be positive")
     samples = block.get("samples", True)
     if not isinstance(samples, bool):
         raise ConfigError(f"'samples' in {where} must be true or false")
     return StabilityControls(
         n=n,
         epsilons=eps,
-        dt_max_factor=_number(block, "dt_max_factor", where, default=1.25),
+        dt_max_factor=factor,
         scan_points=scan_points,
-        bisect_tol=_number(block, "bisect_tol", where, default=1e-4),
+        bisect_tol=tol,
         write_samples=samples,
     )
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .grid import GridSpec, SpatialOps
 from .history import DelayBuffer
-from .sources import RUN_QUAD_REL_TOL
 
 
 class DivergenceError(RuntimeError):
@@ -60,7 +59,6 @@ class Scenario:
     source: object | None = None
     mms: object | None = None
     t0: float = 0.0
-    quad_rel_tol: float = RUN_QUAD_REL_TOL
 
     def __post_init__(self) -> None:
         expected = [(self.mat, self.material)]

@@ -47,7 +47,7 @@ class Scenario1(Scenario):
 
     def incident(self, t):
         return incident_trace(self.source, self.grid.a1, self.mat, self.t0, t,
-                              self.quad_rel_tol)
+                              RUN_QUAD_REL_TOL)
 
 
 @dataclass

@@ -98,7 +98,7 @@ class Scenario2(Scenario):
     def incident(self, t):
         """The incident pair at ``t``, stacked along the last axis."""
         return np.stack(incident_pair(self.source, self.grid.a1, self.mat,
-                                      self.t0, t, self.quad_rel_tol), axis=-1)
+                                      self.t0, t, RUN_QUAD_REL_TOL), axis=-1)
 
 
 @dataclass

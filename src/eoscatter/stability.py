@@ -16,9 +16,8 @@ restriction.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,16 +65,10 @@ def wave_pair_step(phi, psi, ops: SpatialOps, mu1: float, nu1: float,
 # propagator assembly
 # ---------------------------------------------------------------------------
 
-_DIFF_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _diff_matrices(grid: GridSpec):
     """Dense matrices of the two closed stencil operators (zero boundary
     data), probed column-by-column so any stencil change shows up here."""
-    key = (grid.a0, grid.a1, grid.n, grid.epsilon)
-    hit = _DIFF_CACHE.get(key)
-    if hit is not None:
-        return hit
     ops = SpatialOps(grid)
     n = grid.n
     d1 = np.empty((n, n))
@@ -86,9 +79,6 @@ def _diff_matrices(grid: GridSpec):
         d1[:, k] = ops.d1_closed(e, 0.0, 0.0)
         d2[:, k] = ops.d2_closed(e, 0.0, 0.0)
         e[k] = 0.0
-    if len(_DIFF_CACHE) > 8:
-        _DIFF_CACHE.clear()
-    _DIFF_CACHE[key] = (d1, d2)
     return d1, d2
 
 
@@ -204,6 +194,8 @@ def _bisect_edge(model, grid, mat, dt_bad, dt_good, tol) -> float:
     propagator tends to the identity, radius 1)."""
     while abs(dt_good - dt_bad) > tol * 0.5 * (dt_good + dt_bad):
         mid = 0.5 * (dt_bad + dt_good)
+        if mid in (dt_bad, dt_good):
+            break  # adjacent floats: the bracket cannot shrink any further
         if _is_stable(model, grid, mat, mid)[0]:
             dt_good = mid
         else:
@@ -219,6 +211,9 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
     radius, and bisect the edges of the widest contiguous stable run."""
     if scan_points < 16:
         raise ValueError("scan_points must be >= 16")
+    for name, v in (("dt_max_factor", dt_max_factor), ("bisect_tol", bisect_tol)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be positive and finite")
     c = mat.c1
     dt_unit = grid.dx / c
     dts = dt_unit * dt_max_factor * np.arange(1, scan_points + 1) / scan_points
@@ -264,33 +259,15 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
                            tuple(samples))
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("EOS_THREADS", "").strip()
-    if env:
-        cap = max(1, int(env))
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
 def scan_stability(model: int, mat, n: int, epsilons, **search) -> list[StabilityDomain]:
     """Stability window per grid stretching, for re-plotting the window as a
-    function of epsilon.  Work is farmed over a thread pool (the eigensolves
-    release the interpreter lock); EOS_THREADS caps the width."""
+    function of epsilon."""
     epsilons = [float(e) for e in epsilons]
     for e in epsilons:
         if not 0.0 <= e <= 1.0:
             raise ValueError("epsilon values must lie in [0, 1]")
-
-    def one(eps: float) -> StabilityDomain:
-        grid = GridSpec(a0=0.0, a1=1.0, n=n, epsilon=eps)
-        return stability_bounds(model, grid, mat, **search)
-
-    workers = _worker_count(len(epsilons))
-    if workers == 1:
-        return [one(e) for e in epsilons]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, epsilons))
+    return [stability_bounds(model, GridSpec(0.0, 1.0, n, e), mat, **search)
+            for e in epsilons]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Command-line driver: exit codes, file layout, and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,32 @@ def test_stability_samples_file_is_optional(tmp_path):
     assert main(["stability", cfg]) == 0
     assert (out / "stability.csv").exists()
     assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("control", [{"bisect_tol": 0}, {"dt_max_factor": -1}])
+def test_stability_rejects_scan_controls_that_cannot_finish(tmp_path, capsys,
+                                                            control):
+    cfg = write_config(tmp_path, {
+        "model": 1,
+        "mode": "stability",
+        "material": MAT1,
+        "stability": {"N": 24, "epsilons": [1.0], "scan_points": 16, **control},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert main(["stability", cfg]) == 2
+    assert f"'{next(iter(control))}'" in capsys.readouterr().err
+
+
+def test_cli_import_starts_no_thread_pool_module():
+    import eoscatter
+
+    src = str(Path(eoscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, eoscatter.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

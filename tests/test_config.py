@@ -176,6 +176,15 @@ def test_stability_controls_validation():
         resolve_config({**base, "stability": {"scan_points": 8}})
 
 
+@pytest.mark.parametrize("key", ["dt_max_factor", "bisect_tol"])
+@pytest.mark.parametrize("value", [0, -1, -1e-4])
+def test_stability_scan_controls_must_be_positive(key, value):
+    base = {"model": 1, "mode": "stability",
+            "material": minimal_run()["material"]}
+    with pytest.raises(ConfigError, match=f"'{key}' in stability must be positive"):
+        resolve_config({**base, "stability": {key: value}})
+
+
 def test_preset_registry_has_six_scenarios():
     assert sorted(PRESETS) == [
         "fig1-mms-m1", "fig2-run-m1", "fig3-mms-m2", "fig4-run-m2",

@@ -214,4 +214,9 @@ def test_both_models_share_the_run_quadrature_tolerance():
     from eoscatter import model1, model2, sources
 
     assert model1.RUN_QUAD_REL_TOL == model2.RUN_QUAD_REL_TOL == sources.RUN_QUAD_REL_TOL
-    assert scenario().quad_rel_tol == sources.RUN_QUAD_REL_TOL
+    scn = scenario(source=PULSE)
+    times = np.linspace(0.0, scn.t_end, 41)
+    want = np.stack(sources.incident_pair(PULSE, scn.grid.a1, scn.mat, scn.t0,
+                                          times, sources.RUN_QUAD_REL_TOL),
+                    axis=-1)
+    assert np.array_equal(scn.incident(times), want)

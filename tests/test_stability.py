@@ -174,22 +174,42 @@ def test_empty_window_is_representable():
     assert len(dom.samples) == 16
 
 
-def test_scan_single_epsilon_matches_bounds(monkeypatch):
-    monkeypatch.setenv("EOS_THREADS", "1")
-    dom = stability_bounds(1, grid(80), MAT1, scan_points=24)
-    rows = scan_stability(1, MAT1, 80, [1.0], scan_points=24)
-    assert len(rows) == 1
-    assert rows[0].tau1 == dom.tau1 and rows[0].tau2 == dom.tau2
+@pytest.mark.parametrize("epsilons", [[1.0], [0.0, 0.5, 1.0]],
+                         ids=["single", "three"])
+@pytest.mark.parametrize("model, mat", [(1, MAT1), (2, MAT2)], ids=["m1", "m2"])
+def test_scan_single_epsilon_matches_bounds(model, mat, epsilons):
+    rows = scan_stability(model, mat, 80, epsilons, scan_points=24)
+    assert len(rows) == len(epsilons)
+    for row, eps in zip(rows, epsilons):
+        dom = stability_bounds(model, grid(80, eps), mat, scan_points=24)
+        assert row == dom
 
 
-def test_scan_parallel_matches_serial(monkeypatch):
-    monkeypatch.setenv("EOS_THREADS", "1")
-    serial = scan_stability(1, MAT1, 64, [0.0, 1.0], scan_points=16)
-    monkeypatch.setenv("EOS_THREADS", "2")
-    parallel = scan_stability(1, MAT1, 64, [0.0, 1.0], scan_points=16)
-    for a, b in zip(serial, parallel):
-        assert (a.tau1 == b.tau1 or (math.isnan(a.tau1) and math.isnan(b.tau1)))
-        assert (a.tau2 == b.tau2 or (math.isnan(a.tau2) and math.isnan(b.tau2)))
+def test_scan_ignores_eos_threads(monkeypatch):
+    monkeypatch.setenv("EOS_THREADS", "abc")
+    rows = scan_stability(1, MAT1, 40, [1.0], scan_points=16)
+    assert rows == [stability_bounds(1, grid(40), MAT1, scan_points=16)]
+
+
+@pytest.mark.parametrize("control, value", [
+    ("bisect_tol", 0.0), ("bisect_tol", -1e-4), ("bisect_tol", math.nan),
+    ("bisect_tol", math.inf), ("dt_max_factor", 0.0),
+    ("dt_max_factor", -1.0), ("dt_max_factor", math.nan),
+    ("dt_max_factor", math.inf),
+])
+def test_scan_controls_must_be_positive_and_finite(control, value):
+    # zero or negative values leave the bisection without progress
+    with pytest.raises(ValueError, match=control):
+        stability_bounds(1, grid(16), MAT1, **{control: value})
+
+
+def test_bisection_stops_at_float_resolution():
+    # a tolerance below the float spacing must still end once the bracket
+    # ends are adjacent floats
+    fine = stability_bounds(1, grid(40), MAT1, scan_points=16, bisect_tol=1e-300)
+    dom = stability_bounds(1, grid(40), MAT1, scan_points=16)
+    assert fine.tau1 == pytest.approx(dom.tau1, rel=1e-4)
+    assert fine.tau2 == pytest.approx(dom.tau2, rel=1e-4)
 
 
 def test_uniform_window_no_narrower_than_stretched():
