@@ -17,7 +17,7 @@ from .config import (
     resolve_config,
 )
 from .grid import GridSpec, Material1, Material2, SpatialOps
-from .history import DelayBuffer, FixedLagSum, HistoryError
+from .history import DelayBuffer, HistoryError, RetardedSum
 from .mms import (
     ArctanGaussianPulse,
     ErrorReport,
@@ -66,7 +66,6 @@ __all__ = [
     "DecompositionReport",
     "DelayBuffer",
     "DivergenceError",
-    "FixedLagSum",
     "EigenSolverError",
     "ErrorReport",
     "GaussianBump",
@@ -82,6 +81,7 @@ __all__ = [
     "QuadratureError",
     "ResidualSources1",
     "ResidualSources2",
+    "RetardedSum",
     "Run1Result",
     "Run2Result",
     "RunConfig",

@@ -86,10 +86,9 @@ class Material1:
     gamma: float
 
     def __post_init__(self):
-        if not self.c1 > 0.0:
-            raise ValueError("c1 must be positive")
-        if not self.c0 > 0.0:
-            raise ValueError("c0 must be positive")
+        for name in ("c1", "c0"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -111,8 +110,8 @@ class Material2:
 
     def __post_init__(self):
         for name in ("mu1", "nu1", "mu0", "nu0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

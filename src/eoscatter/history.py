@@ -6,14 +6,27 @@ t0 + k*dt and answers queries with the quadratic through the three samples
 bracketing the query time, which is exact at the knots and for any quadratic
 in time. Query times at or before t0 read back as exactly zero — nothing
 existed before the switch-on time.
+
+A RetardedSum gives the sum over the nodes of a nodal series, each node read
+by the same rule at its own fixed delay, without keeping the series: it
+scatters every new sample forward into the sums of the levels that will read
+it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
+
+
+def _weights(s):
+    """Quadratic weights of the samples at levels m-1, m, m+1 for the query
+    at level m - 1 + s."""
+    w0 = 0.5 * (s - 1.0) * (s - 2.0)
+    w1 = -s * (s - 2.0)
+    w2 = 0.5 * s * (s - 1.0)
+    return w0, w1, w2
 
 
 class HistoryError(ValueError):
@@ -47,10 +60,6 @@ class DelayBuffer:
         self._levels = 0  # total samples appended so far
 
     @property
-    def levels(self) -> int:
-        return self._levels
-
-    @property
     def latest_t(self) -> float:
         if self._levels == 0:
             raise HistoryError("empty history")
@@ -70,11 +79,6 @@ class DelayBuffer:
 
     # -- internals ---------------------------------------------------------
 
-    def _bracket(self, r):
-        """Clip the level index below floor(r) into [1, levels-2]."""
-        m = np.floor(r).astype(int)
-        return np.clip(m, 1, self._levels - 2)
-
     def _check_upper(self, t_max: float) -> None:
         tol = 1e-9 * self.dt
         if t_max > self.latest_t + tol:
@@ -88,15 +92,6 @@ class DelayBuffer:
                 f"query needs level {level_min}, older than the retained window "
                 f"(oldest kept: {self.oldest_level})"
             )
-
-    @staticmethod
-    def _weights(s):
-        """Quadratic weights of the samples at levels m-1, m, m+1 for the
-        query at level m - 1 + s."""
-        w0 = 0.5 * (s - 1.0) * (s - 2.0)
-        w1 = -s * (s - 2.0)
-        w2 = 0.5 * s * (s - 1.0)
-        return w0, w1, w2
 
     def _row(self, level):
         return level % self._cap
@@ -123,30 +118,13 @@ class DelayBuffer:
             return out if self.shape else float(out)
         m = min(max(math.floor(r), 1), self._levels - 2)
         self._check_lower(m - 1)
-        w0, w1, w2 = self._weights(r - (m - 1))
+        w0, w1, w2 = _weights(r - (m - 1))
         out = (
             w0 * self._data[self._row(m - 1)]
             + w1 * self._data[self._row(m)]
             + w2 * self._data[self._row(m + 1)]
         )
         return out if self.shape else float(out)
-
-    def _read_cols(self, r, cols) -> np.ndarray:
-        """Component ``cols[k]`` at fractional level ``r[k] > 0``, by
-        :meth:`query_each`'s rule; the caller has checked the newest level."""
-        if self._levels < 3:
-            if self._levels < 2:
-                return np.zeros(len(cols))
-            s = np.clip(r, 0.0, 1.0)
-            return (1.0 - s) * self._data[0, cols] + s * self._data[1, cols]
-        m = self._bracket(r)
-        self._check_lower(int(m.min()) - 1)
-        w0, w1, w2 = self._weights(r - (m - 1))
-        return (
-            w0 * self._data[self._row(m - 1), cols]
-            + w1 * self._data[self._row(m), cols]
-            + w2 * self._data[self._row(m + 1), cols]
-        )
 
     def query_each(self, times) -> np.ndarray:
         """Per-component read of a nodal history: component i at times[i].
@@ -163,100 +141,85 @@ class DelayBuffer:
         if cols.size == 0:
             return out
         self._check_upper(float(t[cols].max()))
-        out[cols] = self._read_cols((t[cols] - self.t0) / self.dt, cols)
+        r = (t[cols] - self.t0) / self.dt
+        if self._levels < 3:
+            if self._levels == 2:
+                s = np.clip(r, 0.0, 1.0)
+                out[cols] = (1.0 - s) * self._data[0, cols] + s * self._data[1, cols]
+            return out
+        m = np.clip(np.floor(r).astype(int), 1, self._levels - 2)
+        self._check_lower(int(m.min()) - 1)
+        w0, w1, w2 = _weights(r - (m - 1))
+        out[cols] = (
+            w0 * self._data[self._row(m - 1), cols]
+            + w1 * self._data[self._row(m), cols]
+            + w2 * self._data[self._row(m + 1), cols]
+        )
         return out
 
-    def fixed_lag(self, delays) -> "FixedLagSum":
-        """Reader of ``sum_i`` component i at ``t - delays[i]``, for times
-        ``t`` on this buffer's levels; see :class:`FixedLagSum`."""
-        return FixedLagSum(self, delays)
 
+class RetardedSum:
+    """Sum over the nodes of a nodal series, node i read at ``t - delays[i]``.
 
-class FixedLagSum:
-    """Sum over the components of a nodal history, each at its own fixed delay.
-
-    ``reader(t)`` equals ``np.sum(buf.query_each(t - delays))`` to rounding
-    for any ``t`` on the buffer's levels ``t0 + k*dt``.  There, component i
-    sits at the same offset ``delays[i]/dt`` behind ``t`` at every level, so
-    its integer lag and its three quadratic weights are computed once, and a
-    read is one gather from the ring and one dot product.  The exceptions
-    follow :meth:`DelayBuffer.query_each` exactly: components whose retarded
-    time is at or before ``t0`` read 0 (they are a suffix in delay order), and
-    the few whose bracket ``query_each`` clips -- the wavefront in the first
-    interval, or a read level past the newest sample -- are evaluated by its
-    rule.  Reads raise :class:`HistoryError` wherever ``query_each`` would,
-    and also where a fixed bracket would reach a dropped level.
+    ``push(j)`` takes the samples of levels ``t0 + k*dt``, k = 0, 1, 2, ...,
+    in order, and returns ``np.sum(buf.query_each(t_k - delays))`` to
+    rounding, for a :class:`DelayBuffer` ``buf`` holding the samples pushed
+    so far.  Node i trails every level by the same offset ``delays[i]/dt``,
+    so its lag and weights are worked out once.  It is first live, by
+    ``query_each``'s own test ``t - d > t0``, at level ``lam``; there it
+    takes ``query_each``'s clipped bracket of levels 0, 1, 2, or the
+    two-sample linear rule when ``lam`` is 1.  At every later level L it
+    reads the bracket ``L - lam - 1, L - lam, L - lam + 1`` with fixed
+    weights.  So each sample is scattered, on arrival, into the pending sums
+    of the few levels that will read it: the storage is ``max(lam) + 2``
+    numbers, not a history of nodal samples.
     """
 
-    def __init__(self, buf: DelayBuffer, delays) -> None:
+    def __init__(self, t0: float, dt: float, delays) -> None:
+        if not math.isfinite(t0):
+            raise ValueError("t0 must be finite")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError("dt must be positive and finite")
         d = np.asarray(delays, dtype=float)
-        if len(buf.shape) != 1 or d.shape != buf.shape:
-            raise ValueError("need one delay per component of a 1-D history")
+        if d.ndim != 1 or d.size == 0:
+            raise ValueError("delays must be a nonempty 1-D array")
         if not np.all(np.isfinite(d) & (d >= 0.0)):
             raise ValueError("delays must be finite and nonnegative")
-        n = d.size
-        self._buf = buf
-        self._cols = np.argsort(d, kind="stable")
-        self._d = d[self._cols]
-        q = self._d / buf.dt
-        # read at level L, component i sits at level L - q = (m - 1) + s in
-        # the bracket m - 1, m, m + 1 with m = L - lag, the same for every L
-        lag = np.ceil(q).astype(np.int64)
-        self._lags = lag.tolist()
-        self._w = np.stack(DelayBuffer._weights(lag + 1.0 - q), axis=1).ravel()
-        # flat ring offsets of those three samples relative to row L, taken
-        # into [-size, 0) so that adding (L mod cap) * n stays a valid index
-        rows = lag[:, None] + np.array([1, 0, -1])
-        size = buf._data.size
-        self._base = (self._cols[:, None] - rows * n).ravel() % size - size
-        self._idx = np.empty_like(self._base)
-        self._flat = buf._data.reshape(-1)
+        q = d / dt
+        # lam: the first level that passes query_each's live test; that is
+        # ceil(q) up to rounding, and ceil(q) - 1 never passes but by rounding
+        lam = np.maximum(np.ceil(q).astype(np.int64) - 1, 1)
+        for _ in range(2):
+            lam += ~(t0 + lam * dt - d > t0)
+        # sample k feeds the regular read of level k + lam + 1 - a with the
+        # weight of bracket slot a, once that read exists (k >= a)
+        slot = np.arange(3)[:, None]
+        offsets = lam + 1 - slot
+        weights = np.array(_weights(lam + 1.0 - q))
+        # and sample k <= 2 feeds the first read, at level lam
+        r = (t0 + lam * dt - d - t0) / dt
+        first = np.array(_weights(r))
+        s = np.clip(r[lam == 1], 0.0, 1.0)
+        first[:, lam == 1] = [1.0 - s, s, 0.0 * s]
+        first_offsets = np.maximum(lam - slot, 0)  # weight 0 where clipped
+        self._plans = [
+            (np.vstack([offsets[:k + 1], first_offsets[k]]).ravel(),
+             np.vstack([weights[:k + 1], first[k]]))
+            for k in range(3)
+        ] + [(offsets.ravel(), weights)]
+        self._pending = np.zeros(int(lam.max()) + 2)
+        self._levels = 0
 
-    def _live(self, t: float, level: int) -> int:
-        """How many components (in delay order) have a retarded time after t0.
-
-        Those with lag < level are live by almost a whole step; of the rest,
-        the live ones are found with query_each's own test."""
-        d, t0, n = self._d, self._buf.t0, self._d.size
-        k = bisect.bisect_left(self._lags, level)
-        while k < n and t - d[k] > t0:
-            k += 1
-        return k
-
-    def _exact(self, t: float, a: int, b: int) -> float:
-        buf = self._buf
-        r = (t - self._d[a:b] - buf.t0) / buf.dt
-        return float(np.sum(buf._read_cols(r, self._cols[a:b])))
-
-    def __call__(self, t: float) -> float:
-        buf = self._buf
-        pos = (t - buf.t0) / buf.dt
-        level = round(pos)
-        if abs(pos - level) > 1e-6:
-            raise ValueError(f"t={t!r} is not a time level of the history")
-        k = self._live(t, level)
-        if k == 0:
-            return 0.0
-        buf._check_upper(float(t - self._d[0]))
-        if buf.levels < 3:
-            return self._exact(t, 0, k)
-        top = buf.levels - 2
-        lags = self._lags
-        # [a, b): components whose fixed bracket needs no clipping
-        b = min(k, bisect.bisect_left(lags, level))
-        a = min(b, bisect.bisect_left(lags, level - top))
-        r_old = (t - self._d[k - 1] - buf.t0) / buf.dt
-        m_old = min(max(math.floor(r_old), 1), top)
-        if b > a:
-            m_old = min(m_old, level - lags[b - 1])
-        buf._check_lower(m_old - 1)
-        total = 0.0
-        if b > a:
-            idx = np.add(self._base[3 * a:3 * b], (level % buf._cap) * self._d.size,
-                         out=self._idx[3 * a:3 * b])
-            total = float(self._flat[idx] @ self._w[3 * a:3 * b])
-        if a > 0:
-            total += self._exact(t, 0, a)
-        if k > b:
-            total += self._exact(t, b, k)
-        return total
+    def push(self, j) -> float:
+        """Take the next level's samples; return that level's sum."""
+        j = np.asarray(j, dtype=float)
+        idx, w = self._plans[min(self._levels, 3)]
+        if j.shape != w.shape[1:]:
+            raise ValueError(f"sample shape {j.shape} != {w.shape[1:]}")
+        pending = self._pending
+        pending += np.bincount(idx, (w * j).ravel(), pending.size)
+        out = float(pending[0])
+        pending[:-1] = pending[1:]
+        pending[-1] = 0.0
+        self._levels += 1
+        return out

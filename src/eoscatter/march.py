@@ -2,8 +2,8 @@
 
 A model supplies its potentials (``phi``, or ``phi`` and ``psi``), the
 potential half of the interior step and the boundary closure; the scenario
-checks, the density/current half, the current history, the snapshots, the
-trace series and the divergence handling live here once.
+checks, the density/current half, the snapshots, the trace series and the
+divergence handling live here once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridSpec, SpatialOps
-from .history import DelayBuffer
 
 
 class DivergenceError(RuntimeError):
@@ -173,17 +172,16 @@ def _snapshot_levels(scn: Scenario, snapshot_times) -> dict:
 def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     """Advance ``scn`` from its start time to ``t_end``.
 
-    ``closure(scn, j_hist, sources, incident)`` runs once, given the current
-    history and the incident trace per level; it returns the start traces
-    and ``close(t_next, n)``, the traces at level n.  Each step runs
-    ``step(state, scn, ops, sources)``, appends the new current, then calls
+    ``closure(scn, j0, sources, incident)`` runs once, given the start
+    current and the incident trace per level; it returns the start traces
+    and ``close(t_next, n, j)``, the traces at level n given the current
+    there.  Each step runs ``step(state, scn, ops, sources)``, then calls
     ``close``.  A non-finite field raises :class:`DivergenceError`.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = _snapshot_levels(scn, snapshot_times)
     ops = SpatialOps(g)
     sources = scn.residuals(scn.mms, scn.mat) if scn.mms is not None else None
-    j_hist = DelayBuffer(t0, dt, scn.window, shape=(g.n,))
     times = t0 + dt * np.arange(steps + 1)
     incident = [None] * (steps + 1)
     if scn.source is not None:
@@ -194,9 +192,8 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                   for name in scn.field_names]
     else:
         fields = [np.zeros(g.n) for _ in scn.field_names]
-    traces, close = closure(scn, j_hist, sources, incident)
+    traces, close = closure(scn, fields[-1], sources, incident)
     state = state_cls(*fields, *traces, 0, t0)
-    j_hist.append(state.j)
     series = np.zeros((len(traces), steps + 1))
     series[:, 0] = traces
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
@@ -210,8 +207,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                 f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
                 partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
             )
-        j_hist.append(fields[-1])
-        traces = close(t_next, n)
+        traces = close(t_next, n, fields[-1])
         state = state_cls(*fields, *traces, n, t_next)
         series[:, n] = traces
         if n in wanted:

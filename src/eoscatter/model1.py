@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Material1, SpatialOps
-from .history import DelayBuffer, FixedLagSum
+from .history import DelayBuffer, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
 from .mms import ManufacturedFields1, ResidualSources1
@@ -95,47 +95,36 @@ def _potential_m1(state, scn, ops, terms, dj, f):
     return (phi + dt * phi_rate + 0.5 * dt**2 * phi_curv,)
 
 
-def boundary_a1_m1(scn: Scenario1, t: float, incident: float | None = None) -> float:
-    """Right-boundary trace: retarded source integral, or exact fields in
-    verification mode, or zero for a null run.
-
-    ``incident`` is the source's trace at ``t`` when the caller has already
-    computed it (``run_m1`` takes the whole series in one call).
-    """
+def boundary_a1_m1(scn: Scenario1, t: float, incident: float) -> float:
+    """Right-boundary trace: the source's ``incident`` trace at ``t``, or the
+    exact field in verification mode, or zero for a null run."""
     if scn.mms is not None:
         return float(scn.mms.phi.value(scn.grid.a1, t))
     if scn.source is None:
         return 0.0
-    if incident is not None:
-        return float(incident)
-    return scn.incident(t)
+    return float(incident)
 
 
 def boundary_a0_m1(
     scn: Scenario1,
-    j_hist: DelayBuffer,
+    current: float,
     pa1_hist: DelayBuffer,
     t_next: float,
     sources: ResidualSources1 | None = None,
-    left: FixedLagSum | None = None,
 ) -> float:
     """Left-boundary trace from the delayed nodal current plus the delayed
     right trace.
 
-    Every node contributes at its own retarded time; samples at or before
-    the start time are zero (the causal mask).  In verification mode the
-    integrand gains the potential-equation residual source, under the same
-    mask.  ``left``, a ``j_hist.fixed_lag`` reader over the nodes' delays
-    ``(x - a0)/c1``, sums the current faster when ``t_next`` is a time level.
+    ``current`` is the retarded current sum: every node at its own delay
+    ``(x - a0)/c1`` behind ``t_next``, zero at or before the start time (the
+    causal mask), as a :class:`RetardedSum` gives it.  In verification mode
+    the integrand gains the potential-equation residual source, under the
+    same mask.
     """
     g, c1 = scn.grid, scn.mat.c1
-    delays = (g.x - g.a0) / c1
-    if left is not None:
-        total = left(t_next)
-    else:
-        total = float(np.sum(j_hist.query_each(t_next - delays)))
+    total = current
     if sources is not None:
-        times = t_next - delays
+        times = t_next - (g.x - g.a0) / c1
         src = sources.src_terms(g.x, times, 1)["phi"]
         total += float(np.sum(np.where(times > scn.t0, src, 0.0)))
     trace = g.dx / c1 * total
@@ -143,18 +132,19 @@ def boundary_a0_m1(
     return trace
 
 
-def _closure_m1(scn: Scenario1, j_hist: DelayBuffer, sources, incident):
+def _closure_m1(scn: Scenario1, j0, sources, incident):
     """Model 1's boundary closure for :func:`march`: the right trace, then
     the left one, which may read the fresh right value."""
     pa1_hist = DelayBuffer(scn.t0, scn.dt, scn.window)
-    left = j_hist.fixed_lag((scn.grid.x - scn.grid.a0) / scn.mat.c1)
+    left = RetardedSum(scn.t0, scn.dt, (scn.grid.x - scn.grid.a0) / scn.mat.c1)
+    left.push(j0)
     start = (0.0, boundary_a1_m1(scn, scn.t0, incident[0]))
     pa1_hist.append(start[1])
 
-    def close(t_next: float, n: int):
+    def close(t_next: float, n: int, j):
         pa1 = boundary_a1_m1(scn, t_next, incident[n])
         pa1_hist.append(pa1)
-        return boundary_a0_m1(scn, j_hist, pa1_hist, t_next, sources, left), pa1
+        return boundary_a0_m1(scn, left.push(j), pa1_hist, t_next, sources), pa1
 
     return start, close
 
@@ -162,9 +152,10 @@ def _closure_m1(scn: Scenario1, j_hist: DelayBuffer, sources, incident):
 def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
     """Advance a model-1 scenario from the start time to ``t_end``.
 
-    Per-step ordering: interior step with level-n traces, append the new
-    current to its history, evaluate the right trace at the new time,
-    then the left trace, and append the traces (see :func:`march.march`).
+    Per-step ordering: interior step with level-n traces, push the new
+    current into the retarded sum, evaluate the right trace at the new
+    time, then the left trace, and append the traces (see
+    :func:`march.march`).
     """
     return march(scn, snapshot_times, State1, Run1Result, interior_step_m1,
                  _closure_m1)

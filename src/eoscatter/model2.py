@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Material2, SpatialOps
-from .history import DelayBuffer, FixedLagSum
+from .history import DelayBuffer, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
 from .mms import ManufacturedFields2, ResidualSources2
@@ -148,13 +148,12 @@ def _potential_m2(state, scn, ops, terms, dj, f):
             psi + dt * psi_rate + 0.5 * dt**2 * psi_curv)
 
 
-def _incident_term(scn: Scenario2, t: float, pair=None) -> np.ndarray:
+def _incident_term(scn: Scenario2, t: float, pair) -> np.ndarray:
     """``2*c0*(incident pair)`` on the right boundary at time ``t``.
 
     In verification mode the role of the incident pair is played by the
     combination of the exact traces that turns the right-hand update rule
-    into an identity for the manufactured fields.  ``pair`` is the incident
-    pair at ``t`` when the caller has already computed it.
+    into an identity for the manufactured fields.
     """
     m = scn.mat
     if scn.mms is not None:
@@ -163,8 +162,6 @@ def _incident_term(scn: Scenario2, t: float, pair=None) -> np.ndarray:
         return np.array([m.c0 * pe + m.mu0 * se, m.nu0 * pe + m.c0 * se])
     if scn.source is None:
         return np.zeros(2)
-    if pair is None:
-        pair = scn.incident(t)
     phi_i, psi_i = pair
     return 2.0 * m.c0 * np.array([phi_i, psi_i])
 
@@ -172,63 +169,60 @@ def _incident_term(scn: Scenario2, t: float, pair=None) -> np.ndarray:
 def boundary_update_m2(
     scn: Scenario2,
     bm: BoundaryMatrices,
-    j_hist: DelayBuffer,
+    left: float,
+    right: float,
     pair0_hist: DelayBuffer,
     pair1_hist: DelayBuffer,
     t_next: float,
+    incident,
     sources: ResidualSources2 | None = None,
-    left: FixedLagSum | None = None,
-    right: FixedLagSum | None = None,
-    incident=None,
 ):
     """Solve both boundary systems at ``t_next``.
 
-    ``j_hist`` must reach level n+1; the trace-pair histories reach level
-    n (both new pairs are appended by the caller afterwards).  Returns
-    ``(phi_a0, psi_a0, phi_a1, psi_a1)``.  ``left`` and ``right`` are
-    ``j_hist.fixed_lag`` readers over the leftward delays ``(x - a0)/c1``
-    and the rightward ones ``(a1 - x)/c1``, and ``incident`` is the incident
-    pair at ``t_next``; each is computed here when not given.
+    ``left`` and ``right`` are the retarded current sums over the leftward
+    delays ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
+    :class:`RetardedSum` gives them, and ``incident`` is the source's
+    incident pair at ``t_next`` (read only when there is a source).  The
+    trace-pair histories reach level n (both new pairs are appended by the
+    caller afterwards).  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
     """
     g, m = scn.grid, scn.mat
     c1 = m.c1
     x = g.x
     weight = g.dx / c1
 
-    def summed(delays: np.ndarray, reader: FixedLagSum | None) -> np.ndarray:
-        if reader is not None:
-            top = reader(t_next)
-        else:
-            top = float(np.sum(j_hist.query_each(t_next - delays)))
+    def summed(current: float, delays: np.ndarray) -> np.ndarray:
         if sources is None:
-            return np.array([top, 0.0])
+            return np.array([current, 0.0])
         times = t_next - delays
         live = times > scn.t0
         src = sources.src_terms(x, times, 1)
-        top += float(np.sum(np.where(live, src["phi"], 0.0)))
+        top = current + float(np.sum(np.where(live, src["phi"], 0.0)))
         bot = float(np.sum(np.where(live, src["psi"], 0.0)))
         return np.array([top, bot])
 
     delay = t_next - scn.transit
-    rhs0 = weight * (bm.mix_out @ summed((x - g.a0) / c1, left))
+    rhs0 = weight * (bm.mix_out @ summed(left, (x - g.a0) / c1))
     rhs0 += bm.mix_out @ pair1_hist.query(delay)
     pair0 = bm.left_inv @ rhs0
 
-    rhs1 = weight * (bm.mix_back @ summed((g.a1 - x) / c1, right))
+    rhs1 = weight * (bm.mix_back @ summed(right, (g.a1 - x) / c1))
     rhs1 += bm.mix_back @ pair0_hist.query(delay)
     rhs1 += _incident_term(scn, t_next, incident)
     pair1 = bm.right_inv @ rhs1
     return float(pair0[0]), float(pair0[1]), float(pair1[0]), float(pair1[1])
 
 
-def _closure_m2(scn: Scenario2, j_hist: DelayBuffer, sources, incident):
+def _closure_m2(scn: Scenario2, j0, sources, incident):
     """Model 2's boundary closure for :func:`march`: both boundary systems,
     then both new pairs appended."""
     g, bm = scn.grid, BoundaryMatrices(scn.mat)
     pair0_hist, pair1_hist = (DelayBuffer(scn.t0, scn.dt, scn.window, shape=(2,))
                               for _ in range(2))
-    left = j_hist.fixed_lag((g.x - g.a0) / scn.mat.c1)
-    right = j_hist.fixed_lag((g.a1 - g.x) / scn.mat.c1)
+    left = RetardedSum(scn.t0, scn.dt, (g.x - g.a0) / scn.mat.c1)
+    right = RetardedSum(scn.t0, scn.dt, (g.a1 - g.x) / scn.mat.c1)
+    left.push(j0)
+    right.push(j0)
     start = (0.0, 0.0, 0.0, 0.0)
     if scn.mms is not None:
         start = tuple(float(getattr(scn.mms, p).value(a, scn.t0))
@@ -236,10 +230,10 @@ def _closure_m2(scn: Scenario2, j_hist: DelayBuffer, sources, incident):
     pair0_hist.append(np.array(start[:2]))
     pair1_hist.append(np.array(start[2:]))
 
-    def close(t_next: float, n: int):
+    def close(t_next: float, n: int, j):
         traces = boundary_update_m2(
-            scn, bm, j_hist, pair0_hist, pair1_hist, t_next, sources,
-            left, right, incident[n],
+            scn, bm, left.push(j), right.push(j), pair0_hist, pair1_hist,
+            t_next, incident[n], sources,
         )
         pair0_hist.append(np.array(traces[:2]))
         pair1_hist.append(np.array(traces[2:]))
@@ -252,9 +246,9 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
     """Advance a model-2 scenario from the start time to ``t_end``.
 
     Per-step ordering mirrors the one-potential solver: interior step with
-    level-n traces, append the new current, solve both boundary systems at
-    the new time from histories through level n, then append both pairs
-    (see :func:`march.march`).
+    level-n traces, push the new current into both retarded sums, solve both
+    boundary systems at the new time from histories through level n, then
+    append both pairs (see :func:`march.march`).
     """
     return march(scn, snapshot_times, State2, Run2Result, interior_step_m2,
                  _closure_m2)

@@ -58,6 +58,12 @@ class GaussianSource:
     support: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        params = [self.amplitude, self.x_center, self.space_rate,
+                  self.t_center, self.time_rate]
+        if self.support is not None:
+            params += list(self.support)
+        if not all(map(math.isfinite, params)):
+            raise ValueError("Gaussian source parameters must be finite")
         if self.space_rate <= 0.0 or self.time_rate <= 0.0:
             raise ValueError("Gaussian decay rates must be positive")
         if self.support is None:
@@ -95,6 +101,8 @@ class TabulatedSource:
         v = np.asarray(self.values, dtype=float)
         if x.ndim != 1 or t.ndim != 1 or x.size < 2 or t.size < 2:
             raise ValueError("need at least a 2x2 sample grid")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+            raise ValueError("sample coordinates must be finite")
         if np.any(np.diff(x) <= 0.0) or np.any(np.diff(t) <= 0.0):
             raise ValueError("sample coordinates must be strictly increasing")
         if v.shape != (x.size, t.size):

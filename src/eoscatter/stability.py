@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,6 +210,8 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
                      bisect_tol: float = DEFAULT_BISECT_TOL) -> StabilityDomain:
     """Scan dt in (0, dt_max_factor*dx/c1], classify each point by spectral
     radius, and bisect the edges of the widest contiguous stable run."""
+    if isinstance(scan_points, bool) or not isinstance(scan_points, numbers.Integral):
+        raise ValueError(f"scan_points must be an integer, got {scan_points!r}")
     if scan_points < 16:
         raise ValueError("scan_points must be >= 16")
     for name, v in (("dt_max_factor", dt_max_factor), ("bisect_tol", bisect_tol)):

@@ -118,3 +118,20 @@ def test_stencils_exact_on_quadratics(eps, n, coeffs):
     assert_allclose(d1, 2 * a * g.x + b, rtol=1e-9, atol=1e-9)
     assert_allclose(d2, np.full(n, 2 * a), rtol=1e-7, atol=1e-7)
     assert_allclose(ops.d1_confined(u), 2 * a * g.x + b, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["c1", "c0"])
+def test_material1_rejects_nonfinite_speeds(name, value):
+    params = dict(c1=2.0, c0=1.0, alpha=0.0, beta=0.0, gamma=0.0)
+    with pytest.raises(ValueError, match=name):
+        Material1(**{**params, name: value})
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["mu1", "nu1", "mu0", "nu0"])
+def test_material2_rejects_nonfinite_coefficients(name, value):
+    params = dict(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0,
+                  alpha=0.0, beta=0.0, gamma=0.0)
+    with pytest.raises(ValueError, match=name):
+        Material2(**{**params, name: value})

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from eoscatter.grid import GridSpec
-from eoscatter.history import DelayBuffer, HistoryError
+from eoscatter.history import DelayBuffer, HistoryError, RetardedSum
 
 
 def _fill(buf, func, n):
@@ -43,6 +43,10 @@ def test_query_beyond_newest_sample_raises():
     _fill(buf, lambda t: t, 5)
     with pytest.raises(HistoryError, match="newest"):
         buf.query(0.5)
+    nodal = DelayBuffer(t0=0.0, dt=0.1, window=1.0, shape=(3,))
+    _fill(nodal, lambda t: np.full(3, t), 5)
+    with pytest.raises(HistoryError, match="newest"):
+        nodal.query_each(0.5 - np.array([0.05, 0.0, 0.25]))
 
 
 def test_query_older_than_window_raises():
@@ -50,6 +54,10 @@ def test_query_older_than_window_raises():
     _fill(buf, lambda t: t, 40)
     with pytest.raises(HistoryError, match="retained"):
         buf.query(0.05)
+    nodal = DelayBuffer(t0=0.0, dt=0.1, window=0.5, shape=(3,))
+    _fill(nodal, lambda t: np.full(3, t), 40)
+    with pytest.raises(HistoryError, match="retained"):
+        nodal.query_each(3.9 - np.array([0.05, 1.5, 0.25]))
 
 
 def test_left_edge_bracket_uses_first_three_samples():
@@ -108,65 +116,75 @@ def test_nonfinite_construction_is_rejected():
 # -- fixed-lag sums ------------------------------------------------------------
 
 
+def _check_sum_every_level(t0, dt, delays, levels, draw):
+    """Feed samples ``draw(n)`` (nonzero at t0 too) to a RetardedSum and to a
+    DelayBuffer, and compare every level's sum with the sum of query_each
+    reads, relative to the summed magnitudes (the terms may have both
+    signs)."""
+    buf = DelayBuffer(t0, dt, float(np.max(delays)) + 2 * dt,
+                      shape=delays.shape)
+    reader = RetardedSum(t0, dt, delays)
+    for n in range(levels):
+        sample = draw(delays.size)
+        buf.append(sample)
+        terms = buf.query_each(t0 + n * dt - delays)
+        scale = np.sum(np.abs(terms))
+        assert abs(reader.push(sample) - np.sum(terms)) <= 1e-12 * scale, n
+
+
 @pytest.mark.parametrize("direction", ["left", "right"])
 @pytest.mark.parametrize("dt_cfl", [0.4, 0.9])
 @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
 def test_fixed_lag_sum_matches_query_each_every_step(epsilon, dt_cfl, direction):
-    # the solver's setting: nodal current history, delays (x - a0)/c1 or
-    # (a1 - x)/c1, window transit + 2 dt, read at every new level from the
-    # first one on, so the warm-up (live prefix, clipped wavefront node,
-    # two-sample start) is covered.  At epsilon = 0, dt_cfl = 0.4 some
-    # offsets delay/dt are whole numbers.  Nonzero samples at t0 check the
-    # causal mask.
+    # the solver's setting: nodal current, delays (x - a0)/c1 or (a1 - x)/c1,
+    # summed at every level from the first one on, so the warm-up (live
+    # prefix, clipped wavefront node, two-sample start) is covered.  At
+    # epsilon = 0, dt_cfl = 0.4 some offsets delay/dt are whole numbers.
     g = GridSpec(0.0, 3.0, 24, epsilon=epsilon)
     c1 = 2.0
     dt = dt_cfl * g.dx / c1
     transit = g.length / c1
     delays = (g.x - g.a0) / c1 if direction == "left" else (g.a1 - g.x) / c1
-    buf = DelayBuffer(0.0, dt, transit + 2 * dt, shape=(g.n,))
-    reader = buf.fixed_lag(delays)
     rng = np.random.default_rng(7)
-    buf.append(rng.normal(size=g.n))
-    for n in range(int(1.5 * transit / dt) + 3):
-        t_next = (n + 1) * dt
-        buf.append(rng.normal(size=g.n))
-        terms = buf.query_each(t_next - delays)
-        # relative to the summed magnitudes: the terms have both signs
-        scale = np.sum(np.abs(terms))
-        assert abs(reader(t_next) - np.sum(terms)) <= 1e-12 * scale, n
+    _check_sum_every_level(0.0, dt, delays, int(1.5 * transit / dt) + 4,
+                           lambda n: rng.normal(size=n))
+
+
+@given(
+    start=st.floats(-40.0, 40.0),
+    dt=st.floats(1e-3, 1.0),
+    lags=st.lists(st.one_of(st.integers(0, 12), st.floats(0.0, 12.0)),
+                  min_size=1, max_size=12),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_fixed_lag_sum_matches_query_each_for_any_delays(start, dt, lags, seed):
+    # whole-number offsets delay/dt (integer draws) put a node's retarded
+    # time on a level, where query_each's float test decides whether the
+    # node is live; offsets below 1 make the first read two-sample linear.
+    # t0 is drawn in steps: query_each's fractional level (t - d - t0)/dt
+    # carries a rounding error of about eps*|t0|/dt, which at t0/dt = 1000
+    # already moves a single read by 1e-12 of its size.  Samples of one sign
+    # keep each read of a few nodes from cancelling to a value far smaller
+    # than its samples, where that rounding alone exceeds the bound.
+    rng = np.random.default_rng(seed)
+    delays = np.array(lags, dtype=float) * dt
+    _check_sum_every_level(start * dt, dt, delays, int(max(lags)) + 6,
+                           lambda n: rng.uniform(0.5, 1.5, size=n))
 
 
 def test_fixed_lag_sum_before_any_arrival_is_zero():
-    buf = DelayBuffer(0.0, 0.1, 2.0, shape=(3,))
-    _fill(buf, lambda t: np.full(3, 1.0 + t), 4)
-    assert buf.fixed_lag(np.array([0.5, 0.7, 0.9]))(0.3) == 0.0
-
-
-def test_fixed_lag_sum_keeps_history_checks():
-    delays = np.array([0.05, 0.15, 0.25])
-    buf = DelayBuffer(0.0, 0.1, 0.5, shape=(3,))  # keeps ~9 levels
-    reader = buf.fixed_lag(delays)
-    _fill(buf, lambda t: np.full(3, t), 5)
-    with pytest.raises(HistoryError, match="newest"):
-        reader(0.5)  # one level past the newest sample, at t = 0.4
-    assert reader(0.4) == pytest.approx(3 * 0.4 - delays.sum(), rel=1e-12)
-
-    short = DelayBuffer(0.0, 0.1, 0.5, shape=(3,))
-    reader = short.fixed_lag(np.array([0.05, 1.5, 0.25]))
-    _fill(short, lambda t: np.full(3, t), 40)
-    with pytest.raises(HistoryError, match="retained"):
-        reader(3.9)
-    with pytest.raises(HistoryError, match="retained"):
-        short.query_each(3.9 - np.array([0.05, 1.5, 0.25]))
+    reader = RetardedSum(0.0, 0.1, np.array([0.5, 0.7, 0.9]))
+    assert [reader.push(np.full(3, 1.0 + 0.1 * k)) for k in range(4)] == [0.0] * 4
 
 
 def test_fixed_lag_sum_rejects_bad_input():
-    buf = DelayBuffer(0.0, 0.1, 1.0, shape=(3,))
-    with pytest.raises(ValueError):
-        buf.fixed_lag(np.ones(4))
-    with pytest.raises(ValueError):
-        buf.fixed_lag(np.array([0.1, -0.2, 0.3]))
-    reader = buf.fixed_lag(np.array([0.1, 0.2, 0.3]))
-    _fill(buf, lambda t: np.full(3, t), 8)
-    with pytest.raises(ValueError, match="time level"):
-        reader(0.55)
+    for delays in (np.array([0.1, -0.2, 0.3]), np.array([0.1, np.nan]),
+                   np.array([np.inf]), np.ones((2, 2)), np.array([])):
+        with pytest.raises(ValueError):
+            RetardedSum(0.0, 0.1, delays)
+    for t0, dt in ((np.nan, 0.1), (0.0, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            RetardedSum(t0, dt, np.ones(3))
+    with pytest.raises(ValueError, match="shape"):
+        RetardedSum(0.0, 0.1, np.ones(3)).push(np.ones(4))

@@ -1,6 +1,7 @@
 """The marching core both solvers share: checks made once for both models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eoscatter.march import DivergenceError
 from eoscatter.mms import ManufacturedFields1, ManufacturedFields2
 from eoscatter.model1 import Scenario1, run_m1
 from eoscatter.model2 import Scenario2, run_m2
+from eoscatter.sources import GaussianSource
 
 MAT1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 MAT2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
@@ -108,3 +110,22 @@ def test_huge_finite_fields_are_not_divergence(monkeypatch, model):
     with np.errstate(over="ignore", invalid="ignore"):
         res = MODELS[model][1](scn)
     assert res.final.n == scn.steps and np.all(res.final.rho == 1e308)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_boundary_sums_keep_no_nodal_history(model):
+    # a production-size run: the retarded current sums need O(N) memory, not
+    # an N-wide ring over the whole transit (49 MiB here)
+    scenario, run, mat = MODELS[model]
+    grid = GridSpec(0.0, 3.0, 1600)
+    dt = 0.4 * grid.dx / mat.c1
+    source = GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)
+    scn = scenario(grid=grid, mat=mat, dt=dt, t_end=20 * dt, source=source)
+    tracemalloc.start()
+    try:
+        res = run(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.final.n == 20
+    assert peak < 8 * 2**20

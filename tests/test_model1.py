@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eoscatter.grid import GridSpec, Material1, SpatialOps
-from eoscatter.history import DelayBuffer
+from eoscatter.history import DelayBuffer, RetardedSum
 from eoscatter.mms import ManufacturedFields1
 from eoscatter.model1 import (
     DivergenceError,
@@ -87,7 +87,8 @@ def test_boundary_a0_all_masked_is_zero():
     # earliest node arrival is gap_a0/c1; query before that
     t_next = 0.5 * g.gap_a0 / MAT.c1
     assert t_next < g.gap_a0 / MAT.c1
-    assert boundary_a0_m1(scn, j_hist, pa1_hist, t_next) == 0.0
+    current = np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
+    assert boundary_a0_m1(scn, current, pa1_hist, t_next) == 0.0
 
 
 def test_boundary_a0_delayed_passthrough():
@@ -101,7 +102,8 @@ def test_boundary_a0_delayed_passthrough():
         pa1_hist.append(1.0)
     t_next = 1.8  # past the transit 1.5, so the delayed trace passes through
     assert scn.transit < t_next
-    got = boundary_a0_m1(scn, j_hist, pa1_hist, t_next)
+    current = np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
+    got = boundary_a0_m1(scn, current, pa1_hist, t_next)
     assert got == pytest.approx(1.0, abs=1e-13)
 
 
@@ -168,18 +170,24 @@ def test_scenario_rejects_nonfinite_times():
 
 
 def test_boundary_a0_fixed_lag_reader_matches_direct_sum():
+    # the solver's left sum, a RetardedSum fed every level, against the
+    # trace written out from query_each reads of the whole current history
     scn = scenario(n=12, t_end=1.0)
     g = scn.grid
+    delays = (g.x - g.a0) / MAT.c1
     j_hist = DelayBuffer(0.0, scn.dt, scn.transit + 2 * scn.dt, shape=(g.n,))
     pa1_hist = DelayBuffer(0.0, scn.dt, scn.transit + 2 * scn.dt)
-    left = j_hist.fixed_lag((g.x - g.a0) / MAT.c1)
+    left = RetardedSum(0.0, scn.dt, delays)
     rng = np.random.default_rng(3)
     for level in range(40):
-        j_hist.append(rng.normal(size=g.n))
+        j = rng.normal(size=g.n)
+        j_hist.append(j)
+        current = left.push(j)
         pa1_hist.append(rng.normal())
     t_next = 39 * scn.dt
-    want = boundary_a0_m1(scn, j_hist, pa1_hist, t_next)
-    got = boundary_a0_m1(scn, j_hist, pa1_hist, t_next, left=left)
+    want = (g.dx / MAT.c1 * np.sum(j_hist.query_each(t_next - delays))
+            + pa1_hist.query(t_next - scn.transit))
+    got = boundary_a0_m1(scn, current, pa1_hist, t_next)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 

@@ -108,26 +108,33 @@ def histories(scn, fill_j=0.0, fill_pair=(0.0, 0.0), levels=6):
     return j_hist, p0, p1
 
 
+def current_sums(scn, j_hist, t_next):
+    """The leftward and rightward retarded current sums, read with
+    query_each."""
+    g, c1 = scn.grid, scn.mat.c1
+    return tuple(np.sum(j_hist.query_each(t_next - delays))
+                 for delays in ((g.x - g.a0) / c1, (g.a1 - g.x) / c1))
+
+
 def test_boundary_update_zero_histories_zero_incident():
     g = GridSpec(0.0, 3.0, 8)
     scn = Scenario2(grid=g, mat=MAT, dt=0.3, t_end=2.0)
     bm = BoundaryMatrices(MAT)
     j_hist, p0, p1 = histories(scn)
-    got = boundary_update_m2(scn, bm, j_hist, p0, p1, 1.2)
+    left, right = current_sums(scn, j_hist, 1.2)
+    got = boundary_update_m2(scn, bm, left, right, p0, p1, 1.2, None)
     assert got == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_boundary_update_constant_incident_pair(monkeypatch):
+def test_boundary_update_constant_incident_pair():
     g = GridSpec(0.0, 3.0, 8)
     mat = MAT
     scn = Scenario2(grid=g, mat=mat, dt=0.3, t_end=2.0, source=PULSE)
     bm = BoundaryMatrices(mat)
     j_hist, p0, p1 = histories(scn)
-    monkeypatch.setattr(
-        "eoscatter.model2.incident_pair",
-        lambda *a, **kw: (1.0, mat.nu0 / mat.c0),
-    )
-    got = boundary_update_m2(scn, bm, j_hist, p0, p1, 1.2)
+    left, right = current_sums(scn, j_hist, 1.2)
+    got = boundary_update_m2(scn, bm, left, right, p0, p1, 1.2,
+                             (1.0, mat.nu0 / mat.c0))
     assert got[:2] == (0.0, 0.0)
     rhs = 2.0 * mat.c0 * np.array([1.0, mat.nu0 / mat.c0])
     want = np.linalg.solve(bm.right, rhs)

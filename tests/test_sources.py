@@ -239,3 +239,25 @@ def test_tabulated_rejects_duplicate_csv_rows(tmp_path):
                     "5.0,1.0,1.0\n4.0,1.0,2.0\n")
     with pytest.raises(ValueError, match=r"duplicate.*\(4\.0, 1\.0\)"):
         TabulatedSource.from_csv(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["amplitude", "x_center", "space_rate",
+                                  "t_center", "time_rate", "support"])
+def test_gaussian_source_rejects_nonfinite_parameters(name, value):
+    # a NaN space_rate gave support (nan, nan), which passed the scenario's
+    # support check and ran to all-zero traces; a NaN amplitude ran the
+    # panel doubling to its cap
+    params = dict(amplitude=5.0, x_center=4.0, space_rate=36.0,
+                  t_center=0.5, time_rate=4.0)
+    params[name] = (3.5, value) if name == "support" else value
+    with pytest.raises(ValueError, match="finite"):
+        GaussianSource(**params)
+
+
+@pytest.mark.parametrize("x, t", [([3.0, math.nan, 5.0], [0.0, 1.0]),
+                                  ([3.0, 5.0], [0.0, math.inf])])
+def test_tabulated_source_rejects_nonfinite_coordinates(x, t):
+    with pytest.raises(ValueError, match="finite"):
+        TabulatedSource(x=np.array(x), t=np.array(t),
+                        values=np.ones((len(x), len(t))))

@@ -203,6 +203,13 @@ def test_scan_controls_must_be_positive_and_finite(control, value):
         stability_bounds(1, grid(16), MAT1, **{control: value})
 
 
+@pytest.mark.parametrize("value", [16.5, 16.0, True, "16"])
+def test_scan_points_must_be_an_integer(value):
+    # 16.5 used to run 17 samples
+    with pytest.raises(ValueError, match="scan_points"):
+        stability_bounds(1, grid(16), MAT1, scan_points=value)
+
+
 def test_bisection_stops_at_float_resolution():
     # a tolerance below the float spacing must still end once the bracket
     # ends are adjacent floats
