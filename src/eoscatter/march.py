@@ -88,6 +88,11 @@ class Scenario:
                 raise ValueError(
                     "source already influences the boundary at the start time"
                 )
+        if self.mms is not None:
+            at = np.concatenate((self.grid.x, (self.grid.a0, self.grid.a1)))
+            for p in self.potentials:  # the trace histories are zero before t0
+                if np.max(np.abs(getattr(self.mms, p).value(at, self.t0))) >= 1e-12:
+                    raise ValueError(f"manufactured {p} is not quiet at the start time")
 
     def _check_step(self) -> None:
         """Model-specific rule on ``dt``; none by default."""
@@ -117,14 +122,17 @@ class Scenario:
 
 
 def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
-                  potential_half):
+                  potential_half, terms=None, terms_next=None):
     """Advance the interior fields one step using level-n boundary traces.
 
     ``potential_half(state, scn, ops, terms, dj, f)`` returns the new
     potentials, given the residual terms at level n (``sources.src_terms``,
     or None), the level-n current divergence and the response forcing
     ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes a Taylor
-    step and the current a Heun corrector.
+    step and the current a Heun corrector, which reads the current's term at
+    level n + 1.  ``terms`` and ``terms_next`` are the nodal terms at levels
+    n and n + 1, given together (:func:`march` evaluates each level once) or
+    left out and evaluated here.
     """
     if ops is None:
         ops = SpatialOps(scn.grid)
@@ -136,7 +144,8 @@ def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
     dj = ops.d1_confined(j)
     f = (m.alpha - m.beta * rho) * state.phi - m.gamma * j
     df = ops.d1_confined(f)
-    terms = sources.src_terms(x, t) if sources is not None else None
+    if terms is None and sources is not None:
+        terms, terms_next = sources.src_terms(x, t), sources.src_terms(x, t + dt)
     potentials = potential_half(state, scn, ops, terms, dj, f)
 
     rho_rate = -dj
@@ -151,8 +160,8 @@ def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
 
     j_pred = j + dt * f_now
     f_next = (m.alpha - m.beta * rho_new) * potentials[0] - m.gamma * j_pred
-    if sources is not None:
-        f_next = f_next + sources.src_j(x, t + dt)
+    if terms_next is not None:
+        f_next = f_next + terms_next["j"]
     j_new = 0.5 * (j + j_pred + dt * f_next)
     return (*potentials, rho_new, j_new)
 
@@ -175,8 +184,10 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     ``closure(scn, j0, sources, incident)`` runs once, given the start
     current and the incident trace per level; it returns the start traces
     and ``close(t_next, n, j)``, the traces at level n given the current
-    there.  Each step runs ``step(state, scn, ops, sources)``, then calls
-    ``close``.  A non-finite field raises :class:`DivergenceError`.
+    there.  Each step runs ``step(state, scn, ops, sources, terms,
+    terms_next)`` with the nodal residual terms at both of its levels, then
+    calls ``close``; each level's terms are evaluated once and carried to
+    the next step.  A non-finite field raises :class:`DivergenceError`.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = _snapshot_levels(scn, snapshot_times)
@@ -197,10 +208,12 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     series = np.zeros((len(traces), steps + 1))
     series[:, 0] = traces
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
+    terms = sources.src_terms(g.x, t0) if sources is not None else None
 
     for n in range(1, steps + 1):
         t_next = t0 + n * dt
-        fields = step(state, scn, ops, sources)
+        terms_next = sources.src_terms(g.x, t_next) if sources is not None else None
+        fields = step(state, scn, ops, sources, terms, terms_next)
         # One reduction over all fields: cheaper than one per field.
         if not np.isfinite(np.concatenate(fields)).all():
             raise DivergenceError(
@@ -212,5 +225,6 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
         series[:, n] = traces
         if n in wanted:
             snapshots.append((wanted[n], state.copy()))
+        terms = terms_next
 
     return result_cls(scn, times, *series, snapshots, state)

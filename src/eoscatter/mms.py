@@ -185,7 +185,7 @@ class ResidualSources1:
     potential, density and current equations; the ``_dx`` / ``_dt``
     companions are the analytic derivatives the second-order time step
     consumes.  :meth:`src_terms` builds them from one jet per field, and
-    the single-term methods other than :meth:`src_j` are views of it.
+    the single-term methods are views of it.
     """
 
     fields: ManufacturedFields1
@@ -197,33 +197,24 @@ class ResidualSources1:
         """Residual terms at ``(x, t)`` by name (``phi``, ``phi_dx``, ...).
 
         Order 2 gives every term, order 1 only the potential equations'
-        terms (``phi``, and ``psi`` in model 2) from first-order jets: what
-        the retarded sums need.
+        terms (``phi``, and ``psi`` in model 2) from first-order jets of the
+        potentials and the current's value: what the retarded sums need.
         """
         f, m = self.fields, self.mat
-        names = self.potentials + (("rho", "j") if order == 2 else ("j",))
+        names = self.potentials + (("rho",) if order == 2 else ())
         jets = {name: getattr(f, name).jet(x, t, order) for name in names}
+        jets["j"] = f.j.jet(x, t, order if order == 2 else 0)
         terms = self._potential_terms(jets, order)
         if order == 1:
             return terms
         phi, rho, j = jets["phi"], jets["rho"], jets["j"]
         terms["rho"] = rho[DT] + j[DX]
         terms["rho_dt"] = rho[DTT] + j[DXT]
-        terms["j"] = self._current_term(phi, rho, j)
+        terms["j"] = (j[DT] - (m.alpha - m.beta * rho[VALUE]) * phi[VALUE]
+                      + m.gamma * j[VALUE])
         terms["j_dx"] = (j[DXT] - (m.alpha - m.beta * rho[VALUE]) * phi[DX]
                          + m.beta * rho[DX] * phi[VALUE] + m.gamma * j[DX])
         return terms
-
-    def src_j(self, x, t):
-        """The current equation's term, from the values of ``phi`` and
-        ``rho`` and a first-order jet of ``j``."""
-        f = self.fields
-        return self._current_term(f.phi.jet(x, t, 0), f.rho.jet(x, t, 0),
-                                  f.j.jet(x, t, 1))
-
-    def _current_term(self, phi, rho, j):
-        m = self.mat
-        return j[DT] - (m.alpha - m.beta * rho[VALUE]) * phi[VALUE] + m.gamma * j[VALUE]
 
     def _potential_terms(self, jets: dict, order: int) -> dict:
         phi, j, c1 = jets["phi"], jets["j"], self.mat.c1
@@ -237,6 +228,7 @@ class ResidualSources1:
     src_phi_dx = _view("src_terms", "phi_dx")
     src_phi_dt = _view("src_terms", "phi_dt")
     src_rho = _view("src_terms", "rho")
+    src_j = _view("src_terms", "j")
     src_rho_dt = _view("src_terms", "rho_dt")
     src_j_dx = _view("src_terms", "j_dx")
 

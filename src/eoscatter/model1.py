@@ -67,15 +67,17 @@ def interior_step_m1(
     scn: Scenario1,
     ops: SpatialOps | None = None,
     sources: ResidualSources1 | None = None,
+    terms: dict | None = None, terms_next: dict | None = None,
 ):
     """Advance the interior fields one step using level-n boundary traces.
 
     Returns the new ``(phi, rho, j)`` arrays; the caller supplies the
     level-(n+1) traces afterwards.  ``sources`` carries the residual terms
     in verification mode, including the analytic derivatives folded into
-    the second-order Taylor coefficients.
+    the second-order Taylor coefficients; ``terms`` and ``terms_next`` are
+    its nodal terms at levels n and n + 1, evaluated here when not given.
     """
-    return interior_step(state, scn, ops, sources, _potential_m1)
+    return interior_step(state, scn, ops, sources, _potential_m1, terms, terms_next)
 
 
 def _potential_m1(state, scn, ops, terms, dj, f):

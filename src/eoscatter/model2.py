@@ -118,9 +118,10 @@ def interior_step_m2(
     scn: Scenario2,
     ops: SpatialOps | None = None,
     sources: ResidualSources2 | None = None,
+    terms: dict | None = None, terms_next: dict | None = None,
 ):
     """Advance the four interior fields one step with level-n traces."""
-    return interior_step(state, scn, ops, sources, _potential_m2)
+    return interior_step(state, scn, ops, sources, _potential_m2, terms, terms_next)
 
 
 def _potential_m2(state, scn, ops, terms, dj, f):
@@ -148,7 +149,7 @@ def _potential_m2(state, scn, ops, terms, dj, f):
             psi + dt * psi_rate + 0.5 * dt**2 * psi_curv)
 
 
-def _incident_term(scn: Scenario2, t: float, pair) -> np.ndarray:
+def _incident_term(scn: Scenario2, t: float, pair) -> tuple[float, float]:
     """``2*c0*(incident pair)`` on the right boundary at time ``t``.
 
     In verification mode the role of the incident pair is played by the
@@ -159,11 +160,18 @@ def _incident_term(scn: Scenario2, t: float, pair) -> np.ndarray:
     if scn.mms is not None:
         pe = float(scn.mms.phi.value(scn.grid.a1, t))
         se = float(scn.mms.psi.value(scn.grid.a1, t))
-        return np.array([m.c0 * pe + m.mu0 * se, m.nu0 * pe + m.c0 * se])
+        return m.c0 * pe + m.mu0 * se, m.nu0 * pe + m.c0 * se
     if scn.source is None:
-        return np.zeros(2)
+        return 0.0, 0.0
     phi_i, psi_i = pair
-    return 2.0 * m.c0 * np.array([phi_i, psi_i])
+    return 2.0 * m.c0 * phi_i, 2.0 * m.c0 * psi_i
+
+
+def _apply(mat: np.ndarray, u: float, v: float) -> tuple[float, float]:
+    """``mat @ (u, v)`` for a 2x2 ``mat``, in scalar arithmetic: numpy's
+    per-call overhead on 2x2 arrays outweighs the four products."""
+    (a, b), (c, d) = mat.tolist()
+    return a * u + b * v, c * u + d * v
 
 
 def boundary_update_m2(
@@ -182,35 +190,31 @@ def boundary_update_m2(
     ``left`` and ``right`` are the retarded current sums over the leftward
     delays ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
     :class:`RetardedSum` gives them, and ``incident`` is the source's
-    incident pair at ``t_next`` (read only when there is a source).  The
-    trace-pair histories reach level n (both new pairs are appended by the
-    caller afterwards).  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
+    incident pair at ``t_next`` (read only when there is a source).  In
+    verification mode both sums gain the potential equations' residual
+    sources, evaluated over both delay sets in one call.  The trace-pair
+    histories reach level n (both new pairs are appended by the caller
+    afterwards).  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
     """
-    g, m = scn.grid, scn.mat
-    c1 = m.c1
-    x = g.x
-    weight = g.dx / c1
-
-    def summed(current: float, delays: np.ndarray) -> np.ndarray:
-        if sources is None:
-            return np.array([current, 0.0])
-        times = t_next - delays
+    g = scn.grid
+    weight = g.dx / scn.mat.c1
+    (phi0, phi1), (psi0, psi1) = (left, right), (0.0, 0.0)
+    if sources is not None:
+        times = t_next - np.concatenate((g.x - g.a0, g.a1 - g.x)) / scn.mat.c1
         live = times > scn.t0
-        src = sources.src_terms(x, times, 1)
-        top = current + float(np.sum(np.where(live, src["phi"], 0.0)))
-        bot = float(np.sum(np.where(live, src["psi"], 0.0)))
-        return np.array([top, bot])
+        src = sources.src_terms(np.concatenate((g.x, g.x)), times, 1)
+        sums = np.where(live, np.stack((src["phi"], src["psi"])), 0.0)
+        (phi0, phi1), (psi0, psi1) = sums.reshape(2, 2, -1).sum(axis=2).tolist()
+        phi0, phi1 = left + phi0, right + phi1
 
     delay = t_next - scn.transit
-    rhs0 = weight * (bm.mix_out @ summed(left, (x - g.a0) / c1))
-    rhs0 += bm.mix_out @ pair1_hist.query(delay)
-    pair0 = bm.left_inv @ rhs0
-
-    rhs1 = weight * (bm.mix_back @ summed(right, (g.a1 - x) / c1))
-    rhs1 += bm.mix_back @ pair0_hist.query(delay)
-    rhs1 += _incident_term(scn, t_next, incident)
-    pair1 = bm.right_inv @ rhs1
-    return float(pair0[0]), float(pair0[1]), float(pair1[0]), float(pair1[1])
+    p, q = pair1_hist.query(delay).tolist()
+    pair0 = _apply(bm.left_inv, *_apply(bm.mix_out, weight * phi0 + p,
+                                         weight * psi0 + q))
+    p, q = pair0_hist.query(delay).tolist()
+    u, v = _apply(bm.mix_back, weight * phi1 + p, weight * psi1 + q)
+    inc_u, inc_v = _incident_term(scn, t_next, incident)
+    return (*pair0, *_apply(bm.right_inv, u + inc_u, v + inc_v))
 
 
 def _closure_m2(scn: Scenario2, j0, sources, incident):

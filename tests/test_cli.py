@@ -135,12 +135,13 @@ def test_mms_mode_writes_error_tables(tmp_path):
     assert all(float(r[3]) < 1e-3 for r in rows)
 
 
-def test_mms_reruns_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("model", [1, 2])
+def test_mms_reruns_are_byte_identical(tmp_path, model):
     cfg = write_config(tmp_path, {
-        "model": 2,
+        "model": model,
         "mode": "mms",
         "grid": {"a0": 0.0, "a1": 3.0, "N": 50},
-        "material": MAT2,
+        "material": MAT1 if model == 1 else MAT2,
         "t_end": 0.6,
         "mms": {"n_ladder": [50, 100]},
     })

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from eoscatter import model1, model2
 from eoscatter.grid import GridSpec, Material1, Material2
 from eoscatter.march import DivergenceError
-from eoscatter.mms import ManufacturedFields1, ManufacturedFields2
+from eoscatter.mms import GaussianBump, ManufacturedFields1, ManufacturedFields2
 from eoscatter.model1 import Scenario1, run_m1
 from eoscatter.model2 import Scenario2, run_m2
 from eoscatter.sources import GaussianSource
@@ -17,6 +18,7 @@ from eoscatter.sources import GaussianSource
 MAT1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 MAT2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 MODELS = {1: (Scenario1, run_m1, MAT1), 2: (Scenario2, run_m2, MAT2)}
+FIELDS = {1: ManufacturedFields1, 2: ManufacturedFields2}
 
 
 def null_scenario(model, t_end=1.0, **kw):
@@ -129,3 +131,62 @@ def test_boundary_sums_keep_no_nodal_history(model):
         tracemalloc.stop()
     assert res.final.n == 20
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_manufactured_potentials_must_be_quiet_at_the_start(model):
+    # the boundary histories are zero before t0, so the exact potentials
+    # must be too; the demo pulse reaches [3, 6] by t = 1.5
+    scenario, _, mat = MODELS[model]
+    grid, demo = GridSpec(3.0, 6.0, 100), FIELDS[model].demo()
+    with pytest.raises(ValueError, match="phi is not quiet"):
+        scenario(grid=grid, mat=mat, dt=0.01, t_end=2.0, t0=1.5, mms=demo)
+    scenario(grid=grid, mat=mat, dt=0.01, t_end=2.0, mms=demo)
+    if model == 2:
+        loud = replace(demo, psi=GaussianBump(1.0, 4.5, 1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="psi is not quiet"):
+            scenario(grid=grid, mat=mat, dt=0.01, t_end=2.0, mms=loud)
+
+
+@pytest.mark.parametrize("model, exps_per_step", [(1, 5), (2, 10)])
+def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
+                                                           exps_per_step):
+    """Each level's nodal terms are evaluated once and carried into the next
+    step; the retarded points take one evaluation per step."""
+    scenario, run, mat = MODELS[model]
+    module, name = STEPPERS[model]
+    grid = GridSpec(0.0, 3.0, 40)
+    scn = scenario(grid=grid, mat=mat, dt=0.4 * grid.dx / mat.c1, t_end=0.5,
+                   mms=FIELDS[model].demo())
+    times = scn.t0 + scn.dt * np.arange(scn.steps + 1)
+    exp, src_terms, step = np.exp, scn.residuals.src_terms, getattr(module, name)
+    node_exps, nodal, retarded, steps = [0], [], [], []
+
+    def counted_exp(z, *args, **kw):
+        node_exps[0] += np.size(z) // grid.n
+        return exp(z, *args, **kw)
+
+    def spied_src_terms(self, x, t, order=2):
+        (retarded if np.ndim(t) else nodal).append(t)
+        return src_terms(self, x, t, order)
+
+    def spied_step(state, *args):
+        steps.append((state.n, node_exps[0], args[3:]))
+        return step(state, *args)
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    monkeypatch.setattr(scn.residuals, "src_terms", spied_src_terms)
+    monkeypatch.setattr(module, name, spied_step)
+    run(scn)
+    monkeypatch.undo()
+    per_step = [b[1] - a[1] for a, b in zip(steps, steps[1:])]
+    assert per_step == [exps_per_step] * (scn.steps - 1)
+    assert nodal == list(times)
+    assert len(retarded) == scn.steps
+    # the terms a step is given are those of a fresh evaluation, bit for bit
+    sources = scn.residuals(scn.mms, scn.mat)
+    for n, _, levels in steps:
+        for level, got in zip((n, n + 1), levels, strict=True):
+            want = sources.src_terms(grid.x, times[level])
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
