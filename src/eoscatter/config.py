@@ -369,6 +369,17 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
     elif "stability" in data and data["stability"] is not None:
         raise ConfigError("'stability' in config is only meaningful in stability mode")
 
+    if model == 2 and mode != "stability":
+        # Scenario2's rule dt <= transit, on every grid the mode runs
+        transit = (grid.a1 - grid.a0) / mat.c1
+        for n in ladder if mode == "mms" else (grid.n,):
+            g = GridSpec(a0=grid.a0, a1=grid.a1, n=n, epsilon=grid.epsilon)
+            if dt_cfl * g.dx / mat.c1 > transit:
+                raise ConfigError(
+                    "'dt_cfl' in config makes the time step exceed the "
+                    f"boundary transit time at N = {n} (model 2 needs "
+                    "dt <= transit)")
+
     out_dir, snapshots = _parse_output(data.get("output"))
     if grid is not None and t_end is not None:
         for t in snapshots:

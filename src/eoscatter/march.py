@@ -98,7 +98,8 @@ class Scenario:
         """Model-specific rule on ``dt``; none by default."""
 
     def incident(self, t):
-        """The source's incident trace(s) at the right boundary at time(s) ``t``."""
+        """What drives the right boundary at time(s) ``t``: the source's
+        incident trace(s), or in verification mode the exact traces there."""
         raise NotImplementedError
 
     @property
@@ -181,13 +182,15 @@ def _snapshot_levels(scn: Scenario, snapshot_times) -> dict:
 def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     """Advance ``scn`` from its start time to ``t_end``.
 
-    ``closure(scn, j0, sources, incident)`` runs once, given the start
-    current and the incident trace per level; it returns the start traces
-    and ``close(t_next, n, j)``, the traces at level n given the current
-    there.  Each step runs ``step(state, scn, ops, sources, terms,
-    terms_next)`` with the nodal residual terms at both of its levels, then
-    calls ``close``; each level's terms are evaluated once and carried to
-    the next step.  A non-finite field raises :class:`DivergenceError`.
+    ``closure(scn, j0, terms, incident)`` runs once, given the start current,
+    the start level's nodal residual terms (``sources.src_terms``, or None)
+    and the right-boundary series per level (:meth:`Scenario.incident`);
+    it returns the start traces and ``close(t_next, n, j, terms)``, the
+    traces at level n given the current and the terms there.  Each step runs
+    ``step(state, scn, ops, sources, terms, terms_next)`` with the terms at
+    both of its levels, then calls ``close``; each level's terms are
+    evaluated once, at the nodes, and carried to the next step.  A
+    non-finite field raises :class:`DivergenceError`.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = _snapshot_levels(scn, snapshot_times)
@@ -195,7 +198,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     sources = scn.residuals(scn.mms, scn.mat) if scn.mms is not None else None
     times = t0 + dt * np.arange(steps + 1)
     incident = [None] * (steps + 1)
-    if scn.source is not None:
+    if scn.source is not None or scn.mms is not None:
         incident = scn.incident(times)
 
     if scn.mms is not None:
@@ -203,12 +206,12 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                   for name in scn.field_names]
     else:
         fields = [np.zeros(g.n) for _ in scn.field_names]
-    traces, close = closure(scn, fields[-1], sources, incident)
+    terms = sources.src_terms(g.x, t0) if sources is not None else None
+    traces, close = closure(scn, fields[-1], terms, incident)
     state = state_cls(*fields, *traces, 0, t0)
     series = np.zeros((len(traces), steps + 1))
     series[:, 0] = traces
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
-    terms = sources.src_terms(g.x, t0) if sources is not None else None
 
     for n in range(1, steps + 1):
         t_next = t0 + n * dt
@@ -220,7 +223,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                 f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
                 partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
             )
-        traces = close(t_next, n, fields[-1])
+        traces = close(t_next, n, fields[-1], terms_next)
         state = state_cls(*fields, *traces, n, t_next)
         series[:, n] = traces
         if n in wanted:

@@ -198,7 +198,7 @@ class ResidualSources1:
 
         Order 2 gives every term, order 1 only the potential equations'
         terms (``phi``, and ``psi`` in model 2) from first-order jets of the
-        potentials and the current's value: what the retarded sums need.
+        potentials and the current's value (``src_phi``, ``src_psi``).
         """
         f, m = self.fields, self.mat
         names = self.potentials + (("rho",) if order == 2 else ())

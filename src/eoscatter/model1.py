@@ -46,6 +46,8 @@ class Scenario1(Scenario):
     residuals = ResidualSources1
 
     def incident(self, t):
+        if self.mms is not None:
+            return self.mms.phi.value(self.grid.a1, t)
         return incident_trace(self.source, self.grid.a1, self.mat, self.t0, t,
                               RUN_QUAD_REL_TOL)
 
@@ -97,12 +99,11 @@ def _potential_m1(state, scn, ops, terms, dj, f):
     return (phi + dt * phi_rate + 0.5 * dt**2 * phi_curv,)
 
 
-def boundary_a1_m1(scn: Scenario1, t: float, incident: float) -> float:
-    """Right-boundary trace: the source's ``incident`` trace at ``t``, or the
-    exact field in verification mode, or zero for a null run."""
-    if scn.mms is not None:
-        return float(scn.mms.phi.value(scn.grid.a1, t))
-    if scn.source is None:
+def boundary_a1_m1(scn: Scenario1, incident: float) -> float:
+    """Right-boundary trace: ``incident``, the value of
+    :meth:`Scenario1.incident` at its level (the source's incident trace, or
+    the exact field in verification mode), or zero for a null run."""
+    if scn.source is None and scn.mms is None:
         return 0.0
     return float(incident)
 
@@ -112,7 +113,6 @@ def boundary_a0_m1(
     current: float,
     pa1_hist: DelayBuffer,
     t_next: float,
-    sources: ResidualSources1 | None = None,
 ) -> float:
     """Left-boundary trace from the delayed nodal current plus the delayed
     right trace.
@@ -120,33 +120,31 @@ def boundary_a0_m1(
     ``current`` is the retarded current sum: every node at its own delay
     ``(x - a0)/c1`` behind ``t_next``, zero at or before the start time (the
     causal mask), as a :class:`RetardedSum` gives it.  In verification mode
-    the integrand gains the potential-equation residual source, under the
-    same mask.
+    it is the sum of the current plus the potential equation's residual
+    source, read by the same rule.
     """
-    g, c1 = scn.grid, scn.mat.c1
-    total = current
-    if sources is not None:
-        times = t_next - (g.x - g.a0) / c1
-        src = sources.src_terms(g.x, times, 1)["phi"]
-        total += float(np.sum(np.where(times > scn.t0, src, 0.0)))
-    trace = g.dx / c1 * total
-    trace += pa1_hist.query(t_next - scn.transit)
-    return trace
+    return (scn.grid.dx / scn.mat.c1 * current
+            + pa1_hist.query(t_next - scn.transit))
 
 
-def _closure_m1(scn: Scenario1, j0, sources, incident):
+def _closure_m1(scn: Scenario1, j0, terms0, incident):
     """Model 1's boundary closure for :func:`march`: the right trace, then
     the left one, which may read the fresh right value."""
     pa1_hist = DelayBuffer(scn.t0, scn.dt, scn.window)
     left = RetardedSum(scn.t0, scn.dt, (scn.grid.x - scn.grid.a0) / scn.mat.c1)
-    left.push(j0)
-    start = (0.0, boundary_a1_m1(scn, scn.t0, incident[0]))
+
+    def rhs(j, terms):
+        return j if terms is None else j + terms["phi"]
+
+    left.push(rhs(j0, terms0))
+    start = (0.0, boundary_a1_m1(scn, incident[0]))
     pa1_hist.append(start[1])
 
-    def close(t_next: float, n: int, j):
-        pa1 = boundary_a1_m1(scn, t_next, incident[n])
+    def close(t_next: float, n: int, j, terms):
+        pa1 = boundary_a1_m1(scn, incident[n])
         pa1_hist.append(pa1)
-        return boundary_a0_m1(scn, left.push(j), pa1_hist, t_next, sources), pa1
+        return boundary_a0_m1(scn, left.push(rhs(j, terms)), pa1_hist,
+                              t_next), pa1
 
     return start, close
 
@@ -155,9 +153,9 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
     """Advance a model-1 scenario from the start time to ``t_end``.
 
     Per-step ordering: interior step with level-n traces, push the new
-    current into the retarded sum, evaluate the right trace at the new
-    time, then the left trace, and append the traces (see
-    :func:`march.march`).
+    current (plus the residual source) into the retarded sum, evaluate the
+    right trace at the new time, then the left trace, and append the traces
+    (see :func:`march.march`).
     """
     return march(scn, snapshot_times, State1, Run1Result, interior_step_m1,
                  _closure_m1)

@@ -96,9 +96,15 @@ class Scenario2(Scenario):
             )
 
     def incident(self, t):
-        """The incident pair at ``t``, stacked along the last axis."""
-        return np.stack(incident_pair(self.source, self.grid.a1, self.mat,
-                                      self.t0, t, RUN_QUAD_REL_TOL), axis=-1)
+        """The incident pair at ``t`` (in verification mode the exact pair
+        of traces there), stacked along the last axis."""
+        if self.mms is not None:
+            pair = [getattr(self.mms, p).value(self.grid.a1, t)
+                    for p in self.potentials]
+        else:
+            pair = incident_pair(self.source, self.grid.a1, self.mat, self.t0, t,
+                                 RUN_QUAD_REL_TOL)
+        return np.stack(pair, axis=-1)
 
 
 @dataclass
@@ -149,17 +155,16 @@ def _potential_m2(state, scn, ops, terms, dj, f):
             psi + dt * psi_rate + 0.5 * dt**2 * psi_curv)
 
 
-def _incident_term(scn: Scenario2, t: float, pair) -> tuple[float, float]:
-    """``2*c0*(incident pair)`` on the right boundary at time ``t``.
+def _incident_term(scn: Scenario2, pair) -> tuple[float, float]:
+    """``2*c0*(incident pair)`` on the right boundary.
 
-    In verification mode the role of the incident pair is played by the
-    combination of the exact traces that turns the right-hand update rule
-    into an identity for the manufactured fields.
+    In verification mode ``pair`` holds the exact traces, and the role of
+    the incident pair is played by their combination that turns the
+    right-hand update rule into an identity for the manufactured fields.
     """
     m = scn.mat
     if scn.mms is not None:
-        pe = float(scn.mms.phi.value(scn.grid.a1, t))
-        se = float(scn.mms.psi.value(scn.grid.a1, t))
+        pe, se = pair
         return m.c0 * pe + m.mu0 * se, m.nu0 * pe + m.c0 * se
     if scn.source is None:
         return 0.0, 0.0
@@ -177,56 +182,53 @@ def _apply(mat: np.ndarray, u: float, v: float) -> tuple[float, float]:
 def boundary_update_m2(
     scn: Scenario2,
     bm: BoundaryMatrices,
-    left: float,
-    right: float,
+    left,
+    right,
     pair0_hist: DelayBuffer,
     pair1_hist: DelayBuffer,
     t_next: float,
     incident,
-    sources: ResidualSources2 | None = None,
 ):
     """Solve both boundary systems at ``t_next``.
 
-    ``left`` and ``right`` are the retarded current sums over the leftward
-    delays ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
-    :class:`RetardedSum` gives them, and ``incident`` is the source's
-    incident pair at ``t_next`` (read only when there is a source).  In
-    verification mode both sums gain the potential equations' residual
-    sources, evaluated over both delay sets in one call.  The trace-pair
-    histories reach level n (both new pairs are appended by the caller
-    afterwards).  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
+    ``left`` and ``right`` are the retarded sums over the leftward delays
+    ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
+    :class:`RetardedSum` gives them: the current's sum alone, or in
+    verification mode the pair of sums of the potential equations'
+    right-hand sides (the current plus the ``phi`` residual source, and the
+    ``psi`` residual source).  ``incident`` is the value of
+    :meth:`Scenario2.incident` at ``t_next`` (not read in a null run).  The
+    trace-pair histories reach level n (both new pairs are appended by the
+    caller afterwards).  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
     """
-    g = scn.grid
-    weight = g.dx / scn.mat.c1
-    (phi0, phi1), (psi0, psi1) = (left, right), (0.0, 0.0)
-    if sources is not None:
-        times = t_next - np.concatenate((g.x - g.a0, g.a1 - g.x)) / scn.mat.c1
-        live = times > scn.t0
-        src = sources.src_terms(np.concatenate((g.x, g.x)), times, 1)
-        sums = np.where(live, np.stack((src["phi"], src["psi"])), 0.0)
-        (phi0, phi1), (psi0, psi1) = sums.reshape(2, 2, -1).sum(axis=2).tolist()
-        phi0, phi1 = left + phi0, right + phi1
-
+    weight = scn.grid.dx / scn.mat.c1
+    phi0, psi0 = (left, 0.0) if isinstance(left, float) else left
+    phi1, psi1 = (right, 0.0) if isinstance(right, float) else right
     delay = t_next - scn.transit
     p, q = pair1_hist.query(delay).tolist()
     pair0 = _apply(bm.left_inv, *_apply(bm.mix_out, weight * phi0 + p,
                                          weight * psi0 + q))
     p, q = pair0_hist.query(delay).tolist()
     u, v = _apply(bm.mix_back, weight * phi1 + p, weight * psi1 + q)
-    inc_u, inc_v = _incident_term(scn, t_next, incident)
+    inc_u, inc_v = _incident_term(scn, incident)
     return (*pair0, *_apply(bm.right_inv, u + inc_u, v + inc_v))
 
 
-def _closure_m2(scn: Scenario2, j0, sources, incident):
-    """Model 2's boundary closure for :func:`march`: both boundary systems,
-    then both new pairs appended."""
+def _closure_m2(scn: Scenario2, j0, terms0, incident):
+    """Model 2's boundary closure for :func:`march`: both retarded sums take
+    the same samples, then both boundary systems, then both new pairs."""
     g, bm = scn.grid, BoundaryMatrices(scn.mat)
     pair0_hist, pair1_hist = (DelayBuffer(scn.t0, scn.dt, scn.window, shape=(2,))
                               for _ in range(2))
     left = RetardedSum(scn.t0, scn.dt, (g.x - g.a0) / scn.mat.c1)
     right = RetardedSum(scn.t0, scn.dt, (g.a1 - g.x) / scn.mat.c1)
-    left.push(j0)
-    right.push(j0)
+
+    def rhs(j, terms):
+        return j if terms is None else np.stack((j + terms["phi"], terms["psi"]))
+
+    samples = rhs(j0, terms0)
+    left.push(samples)
+    right.push(samples)
     start = (0.0, 0.0, 0.0, 0.0)
     if scn.mms is not None:
         start = tuple(float(getattr(scn.mms, p).value(a, scn.t0))
@@ -234,11 +236,11 @@ def _closure_m2(scn: Scenario2, j0, sources, incident):
     pair0_hist.append(np.array(start[:2]))
     pair1_hist.append(np.array(start[2:]))
 
-    def close(t_next: float, n: int, j):
-        traces = boundary_update_m2(
-            scn, bm, left.push(j), right.push(j), pair0_hist, pair1_hist,
-            t_next, incident[n], sources,
-        )
+    def close(t_next: float, n: int, j, terms):
+        samples = rhs(j, terms)
+        traces = boundary_update_m2(scn, bm, left.push(samples),
+                                    right.push(samples), pair0_hist,
+                                    pair1_hist, t_next, incident[n])
         pair0_hist.append(np.array(traces[:2]))
         pair1_hist.append(np.array(traces[2:]))
         return traces
@@ -250,9 +252,10 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
     """Advance a model-2 scenario from the start time to ``t_end``.
 
     Per-step ordering mirrors the one-potential solver: interior step with
-    level-n traces, push the new current into both retarded sums, solve both
-    boundary systems at the new time from histories through level n, then
-    append both pairs (see :func:`march.march`).
+    level-n traces, push the new current (plus the residual sources) into
+    both retarded sums, solve both boundary systems at the new time from
+    histories through level n, then append both pairs (see
+    :func:`march.march`).
     """
     return march(scn, snapshot_times, State2, Run2Result, interior_step_m2,
                  _closure_m2)

@@ -249,6 +249,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["run", "mms"])
+def test_model2_step_past_the_transit_is_a_config_error(tmp_path, capsys, mode):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "model": 2,
+        "mode": mode,
+        "grid": {"a0": 0.0, "a1": 3.0, "N": 100},
+        "material": MAT2,
+        "dt_cfl": 200.0,
+        "t_end": 1.0,
+        **({"mms": {"n_ladder": [8, 16]}} if mode == "mms" else {}),
+        "output": {"dir": str(out)},
+    })
+    assert main([mode, cfg]) == 2
+    n = 8 if mode == "mms" else 100
+    assert f"transit time at N = {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_divergent_run_exits_3_and_flushes_partials(tmp_path, capsys, model):
     out = tmp_path / "out"

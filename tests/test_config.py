@@ -153,6 +153,29 @@ def test_mms_ladder_validation():
     assert cfg.n_ladder == (80,)  # defaults to the grid resolution
 
 
+def test_model2_step_longer_than_the_transit_is_rejected():
+    # model 2's trace solves read the opposite pair one level back, so
+    # dt <= transit: at a1 - a0 = 3 that is dt_cfl * dx <= 3
+    base = minimal_run(model=2, grid={"a0": 0.0, "a1": 3.0, "N": 100},
+                       material={"mu1": 2.0, "nu1": 2.0, "mu0": 1.0,
+                                 "nu0": 1.0, "alpha": -1.0, "beta": 0.3,
+                                 "gamma": 8.0})
+    with pytest.raises(ConfigError, match="transit time at N = 100"):
+        resolve_config({**base, "dt_cfl": 200.0})
+    resolve_config({**base, "dt_cfl": 50.0})
+    # mms mode checks every rung it runs, not the grid's N
+    mms = {**base, "mode": "mms"}
+    with pytest.raises(ConfigError, match="transit time at N = 8"):
+        resolve_config({**mms, "dt_cfl": 200.0, "mms": {"n_ladder": [8, 16]}})
+    with pytest.raises(ConfigError, match="transit time at N = 8"):
+        resolve_config({**mms, "dt_cfl": 12.0, "mms": {"n_ladder": [8, 16]}})
+    resolve_config({**mms, "dt_cfl": 12.0, "mms": {"n_ladder": [16, 32]}})
+    resolve_config({**mms, "grid": {"a0": 0.0, "a1": 3.0, "N": 8},
+                    "dt_cfl": 12.0, "mms": {"n_ladder": [16, 32]}})
+    # model 1 has no such rule
+    resolve_config(minimal_run(dt_cfl=200.0))
+
+
 def test_mms_family_overrides_merge_with_demo():
     base = minimal_run(mode="mms")
     cfg = resolve_config({**base, "mms": {"pulse": {"amplitude": 2.5}}})

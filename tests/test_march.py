@@ -148,11 +148,12 @@ def test_manufactured_potentials_must_be_quiet_at_the_start(model):
             scenario(grid=grid, mat=mat, dt=0.01, t_end=2.0, mms=loud)
 
 
-@pytest.mark.parametrize("model, exps_per_step", [(1, 5), (2, 10)])
+@pytest.mark.parametrize("model, exps_per_step", [(1, 3), (2, 4)])
 def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
                                                            exps_per_step):
     """Each level's nodal terms are evaluated once and carried into the next
-    step; the retarded points take one evaluation per step."""
+    step and into the retarded sums: no source is evaluated at retarded
+    points, and the exact right traces are evaluated before the loop."""
     scenario, run, mat = MODELS[model]
     module, name = STEPPERS[model]
     grid = GridSpec(0.0, 3.0, 40)
@@ -160,10 +161,11 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
                    mms=FIELDS[model].demo())
     times = scn.t0 + scn.dt * np.arange(scn.steps + 1)
     exp, src_terms, step = np.exp, scn.residuals.src_terms, getattr(module, name)
-    node_exps, nodal, retarded, steps = [0], [], [], []
+    exps, nodal, retarded, steps = [0, 0], [], [], []  # N-node exps, calls
 
     def counted_exp(z, *args, **kw):
-        node_exps[0] += np.size(z) // grid.n
+        exps[0] += np.size(z) // grid.n
+        exps[1] += 1
         return exp(z, *args, **kw)
 
     def spied_src_terms(self, x, t, order=2):
@@ -171,7 +173,7 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
         return src_terms(self, x, t, order)
 
     def spied_step(state, *args):
-        steps.append((state.n, node_exps[0], args[3:]))
+        steps.append((state.n, tuple(exps), args[3:]))
         return step(state, *args)
 
     monkeypatch.setattr(np, "exp", counted_exp)
@@ -179,10 +181,12 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
     monkeypatch.setattr(module, name, spied_step)
     run(scn)
     monkeypatch.undo()
-    per_step = [b[1] - a[1] for a, b in zip(steps, steps[1:])]
-    assert per_step == [exps_per_step] * (scn.steps - 1)
+    # every exp of a step is an N-node one: no scalar right trace either
+    per_step = [(b[1][0] - a[1][0], b[1][1] - a[1][1])
+                for a, b in zip(steps, steps[1:])]
+    assert per_step == [(exps_per_step, exps_per_step)] * (scn.steps - 1)
     assert nodal == list(times)
-    assert len(retarded) == scn.steps
+    assert retarded == []
     # the terms a step is given are those of a fresh evaluation, bit for bit
     sources = scn.residuals(scn.mms, scn.mat)
     for n, _, levels in steps:

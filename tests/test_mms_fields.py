@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eoscatter.grid import Material1, Material2
+from eoscatter.grid import GridSpec, Material1, Material2
+from eoscatter.history import RetardedSum
 from eoscatter.mms import (
     ArctanGaussianPulse,
     GaussianBump,
@@ -276,3 +277,35 @@ def test_source_bundle_matches_the_field_methods(model, shape):
     terms = src.src_terms(x, t)
     for name, value in want.items():
         assert close_to(terms[name], value, 1e-14), name
+
+
+def test_folded_source_sums_are_third_order_close_to_exact_retarded_sums():
+    # The solver pushes the nodal phi and psi residual sources of each level
+    # into the retarded sums beside the current, so each node's source is
+    # read at its retarded time by the quadratic rule of the current.  Its
+    # gap to the masked sum of src_terms at the retarded times, weighted by
+    # dx/c1 as in the traces, must fall 8x per doubling: third order.
+    src = ResidualSources2(ManufacturedFields2.demo(), MAT2)
+    c1 = MAT2.c1
+    gaps = []
+    for n in (100, 200, 400, 800):
+        g = GridSpec(0.0, 3.0, n)
+        dt = 0.4 * g.dx / c1
+        t = dt * np.arange(int(np.ceil(2.0 / dt - 1e-9)) + 1)
+        sets = ((g.x - g.a0) / c1, (g.a1 - g.x) / c1)
+        readers = [RetardedSum(0.0, dt, delays) for delays in sets]
+        folded = np.array([
+            [reader.push(rows) for reader in readers]
+            for rows in (np.stack([terms["phi"], terms["psi"]])
+                         for terms in (src.src_terms(g.x, tk) for tk in t))])
+        gap = 0.0
+        for block in np.array_split(np.arange(t.size), t.size // 256 + 1):
+            for side, delays in enumerate(sets):
+                at = t[block, None] - delays
+                exact = src.src_terms(g.x, at, 1)
+                for k, p in enumerate(("phi", "psi")):
+                    want = np.sum(np.where(at > 0.0, exact[p], 0.0), axis=1)
+                    gap = max(gap, np.max(np.abs(folded[block, side, k] - want)))
+        gaps.append(g.dx / c1 * gap)
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert all(7.0 < r < 9.0 for r in ratios), (gaps, ratios)

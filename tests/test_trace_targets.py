@@ -3,27 +3,11 @@
 there as a missing layer, so check here that every one still resolves,
 through the benchmark's own lookup."""
 
-import importlib
 import inspect
-import sys
-from pathlib import Path
-
-import pytest
-
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def bench():
-    sys.path.insert(0, str(BENCH))
-    try:
-        yield importlib.import_module("layers"), importlib.import_module("tracer")
-    finally:
-        sys.path.remove(str(BENCH))
-
-
-def test_every_traced_target_resolves(bench):
-    layers, tracer = bench
+def test_every_traced_target_resolves(bench_module):
+    layers, tracer = bench_module("layers"), bench_module("tracer")
     missing, unwrappable = [], []
     for target, _, _ in layers.SPANS:
         found = tracer.resolve(target)
