@@ -129,7 +129,7 @@ def _mms_mode(cfg: RunConfig, out: Path) -> int:
     for n in cfg.n_ladder:
         g = GridSpec(a0=cfg.grid.a0, a1=cfg.grid.a1, n=n,
                      epsilon=cfg.grid.epsilon)
-        dt = cfg.dt_cfl * g.dx / cfg.mat.c1
+        dt = cfg.step(g)
         try:
             reports.append(mms_run(cfg.model, cfg.mms, g, cfg.mat, dt,
                                    cfg.t_end))

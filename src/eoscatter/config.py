@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .grid import GridSpec, Material1, Material2
 from .mms import ArctanGaussianPulse, GaussianBump, ManufacturedFields1, ManufacturedFields2
+from .model2 import check_step
 from .sources import GaussianSource, TabulatedSource
 from .stability import DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR, DEFAULT_SCAN_POINTS
 
@@ -96,9 +97,13 @@ class RunConfig:
     out_dir: str
     resolved: dict = field(repr=False, default_factory=dict)
 
+    def step(self, grid: GridSpec) -> float:
+        """The time step ``dt_cfl * dx / c1`` on ``grid``."""
+        return self.dt_cfl * grid.dx / self.mat.c1
+
     @property
     def dt(self) -> float:
-        return self.dt_cfl * self.grid.dx / self.mat.c1
+        return self.step(self.grid)
 
     def provenance(self) -> dict:
         """Resolved config minus anything that cannot affect the numbers
@@ -369,17 +374,6 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
     elif "stability" in data and data["stability"] is not None:
         raise ConfigError("'stability' in config is only meaningful in stability mode")
 
-    if model == 2 and mode != "stability":
-        # Scenario2's rule dt <= transit, on every grid the mode runs
-        transit = (grid.a1 - grid.a0) / mat.c1
-        for n in ladder if mode == "mms" else (grid.n,):
-            g = GridSpec(a0=grid.a0, a1=grid.a1, n=n, epsilon=grid.epsilon)
-            if dt_cfl * g.dx / mat.c1 > transit:
-                raise ConfigError(
-                    "'dt_cfl' in config makes the time step exceed the "
-                    f"boundary transit time at N = {n} (model 2 needs "
-                    "dt <= transit)")
-
     out_dir, snapshots = _parse_output(data.get("output"))
     if grid is not None and t_end is not None:
         for t in snapshots:
@@ -408,11 +402,21 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
         },
         "output": {"dir": out_dir, "snapshots": list(snapshots)},
     }
-    return RunConfig(model=model, mode=mode, grid=grid, mat=mat,
-                     dt_cfl=dt_cfl, t_end=t_end, source=source, mms=exact,
-                     n_ladder=ladder, stability=stability,
-                     snapshot_times=snapshots, out_dir=out_dir,
-                     resolved=resolved)
+    cfg = RunConfig(model=model, mode=mode, grid=grid, mat=mat,
+                    dt_cfl=dt_cfl, t_end=t_end, source=source, mms=exact,
+                    n_ladder=ladder, stability=stability,
+                    snapshot_times=snapshots, out_dir=out_dir,
+                    resolved=resolved)
+    if model == 2 and mode != "stability":
+        # on every grid the mode marches
+        for n in ladder if mode == "mms" else (grid.n,):
+            g = replace(grid, n=n)
+            try:
+                check_step(cfg.step(g), g, mat)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"'dt_cfl' in config, at N = {n}: {exc}") from None
+    return cfg
 
 
 def _missing(key):

@@ -172,7 +172,7 @@ class RetardedSum:
     reads the bracket ``L - lam - 1, L - lam, L - lam + 1`` with fixed
     weights.  So each sample is scattered, on arrival, into the pending sums
     of the few levels that will read it: the storage is ``max(lam) + 2``
-    numbers per series, not a history of nodal samples.
+    numbers, not a history of nodal samples.
     """
 
     def __init__(self, t0: float, dt: float, delays) -> None:
@@ -207,43 +207,19 @@ class RetardedSum:
              np.vstack([weights[:k + 1], first[k]]))
             for k in range(3)
         ] + [(offsets.ravel(), weights)]
-        self._size = int(lam.max()) + 2
-        self._shape, self._rows = d.shape, 1
-        self._pending = np.zeros(self._size)  # level-major: a level's k sums
+        self._pending = np.zeros(int(lam.max()) + 2)
         self._levels = 0
 
-    def _restack(self, j) -> bool:
-        """Before the first push, make this a reader of the k series of the
-        ``(k, N)`` stack ``j``; False if ``j`` is not such a stack."""
-        if self._levels or j.ndim != 2 or not len(j) or j.shape[1:] != self._shape:
-            return False
-        k = self._rows = len(j)
-        self._shape = j.shape
-        self._pending = np.zeros(k * self._size)
-        # row r of level L sums into slot k*L + r, in the order of a reader
-        # of that row alone
-        rows = np.arange(k)[:, None]
-        self._plans = [((k * idx + rows).ravel(), w) for idx, w in self._plans]
-        return True
-
-    def push(self, j):
-        """Take the next level's samples; return that level's sum.
-
-        ``j`` is one nodal vector, or a ``(k, N)`` stack of k series read at
-        the same delays; a stack gives the list of its k sums, made with one
-        ``np.bincount`` over the shared plan.  Every push of a reader has the
-        shape of its first.
-        """
+    def push(self, j) -> float:
+        """Take the next level's samples; return that level's sum."""
         j = np.asarray(j, dtype=float)
-        if j.shape != self._shape and not self._restack(j):
-            raise ValueError(f"sample shape {j.shape} != {self._shape}")
-        k, pending = self._rows, self._pending
         idx, w = self._plans[min(self._levels, 3)]
-        stacked = j.ndim == 2
-        samples = w * (j[:, None] if stacked else j)  # (k, 3 or 4, N) if stacked
-        pending += np.bincount(idx, samples.ravel(), pending.size)
-        out = pending[:k].tolist() if stacked else float(pending[0])
-        pending[:-k] = pending[k:]
-        pending[-k:] = 0.0
+        if j.shape != w.shape[1:]:
+            raise ValueError(f"sample shape {j.shape} != {w.shape[1:]}")
+        pending = self._pending
+        pending += np.bincount(idx, (w * j).ravel(), pending.size)
+        out = float(pending[0])
+        pending[:-1] = pending[1:]
+        pending[-1] = 0.0
         self._levels += 1
         return out

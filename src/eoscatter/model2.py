@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Material2, SpatialOps
+from .grid import GridSpec, Material2, SpatialOps
 from .history import DelayBuffer, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
@@ -29,6 +29,7 @@ __all__ = [
     "Scenario2",
     "State2",
     "boundary_update_m2",
+    "check_step",
     "interior_step_m2",
     "run_m2",
 ]
@@ -80,6 +81,16 @@ class BoundaryMatrices:
         return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
+def check_step(dt: float, grid: GridSpec, mat: Material2) -> None:
+    """Model 2's rule on the time step: ``dt`` may not exceed the boundary
+    transit time ``(a1 - a0)/c1`` (ValueError otherwise)."""
+    if dt > grid.length / mat.c1:
+        raise ValueError(
+            "time step exceeds the boundary transit time; the coupled "
+            "trace solves need the opposite pair one level back"
+        )
+
+
 class Scenario2(Scenario):
     """A complete model-2 run description (see :class:`march.Scenario`)."""
 
@@ -89,11 +100,7 @@ class Scenario2(Scenario):
     residuals = ResidualSources2
 
     def _check_step(self) -> None:
-        if self.dt > self.transit:
-            raise ValueError(
-                "time step exceeds the boundary transit time; the coupled "
-                "trace solves need the opposite pair one level back"
-            )
+        check_step(self.dt, self.grid, self.mat)
 
     def incident(self, t):
         """The incident pair at ``t`` (in verification mode the exact pair
@@ -182,28 +189,29 @@ def _apply(mat: np.ndarray, u: float, v: float) -> tuple[float, float]:
 def boundary_update_m2(
     scn: Scenario2,
     bm: BoundaryMatrices,
-    left,
-    right,
+    left: float,
+    right: float,
     pair0_hist: DelayBuffer,
     pair1_hist: DelayBuffer,
     t_next: float,
     incident,
+    psi_sums=(0.0, 0.0),
 ):
     """Solve both boundary systems at ``t_next``.
 
     ``left`` and ``right`` are the retarded sums over the leftward delays
     ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
-    :class:`RetardedSum` gives them: the current's sum alone, or in
-    verification mode the pair of sums of the potential equations'
-    right-hand sides (the current plus the ``phi`` residual source, and the
-    ``psi`` residual source).  ``incident`` is the value of
+    :class:`RetardedSum` gives them, of the ``phi`` equation's right-hand
+    side: the current, plus in verification mode the ``phi`` residual
+    source.  ``psi_sums`` are the same two sums of the ``psi`` residual
+    source (zero outside verification mode).  ``incident`` is the value of
     :meth:`Scenario2.incident` at ``t_next`` (not read in a null run).  The
     trace-pair histories reach level n (both new pairs are appended by the
     caller afterwards).  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
     """
     weight = scn.grid.dx / scn.mat.c1
-    phi0, psi0 = (left, 0.0) if isinstance(left, float) else left
-    phi1, psi1 = (right, 0.0) if isinstance(right, float) else right
+    phi0, phi1 = left, right
+    psi0, psi1 = psi_sums
     delay = t_next - scn.transit
     p, q = pair1_hist.query(delay).tolist()
     pair0 = _apply(bm.left_inv, *_apply(bm.mix_out, weight * phi0 + p,
@@ -215,20 +223,26 @@ def boundary_update_m2(
 
 
 def _closure_m2(scn: Scenario2, j0, terms0, incident):
-    """Model 2's boundary closure for :func:`march`: both retarded sums take
-    the same samples, then both boundary systems, then both new pairs."""
+    """Model 2's boundary closure for :func:`march`: the retarded sums of
+    both directions, then both boundary systems, then both new pairs."""
     g, bm = scn.grid, BoundaryMatrices(scn.mat)
     pair0_hist, pair1_hist = (DelayBuffer(scn.t0, scn.dt, scn.window, shape=(2,))
                               for _ in range(2))
-    left = RetardedSum(scn.t0, scn.dt, (g.x - g.a0) / scn.mat.c1)
-    right = RetardedSum(scn.t0, scn.dt, (g.a1 - g.x) / scn.mat.c1)
+    delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
+    phi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
+    # the psi equation has a right-hand side, pushed here, in verification
+    # mode only
+    psi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
 
-    def rhs(j, terms):
-        return j if terms is None else np.stack((j + terms["phi"], terms["psi"]))
+    def push(j, terms):
+        """Both directions' phi sums, and their psi sums."""
+        if terms is None:
+            return [s.push(j) for s in phi_sums], (0.0, 0.0)
+        rhs = j + terms["phi"]
+        return ([s.push(rhs) for s in phi_sums],
+                [s.push(terms["psi"]) for s in psi_sums])
 
-    samples = rhs(j0, terms0)
-    left.push(samples)
-    right.push(samples)
+    push(j0, terms0)
     start = (0.0, 0.0, 0.0, 0.0)
     if scn.mms is not None:
         start = tuple(float(getattr(scn.mms, p).value(a, scn.t0))
@@ -237,10 +251,9 @@ def _closure_m2(scn: Scenario2, j0, terms0, incident):
     pair1_hist.append(np.array(start[2:]))
 
     def close(t_next: float, n: int, j, terms):
-        samples = rhs(j, terms)
-        traces = boundary_update_m2(scn, bm, left.push(samples),
-                                    right.push(samples), pair0_hist,
-                                    pair1_hist, t_next, incident[n])
+        (left, right), psi = push(j, terms)
+        traces = boundary_update_m2(scn, bm, left, right, pair0_hist,
+                                    pair1_hist, t_next, incident[n], psi)
         pair0_hist.append(np.array(traces[:2]))
         pair1_hist.append(np.array(traces[2:]))
         return traces
@@ -253,7 +266,7 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
 
     Per-step ordering mirrors the one-potential solver: interior step with
     level-n traces, push the new current (plus the residual sources) into
-    both retarded sums, solve both boundary systems at the new time from
+    the retarded sums, solve both boundary systems at the new time from
     histories through level n, then append both pairs (see
     :func:`march.march`).
     """

@@ -264,7 +264,7 @@ def test_model2_step_past_the_transit_is_a_config_error(tmp_path, capsys, mode):
     })
     assert main([mode, cfg]) == 2
     n = 8 if mode == "mms" else 100
-    assert f"transit time at N = {n}" in capsys.readouterr().err
+    assert f"at N = {n}: time step exceeds the boundary transit" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -160,14 +160,14 @@ def test_model2_step_longer_than_the_transit_is_rejected():
                        material={"mu1": 2.0, "nu1": 2.0, "mu0": 1.0,
                                  "nu0": 1.0, "alpha": -1.0, "beta": 0.3,
                                  "gamma": 8.0})
-    with pytest.raises(ConfigError, match="transit time at N = 100"):
+    with pytest.raises(ConfigError, match="at N = 100: time step exceeds the boundary transit"):
         resolve_config({**base, "dt_cfl": 200.0})
     resolve_config({**base, "dt_cfl": 50.0})
     # mms mode checks every rung it runs, not the grid's N
     mms = {**base, "mode": "mms"}
-    with pytest.raises(ConfigError, match="transit time at N = 8"):
+    with pytest.raises(ConfigError, match="at N = 8: time step exceeds the boundary transit"):
         resolve_config({**mms, "dt_cfl": 200.0, "mms": {"n_ladder": [8, 16]}})
-    with pytest.raises(ConfigError, match="transit time at N = 8"):
+    with pytest.raises(ConfigError, match="at N = 8: time step exceeds the boundary transit"):
         resolve_config({**mms, "dt_cfl": 12.0, "mms": {"n_ladder": [8, 16]}})
     resolve_config({**mms, "dt_cfl": 12.0, "mms": {"n_ladder": [16, 32]}})
     resolve_config({**mms, "grid": {"a0": 0.0, "a1": 3.0, "N": 8},

@@ -153,36 +153,20 @@ def test_fixed_lag_sum_matches_query_each_every_step(epsilon, dt_cfl, direction)
 @pytest.mark.parametrize("direction", ["left", "right"])
 @pytest.mark.parametrize("dt_cfl", [0.4, 0.9])
 @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
-def test_stacked_push_equals_separate_readers(epsilon, dt_cfl, direction):
-    # a (k, N) stack gives, bit for bit, the sums of k readers fed one row
-    # each: the solver pushes (current + phi source, psi source) this way
+def test_folded_push_is_the_sum_of_separate_readers(epsilon, dt_cfl, direction):
+    # in verification mode the solver pushes current + residual source into
+    # one reader; that is the sum of a reader of each, to rounding
     g = GridSpec(0.0, 3.0, 24, epsilon=epsilon)
     c1 = 2.0
     dt = dt_cfl * g.dx / c1
     delays = (g.x - g.a0) / c1 if direction == "left" else (g.a1 - g.x) / c1
     rng = np.random.default_rng(11)
-    for k in (1, 2):
-        stacked = RetardedSum(0.0, dt, delays)
-        alone = [RetardedSum(0.0, dt, delays) for _ in range(k)]
-        for n in range(int(1.5 * g.length / c1 / dt) + 4):
-            rows = rng.normal(size=(k, g.n))
-            got = stacked.push(rows)
-            assert type(got) is list and len(got) == k
-            assert got == [reader.push(row) for reader, row in zip(alone, rows)]
-    single = RetardedSum(0.0, dt, delays)
-    assert all(type(single.push(rng.normal(size=g.n))) is float
-               for _ in range(5))
-
-
-def test_stacked_push_keeps_its_shape():
-    reader = RetardedSum(0.0, 0.1, np.array([0.05, 0.15, 0.3]))
-    reader.push(np.ones((2, 3)))
-    for bad in (np.ones(3), np.ones((3, 3)), np.ones((2, 4))):
-        with pytest.raises(ValueError, match="shape"):
-            reader.push(bad)
-    for bad in (np.ones((0, 3)), np.ones((1, 2, 3)), np.float64(1.0)):
-        with pytest.raises(ValueError, match="shape"):
-            RetardedSum(0.0, 0.1, np.ones(3)).push(bad)
+    folded, current, source = (RetardedSum(0.0, dt, delays) for _ in range(3))
+    for n in range(int(1.5 * g.length / c1 / dt) + 4):
+        j, s = rng.normal(size=(2, g.n))
+        got = folded.push(j + s)
+        assert type(got) is float
+        assert abs(got - (current.push(j) + source.push(s))) <= 1e-12 * g.n, n
 
 
 @given(

@@ -293,11 +293,12 @@ def test_folded_source_sums_are_third_order_close_to_exact_retarded_sums():
         dt = 0.4 * g.dx / c1
         t = dt * np.arange(int(np.ceil(2.0 / dt - 1e-9)) + 1)
         sets = ((g.x - g.a0) / c1, (g.a1 - g.x) / c1)
-        readers = [RetardedSum(0.0, dt, delays) for delays in sets]
+        readers = [[RetardedSum(0.0, dt, delays) for _ in range(2)]
+                   for delays in sets]
         folded = np.array([
-            [reader.push(rows) for reader in readers]
-            for rows in (np.stack([terms["phi"], terms["psi"]])
-                         for terms in (src.src_terms(g.x, tk) for tk in t))])
+            [[reader.push(terms[p]) for reader, p in zip(pair, ("phi", "psi"))]
+             for pair in readers]
+            for terms in (src.src_terms(g.x, tk) for tk in t)])
         gap = 0.0
         for block in np.array_split(np.arange(t.size), t.size // 256 + 1):
             for side, delays in enumerate(sets):
