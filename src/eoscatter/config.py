@@ -191,7 +191,10 @@ def _parse_pulse(block, where, defaults: ArctanGaussianPulse) -> ArctanGaussianP
     _reject_unknown(block, _PULSE_KEYS, where)
     vals = {k: _number(block, k, where, default=getattr(defaults, k))
             for k in _PULSE_KEYS}
-    return ArctanGaussianPulse(**vals)
+    try:
+        return ArctanGaussianPulse(**vals)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_bump(block, where, defaults: GaussianBump) -> GaussianBump:
@@ -333,6 +336,9 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
 
     grid = None
     if mode == "stability":
+        # A stability run's provenance records no grid or t_end as null.
+        data = {k: v for k, v in data.items()
+                if not (k in ("grid", "t_end") and v is None)}
         if "grid" in data:
             grid = _parse_grid(data["grid"])
     else:

@@ -127,7 +127,7 @@ def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
     """Advance the interior fields one step using level-n boundary traces.
 
     ``potential_half(state, scn, ops, terms, dj, f)`` returns the new
-    potentials, given the residual terms at level n (``sources.src_terms``,
+    potentials, given the residual terms at level n (``sources.at(x)(t)``,
     or None), the level-n current divergence and the response forcing
     ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes a Taylor
     step and the current a Heun corrector, which reads the current's term at
@@ -146,7 +146,8 @@ def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
     f = (m.alpha - m.beta * rho) * state.phi - m.gamma * j
     df = ops.d1_confined(f)
     if terms is None and sources is not None:
-        terms, terms_next = sources.src_terms(x, t), sources.src_terms(x, t + dt)
+        terms_at = sources.at(x)
+        terms, terms_next = terms_at(t), terms_at(t + dt)
     potentials = potential_half(state, scn, ops, terms, dj, f)
 
     rho_rate = -dj
@@ -183,19 +184,23 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     """Advance ``scn`` from its start time to ``t_end``.
 
     ``closure(scn, j0, terms, incident)`` runs once, given the start current,
-    the start level's nodal residual terms (``sources.src_terms``, or None)
+    the start level's nodal residual terms (``sources.at(g.x)(t0)``, or None)
     and the right-boundary series per level (:meth:`Scenario.incident`);
     it returns the start traces and ``close(t_next, n, j, terms)``, the
     traces at level n given the current and the terms there.  Each step runs
     ``step(state, scn, ops, sources, terms, terms_next)`` with the terms at
-    both of its levels, then calls ``close``; each level's terms are
-    evaluated once, at the nodes, and carried to the next step.  A
+    both of its levels, then calls ``close``; the nodal evaluator
+    ``sources.at(g.x)`` is built once per run, and each level's terms are
+    evaluated once with it and carried to the next step.  A
     non-finite field raises :class:`DivergenceError`.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = _snapshot_levels(scn, snapshot_times)
     ops = SpatialOps(g)
-    sources = scn.residuals(scn.mms, scn.mat) if scn.mms is not None else None
+    sources = terms_at = None
+    if scn.mms is not None:
+        sources = scn.residuals(scn.mms, scn.mat)
+        terms_at = sources.at(g.x)
     times = t0 + dt * np.arange(steps + 1)
     incident = [None] * (steps + 1)
     if scn.source is not None or scn.mms is not None:
@@ -206,7 +211,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                   for name in scn.field_names]
     else:
         fields = [np.zeros(g.n) for _ in scn.field_names]
-    terms = sources.src_terms(g.x, t0) if sources is not None else None
+    terms = terms_at(t0) if terms_at is not None else None
     traces, close = closure(scn, fields[-1], terms, incident)
     state = state_cls(*fields, *traces, 0, t0)
     series = np.zeros((len(traces), steps + 1))
@@ -215,7 +220,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
 
     for n in range(1, steps + 1):
         t_next = t0 + n * dt
-        terms_next = sources.src_terms(g.x, t_next) if sources is not None else None
+        terms_next = terms_at(t_next) if terms_at is not None else None
         fields = step(state, scn, ops, sources, terms, terms_next)
         # One reduction over all fields: cheaper than one per field.
         if not np.isfinite(np.concatenate(fields)).all():

@@ -37,15 +37,31 @@ def _view(method: str, key, *args):
     return view
 
 
+def _check_params(obj, positive) -> None:
+    """ValueError unless every field of ``obj`` is finite and those named in
+    ``positive`` are > 0."""
+    for name, v in vars(obj).items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
+    for name in positive:
+        if not getattr(obj, name) > 0.0:
+            raise ValueError(f"{name} must be positive")
+
+
 class Field:
-    """Base of the field families: a family supplies :meth:`jet`, which
-    builds the value and the derivatives at a point set together, and the
-    six one-derivative methods are views of it."""
+    """Base of the field families: a family supplies :meth:`at`, which
+    computes the factors that depend on ``x`` alone once; :meth:`jet` and
+    the six one-derivative methods are views of it."""
+
+    def at(self, x):
+        """``jet_at(t, order=2)``: the jet ``(value, dx, dt, dxx, dxt, dtt)``
+        at ``(x, t)`` for the fixed points ``x``, cut after the entries of
+        ``order`` (0: the value; 1: up to ``dt``; 2: all six)."""
+        raise NotImplementedError
 
     def jet(self, x, t, order: int = 2) -> tuple:
-        """``(value, dx, dt, dxx, dxt, dtt)`` at ``(x, t)``, cut after the
-        entries of ``order`` (0: the value; 1: up to ``dt``; 2: all six)."""
-        raise NotImplementedError
+        """The jet at ``(x, t)``: ``self.at(x)(t, order)``."""
+        return self.at(x)(t, order)
 
     value = _view("jet", VALUE, 0)
     dx = _view("jet", DX, 1)
@@ -58,9 +74,12 @@ class Field:
 class ZeroField(Field):
     """The identically-zero field; every derivative vanishes too."""
 
-    def jet(self, x, t, order: int = 2) -> tuple:
-        shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
-        return tuple(np.zeros(shape) for _ in range((1, 3, 6)[order]))
+    def at(self, x):
+        def jet_at(t, order: int = 2) -> tuple:
+            shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
+            return tuple(np.zeros(shape) for _ in range((1, 3, 6)[order]))
+
+        return jet_at
 
 
 @dataclass(frozen=True)
@@ -71,7 +90,8 @@ class ArctanGaussianPulse(Field):
               * exp(-rate*(x - center + drift*(t - t_shift))**2)``
 
     The arctan ramp vanishes at t = 0 together with its first time
-    derivative, so the field starts from quiet initial data.
+    derivative, so the field starts from quiet initial data.  Every
+    parameter must be finite and ``rate`` positive.
     """
 
     amplitude: float
@@ -81,39 +101,51 @@ class ArctanGaussianPulse(Field):
     center: float
     t_shift: float
 
-    def jet(self, x, t, order: int = 2) -> tuple:
-        """See :meth:`Field.jet`; one ``exp``, one ``arctan`` and one ``t*t``."""
+    def __post_init__(self) -> None:
+        _check_params(self, ("rate",))
+
+    def at(self, x):
+        """See :meth:`Field.at`; keeps ``x - center``, and each call makes
+        one ``exp``, one ``arctan`` and one ``t*t``."""
+        xc = x - self.center
         scale = 2.0 * self.amplitude / math.pi
-        bt = self.ramp_rate * t
-        s = bt * bt
-        ramp = scale * np.arctan(s)
-        u = x - self.center + self.drift * (t - self.t_shift)
-        env = np.exp(-self.rate * (u * u))
-        value = ramp * env
-        if order == 0:
-            return (value,)
-        # The envelope moves with u_t = drift * u_x, so d/dt acts on it as
-        # drift * d/dx; what is left of d/dt hits the ramp.
-        b2 = self.ramp_rate**2
-        den = 1.0 + s * s
-        ramp_t = scale * 2.0 * b2 * t / den
-        p = -2.0 * self.rate * u
-        dx = p * value
-        w = ramp_t * env
-        dt = w + self.drift * dx
-        if order == 1:
-            return value, dx, dt
-        ramp_tt = scale * 2.0 * b2 * (1.0 - 3.0 * s * s) / (den * den)
-        dxx = (p * p - 2.0 * self.rate) * value
-        wx = p * w
-        dxt = wx + self.drift * dxx
-        dtt = ramp_tt * env + self.drift * (wx + dxt)
-        return value, dx, dt, dxx, dxt, dtt
+
+        def jet_at(t, order: int = 2) -> tuple:
+            bt = self.ramp_rate * t
+            s = bt * bt
+            ramp = scale * np.arctan(s)
+            u = xc + self.drift * (t - self.t_shift)
+            env = np.exp(-self.rate * (u * u))
+            value = ramp * env
+            if order == 0:
+                return (value,)
+            # The envelope moves with u_t = drift * u_x, so d/dt acts on it
+            # as drift * d/dx; what is left of d/dt hits the ramp.
+            b2 = self.ramp_rate**2
+            den = 1.0 + s * s
+            ramp_t = scale * 2.0 * b2 * t / den
+            p = -2.0 * self.rate * u
+            dx = p * value
+            w = ramp_t * env
+            dt = w + self.drift * dx
+            if order == 1:
+                return value, dx, dt
+            ramp_tt = scale * 2.0 * b2 * (1.0 - 3.0 * s * s) / (den * den)
+            dxx = (p * p - 2.0 * self.rate) * value
+            wx = p * w
+            dxt = wx + self.drift * dxx
+            dtt = ramp_tt * env + self.drift * (wx + dxt)
+            return value, dx, dt, dxx, dxt, dtt
+
+        return jet_at
 
 
 @dataclass(frozen=True)
 class GaussianBump(Field):
-    """Separable bump ``amp * exp(-((x-x_center)/x_width)**2 - ((t-t_center)/t_width)**2)``."""
+    """Separable bump ``amp * exp(-((x-x_center)/x_width)**2 - ((t-t_center)/t_width)**2)``.
+
+    Every parameter must be finite and both widths positive.
+    """
 
     amplitude: float
     x_center: float
@@ -121,20 +153,34 @@ class GaussianBump(Field):
     t_center: float
     t_width: float
 
-    def jet(self, x, t, order: int = 2) -> tuple:
-        """See :meth:`Field.jet`; one ``exp``."""
-        sx, st = x - self.x_center, t - self.t_center
-        v = self.amplitude * np.exp(-((sx / self.x_width) ** 2)
-                                    - (st / self.t_width) ** 2)
-        if order == 0:
-            return (v,)
+    def __post_init__(self) -> None:
+        _check_params(self, ("x_width", "t_width"))
+
+    def at(self, x):
+        """See :meth:`Field.at`; keeps the x factor ``X``, ``P*X`` and
+        ``(P*P - 2/x_width**2)*X`` (``P`` its log-derivative), so each call
+        makes one ``exp`` of ``t`` and six products with them."""
+        sx = x - self.x_center
+        x_fac = self.amplitude * np.exp(-((sx / self.x_width) ** 2))
         p = -2.0 * sx / self.x_width**2
-        q = -2.0 * st / self.t_width**2
-        dx, dt = p * v, q * v
-        if order == 1:
-            return v, dx, dt
-        return (v, dx, dt, (p * p - 2.0 / self.x_width**2) * v, p * dt,
-                (q * q - 2.0 / self.t_width**2) * v)
+        x_dx = p * x_fac
+        x_dxx = (p * p - 2.0 / self.x_width**2) * x_fac
+
+        def jet_at(t, order: int = 2) -> tuple:
+            st = t - self.t_center
+            t_fac = np.exp(-((st / self.t_width) ** 2))
+            v = t_fac * x_fac
+            if order == 0:
+                return (v,)
+            q = -2.0 * st / self.t_width**2
+            t_dt = q * t_fac
+            dx, dt = t_fac * x_dx, t_dt * x_fac
+            if order == 1:
+                return v, dx, dt
+            t_dtt = (q * q - 2.0 / self.t_width**2) * t_fac
+            return v, dx, dt, t_fac * x_dxx, t_dt * x_dx, t_dtt * x_fac
+
+        return jet_at
 
 
 @dataclass(frozen=True)
@@ -184,8 +230,8 @@ class ResidualSources1:
     ``src_phi`` / ``src_rho`` / ``src_j`` are the extra terms in the
     potential, density and current equations; the ``_dx`` / ``_dt``
     companions are the analytic derivatives the second-order time step
-    consumes.  :meth:`src_terms` builds them from one jet per field, and
-    the single-term methods are views of it.
+    consumes.  :meth:`at` builds them from one jet per field, and
+    :meth:`src_terms` and the single-term methods are views of it.
     """
 
     fields: ManufacturedFields1
@@ -193,28 +239,40 @@ class ResidualSources1:
 
     potentials = ("phi",)
 
-    def src_terms(self, x, t, order: int = 2) -> dict:
-        """Residual terms at ``(x, t)`` by name (``phi``, ``phi_dx``, ...).
+    def at(self, x):
+        """``terms_at(t, order=2)``: the residual terms at ``(x, t)`` by name
+        (``phi``, ``phi_dx``, ...) for the fixed points ``x``, whose x-only
+        factors each field computes once (:meth:`Field.at`).
 
         Order 2 gives every term, order 1 only the potential equations'
         terms (``phi``, and ``psi`` in model 2) from first-order jets of the
         potentials and the current's value (``src_phi``, ``src_psi``).
         """
         f, m = self.fields, self.mat
-        names = self.potentials + (("rho",) if order == 2 else ())
-        jets = {name: getattr(f, name).jet(x, t, order) for name in names}
-        jets["j"] = f.j.jet(x, t, order if order == 2 else 0)
-        terms = self._potential_terms(jets, order)
-        if order == 1:
+        fields = {name: getattr(f, name).at(x)
+                  for name in self.potentials + ("rho", "j")}
+
+        def terms_at(t, order: int = 2) -> dict:
+            names = self.potentials + (("rho",) if order == 2 else ())
+            jets = {name: fields[name](t, order) for name in names}
+            jets["j"] = fields["j"](t, order if order == 2 else 0)
+            terms = self._potential_terms(jets, order)
+            if order == 1:
+                return terms
+            phi, rho, j = jets["phi"], jets["rho"], jets["j"]
+            resp = m.alpha - m.beta * rho[VALUE]
+            terms["rho"] = rho[DT] + j[DX]
+            terms["rho_dt"] = rho[DTT] + j[DXT]
+            terms["j"] = j[DT] - resp * phi[VALUE] + m.gamma * j[VALUE]
+            terms["j_dx"] = (j[DXT] - resp * phi[DX]
+                             + m.beta * rho[DX] * phi[VALUE] + m.gamma * j[DX])
             return terms
-        phi, rho, j = jets["phi"], jets["rho"], jets["j"]
-        terms["rho"] = rho[DT] + j[DX]
-        terms["rho_dt"] = rho[DTT] + j[DXT]
-        terms["j"] = (j[DT] - (m.alpha - m.beta * rho[VALUE]) * phi[VALUE]
-                      + m.gamma * j[VALUE])
-        terms["j_dx"] = (j[DXT] - (m.alpha - m.beta * rho[VALUE]) * phi[DX]
-                         + m.beta * rho[DX] * phi[VALUE] + m.gamma * j[DX])
-        return terms
+
+        return terms_at
+
+    def src_terms(self, x, t, order: int = 2) -> dict:
+        """The residual terms at ``(x, t)``: ``self.at(x)(t, order)``."""
+        return self.at(x)(t, order)
 
     def _potential_terms(self, jets: dict, order: int) -> dict:
         phi, j, c1 = jets["phi"], jets["j"], self.mat.c1
@@ -265,7 +323,8 @@ class ErrorReport:
 
     ``linf`` / ``l2`` are per-field norms over the internal nodes at the
     final step (the discrete L2 carries a sqrt(dx) weight); ``trace_linf``
-    holds the worst boundary-trace deviation over the whole run.
+    holds the worst boundary-trace deviation over the whole run, and
+    ``linf_x`` the position of each field's worst node.
     """
 
     model: int
@@ -276,6 +335,7 @@ class ErrorReport:
     linf: dict
     l2: dict
     trace_linf: dict
+    linf_x: dict
 
 
 def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorReport:
@@ -297,18 +357,21 @@ def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorRepor
     runtime = time.perf_counter() - tic
 
     t_final = res.final.t
-    linf, l2 = {}, {}
+    linf, l2, linf_x = {}, {}, {}
     for name in scn.field_names:
         err = np.abs(getattr(res.final, name)
                      - getattr(exact, name).value(grid.x, t_final))
-        linf[name] = float(np.max(err))
+        worst = int(np.argmax(err))
+        linf[name] = float(err[worst])
+        linf_x[name] = float(grid.x[worst])
         l2[name] = float(math.sqrt(grid.dx * float(np.sum(err**2))))
     trace_linf = {}
     for side, a in (("a0", grid.a0), ("a1", grid.a1)):
         for p in scn.potentials:
             err = getattr(res, f"{p}_{side}") - getattr(exact, p).value(a, res.times)
             trace_linf[f"{p}_{side}"] = float(np.max(np.abs(err)))
-    return ErrorReport(model, grid.n, dt, t_final, runtime, linf, l2, trace_linf)
+    return ErrorReport(model, grid.n, dt, t_final, runtime, linf, l2, trace_linf,
+                       linf_x)
 
 
 def convergence_order(reports) -> dict:

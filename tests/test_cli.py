@@ -249,6 +249,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == 2
 
 
+@pytest.mark.parametrize("block, key, value", [("current", "x_width", 0),
+                                               ("pulse", "rate", -1)])
+def test_degenerate_manufactured_fields_exit_2(tmp_path, capsys, block, key, value):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "model": 1, "mode": "mms", "grid": {"a0": 0.0, "a1": 3.0, "N": 40},
+        "material": MAT1, "t_end": 0.5, "mms": {block: {key: value}},
+        "output": {"dir": str(out)},
+    })
+    assert main(["mms", cfg]) == 2
+    assert f"mms.{block}: {key} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["run", "mms"])
 def test_model2_step_past_the_transit_is_a_config_error(tmp_path, capsys, mode):
     out = tmp_path / "out"

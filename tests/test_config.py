@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoscatter.config import (
+    MODES,
     ConfigError,
     PRESETS,
     load_preset,
@@ -253,3 +256,91 @@ def test_parse_config_reads_json_files(tmp_path):
         parse_config(bad)
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("current", "x_width", 0), ("current", "t_width", -0.5),
+    ("charge", "x_width", -1), ("charge", "t_width", 0),
+    ("pulse", "rate", -1), ("pulse", "rate", 0), ("pulse_psi", "rate", -2),
+])
+def test_degenerate_manufactured_fields_are_config_errors(block, key, value):
+    base = minimal_run(mode="mms")
+    if block == "pulse_psi":
+        base = {**base, "model": 2, "material": dict(PRESETS["fig3-mms-m2"]["material"])}
+    with pytest.raises(ConfigError, match=f"mms.{block}: {key} must be positive"):
+        resolve_config({**base, "mms": {block: {key: value}}})
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_provenance_re_resolves(name):
+    cfg = load_preset(name)
+    assert resolve_config(cfg.resolved).resolved == cfg.resolved
+    prov = cfg.provenance()
+    assert resolve_config(prov).provenance() == prov
+
+
+_MATERIAL_KEYS = {1: ("c1", "c0"), 2: ("mu1", "nu1", "mu0", "nu0")}
+
+
+def _some(draw, pairs: dict) -> dict:
+    """A random subset of ``key -> strategy``, drawn."""
+    keys = draw(st.sets(st.sampled_from(sorted(pairs))))
+    return {k: draw(pairs[k]) for k in sorted(keys)}
+
+
+@st.composite
+def valid_configs(draw):
+    """Any valid configuration of any mode and model, optional keys left out
+    at random so that the defaults are exercised too."""
+    num = st.floats(-5.0, 5.0)
+    pos = st.floats(0.1, 5.0)
+    model, mode = draw(st.sampled_from((1, 2))), draw(st.sampled_from(MODES))
+    data = {"model": model, "mode": mode,
+            "material": {**{k: draw(pos) for k in _MATERIAL_KEYS[model]},
+                         **{k: draw(num) for k in ("alpha", "beta", "gamma")}}}
+    a0 = draw(num)
+    a1 = a0 + draw(st.floats(0.5, 5.0))
+    grid = {"a0": a0, "a1": a1, "N": draw(st.integers(4, 400)),
+            **_some(draw, {"epsilon": st.floats(0.0, 1.0)})}
+    if mode != "stability" or draw(st.booleans()):
+        data["grid"] = grid
+    data.update(_some(draw, {"dt_cfl": st.floats(0.05, 2.0)}))
+    if mode != "stability" or draw(st.booleans()):
+        data["t_end"] = draw(pos)
+    if mode == "run" and draw(st.booleans()):
+        rate = draw(st.floats(1.0, 50.0))
+        data["source"] = {
+            "kind": "gaussian", "amplitude": draw(num), "space_rate": rate,
+            "x_center": a1 + 6.0 / rate**0.5 + draw(st.floats(0.0, 2.0)),
+            "t_center": draw(num), "time_rate": draw(pos)}
+    if mode == "mms":
+        pulse = {"amplitude": num, "ramp_rate": num, "rate": pos,
+                 "drift": num, "center": num, "t_shift": num}
+        bump = {"amplitude": num, "x_center": num, "x_width": pos,
+                "t_center": num, "t_width": pos}
+        families = [("pulse", pulse), ("current", bump), ("charge", bump)]
+        if model == 2:
+            families.append(("pulse_psi", pulse))
+        data["mms"] = {name: _some(draw, keys) for name, keys in families
+                       if draw(st.booleans())}
+        if draw(st.booleans()):
+            data["mms"]["n_ladder"] = sorted(draw(st.lists(
+                st.integers(4, 400), min_size=1, max_size=4, unique=True)))
+    if mode == "stability":
+        data["stability"] = _some(draw, {
+            "N": st.integers(4, 300),
+            "epsilons": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+            "dt_max_factor": pos, "scan_points": st.integers(16, 200),
+            "bisect_tol": st.floats(1e-8, 1e-2), "samples": st.booleans()})
+    horizon = data.get("t_end", 5.0)
+    data["output"] = _some(draw, {
+        "dir": st.text(max_size=8),
+        "snapshots": st.lists(st.floats(0.0, horizon), max_size=3)})
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=valid_configs())
+def test_resolved_configs_round_trip(data):
+    cfg = resolve_config(data)
+    assert resolve_config(cfg.resolved).resolved == cfg.resolved

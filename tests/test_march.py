@@ -148,43 +148,53 @@ def test_manufactured_potentials_must_be_quiet_at_the_start(model):
             scenario(grid=grid, mat=mat, dt=0.01, t_end=2.0, mms=loud)
 
 
-@pytest.mark.parametrize("model, exps_per_step", [(1, 3), (2, 4)])
+@pytest.mark.parametrize("model, node_exps", [(1, 1), (2, 2)])
 def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
-                                                           exps_per_step):
-    """Each level's nodal terms are evaluated once and carried into the next
-    step and into the retarded sums: no source is evaluated at retarded
-    points, and the exact right traces are evaluated before the loop."""
+                                                           node_exps):
+    """The nodal evaluator is built once per run, and each level's nodal
+    terms are evaluated once with it and carried into the next step and into
+    the retarded sums: no source is evaluated at retarded points, and the
+    exact right traces are evaluated before the loop.  A step makes one
+    N-node exponential per potential; the two bumps keep their x factors
+    and make one scalar exponential each."""
     scenario, run, mat = MODELS[model]
     module, name = STEPPERS[model]
     grid = GridSpec(0.0, 3.0, 40)
     scn = scenario(grid=grid, mat=mat, dt=0.4 * grid.dx / mat.c1, t_end=0.5,
                    mms=FIELDS[model].demo())
     times = scn.t0 + scn.dt * np.arange(scn.steps + 1)
-    exp, src_terms, step = np.exp, scn.residuals.src_terms, getattr(module, name)
-    exps, nodal, retarded, steps = [0, 0], [], [], []  # N-node exps, calls
+    exp, at, step = np.exp, scn.residuals.at, getattr(module, name)
+    exps = [0, 0]  # N-node exps, all exp calls
+    built, nodal, retarded, steps = [], [], [], []
 
     def counted_exp(z, *args, **kw):
         exps[0] += np.size(z) // grid.n
         exps[1] += 1
         return exp(z, *args, **kw)
 
-    def spied_src_terms(self, x, t, order=2):
-        (retarded if np.ndim(t) else nodal).append(t)
-        return src_terms(self, x, t, order)
+    def spied_at(self, x):
+        built.append(x)
+        terms_at = at(self, x)
+
+        def spied_terms_at(t, order=2):
+            (retarded if np.ndim(t) else nodal).append(t)
+            return terms_at(t, order)
+
+        return spied_terms_at
 
     def spied_step(state, *args):
         steps.append((state.n, tuple(exps), args[3:]))
         return step(state, *args)
 
     monkeypatch.setattr(np, "exp", counted_exp)
-    monkeypatch.setattr(scn.residuals, "src_terms", spied_src_terms)
+    monkeypatch.setattr(scn.residuals, "at", spied_at)
     monkeypatch.setattr(module, name, spied_step)
     run(scn)
     monkeypatch.undo()
-    # every exp of a step is an N-node one: no scalar right trace either
     per_step = [(b[1][0] - a[1][0], b[1][1] - a[1][1])
                 for a, b in zip(steps, steps[1:])]
-    assert per_step == [(exps_per_step, exps_per_step)] * (scn.steps - 1)
+    assert per_step == [(node_exps, node_exps + 2)] * (scn.steps - 1)
+    assert len(built) == 1 and np.array_equal(built[0], grid.x)
     assert nodal == list(times)
     assert retarded == []
     # the terms a step is given are those of a fresh evaluation, bit for bit

@@ -199,13 +199,26 @@ def test_jet_matches_the_six_methods_and_its_lower_orders(name, shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("name", [*FIELDS, "zero"])
 def test_jet_matches_the_longhand_derivatives(name, shape):
-    f, (x, t) = FIELDS[name], SHAPES[shape]
-    longhand = (pulse_derivatives_longhand if name.startswith("pulse")
-                else bump_derivatives_longhand)
-    for k, want in enumerate(longhand(f, x, t)):
-        assert close_to(f.jet(x, t)[k], want, 1e-13), METHODS[k]
+    """Both the jet and the evaluator ``at(x)``, at every order."""
+    x, t = SHAPES[shape]
+    if name == "zero":
+        f = ZeroField()
+        want = [np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)] * 6
+    else:
+        f = FIELDS[name]
+        longhand = (pulse_derivatives_longhand if name.startswith("pulse")
+                    else bump_derivatives_longhand)
+        want = longhand(f, x, t)
+    for k, w in enumerate(want):
+        assert close_to(f.jet(x, t)[k], w, 1e-13), METHODS[k]
+    jet_at = f.at(x)
+    for order, size in ((0, 1), (1, 3), (2, 6)):
+        got = jet_at(t, order)
+        assert len(got) == size
+        for k in range(size):
+            assert close_to(got[k], want[k], 1e-13), (order, METHODS[k])
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -310,3 +323,61 @@ def test_folded_source_sums_are_third_order_close_to_exact_retarded_sums():
         gaps.append(g.dx / c1 * gap)
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
     assert all(7.0 < r < 9.0 for r in ratios), (gaps, ratios)
+
+
+# -- the x-only evaluators: ``Field.at`` and ``ResidualSources*.at`` ---------
+
+FAMILIES = st.one_of(
+    st.builds(ArctanGaussianPulse, amplitude=st.floats(-3.0, 3.0),
+              ramp_rate=st.floats(-2.0, 2.0), rate=st.floats(0.1, 8.0),
+              drift=st.floats(-5.0, 5.0), center=st.floats(-3.0, 9.0),
+              t_shift=st.floats(-1.0, 2.0)),
+    st.builds(GaussianBump, amplitude=st.floats(-3.0, 3.0),
+              x_center=st.floats(-1.0, 4.0), x_width=st.floats(0.1, 3.0),
+              t_center=st.floats(0.0, 3.0), t_width=st.floats(0.1, 3.0)),
+    st.just(ZeroField()),
+)
+LATER = 0.3  # a second time for the same evaluator
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=FAMILIES, shape=st.sampled_from(sorted(SHAPES)),
+       order=st.sampled_from((0, 1, 2)))
+def test_field_at_equals_jet_bit_for_bit(f, shape, order):
+    x, t = SHAPES[shape]
+    jet_at = f.at(x)
+    for when in (t, np.add(t, LATER)):  # one evaluator serves every time
+        got, want = jet_at(when, order), f.jet(x, when, order)
+        assert len(got) == len(want) == (1, 3, 6)[order]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("model", [1, 2])
+def test_source_at_equals_src_terms_bit_for_bit(model, shape):
+    x, t = SHAPES[shape]
+    src = (ResidualSources1(ManufacturedFields1.demo(), MAT1) if model == 1
+           else ResidualSources2(ManufacturedFields2.demo(), MAT2))
+    terms_at = src.at(x)
+    for when in (t, np.add(t, LATER)):
+        for order in (1, 2):
+            got, want = terms_at(when, order), src.src_terms(x, when, order)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want), order
+
+
+BAD_PULSES = [dict(rate=0.0), dict(rate=-1.0), dict(amplitude=math.nan),
+              dict(drift=math.inf), dict(center=-math.inf), dict(t_shift=math.nan),
+              dict(ramp_rate=math.inf)]
+BAD_BUMPS = [dict(x_width=0.0), dict(x_width=-0.3), dict(t_width=0.0),
+             dict(t_width=-1.0), dict(amplitude=math.inf),
+             dict(x_center=math.nan), dict(t_center=-math.inf)]
+
+
+@pytest.mark.parametrize("field, bad", [("phi", bad) for bad in BAD_PULSES]
+                         + [("j", bad) for bad in BAD_BUMPS])
+def test_fields_reject_degenerate_parameters(field, bad):
+    demo = getattr(ManufacturedFields1.demo(), field)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        type(demo)(**{**vars(demo), **bad})

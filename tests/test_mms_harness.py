@@ -14,6 +14,8 @@ from eoscatter.mms import (
     convergence_order,
     mms_run,
 )
+from eoscatter.model1 import Scenario1, run_m1
+from eoscatter.model2 import Scenario2, run_m2
 
 MAT1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 MAT2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
@@ -30,7 +32,7 @@ def _dt(grid, c1, cfl=0.4):
 def fake_report(n, errs, dt=None):
     dt = 1.0 / n if dt is None else dt
     return ErrorReport(model=1, n=n, dt=dt, t_end=1.0, runtime=0.0,
-                       linf=dict(errs), l2=dict(errs), trace_linf={})
+                       linf=dict(errs), l2=dict(errs), trace_linf={}, linf_x={})
 
 
 def test_zero_fields_give_exactly_zero_errors():
@@ -95,6 +97,23 @@ def test_model2_report_has_both_potentials():
     assert set(rep.linf) == {"phi", "psi", "rho", "j"}
     assert set(rep.trace_linf) == {"phi_a0", "phi_a1", "psi_a0", "psi_a1"}
     assert all(v > 0.0 for v in rep.linf.values())
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_report_locates_each_fields_worst_node(model):
+    scenario, run, mat, exact = ((Scenario1, run_m1, MAT1, ManufacturedFields1.demo())
+                                 if model == 1 else
+                                 (Scenario2, run_m2, MAT2, ManufacturedFields2.demo()))
+    g = _grid(60)
+    dt = _dt(g, mat.c1)
+    rep = mms_run(model, exact, g, mat, dt, 1.0)
+    final = run(scenario(grid=g, mat=mat, dt=dt, t_end=1.0, mms=exact)).final
+    assert rep.linf_x.keys() == rep.linf.keys()
+    for name in rep.linf:
+        err = np.abs(getattr(final, name) - getattr(exact, name).value(g.x, final.t))
+        worst = np.argmax(err)
+        assert rep.linf_x[name] == g.x[worst]
+        assert rep.linf[name] == err[worst] > 0.0
 
 
 def test_trace_errors_track_the_boundary_series():
