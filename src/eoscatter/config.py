@@ -288,7 +288,8 @@ def _parse_output(block, where="output"):
     return out_dir, tuple(float(v) for v in snaps)
 
 
-def _source_dict(source) -> dict | None:
+def _source_dict(source, block) -> dict | None:
+    """The resolved source; a tabulated one keeps the CSV path ``block`` gave."""
     if source is None:
         return None
     if isinstance(source, GaussianSource):
@@ -301,7 +302,7 @@ def _source_dict(source) -> dict | None:
             "time_rate": source.time_rate,
             "support": list(source.support),
         }
-    return {"kind": "tabulated", "support": list(source.support)}
+    return {"kind": "tabulated", "path": block["path"]}
 
 
 def _mms_dict(exact, ladder) -> dict:
@@ -396,7 +397,7 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
                       ("mu1", "nu1", "mu0", "nu0", "alpha", "beta", "gamma"))},
         "dt_cfl": dt_cfl,
         "t_end": t_end,
-        "source": _source_dict(source),
+        "source": _source_dict(source, data.get("source")),
         "mms": None if exact is None else _mms_dict(exact, ladder),
         "stability": None if stability is None else {
             "N": stability.n,

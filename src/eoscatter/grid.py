@@ -196,3 +196,47 @@ class SpatialOps:
         out[0] = (4.0 * u[1] - 3.0 * u[0] - u[2]) / (2.0 * dx)
         out[-1] = -(4.0 * u[-2] - 3.0 * u[-1] - u[-3]) / (2.0 * dx)
         return out
+
+
+class ClosedPass:
+    """``u + a*D1(v) + b*D2(u)`` of trace-closed fields in one pass, ``v``
+    being ``u`` (model 1) or the partner potential (model 2): the closed
+    stencils of :class:`SpatialOps`, whose methods the stability lab probes
+    unchanged, with ``a`` and ``b`` folded into their weights once."""
+
+    def __init__(self, ops: SpatialOps, a: float, b: float):
+        d1, d2 = 0.5 * a / ops.dx, b / ops.dx**2
+        self.mid, self.side, self.cross = 1.0 - 2.0 * d2, d2, d1
+        self.lo, self.hi = d2 - d1, d2 + d1
+        # edge rows: the weights of u's three edge points in node order, then v's
+        self.left = (b * ops.wl2 + (0, 1, 0)).tolist() + (a * ops.wl1).tolist()
+        self.right = (b * ops.wr2 + (0, 1, 0)).tolist() + (a * ops.wr1).tolist()
+
+    def __call__(self, u, u_a0, u_a1, v, v_a0, v_a1) -> np.ndarray:
+        out = np.empty_like(u)
+        inner = np.multiply(u[1:-1], self.mid, out=out[1:-1])
+        if v is u:
+            inner += self.lo * u[:-2]
+            inner += self.hi * u[2:]
+        else:
+            inner += self.side * (u[:-2] + u[2:])
+            inner += self.cross * (v[2:] - v[:-2])
+        p0, p1, p2, q0, q1, q2 = self.left
+        (u0, u1), (v0, v1) = u[:2].tolist(), v[:2].tolist()
+        out[0] = p0 * u_a0 + p1 * u0 + p2 * u1 + q0 * v_a0 + q1 * v0 + q2 * v1
+        p0, p1, p2, q0, q1, q2 = self.right
+        (u0, u1), (v0, v1) = u[-2:].tolist(), v[-2:].tolist()
+        out[-1] = p0 * u0 + p1 * u1 + p2 * u_a1 + q0 * v0 + q1 * v1 + q2 * v_a1
+        return out
+
+
+def confined_pass(u: np.ndarray, k: float, dx: float) -> np.ndarray:
+    """``k * SpatialOps.d1_confined(u)`` in one pass."""
+    c = 0.5 * k / dx
+    out = np.empty_like(u)
+    np.multiply(np.subtract(u[2:], u[:-2], out=out[1:-1]), c, out=out[1:-1])
+    u0, u1, u2 = u[:3].tolist()
+    w2, w1, w0 = u[-3:].tolist()
+    out[0] = c * (4.0 * u1 - 3.0 * u0 - u2)
+    out[-1] = c * (3.0 * w0 - 4.0 * w1 + w2)
+    return out

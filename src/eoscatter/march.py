@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridSpec, SpatialOps
+from .grid import GridSpec, confined_pass
 
 
 class DivergenceError(RuntimeError):
@@ -122,49 +122,38 @@ class Scenario:
         return max(1, int(math.ceil((self.t_end - self.t0) / self.dt - 1e-9)))
 
 
-def interior_step(state, scn: Scenario, ops: SpatialOps | None, sources,
-                  potential_half, terms=None, terms_next=None):
+def interior_step(state, scn: Scenario, sources, potential_half,
+                  terms=None, terms_next=None):
     """Advance the interior fields one step using level-n boundary traces.
 
-    ``potential_half(state, scn, ops, terms, dj, f)`` returns the new
-    potentials, given the residual terms at level n (``sources.at(x)(t)``,
-    or None), the level-n current divergence and the response forcing
-    ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes a Taylor
-    step and the current a Heun corrector, which reads the current's term at
-    level n + 1.  ``terms`` and ``terms_next`` are the nodal terms at levels
-    n and n + 1, given together (:func:`march` evaluates each level once) or
-    left out and evaluated here.
+    ``potential_half(state, scn, terms, g)`` returns the new potentials,
+    given the residual terms at level n (``sources.at(x)(t)``, or None) and
+    the half-step current ``g = j + (dt/2)*f``, ``f`` being the response
+    forcing ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes
+    the Taylor step ``rho - dt*D1(g)`` and the current a Heun corrector,
+    which reads the current's term at level n + 1.  ``terms`` and
+    ``terms_next`` are the nodal terms at levels n and n + 1, given together
+    (:func:`march` evaluates each level once) or left out and evaluated here.
     """
-    if ops is None:
-        ops = SpatialOps(scn.grid)
     if sources is None and scn.mms is not None:
         sources = scn.residuals(scn.mms, scn.mat)
-    m, dt = scn.mat, scn.dt
-    x, t = scn.grid.x, state.t
+    m, dt, h = scn.mat, scn.dt, 0.5 * scn.dt
+    a, b, c = h * m.alpha, h * m.beta, h * m.gamma  # (dt/2) times the forcing's
     rho, j = state.rho, state.j
-    dj = ops.d1_confined(j)
-    f = (m.alpha - m.beta * rho) * state.phi - m.gamma * j
-    df = ops.d1_confined(f)
+    g = (a - b * rho) * state.phi + (1.0 - c) * j
     if terms is None and sources is not None:
-        terms_at = sources.at(x)
-        terms, terms_next = terms_at(t), terms_at(t + dt)
-    potentials = potential_half(state, scn, ops, terms, dj, f)
+        terms_at = sources.at(scn.grid.x)
+        terms, terms_next = terms_at(state.t), terms_at(state.t + dt)
+    potentials = potential_half(state, scn, terms, g)
 
-    rho_rate = -dj
-    rho_curv = -df
-    f_now = f
+    rho_new = rho + confined_pass(g, -dt, scn.grid.dx)
     if terms is not None:
-        rho_rate = rho_rate + terms["rho"]
-        rho_curv = rho_curv + terms["rho_dt"] - terms["j_dx"]
-        f_now = f + terms["j"]
-
-    rho_new = rho + dt * rho_rate + 0.5 * dt**2 * rho_curv
-
-    j_pred = j + dt * f_now
-    f_next = (m.alpha - m.beta * rho_new) * potentials[0] - m.gamma * j_pred
+        rho_new += dt * terms["rho"] + 0.5 * dt**2 * (terms["rho_dt"] - terms["j_dx"])
+        g = g + h * terms["j"]
+    # Heun: the predictor j + dt*f is 2*g - j, and the corrector g + h*f_next
+    j_new = (a - b * rho_new) * potentials[0] + (1.0 - 2.0 * c) * g + c * j
     if terms_next is not None:
-        f_next = f_next + terms_next["j"]
-    j_new = 0.5 * (j + j_pred + dt * f_next)
+        j_new += h * terms_next["j"]
     return (*potentials, rho_new, j_new)
 
 
@@ -188,7 +177,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     and the right-boundary series per level (:meth:`Scenario.incident`);
     it returns the start traces and ``close(t_next, n, j, terms)``, the
     traces at level n given the current and the terms there.  Each step runs
-    ``step(state, scn, ops, sources, terms, terms_next)`` with the terms at
+    ``step(state, scn, sources, terms, terms_next)`` with the terms at
     both of its levels, then calls ``close``; the nodal evaluator
     ``sources.at(g.x)`` is built once per run, and each level's terms are
     evaluated once with it and carried to the next step.  A
@@ -196,7 +185,6 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = _snapshot_levels(scn, snapshot_times)
-    ops = SpatialOps(g)
     sources = terms_at = None
     if scn.mms is not None:
         sources = scn.residuals(scn.mms, scn.mat)
@@ -221,7 +209,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     for n in range(1, steps + 1):
         t_next = t0 + n * dt
         terms_next = terms_at(t_next) if terms_at is not None else None
-        fields = step(state, scn, ops, sources, terms, terms_next)
+        fields = step(state, scn, sources, terms, terms_next)
         # One reduction over all fields: cheaper than one per field.
         if not np.isfinite(np.concatenate(fields)).all():
             raise DivergenceError(

@@ -13,10 +13,11 @@ time loop is shared with model 2 (:mod:`eoscatter.march`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Material1, SpatialOps
+from .grid import ClosedPass, Material1, SpatialOps, confined_pass
 from .history import DelayBuffer, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
@@ -45,6 +46,12 @@ class Scenario1(Scenario):
     manufactured = ManufacturedFields1
     residuals = ResidualSources1
 
+    @cached_property
+    def lw_pass(self) -> ClosedPass:
+        """``phi + dt*c1*D1(phi) + (dt*c1)**2/2*D2(phi)``, built once."""
+        a = self.dt * self.mat.c1
+        return ClosedPass(SpatialOps(self.grid), a, 0.5 * a * a)
+
     def incident(self, t):
         if self.mms is not None:
             return self.mms.phi.value(self.grid.a1, t)
@@ -67,7 +74,6 @@ class Run1Result:
 def interior_step_m1(
     state: State1,
     scn: Scenario1,
-    ops: SpatialOps | None = None,
     sources: ResidualSources1 | None = None,
     terms: dict | None = None, terms_next: dict | None = None,
 ):
@@ -79,24 +85,22 @@ def interior_step_m1(
     the second-order Taylor coefficients; ``terms`` and ``terms_next`` are
     its nodal terms at levels n and n + 1, evaluated here when not given.
     """
-    return interior_step(state, scn, ops, sources, _potential_m1, terms, terms_next)
+    return interior_step(state, scn, sources, _potential_m1, terms, terms_next)
 
 
-def _potential_m1(state, scn, ops, terms, dj, f):
-    """The potential half of :func:`interior_step_m1`: a Lax-Wendroff step
-    for ``phi``."""
+def _potential_m1(state, scn, terms, g):
+    """The potential half of :func:`interior_step_m1`: the Lax-Wendroff step
+    ``phi + dt*(c1*D1(phi) + j) + dt**2/2*(c1**2*D2(phi) + c1*D1(j) + f)``,
+    regrouped as ``lw_pass(phi) + dt*g + (dt**2*c1/2)*D1(j)``."""
     m, dt = scn.mat, scn.dt
-    phi = state.phi
-
-    dphi = ops.d1_closed(phi, state.phi_a0, state.phi_a1)
-    d2phi = ops.d2_closed(phi, state.phi_a0, state.phi_a1)
-
-    phi_rate = m.c1 * dphi + state.j
-    phi_curv = m.c1**2 * d2phi + m.c1 * dj + f
+    phi, a0, a1 = state.phi, state.phi_a0, state.phi_a1
+    new = scn.lw_pass(phi, a0, a1, phi, a0, a1)
+    new += dt * g
+    new += confined_pass(state.j, 0.5 * dt * dt * m.c1, scn.grid.dx)
     if terms is not None:
-        phi_rate = phi_rate + terms["phi"]
-        phi_curv = phi_curv + m.c1 * terms["phi_dx"] + terms["phi_dt"] + terms["j"]
-    return (phi + dt * phi_rate + 0.5 * dt**2 * phi_curv,)
+        new += dt * terms["phi"] + 0.5 * dt**2 * (
+            m.c1 * terms["phi_dx"] + terms["phi_dt"] + terms["j"])
+    return (new,)
 
 
 def boundary_a1_m1(scn: Scenario1, incident: float) -> float:

@@ -12,10 +12,11 @@ The time loop is shared with model 1 (:mod:`eoscatter.march`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import GridSpec, Material2, SpatialOps
+from .grid import ClosedPass, GridSpec, Material2, SpatialOps, confined_pass
 from .history import DelayBuffer, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
@@ -102,6 +103,14 @@ class Scenario2(Scenario):
     def _check_step(self) -> None:
         check_step(self.dt, self.grid, self.mat)
 
+    @cached_property
+    def lw_pass(self) -> tuple[ClosedPass, ClosedPass]:
+        """``phi + h*D2(phi) + dt*mu1*D1(psi)`` and ``psi + h*D2(psi) +
+        dt*nu1*D1(phi)``, ``h = dt**2*c1**2/2``, built once."""
+        ops, m, dt = SpatialOps(self.grid), self.mat, self.dt
+        h = 0.5 * dt * dt * m.mu1 * m.nu1
+        return ClosedPass(ops, dt * m.mu1, h), ClosedPass(ops, dt * m.nu1, h)
+
     def incident(self, t):
         """The incident pair at ``t`` (in verification mode the exact pair
         of traces there), stacked along the last axis."""
@@ -129,37 +138,30 @@ class Run2Result:
 def interior_step_m2(
     state: State2,
     scn: Scenario2,
-    ops: SpatialOps | None = None,
     sources: ResidualSources2 | None = None,
     terms: dict | None = None, terms_next: dict | None = None,
 ):
     """Advance the four interior fields one step with level-n traces."""
-    return interior_step(state, scn, ops, sources, _potential_m2, terms, terms_next)
+    return interior_step(state, scn, sources, _potential_m2, terms, terms_next)
 
 
-def _potential_m2(state, scn, ops, terms, dj, f):
+def _potential_m2(state, scn, terms, g):
     """The potential half of :func:`interior_step_m2`: Lax-Wendroff steps
-    for the coupled pair ``phi``, ``psi``."""
-    m, dt = scn.mat, scn.dt
-    phi, psi = state.phi, state.psi
-    c2 = m.mu1 * m.nu1
-
-    dphi = ops.d1_closed(phi, state.phi_a0, state.phi_a1)
-    d2phi = ops.d2_closed(phi, state.phi_a0, state.phi_a1)
-    dpsi = ops.d1_closed(psi, state.psi_a0, state.psi_a1)
-    d2psi = ops.d2_closed(psi, state.psi_a0, state.psi_a1)
-
-    phi_rate = m.mu1 * dpsi + state.j
-    phi_curv = c2 * d2phi + f
-    psi_rate = m.nu1 * dphi
-    psi_curv = c2 * d2psi + m.nu1 * dj
+    for the coupled pair, each one pass of :attr:`Scenario2.lw_pass` plus
+    its current term, ``dt*g`` for ``phi`` and ``(dt**2*nu1/2)*D1(j)`` for
+    ``psi``."""
+    m, dt, s = scn.mat, scn.dt, state
+    phi_pass, psi_pass = scn.lw_pass
+    phi = phi_pass(s.phi, s.phi_a0, s.phi_a1, s.psi, s.psi_a0, s.psi_a1)
+    phi += dt * g
+    psi = psi_pass(s.psi, s.psi_a0, s.psi_a1, s.phi, s.phi_a0, s.phi_a1)
+    psi += confined_pass(s.j, 0.5 * dt * dt * m.nu1, scn.grid.dx)
     if terms is not None:
-        phi_rate = phi_rate + terms["phi"]
-        phi_curv = phi_curv + terms["j"] + m.mu1 * terms["psi_dx"] + terms["phi_dt"]
-        psi_rate = psi_rate + terms["psi"]
-        psi_curv = psi_curv + m.nu1 * terms["phi_dx"] + terms["psi_dt"]
-    return (phi + dt * phi_rate + 0.5 * dt**2 * phi_curv,
-            psi + dt * psi_rate + 0.5 * dt**2 * psi_curv)
+        phi += dt * terms["phi"] + 0.5 * dt**2 * (
+            terms["j"] + m.mu1 * terms["psi_dx"] + terms["phi_dt"])
+        psi += dt * terms["psi"] + 0.5 * dt**2 * (
+            m.nu1 * terms["phi_dx"] + terms["psi_dt"])
+    return phi, psi
 
 
 def _incident_term(scn: Scenario2, pair) -> tuple[float, float]:

@@ -102,27 +102,50 @@ def dense_d1_confined(u, dx):
     return out
 
 
-def reference_step_m1(phi, rho, j, ua0, ua1, c1, alpha, beta, gamma, dx, dt):
-    """One homogeneous-source step of the one-way model, written longhand."""
+def reference_step_m1(phi, rho, j, ua0, ua1, c1, alpha, beta, gamma, dx, dt,
+                      terms=None, terms_next=None):
+    """One step of the one-way model, written longhand.
+
+    ``terms`` holds the residual terms at level n by name (``phi``,
+    ``phi_dx``, ``phi_dt``, ``rho``, ``rho_dt``, ``j``, ``j_dx``) and
+    ``terms_next`` the current's term ``j`` at level n + 1; left out, the
+    step is homogeneous.
+    """
+    r, r1 = terms or {}, terms_next or {}  # a missing term is zero
+    s_phi, s_phi_dx, s_phi_dt = r.get("phi", 0.0), r.get("phi_dx", 0.0), r.get("phi_dt", 0.0)
+    s_rho, s_rho_dt = r.get("rho", 0.0), r.get("rho_dt", 0.0)
+    s_j, s_j_dx, s_j_next = r.get("j", 0.0), r.get("j_dx", 0.0), r1.get("j", 0.0)
     f = (alpha - beta * rho) * phi - gamma * j
     dphi = dense_d1_closed(phi, ua0, ua1, dx)
     d2phi = dense_d2_closed(phi, ua0, ua1, dx)
     dj = dense_d1_confined(j, dx)
     df = dense_d1_confined(f, dx)
-    phi_n = phi + dt * (c1 * dphi + j) + 0.5 * dt**2 * (c1**2 * d2phi + c1 * dj + f)
-    rho_n = rho + dt * (-dj) + 0.5 * dt**2 * (-df)
-    jbar = j + dt * f
-    f_new = (alpha - beta * rho_n) * phi_n - gamma * jbar
+    # phi_t = c1*phi_x + j + s_phi, so
+    # phi_tt = c1**2*phi_xx + c1*(j_x + s_phi_x) + j_t + s_phi_t
+    phi_n = (phi + dt * (c1 * dphi + j + s_phi)
+             + 0.5 * dt**2 * (c1**2 * d2phi + c1 * dj + c1 * s_phi_dx
+                              + f + s_j + s_phi_dt))
+    # rho_t = -j_x + s_rho, so rho_tt = -(f + s_j)_x + s_rho_t
+    rho_n = rho + dt * (-dj + s_rho) + 0.5 * dt**2 * (-df - s_j_dx + s_rho_dt)
+    jbar = j + dt * (f + s_j)
+    f_new = (alpha - beta * rho_n) * phi_n - gamma * jbar + s_j_next
     j_n = 0.5 * (j + jbar + dt * f_new)
     return phi_n, rho_n, j_n
 
 
 def reference_step_m2(phi, psi, rho, j, pa0, pa1, sa0, sa1, mu1, nu1,
-                      alpha, beta, gamma, dx, dt):
-    """One homogeneous-source step of the two-way model, written longhand.
+                      alpha, beta, gamma, dx, dt, terms=None, terms_next=None):
+    """One step of the two-way model, written longhand.
 
     pa0/pa1 are the phi boundary values, sa0/sa1 the psi boundary values.
+    ``terms`` and ``terms_next`` are as for :func:`reference_step_m1`, with
+    the ``psi`` equation's ``psi``, ``psi_dx`` and ``psi_dt`` added.
     """
+    r, r1 = terms or {}, terms_next or {}  # a missing term is zero
+    s_phi, s_phi_dx, s_phi_dt = r.get("phi", 0.0), r.get("phi_dx", 0.0), r.get("phi_dt", 0.0)
+    s_psi, s_psi_dx, s_psi_dt = r.get("psi", 0.0), r.get("psi_dx", 0.0), r.get("psi_dt", 0.0)
+    s_rho, s_rho_dt = r.get("rho", 0.0), r.get("rho_dt", 0.0)
+    s_j, s_j_dx, s_j_next = r.get("j", 0.0), r.get("j_dx", 0.0), r1.get("j", 0.0)
     f = (alpha - beta * rho) * phi - gamma * j
     dphi = dense_d1_closed(phi, pa0, pa1, dx)
     d2phi = dense_d2_closed(phi, pa0, pa1, dx)
@@ -130,11 +153,18 @@ def reference_step_m2(phi, psi, rho, j, pa0, pa1, sa0, sa1, mu1, nu1,
     d2psi = dense_d2_closed(psi, sa0, sa1, dx)
     dj = dense_d1_confined(j, dx)
     df = dense_d1_confined(f, dx)
-    phi_n = phi + dt * (mu1 * dpsi + j) + 0.5 * dt**2 * (mu1 * nu1 * d2phi + f)
-    psi_n = psi + dt * (nu1 * dphi) + 0.5 * dt**2 * (mu1 * nu1 * d2psi + nu1 * dj)
-    rho_n = rho + dt * (-dj) + 0.5 * dt**2 * (-df)
-    jbar = j + dt * f
-    f_new = (alpha - beta * rho_n) * phi_n - gamma * jbar
+    # phi_t = mu1*psi_x + j + s_phi and psi_t = nu1*phi_x + s_psi, so
+    # phi_tt = mu1*(nu1*phi_xx + s_psi_x) + j_t + s_phi_t and
+    # psi_tt = nu1*(mu1*psi_xx + j_x + s_phi_x) + s_psi_t
+    phi_n = (phi + dt * (mu1 * dpsi + j + s_phi)
+             + 0.5 * dt**2 * (mu1 * nu1 * d2phi + mu1 * s_psi_dx + f + s_j
+                              + s_phi_dt))
+    psi_n = (psi + dt * (nu1 * dphi + s_psi)
+             + 0.5 * dt**2 * (mu1 * nu1 * d2psi + nu1 * dj + nu1 * s_phi_dx
+                              + s_psi_dt))
+    rho_n = rho + dt * (-dj + s_rho) + 0.5 * dt**2 * (-df - s_j_dx + s_rho_dt)
+    jbar = j + dt * (f + s_j)
+    f_new = (alpha - beta * rho_n) * phi_n - gamma * jbar + s_j_next
     j_n = 0.5 * (j + jbar + dt * f_new)
     return phi_n, psi_n, rho_n, j_n
 

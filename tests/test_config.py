@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +145,19 @@ def test_tabulated_source_round_trip(tmp_path):
     assert cfg.source.support[0] >= 3.0
     with pytest.raises(ConfigError, match="'path'"):
         resolve_config(minimal_run(source={"kind": "tabulated"}))
+
+
+def test_tabulated_source_provenance_re_resolves(tmp_path):
+    path = tmp_path / "incident.csv"
+    path.write_text("x,t,value\n3.0,0.0,0.0\n4.0,0.0,1.0\n"
+                    "3.0,1.0,0.5\n4.0,1.0,0.25\n")
+    cfg = resolve_config(minimal_run(source={"kind": "tabulated",
+                                             "path": str(path)}))
+    prov = cfg.provenance()
+    assert prov["source"] == {"kind": "tabulated", "path": str(path)}
+    again = resolve_config(prov)
+    assert again.provenance() == prov
+    assert np.array_equal(again.source.values, cfg.source.values)
 
 
 def test_mms_ladder_validation():

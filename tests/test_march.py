@@ -2,17 +2,19 @@
 
 import math
 import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eoscatter import model1, model2
-from eoscatter.grid import GridSpec, Material1, Material2
+from eoscatter.grid import GridSpec, Material1, Material2, SpatialOps
 from eoscatter.march import DivergenceError
 from eoscatter.mms import GaussianBump, ManufacturedFields1, ManufacturedFields2
-from eoscatter.model1 import Scenario1, run_m1
-from eoscatter.model2 import Scenario2, run_m2
+from eoscatter.model1 import Scenario1, State1, run_m1
+from eoscatter.model2 import Scenario2, State2, run_m2
 from eoscatter.sources import GaussianSource
 
 MAT1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
@@ -183,7 +185,7 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
         return spied_terms_at
 
     def spied_step(state, *args):
-        steps.append((state.n, tuple(exps), args[3:]))
+        steps.append((state.n, tuple(exps), args[2:]))
         return step(state, *args)
 
     monkeypatch.setattr(np, "exp", counted_exp)
@@ -204,3 +206,70 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
             want = sources.src_terms(grid.x, times[level])
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def unfused_step(state, scn, terms=None, terms_next=None):
+    """The interior step composed of :class:`SpatialOps`' per-derivative
+    stencils, the operators the stability lab probes: the Taylor step of the
+    potentials and the density, then the Heun corrector of the current."""
+    ops, m, dt, s = SpatialOps(scn.grid), scn.mat, scn.dt, state
+    r, r1 = defaultdict(float, terms or {}), defaultdict(float, terms_next or {})
+    f = (m.alpha - m.beta * s.rho) * s.phi - m.gamma * s.j
+    dj = ops.d1_confined(s.j)
+    dphi = ops.d1_closed(s.phi, s.phi_a0, s.phi_a1)
+    d2phi = ops.d2_closed(s.phi, s.phi_a0, s.phi_a1)
+    if isinstance(scn, Scenario1):
+        potentials = [s.phi + dt * (m.c1 * dphi + s.j + r["phi"]) + 0.5 * dt**2 * (
+            m.c1**2 * d2phi + m.c1 * dj + f + m.c1 * r["phi_dx"] + r["phi_dt"]
+            + r["j"])]
+    else:
+        dpsi = ops.d1_closed(s.psi, s.psi_a0, s.psi_a1)
+        d2psi = ops.d2_closed(s.psi, s.psi_a0, s.psi_a1)
+        c2 = m.mu1 * m.nu1
+        potentials = [
+            s.phi + dt * (m.mu1 * dpsi + s.j + r["phi"]) + 0.5 * dt**2 * (
+                c2 * d2phi + f + r["j"] + m.mu1 * r["psi_dx"] + r["phi_dt"]),
+            s.psi + dt * (m.nu1 * dphi + r["psi"]) + 0.5 * dt**2 * (
+                c2 * d2psi + m.nu1 * dj + m.nu1 * r["phi_dx"] + r["psi_dt"]),
+        ]
+    rho = s.rho + dt * (-dj + r["rho"]) + 0.5 * dt**2 * (
+        -ops.d1_confined(f) + r["rho_dt"] - r["j_dx"])
+    j_pred = s.j + dt * (f + r["j"])
+    f_next = (m.alpha - m.beta * rho) * potentials[0] - m.gamma * j_pred + r1["j"]
+    return (*potentials, rho, 0.5 * (s.j + j_pred + dt * f_next))
+
+
+TERM_NAMES = ("phi", "phi_dx", "phi_dt", "psi", "psi_dx", "psi_dt",
+              "rho", "rho_dt", "j", "j_dx")
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from([1, 2]), n=st.integers(4, 60),
+       epsilon=st.floats(0.0, 1.0), cfl=st.floats(0.05, 1.0),
+       speeds=st.lists(st.floats(0.25, 4.0), min_size=4, max_size=4),
+       response=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       with_terms=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fused_step_is_the_scheme_the_stability_lab_probes(
+        model, n, epsilon, cfl, speeds, response, with_terms, seed):
+    """The one-pass interior step equals the composition of the stencils
+    :mod:`eoscatter.stability` builds its matrices from, on every grid of
+    the family, with and without manufactured terms."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(0.0, 1.0, n, epsilon)
+    if model == 1:
+        mat, state_cls, step = Material1(*speeds[:2], *response), State1, model1.interior_step_m1
+    else:
+        mat, state_cls, step = Material2(*speeds, *response), State2, model2.interior_step_m2
+    scn = MODELS[model][0](grid=grid, mat=mat, dt=cfl * grid.dx / mat.c1,
+                           t_end=1.0)
+    fields = [rng.standard_normal(n) for _ in scn.field_names]
+    state = state_cls(*fields, *rng.standard_normal(2 * model), 0, 0.0)
+    terms = terms_next = None
+    if with_terms:
+        terms = {k: rng.standard_normal(n) for k in TERM_NAMES}
+        terms_next = {"j": rng.standard_normal(n)}
+    got = step(state, scn, None, terms, terms_next)
+    want = unfused_step(state, scn, terms, terms_next)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))

@@ -74,6 +74,29 @@ def test_single_step_matches_longhand_oracle():
         assert np.max(np.abs(a - b)) < 1e-13
 
 
+def test_terms_step_matches_longhand_oracle():
+    scn = scenario(n=40)
+    g = scn.grid
+    rng = np.random.default_rng(8)
+    state = State1(
+        phi=rng.standard_normal(g.n), rho=rng.standard_normal(g.n),
+        j=rng.standard_normal(g.n), phi_a0=0.37, phi_a1=-0.52, n=0, t=0.0,
+    )
+    terms = {k: rng.standard_normal(g.n) for k in
+             ("phi", "phi_dx", "phi_dt", "rho", "rho_dt", "j", "j_dx")}
+    terms_next = {"j": rng.standard_normal(g.n)}
+    got = interior_step_m1(state, scn, None, terms, terms_next)
+    want = reference_step_m1(
+        state.phi, state.rho, state.j, state.phi_a0, state.phi_a1,
+        MAT.c1, MAT.alpha, MAT.beta, MAT.gamma, g.dx, scn.dt,
+        terms, terms_next,
+    )
+    homogeneous = interior_step_m1(state, scn)
+    for a, b, h in zip(got, want, homogeneous):
+        assert np.max(np.abs(a - b)) < 1e-13
+        assert np.max(np.abs(a - h)) > 1e-6  # the terms took part
+
+
 def test_boundary_a0_all_masked_is_zero():
     scn = scenario(n=8)
     g = scn.grid

@@ -95,6 +95,35 @@ def test_single_step_matches_longhand_oracle():
         assert np.max(np.abs(a - b)) < 1e-13
 
 
+def test_terms_step_matches_longhand_oracle():
+    # mu1 != nu1, so a swapped coupling coefficient shows
+    mat = Material2(mu1=3.0, nu1=4.0 / 3.0, mu0=2.0, nu0=0.5,
+                    alpha=-1.0, beta=0.3, gamma=8.0)
+    scn = scenario(n=40, mat=mat)
+    g = scn.grid
+    rng = np.random.default_rng(12)
+    state = State2(
+        phi=rng.standard_normal(g.n), psi=rng.standard_normal(g.n),
+        rho=rng.standard_normal(g.n), j=rng.standard_normal(g.n),
+        phi_a0=0.21, psi_a0=-0.4, phi_a1=0.9, psi_a1=0.05, n=0, t=0.0,
+    )
+    terms = {k: rng.standard_normal(g.n) for k in
+             ("phi", "phi_dx", "phi_dt", "psi", "psi_dx", "psi_dt",
+              "rho", "rho_dt", "j", "j_dx")}
+    terms_next = {"j": rng.standard_normal(g.n)}
+    got = interior_step_m2(state, scn, None, terms, terms_next)
+    want = reference_step_m2(
+        state.phi, state.psi, state.rho, state.j,
+        state.phi_a0, state.phi_a1, state.psi_a0, state.psi_a1,
+        mat.mu1, mat.nu1, mat.alpha, mat.beta, mat.gamma, g.dx, scn.dt,
+        terms, terms_next,
+    )
+    homogeneous = interior_step_m2(state, scn)
+    for a, b, h in zip(got, want, homogeneous):
+        assert np.max(np.abs(a - b)) < 1e-13
+        assert np.max(np.abs(a - h)) > 1e-6  # the terms took part
+
+
 def histories(scn, fill_j=0.0, fill_pair=(0.0, 0.0), levels=6):
     g = scn.grid
     window = scn.transit + 2 * scn.dt
