@@ -17,7 +17,7 @@ from .config import (
     resolve_config,
 )
 from .grid import GridSpec, Material1, Material2, SpatialOps
-from .history import DelayBuffer, HistoryError, RetardedSum
+from .history import DelayBuffer, FixedLagReader, HistoryError, RetardedSum
 from .mms import (
     ArctanGaussianPulse,
     ErrorReport,
@@ -68,6 +68,7 @@ __all__ = [
     "DivergenceError",
     "EigenSolverError",
     "ErrorReport",
+    "FixedLagReader",
     "GaussianBump",
     "GaussianSource",
     "GridSpec",

@@ -35,6 +35,8 @@ EXIT_NUMERICS = 4
 def _fmt(v) -> str:
     """One CSV cell: strings pass through, ints stay ints, floats use the
     shortest round-trip decimal."""
+    if type(v) is float:  # the common cell, rows built by ``.tolist()``
+        return repr(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
@@ -47,8 +49,7 @@ def _write_csv(path: Path, provenance: dict, header: str, rows) -> None:
         fh.write("# " + json.dumps(provenance, sort_keys=True,
                                    separators=(",", ":")) + "\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +60,18 @@ def _snapshot_rows(state, scn):
     """The grid including both boundary points; ``rho``/``j`` read 0.0 on
     the boundary rows."""
     g, pots = scn.grid, scn.potentials
-    yield (g.a0, *(getattr(state, f"{p}_a0") for p in pots), 0.0, 0.0)
-    yield from zip(g.x, *(getattr(state, name) for name in scn.field_names))
-    yield (g.a1, *(getattr(state, f"{p}_a1") for p in pots), 0.0, 0.0)
+    nodes = np.column_stack(
+        [g.x] + [getattr(state, name) for name in scn.field_names]).tolist()
+    return [(g.a0, *(getattr(state, f"{p}_a0") for p in pots), 0.0, 0.0),
+            *nodes,
+            (g.a1, *(getattr(state, f"{p}_a1") for p in pots), 0.0, 0.0)]
 
 
 def _flush_run(res, out: Path, prov: dict) -> None:
     scn = res.scenario
     columns = [f"{p}_{side}" for p in scn.potentials for side in ("a0", "a1")]
-    rows = zip(res.times, *(getattr(res, name) for name in columns))
+    rows = np.column_stack(
+        [res.times] + [getattr(res, name) for name in columns]).tolist()
     _write_csv(out / "boundary.csv", prov, ",".join(["t"] + columns), rows)
     snap_header = ",".join(("x",) + scn.field_names)
     for t_req, state in res.snapshots:

@@ -206,21 +206,23 @@ class ClosedPass:
 
     def __init__(self, ops: SpatialOps, a: float, b: float):
         d1, d2 = 0.5 * a / ops.dx, b / ops.dx**2
-        self.mid, self.side, self.cross = 1.0 - 2.0 * d2, d2, d1
-        self.lo, self.hi = d2 - d1, d2 + d1
+        # interior rows: u's weights (lo, mid, hi) when v is u, else u's
+        # (side, mid, side) and v's (-cross, 0, cross)
+        self.own = (d2 - d1, 1.0 - 2.0 * d2, d2 + d1)
+        self.diffuse = (d2, 1.0 - 2.0 * d2, d2)
+        self.cross = (-d1, 0.0, d1)
         # edge rows: the weights of u's three edge points in node order, then v's
         self.left = (b * ops.wl2 + (0, 1, 0)).tolist() + (a * ops.wl1).tolist()
         self.right = (b * ops.wr2 + (0, 1, 0)).tolist() + (a * ops.wr1).tolist()
 
     def __call__(self, u, u_a0, u_a1, v, v_a0, v_a1) -> np.ndarray:
-        out = np.empty_like(u)
-        inner = np.multiply(u[1:-1], self.mid, out=out[1:-1])
+        # "same" correlation: every interior row in one call, the edge rows
+        # (zero-padded there) overwritten below
         if v is u:
-            inner += self.lo * u[:-2]
-            inner += self.hi * u[2:]
+            out = np.correlate(u, self.own, "same")
         else:
-            inner += self.side * (u[:-2] + u[2:])
-            inner += self.cross * (v[2:] - v[:-2])
+            out = np.correlate(u, self.diffuse, "same")
+            out += np.correlate(v, self.cross, "same")
         p0, p1, p2, q0, q1, q2 = self.left
         (u0, u1), (v0, v1) = u[:2].tolist(), v[:2].tolist()
         out[0] = p0 * u_a0 + p1 * u0 + p2 * u1 + q0 * v_a0 + q1 * v0 + q2 * v1

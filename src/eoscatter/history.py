@@ -11,6 +11,12 @@ A RetardedSum gives the sum over the nodes of a nodal series, each node read
 by the same rule at its own fixed delay, without keeping the series: it
 scatters every new sample forward into the sums of the levels that will read
 it.
+
+A FixedLagReader is the DelayBuffer of a boundary closure: its samples are a
+scalar trace or a trace pair, read back as Python floats, and every read is at
+one fixed lag behind a time level, so its bracket offset and weights are
+worked out once.  Both models' closures read their trace histories with it;
+DelayBuffer stays for custom closures and as the reader's test oracle.
 """
 
 from __future__ import annotations
@@ -223,3 +229,81 @@ class RetardedSum:
         pending[-1] = 0.0
         self._levels += 1
         return out
+
+
+class FixedLagReader:
+    """Samples at t0 + k*dt, k = 0, 1, 2, ..., each a tuple of ``width``
+    floats, read back at the fixed lag ``lag``.
+
+    ``read(n)`` equals ``DelayBuffer.query(t0 + n*dt - lag)``, to rounding,
+    for a DelayBuffer holding the same samples.  From two levels past the
+    lag on it reads the bracket ``n - b - 1, n - b, n - b + 1``, ``b =
+    floor(lag/dt) + 1``, with weights worked out once.  Before that it
+    follows ``query`` step by step: exactly zero while ``t0 + n*dt - lag <=
+    t0``, by the same float test, then the clamped bracket or the
+    two-sample linear rule.  A read may come before or after the append of
+    level n; the ring keeps the ``floor(lag/dt) + 3`` levels that needs.
+    """
+
+    def __init__(self, t0: float, dt: float, lag: float, width: int = 1):
+        if not math.isfinite(t0):
+            raise ValueError("t0 must be finite")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(lag) and lag >= 0.0):
+            raise ValueError("lag must be finite and nonnegative")
+        self.t0, self.dt, self.lag = float(t0), float(dt), float(lag)
+        q = self.lag / self.dt
+        self._back = math.floor(q) + 1
+        self._weights = _weights(self._back + 1 - q)
+        self._cap = self._back + 2
+        # one float64 ring per component, read back as Python floats
+        self._rings = [memoryview(bytearray(8 * self._cap)).cast("d")
+                       for _ in range(width)]
+        self._zero = (0.0,) * width
+        self._levels = 0
+
+    def append(self, sample) -> None:
+        """Append the next level's sample, ``width`` numbers."""
+        if len(sample) != len(self._rings):
+            raise ValueError(f"sample of {len(sample)} != width {len(self._rings)}")
+        i = self._levels % self._cap
+        for ring, v in zip(self._rings, sample):
+            ring[i] = v
+        self._levels += 1
+
+    def read(self, n: int) -> tuple:
+        """The series at ``t0 + n*dt - lag``, one float per component."""
+        m = n - self._back
+        if not 1 <= m < self._levels - 1 or m <= self._levels - self._cap:
+            return self._read_edge(n)
+        return self._bracket(m, self._weights)
+
+    def _bracket(self, m: int, weights) -> tuple:
+        """The samples of levels m - 1, m, m + 1, weighted."""
+        i = m % self._cap  # levels m - 1 and m + 1 wrap by negative indices
+        w0, w1, w2 = weights
+        return tuple([w0 * r[i - 1] + w1 * r[i] + w2 * r[i + 1 - self._cap]
+                      for r in self._rings])
+
+    def _read_edge(self, n: int) -> tuple:
+        """``DelayBuffer.query``'s rules, step by step, for the reads off
+        the steady bracket: before t0, on the first live levels, or out of
+        the ring."""
+        t0, dt = self.t0, self.dt
+        t = t0 + n * dt - self.lag
+        if t <= t0:
+            return self._zero
+        levels = self._levels
+        if levels == 0 or t > t0 + (levels - 1) * dt + 1e-9 * dt:
+            raise HistoryError(f"read at t={t!r} is beyond the newest sample")
+        r = (t - t0) / dt
+        if levels < 3:
+            if levels == 1:
+                return self._zero
+            s = min(max(r, 0.0), 1.0)
+            return tuple([(1.0 - s) * ring[0] + s * ring[1] for ring in self._rings])
+        m = min(max(math.floor(r), 1), levels - 2)
+        if m - 1 < levels - self._cap:
+            raise HistoryError(f"read needs level {m - 1}, older than the ring")
+        return self._bracket(m, _weights(r - (m - 1)))

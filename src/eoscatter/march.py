@@ -113,11 +113,6 @@ class Scenario:
         return (self.grid.a1 - self.grid.a0) / self.mat.c1
 
     @property
-    def window(self) -> float:
-        """Seconds of history the boundary closure reads back."""
-        return self.transit + 2.0 * self.dt
-
-    @property
     def steps(self) -> int:
         return max(1, int(math.ceil((self.t_end - self.t0) / self.dt - 1e-9)))
 
@@ -175,8 +170,8 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     ``closure(scn, j0, terms, incident)`` runs once, given the start current,
     the start level's nodal residual terms (``sources.at(g.x)(t0)``, or None)
     and the right-boundary series per level (:meth:`Scenario.incident`);
-    it returns the start traces and ``close(t_next, n, j, terms)``, the
-    traces at level n given the current and the terms there.  Each step runs
+    it returns the start traces and ``close(n, j, terms)``, the traces at
+    level n given the current and the terms there.  Each step runs
     ``step(state, scn, sources, terms, terms_next)`` with the terms at
     both of its levels, then calls ``close``; the nodal evaluator
     ``sources.at(g.x)`` is built once per run, and each level's terms are
@@ -216,7 +211,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                 f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
                 partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
             )
-        traces = close(t_next, n, fields[-1], terms_next)
+        traces = close(n, fields[-1], terms_next)
         state = state_cls(*fields, *traces, n, t_next)
         series[:, n] = traces
         if n in wanted:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import ClosedPass, Material1, SpatialOps, confined_pass
-from .history import DelayBuffer, RetardedSum
+from .history import FixedLagReader, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
 from .mms import ManufacturedFields1, ResidualSources1
@@ -112,29 +112,25 @@ def boundary_a1_m1(scn: Scenario1, incident: float) -> float:
     return float(incident)
 
 
-def boundary_a0_m1(
-    scn: Scenario1,
-    current: float,
-    pa1_hist: DelayBuffer,
-    t_next: float,
-) -> float:
+def boundary_a0_m1(scn: Scenario1, current: float, delayed_a1: float) -> float:
     """Left-boundary trace from the delayed nodal current plus the delayed
     right trace.
 
     ``current`` is the retarded current sum: every node at its own delay
-    ``(x - a0)/c1`` behind ``t_next``, zero at or before the start time (the
-    causal mask), as a :class:`RetardedSum` gives it.  In verification mode
-    it is the sum of the current plus the potential equation's residual
-    source, read by the same rule.
+    ``(x - a0)/c1`` behind the new level, zero at or before the start time
+    (the causal mask), as a :class:`RetardedSum` gives it.  In verification
+    mode it is the sum of the current plus the potential equation's residual
+    source, read by the same rule.  ``delayed_a1`` is the right trace one
+    transit time behind the new level, as a :class:`FixedLagReader` reads
+    it.
     """
-    return (scn.grid.dx / scn.mat.c1 * current
-            + pa1_hist.query(t_next - scn.transit))
+    return scn.grid.dx / scn.mat.c1 * current + delayed_a1
 
 
 def _closure_m1(scn: Scenario1, j0, terms0, incident):
     """Model 1's boundary closure for :func:`march`: the right trace, then
     the left one, which may read the fresh right value."""
-    pa1_hist = DelayBuffer(scn.t0, scn.dt, scn.window)
+    pa1_hist = FixedLagReader(scn.t0, scn.dt, scn.transit)
     left = RetardedSum(scn.t0, scn.dt, (scn.grid.x - scn.grid.a0) / scn.mat.c1)
 
     def rhs(j, terms):
@@ -142,13 +138,13 @@ def _closure_m1(scn: Scenario1, j0, terms0, incident):
 
     left.push(rhs(j0, terms0))
     start = (0.0, boundary_a1_m1(scn, incident[0]))
-    pa1_hist.append(start[1])
+    pa1_hist.append(start[1:])
 
-    def close(t_next: float, n: int, j, terms):
+    def close(n: int, j, terms):
         pa1 = boundary_a1_m1(scn, incident[n])
-        pa1_hist.append(pa1)
-        return boundary_a0_m1(scn, left.push(rhs(j, terms)), pa1_hist,
-                              t_next), pa1
+        pa1_hist.append((pa1,))
+        return boundary_a0_m1(scn, left.push(rhs(j, terms)),
+                              *pa1_hist.read(n)), pa1
 
     return start, close
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import ClosedPass, GridSpec, Material2, SpatialOps, confined_pass
-from .history import DelayBuffer, RetardedSum
+from .history import FixedLagReader, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
 from .mms import ManufacturedFields2, ResidualSources2
@@ -31,6 +31,7 @@ __all__ = [
     "State2",
     "boundary_update_m2",
     "check_step",
+    "incident_terms",
     "interior_step_m2",
     "run_m2",
 ]
@@ -52,6 +53,16 @@ class State2(FieldState):
     t: float
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``a @ b`` of two 2x2 arrays, as nested tuples of Python floats.
+    Written out, as ``incident_terms`` uses ``einsum``: a run's first
+    ``@`` would set up the BLAS, about 0.4 MiB of resident memory."""
+    (a00, a01), (a10, a11) = a.tolist()
+    (b00, b01), (b10, b11) = b.tolist()
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+
+
 class BoundaryMatrices:
     """The two 2x2 boundary systems and their exact inverses.
 
@@ -59,7 +70,9 @@ class BoundaryMatrices:
     positive for positive material coefficients, so the solves are always
     well posed.  ``mix_out`` / ``mix_back`` are the interior combination
     matrices applied to the delayed data on the left and right side
-    respectively.
+    respectively.  ``left_out`` and ``right_back`` are ``left_inv @
+    mix_out`` and ``right_inv @ mix_back`` as nested tuples of floats, the
+    forms the per-step solves use.
     """
 
     def __init__(self, mat: Material2) -> None:
@@ -75,6 +88,8 @@ class BoundaryMatrices:
         self.right_inv = self._inv2(self.right)
         self.mix_out = np.array([[c1, mat.mu1], [mat.nu1, c1]])
         self.mix_back = np.array([[c1, -mat.mu1], [-mat.nu1, c1]])
+        self.left_out = _compose(self.left_inv, self.mix_out)
+        self.right_back = _compose(self.right_inv, self.mix_back)
 
     @staticmethod
     def _inv2(m: np.ndarray) -> np.ndarray:
@@ -164,27 +179,31 @@ def _potential_m2(state, scn, terms, g):
     return phi, psi
 
 
-def _incident_term(scn: Scenario2, pair) -> tuple[float, float]:
-    """``2*c0*(incident pair)`` on the right boundary.
+def incident_terms(scn: Scenario2, bm: BoundaryMatrices, pairs) -> np.ndarray:
+    """The right system's incident term per level, solved through
+    ``bm.right_inv``: ``right_inv @ (2*c0*pair)`` for each incident pair of
+    ``pairs`` (rows of :meth:`Scenario2.incident`), one row per level.
 
-    In verification mode ``pair`` holds the exact traces, and the role of
+    In verification mode the rows hold the exact traces, and the role of
     the incident pair is played by their combination that turns the
-    right-hand update rule into an identity for the manufactured fields.
+    right-hand update rule into an identity for the manufactured fields.  A
+    null run's terms are zero.
     """
     m = scn.mat
     if scn.mms is not None:
-        pe, se = pair
-        return m.c0 * pe + m.mu0 * se, m.nu0 * pe + m.c0 * se
-    if scn.source is None:
-        return 0.0, 0.0
-    phi_i, psi_i = pair
-    return 2.0 * m.c0 * phi_i, 2.0 * m.c0 * psi_i
+        drive = np.array([[m.c0, m.mu0], [m.nu0, m.c0]])
+    elif scn.source is not None:
+        drive = 2.0 * m.c0 * np.eye(2)
+    else:
+        return np.zeros((len(pairs), 2))
+    return np.einsum("lj,ij->li", pairs, _compose(bm.right_inv, drive))
 
 
-def _apply(mat: np.ndarray, u: float, v: float) -> tuple[float, float]:
-    """``mat @ (u, v)`` for a 2x2 ``mat``, in scalar arithmetic: numpy's
-    per-call overhead on 2x2 arrays outweighs the four products."""
-    (a, b), (c, d) = mat.tolist()
+def _apply(mat, u: float, v: float) -> tuple[float, float]:
+    """``mat @ (u, v)`` for a 2x2 ``mat`` of nested float tuples, in scalar
+    arithmetic: numpy's per-call overhead on 2x2 arrays outweighs the four
+    products."""
+    (a, b), (c, d) = mat
     return a * u + b * v, c * u + d * v
 
 
@@ -193,48 +212,47 @@ def boundary_update_m2(
     bm: BoundaryMatrices,
     left: float,
     right: float,
-    pair0_hist: DelayBuffer,
-    pair1_hist: DelayBuffer,
-    t_next: float,
+    delayed0,
+    delayed1,
     incident,
     psi_sums=(0.0, 0.0),
 ):
-    """Solve both boundary systems at ``t_next``.
+    """Solve both boundary systems at a new level.
 
     ``left`` and ``right`` are the retarded sums over the leftward delays
     ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
     :class:`RetardedSum` gives them, of the ``phi`` equation's right-hand
     side: the current, plus in verification mode the ``phi`` residual
     source.  ``psi_sums`` are the same two sums of the ``psi`` residual
-    source (zero outside verification mode).  ``incident`` is the value of
-    :meth:`Scenario2.incident` at ``t_next`` (not read in a null run).  The
-    trace-pair histories reach level n (both new pairs are appended by the
-    caller afterwards).  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``.
+    source (zero outside verification mode).  ``delayed0`` and
+    ``delayed1`` are the left and right trace pairs one transit time behind
+    the new level, as a :class:`FixedLagReader` reads them, and
+    ``incident`` is the level's row of :func:`incident_terms`.  Returns
+    ``(phi_a0, psi_a0, phi_a1, psi_a1)``, Python floats when the inputs
+    are.
     """
     weight = scn.grid.dx / scn.mat.c1
-    phi0, phi1 = left, right
     psi0, psi1 = psi_sums
-    delay = t_next - scn.transit
-    p, q = pair1_hist.query(delay).tolist()
-    pair0 = _apply(bm.left_inv, *_apply(bm.mix_out, weight * phi0 + p,
-                                         weight * psi0 + q))
-    p, q = pair0_hist.query(delay).tolist()
-    u, v = _apply(bm.mix_back, weight * phi1 + p, weight * psi1 + q)
-    inc_u, inc_v = _incident_term(scn, incident)
-    return (*pair0, *_apply(bm.right_inv, u + inc_u, v + inc_v))
+    p, q = delayed1
+    pair0 = _apply(bm.left_out, weight * left + p, weight * psi0 + q)
+    p, q = delayed0
+    u, v = _apply(bm.right_back, weight * right + p, weight * psi1 + q)
+    inc_u, inc_v = incident
+    return (*pair0, u + inc_u, v + inc_v)
 
 
 def _closure_m2(scn: Scenario2, j0, terms0, incident):
     """Model 2's boundary closure for :func:`march`: the retarded sums of
     both directions, then both boundary systems, then both new pairs."""
     g, bm = scn.grid, BoundaryMatrices(scn.mat)
-    pair0_hist, pair1_hist = (DelayBuffer(scn.t0, scn.dt, scn.window, shape=(2,))
+    pair0_hist, pair1_hist = (FixedLagReader(scn.t0, scn.dt, scn.transit, width=2)
                               for _ in range(2))
     delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
     phi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
     # the psi equation has a right-hand side, pushed here, in verification
     # mode only
     psi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
+    inc = incident_terms(scn, bm, incident)
 
     def push(j, terms):
         """Both directions' phi sums, and their psi sums."""
@@ -249,15 +267,15 @@ def _closure_m2(scn: Scenario2, j0, terms0, incident):
     if scn.mms is not None:
         start = tuple(float(getattr(scn.mms, p).value(a, scn.t0))
                       for a in (g.a0, g.a1) for p in scn.potentials)
-    pair0_hist.append(np.array(start[:2]))
-    pair1_hist.append(np.array(start[2:]))
+    pair0_hist.append(start[:2])
+    pair1_hist.append(start[2:])
 
-    def close(t_next: float, n: int, j, terms):
+    def close(n: int, j, terms):
         (left, right), psi = push(j, terms)
-        traces = boundary_update_m2(scn, bm, left, right, pair0_hist,
-                                    pair1_hist, t_next, incident[n], psi)
-        pair0_hist.append(np.array(traces[:2]))
-        pair1_hist.append(np.array(traces[2:]))
+        traces = boundary_update_m2(scn, bm, left, right, pair0_hist.read(n),
+                                    pair1_hist.read(n), inc[n].tolist(), psi)
+        pair0_hist.append(traces[:2])
+        pair1_hist.append(traces[2:])
         return traces
 
     return start, close

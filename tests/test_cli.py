@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eoscatter.cli import main
+from eoscatter.cli import _fmt, main
 
 MAT1 = {"c1": 2.0, "c0": 1.0, "alpha": -1.0, "beta": 0.3, "gamma": 8.0}
 MAT2 = {"mu1": 2.0, "nu1": 2.0, "mu0": 1.0, "nu0": 1.0,
@@ -88,6 +88,15 @@ def test_run_outputs_have_the_documented_shape(tmp_path):
     assert rows[-1][3] == "0.0" and rows[-1][4] == "0.0"
     body = np.array(rows, dtype=float)
     assert np.all(np.isfinite(body))
+
+
+def test_csv_cells_are_pinned():
+    # every cell type a row may carry; floats, numpy's included, as the
+    # shortest round-trip decimal
+    row = (np.float64(0.1), 1e-20, -0.0, 3, np.int64(-7), "phi", np.float64(2.5e300),
+           1.0 / 3.0, True)
+    assert ",".join(map(_fmt, row)) == (
+        "0.1,1e-20,-0.0,3,-7,phi,2.5e+300,0.3333333333333333,1.0")
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -1,10 +1,13 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from eoscatter.grid import GridSpec
-from eoscatter.history import DelayBuffer, HistoryError, RetardedSum
+from eoscatter.history import DelayBuffer, FixedLagReader, HistoryError, RetardedSum
 
 
 def _fill(buf, func, n):
@@ -207,3 +210,103 @@ def test_fixed_lag_sum_rejects_bad_input():
             RetardedSum(t0, dt, np.ones(3))
     with pytest.raises(ValueError, match="shape"):
         RetardedSum(0.0, 0.1, np.ones(3)).push(np.ones(4))
+
+
+# -- fixed-lag trace reader ----------------------------------------------------
+
+
+@st.composite
+def lag_setups(draw):
+    """``(t0, dt, lag, exact)``: ``lag`` from dt to 50*dt, a whole or a
+    fractional multiple of dt.  With ``exact`` every number is a short
+    binary fraction, so the oracle's fractional level
+    ``(t0 + n*dt - lag - t0)/dt`` carries no rounding."""
+    whole = draw(st.integers(1, 50))
+    if draw(st.booleans()):
+        dt = 2.0 ** -draw(st.integers(0, 10))
+        t0 = draw(st.integers(-160, 160)) * dt / 4
+        lag = (whole + draw(st.integers(0, 7)) / 8) * dt
+        return t0, dt, lag, True
+    dt = draw(st.floats(1e-3, 1.0))
+    t0 = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(-40.0, 40.0).map(lambda s: s * dt)))
+    lag = draw(st.one_of(st.just(float(whole)), st.floats(1.0, 50.0))) * dt
+    return t0, dt, lag, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(setup=lag_setups(), width=st.sampled_from([1, 2]),
+       read_first=st.booleans(), seed=st.integers(0, 2**16))
+def _reader_matches_delay_buffer(setup, width, read_first, seed):
+    # Every read, from before t0 through the first live levels into the
+    # steady bracket and past a full turn of the ring, against the oracle,
+    # with the read of level n before its append (model 2's order) or after
+    # it (model 1's).  Agreement is to 1e-15 relative to the bracket's
+    # magnitude; off the exact draws the oracle's fractional level carries
+    # a rounding error of about eps*(|t0| + |t_next| + lag)/dt levels, which
+    # the reader's once-computed weights do not share, so the bound scales
+    # with that count.
+    t0, dt, lag, exact = setup
+    rng = np.random.default_rng(seed)
+    reader = FixedLagReader(t0, dt, lag, width)
+    oracle = DelayBuffer(t0, dt, lag + 2 * dt, shape=(width,))
+    peak = 0.0
+    for n in range(2 * int(lag / dt) + 8):
+        sample = rng.uniform(0.5, 1.5, width) * rng.choice([-1.0, 1.0], width)
+        peak = max(peak, np.max(np.abs(sample)))
+        if not read_first:
+            reader.append(tuple(sample))
+            oracle.append(sample)
+        t_next = t0 + n * dt
+        got, want = reader.read(n), oracle.query(t_next - lag)
+        assert all(type(v) is float for v in got)
+        if t_next - lag <= t0:
+            assert got == (0.0,) * width, n
+        levels = 1.0 if exact else 1.0 + (abs(t0) + abs(t_next) + lag) / dt
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-15 * levels * 3 * peak, n
+        if read_first:
+            reader.append(tuple(sample))
+            oracle.append(sample)
+
+
+def test_fixed_lag_reader_matches_delay_buffer_query():
+    tic = time.perf_counter()
+    _reader_matches_delay_buffer()
+    assert time.perf_counter() - tic < 20.0
+
+
+def test_fixed_lag_reader_prehistory_and_first_levels():
+    # lag 2.5 levels: levels 0-2 read before t0 (zero, although the samples
+    # there are not), level 3 reads the clamped bracket 0, 1, 2 at 0.5, and
+    # from level 4 on the steady bracket; a quadratic in time reads back
+    # exactly from the first live level on
+    dt, lag = 0.25, 0.625
+    q = lambda t: 2.0 + t - 3.0 * t * t
+    reader = FixedLagReader(0.0, dt, lag)
+    got = []
+    for n in range(12):
+        reader.append((q(n * dt),))
+        got.append(reader.read(n)[0])
+    assert got[:3] == [0.0, 0.0, 0.0]
+    for n in range(3, 12):
+        assert got[n] == pytest.approx(q(n * dt - lag), rel=1e-14)
+
+
+def test_fixed_lag_reader_keeps_a_bounded_ring():
+    dt, lag = 0.1, 0.95  # floor(lag/dt) + 3 = 12 levels kept
+    reader = FixedLagReader(0.0, dt, lag, width=2)
+    for n in range(100):
+        reader.append((n, -n))
+    assert reader.read(99) == pytest.approx((99 - 9.5, 9.5 - 99), rel=1e-14)
+    with pytest.raises(HistoryError, match="older"):
+        reader.read(95 - 12)
+    with pytest.raises(HistoryError, match="beyond"):
+        reader.read(120)
+
+
+def test_fixed_lag_reader_rejects_bad_input():
+    for t0, dt, lag in ((math.nan, 0.1, 1.0), (0.0, 0.0, 1.0), (0.0, math.inf, 1.0),
+                        (0.0, 0.1, -0.1), (0.0, 0.1, math.nan)):
+        with pytest.raises(ValueError):
+            FixedLagReader(t0, dt, lag)
+    with pytest.raises(ValueError, match="width"):
+        FixedLagReader(0.0, 0.1, 1.0, width=2).append((1.0,))

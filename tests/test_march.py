@@ -136,6 +136,35 @@ def test_boundary_sums_keep_no_nodal_history(model):
 
 
 @pytest.mark.parametrize("model", [1, 2])
+@pytest.mark.parametrize("drive", ["source", "mms", "null"])
+def test_closures_trade_in_python_floats(monkeypatch, model, drive):
+    # the traces a closure starts with and returns every step are Python
+    # floats: numpy scalars would cost the per-step scalar work several
+    # times over
+    module = {1: model1, 2: model2}[model]
+    name = f"_closure_m{model}"
+    closure, seen = getattr(module, name), []
+
+    def spy(scn, j0, terms, incident):
+        start, close = closure(scn, j0, terms, incident)
+        seen.append(start)
+
+        def spied(n, j, terms):
+            seen.append(close(n, j, terms))
+            return seen[-1]
+        return start, spied
+
+    monkeypatch.setattr(module, name, spy)
+    kw = {"source": {"source": GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)},
+          "mms": {"mms": FIELDS[model].demo()}, "null": {}}[drive]
+    scn = null_scenario(model, t_end=3.0, **kw)
+    res = MODELS[model][1](scn)
+    assert len(seen) == scn.steps + 1
+    assert {type(v) for traces in seen for v in traces} == {float}
+    assert np.max(np.abs(res.phi_a0)) > 0.0 or drive == "null"
+
+
+@pytest.mark.parametrize("model", [1, 2])
 def test_manufactured_potentials_must_be_quiet_at_the_start(model):
     # the boundary histories are zero before t0, so the exact potentials
     # must be too; the demo pulse reaches [3, 6] by t = 1.5

@@ -111,7 +111,8 @@ def test_boundary_a0_all_masked_is_zero():
     t_next = 0.5 * g.gap_a0 / MAT.c1
     assert t_next < g.gap_a0 / MAT.c1
     current = np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
-    assert boundary_a0_m1(scn, current, pa1_hist, t_next) == 0.0
+    assert boundary_a0_m1(scn, current,
+                          pa1_hist.query(t_next - scn.transit)) == 0.0
 
 
 def test_boundary_a0_delayed_passthrough():
@@ -126,7 +127,7 @@ def test_boundary_a0_delayed_passthrough():
     t_next = 1.8  # past the transit 1.5, so the delayed trace passes through
     assert scn.transit < t_next
     current = np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
-    got = boundary_a0_m1(scn, current, pa1_hist, t_next)
+    got = boundary_a0_m1(scn, current, pa1_hist.query(t_next - scn.transit))
     assert got == pytest.approx(1.0, abs=1e-13)
 
 
@@ -210,7 +211,7 @@ def test_boundary_a0_fixed_lag_reader_matches_direct_sum():
     t_next = 39 * scn.dt
     want = (g.dx / MAT.c1 * np.sum(j_hist.query_each(t_next - delays))
             + pa1_hist.query(t_next - scn.transit))
-    got = boundary_a0_m1(scn, current, pa1_hist, t_next)
+    got = boundary_a0_m1(scn, current, pa1_hist.query(t_next - scn.transit))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eoscatter.grid import GridSpec, Material2
 from eoscatter.history import DelayBuffer
@@ -12,6 +13,7 @@ from eoscatter.model2 import (
     Scenario2,
     State2,
     boundary_update_m2,
+    incident_terms,
     interior_step_m2,
     run_m2,
 )
@@ -151,7 +153,9 @@ def test_boundary_update_zero_histories_zero_incident():
     bm = BoundaryMatrices(MAT)
     j_hist, p0, p1 = histories(scn)
     left, right = current_sums(scn, j_hist, 1.2)
-    got = boundary_update_m2(scn, bm, left, right, p0, p1, 1.2, None)
+    delay = 1.2 - scn.transit
+    got = boundary_update_m2(scn, bm, left, right, p0.query(delay),
+                             p1.query(delay), incident_terms(scn, bm, [None])[0].tolist())
     assert got == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -162,13 +166,50 @@ def test_boundary_update_constant_incident_pair():
     bm = BoundaryMatrices(mat)
     j_hist, p0, p1 = histories(scn)
     left, right = current_sums(scn, j_hist, 1.2)
-    got = boundary_update_m2(scn, bm, left, right, p0, p1, 1.2,
-                             (1.0, mat.nu0 / mat.c0))
+    delay = 1.2 - scn.transit
+    got = boundary_update_m2(scn, bm, left, right, p0.query(delay),
+                             p1.query(delay),
+                             incident_terms(scn, bm, [(1.0, mat.nu0 / mat.c0)])[0].tolist())
     assert got[:2] == (0.0, 0.0)
     rhs = 2.0 * mat.c0 * np.array([1.0, mat.nu0 / mat.c0])
     want = np.linalg.solve(bm.right, rhs)
     assert got[2] == pytest.approx(want[0], rel=1e-13)
     assert got[3] == pytest.approx(want[1], rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.tuples(*[st.floats(0.2, 5.0)] * 4),
+       mode=st.sampled_from(["source", "mms"]), seed=st.integers(0, 2**16))
+def test_float_solves_match_linalg_solve(coeffs, mode, seed):
+    # the composed float solves (left_inv @ mix_out, right_inv @ mix_back,
+    # the incident term through right_inv) against np.linalg.solve of the
+    # two systems; rounding is bounded componentwise, |A| |x| for A @ x
+    mu1, nu1, mu0, nu0 = coeffs
+    mat = Material2(mu1=mu1, nu1=nu1, mu0=mu0, nu0=nu0,
+                    alpha=-1.0, beta=0.3, gamma=8.0)
+    drive = ({"source": GaussianSource(1.0, 4.0, 36.0, 3.0, 4.0)}
+             if mode == "source" else {"mms": ManufacturedFields2.demo()})
+    scn = scenario(n=8, mat=mat, **drive)
+    bm = BoundaryMatrices(mat)
+    rng = np.random.default_rng(seed)
+    left, right, psi0, psi1, p0, q0, p1, q1, pe, se = rng.normal(size=10).tolist()
+    got = boundary_update_m2(scn, bm, left, right, (p0, q0), (p1, q1),
+                             incident_terms(scn, bm, [(pe, se)])[0].tolist(),
+                             (psi0, psi1))
+    assert all(type(v) is float for v in got)
+    w = scn.grid.dx / mat.c1
+    x0 = np.array([w * left + p1, w * psi0 + q1])
+    if mode == "source":
+        inc = 2.0 * mat.c0 * np.array([pe, se])
+    else:
+        inc = np.array([mat.c0 * pe + mat.mu0 * se, mat.nu0 * pe + mat.c0 * se])
+    x1 = np.array([w * right + p0, w * psi1 + q0])
+    want0 = np.linalg.solve(bm.left, bm.mix_out @ x0)
+    want1 = np.linalg.solve(bm.right, bm.mix_back @ x1 + inc)
+    size0 = np.abs(bm.left_inv) @ np.abs(bm.mix_out) @ np.abs(x0)
+    size1 = np.abs(bm.right_inv) @ (np.abs(bm.mix_back) @ np.abs(x1) + np.abs(inc))
+    assert np.all(np.abs(np.array(got[:2]) - want0) <= 1e-14 * size0)
+    assert np.all(np.abs(np.array(got[2:]) - want1) <= 1e-14 * size1)
 
 
 def test_mms_step_local_error_is_third_order():
