@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .grid import GridSpec, Material1, Material2
-from .mms import ArctanGaussianPulse, GaussianBump, ManufacturedFields1, ManufacturedFields2
-from .model2 import check_step
+from .grid import GridSpec
+from .model1 import Scenario1
+from .model2 import Scenario2
 from .sources import GaussianSource, TabulatedSource
 from .stability import DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR, DEFAULT_SCAN_POINTS
 
@@ -25,6 +25,14 @@ DEFAULT_STABILITY_N = 200
 DEFAULT_EPSILONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 MODES = ("run", "mms", "stability")
+
+# Each model's scenario class names its material, manufactured family and
+# potentials, and carries its rule on the time step.
+SCENARIOS = {1: Scenario1, 2: Scenario2}
+
+# The mms blocks and the manufactured fields they set, in parse order;
+# ``pulse_psi`` is read only by a model with a ``psi`` potential.
+_MMS_BLOCKS = {"pulse": "phi", "current": "j", "charge": "rho", "pulse_psi": "psi"}
 
 
 class ConfigError(ValueError):
@@ -42,13 +50,17 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key '{extra[0]}' in {where}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(block, key, where, default=None, required=False):
     if key not in block:
         if required:
             raise ConfigError(f"missing key '{key}' in {where}")
         return default
     v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"'{key}' in {where} must be a number")
     v = float(v)
     if not math.isfinite(v):
@@ -65,6 +77,24 @@ def _integer(block, key, where, default=None, required=False):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"'{key}' in {where} must be an integer")
     return v
+
+
+def _build(cls, block, where: str, defaults=None, **given):
+    """A ``cls`` from ``block``, whose keys are the fields of ``cls``.
+
+    Each field not in ``given`` is read as a number: required when
+    ``defaults`` is None, otherwise defaulting to that instance's value.
+    """
+    block = _require_mapping(block, where)
+    names = [f.name for f in fields(cls)]
+    _reject_unknown(block, names, where)
+    vals = {k: _number(block, k, where, default=getattr(defaults, k, None),
+                       required=defaults is None)
+            for k in names if k not in given}
+    try:
+        return cls(**vals, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -126,50 +156,20 @@ def _parse_grid(block, where="grid") -> GridSpec:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_material(block, model: int, where="material"):
-    block = _require_mapping(block, where)
-    if model == 1:
-        keys = ("c1", "c0", "alpha", "beta", "gamma")
-        _reject_unknown(block, keys, where)
-        vals = {k: _number(block, k, where, required=True) for k in keys}
-        cls = Material1
-    else:
-        keys = ("mu1", "nu1", "mu0", "nu0", "alpha", "beta", "gamma")
-        _reject_unknown(block, keys, where)
-        vals = {k: _number(block, k, where, required=True) for k in keys}
-        cls = Material2
-    try:
-        return cls(**vals)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def _parse_source(block, where="source"):
     if block is None:
         return None
     block = _require_mapping(block, where)
     kind = block.get("kind", "gaussian")
     if kind == "gaussian":
-        keys = ("kind", "amplitude", "x_center", "space_rate", "t_center",
-                "time_rate", "support")
-        _reject_unknown(block, keys, where)
         support = block.get("support")
         if support is not None:
             if (not isinstance(support, (list, tuple)) or len(support) != 2
-                    or not all(isinstance(v, (int, float)) for v in support)):
+                    or not all(map(_is_number, support))):
                 raise ConfigError(f"'support' in {where} must be [lo, hi]")
             support = (float(support[0]), float(support[1]))
-        try:
-            return GaussianSource(
-                amplitude=_number(block, "amplitude", where, required=True),
-                x_center=_number(block, "x_center", where, required=True),
-                space_rate=_number(block, "space_rate", where, required=True),
-                t_center=_number(block, "t_center", where, required=True),
-                time_rate=_number(block, "time_rate", where, required=True),
-                support=support,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        params = {k: v for k, v in block.items() if k != "kind"}
+        return _build(GaussianSource, params, where, support=support)
     if kind == "tabulated":
         _reject_unknown(block, ("kind", "path"), where)
         path = block.get("path")
@@ -182,48 +182,18 @@ def _parse_source(block, where="source"):
     raise ConfigError(f"'kind' in {where} must be 'gaussian' or 'tabulated'")
 
 
-_PULSE_KEYS = ("amplitude", "ramp_rate", "rate", "drift", "center", "t_shift")
-_BUMP_KEYS = ("amplitude", "x_center", "x_width", "t_center", "t_width")
-
-
-def _parse_pulse(block, where, defaults: ArctanGaussianPulse) -> ArctanGaussianPulse:
-    block = _require_mapping(block, where)
-    _reject_unknown(block, _PULSE_KEYS, where)
-    vals = {k: _number(block, k, where, default=getattr(defaults, k))
-            for k in _PULSE_KEYS}
-    try:
-        return ArctanGaussianPulse(**vals)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_bump(block, where, defaults: GaussianBump) -> GaussianBump:
-    block = _require_mapping(block, where)
-    _reject_unknown(block, _BUMP_KEYS, where)
-    vals = {k: _number(block, k, where, default=getattr(defaults, k))
-            for k in _BUMP_KEYS}
-    try:
-        return GaussianBump(**vals)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_mms(block, model: int, grid: GridSpec, where="mms"):
+def _parse_mms(block, scn_cls, grid: GridSpec, where="mms"):
     block = _require_mapping(block if block is not None else {}, where)
-    allowed = ["pulse", "current", "charge", "n_ladder"]
-    if model == 2:
-        allowed.append("pulse_psi")
-    _reject_unknown(block, allowed, where)
-    demo = ManufacturedFields1.demo() if model == 1 else ManufacturedFields2.demo()
-    pulse = _parse_pulse(block.get("pulse", {}), f"{where}.pulse", demo.phi)
-    current = _parse_bump(block.get("current", {}), f"{where}.current", demo.j)
-    charge = _parse_bump(block.get("charge", {}), f"{where}.charge", demo.rho)
-    if model == 1:
-        exact = ManufacturedFields1(phi=pulse, j=current, rho=charge)
-    else:
-        psi = _parse_pulse(block.get("pulse_psi", block.get("pulse", {})),
-                           f"{where}.pulse_psi", demo.psi)
-        exact = ManufacturedFields2(phi=pulse, psi=psi, j=current, rho=charge)
+    names = scn_cls.potentials + ("rho", "j")
+    blocks = {key: name for key, name in _MMS_BLOCKS.items() if name in names}
+    _reject_unknown(block, [*blocks, "n_ladder"], where)
+    demo, parts = scn_cls.manufactured.demo(), {}
+    for key, name in blocks.items():
+        default = getattr(demo, name)
+        # psi's pulse follows phi's unless given
+        given = block.get(key, block.get("pulse", {}) if key == "pulse_psi" else {})
+        parts[name] = _build(type(default), given, f"{where}.{key}", default)
+    exact = scn_cls.manufactured(**parts)
     ladder = block.get("n_ladder")
     if ladder is None:
         ladder = [grid.n]
@@ -242,9 +212,7 @@ def _parse_stability(block, where="stability") -> StabilityControls:
     _reject_unknown(block, ("N", "epsilons", "dt_max_factor", "scan_points",
                             "bisect_tol", "samples"), where)
     eps = block.get("epsilons", list(DEFAULT_EPSILONS))
-    if (not isinstance(eps, list) or not eps
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in eps)):
+    if not isinstance(eps, list) or not eps or not all(map(_is_number, eps)):
         raise ConfigError(f"'epsilons' in {where} must be a list of numbers")
     eps = tuple(float(v) for v in eps)
     if any(not 0.0 <= v <= 1.0 for v in eps):
@@ -281,9 +249,7 @@ def _parse_output(block, where="output"):
     if not isinstance(out_dir, str):
         raise ConfigError(f"'dir' in {where} must be a string")
     snaps = block.get("snapshots", [])
-    if (not isinstance(snaps, list)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in snaps)):
+    if not isinstance(snaps, list) or not all(map(_is_number, snaps)):
         raise ConfigError(f"'snapshots' in {where} must be a list of times")
     return out_dir, tuple(float(v) for v in snaps)
 
@@ -293,30 +259,8 @@ def _source_dict(source, block) -> dict | None:
     if source is None:
         return None
     if isinstance(source, GaussianSource):
-        return {
-            "kind": "gaussian",
-            "amplitude": source.amplitude,
-            "x_center": source.x_center,
-            "space_rate": source.space_rate,
-            "t_center": source.t_center,
-            "time_rate": source.time_rate,
-            "support": list(source.support),
-        }
+        return {"kind": "gaussian", **asdict(source), "support": list(source.support)}
     return {"kind": "tabulated", "path": block["path"]}
-
-
-def _mms_dict(exact, ladder) -> dict:
-    def pulse(p):
-        return {k: getattr(p, k) for k in _PULSE_KEYS}
-
-    def bump(b):
-        return {k: getattr(b, k) for k in _BUMP_KEYS}
-
-    out = {"pulse": pulse(exact.phi), "current": bump(exact.j),
-           "charge": bump(exact.rho), "n_ladder": list(ladder)}
-    if hasattr(exact, "psi"):
-        out["pulse_psi"] = pulse(exact.psi)
-    return out
 
 
 def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
@@ -326,14 +270,15 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
                            "t_end", "source", "mms", "stability", "output"),
                     "config")
     model = _integer(data, "model", "config", required=True)
-    if model not in (1, 2):
+    if model not in SCENARIOS:
         raise ConfigError("'model' in config must be 1 or 2")
+    scn_cls = SCENARIOS[model]
     mode = data.get("mode", default_mode)
     if mode not in MODES:
         raise ConfigError("'mode' in config must be one of run, mms, stability")
 
-    mat = _parse_material(data.get("material"), model) if "material" in data \
-        else _missing("material")
+    mat = _build(scn_cls.material, data.get("material"), "material") \
+        if "material" in data else _missing("material")
 
     grid = None
     if mode == "stability":
@@ -371,7 +316,7 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
 
     exact = ladder = None
     if mode == "mms":
-        exact, ladder = _parse_mms(data.get("mms"), model, grid)
+        exact, ladder = _parse_mms(data.get("mms"), scn_cls, grid)
     elif "mms" in data and data["mms"] is not None:
         raise ConfigError("'mms' in config is only meaningful in mms mode")
 
@@ -392,13 +337,14 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
         "mode": mode,
         "grid": None if grid is None else {"a0": grid.a0, "a1": grid.a1,
                                            "N": grid.n, "epsilon": grid.epsilon},
-        "material": {k: getattr(mat, k) for k in
-                     (("c1", "c0", "alpha", "beta", "gamma") if model == 1 else
-                      ("mu1", "nu1", "mu0", "nu0", "alpha", "beta", "gamma"))},
+        "material": asdict(mat),
         "dt_cfl": dt_cfl,
         "t_end": t_end,
         "source": _source_dict(source, data.get("source")),
-        "mms": None if exact is None else _mms_dict(exact, ladder),
+        "mms": None if exact is None else {
+            **{key: asdict(getattr(exact, name))
+               for key, name in _MMS_BLOCKS.items() if hasattr(exact, name)},
+            "n_ladder": list(ladder)},
         "stability": None if stability is None else {
             "N": stability.n,
             "epsilons": list(stability.epsilons),
@@ -414,12 +360,12 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
                     n_ladder=ladder, stability=stability,
                     snapshot_times=snapshots, out_dir=out_dir,
                     resolved=resolved)
-    if model == 2 and mode != "stability":
-        # on every grid the mode marches
+    if mode != "stability":
+        # the model's step rule, on every grid the mode marches
         for n in ladder if mode == "mms" else (grid.n,):
             g = replace(grid, n=n)
             try:
-                check_step(cfg.step(g), g, mat)
+                scn_cls.check_step(cfg.step(g), g, mat)
             except ValueError as exc:
                 raise ConfigError(
                     f"'dt_cfl' in config, at N = {n}: {exc}") from None

@@ -73,7 +73,7 @@ class Scenario:
             raise ValueError("t0 and t_end must be finite")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed the start time")
-        self._check_step()
+        self.check_step(self.dt, self.grid, self.mat)
         if self.source is not None and self.mms is not None:
             raise ValueError(
                 "scenario cannot carry both an external source and "
@@ -94,8 +94,10 @@ class Scenario:
                 if np.max(np.abs(getattr(self.mms, p).value(at, self.t0))) >= 1e-12:
                     raise ValueError(f"manufactured {p} is not quiet at the start time")
 
-    def _check_step(self) -> None:
-        """Model-specific rule on ``dt``; none by default."""
+    @staticmethod
+    def check_step(dt: float, grid: GridSpec, mat) -> None:
+        """The model's rule on the time step ``dt`` (ValueError when broken);
+        none by default."""
 
     def incident(self, t):
         """What drives the right boundary at time(s) ``t``: the source's
@@ -117,27 +119,26 @@ class Scenario:
         return max(1, int(math.ceil((self.t_end - self.t0) / self.dt - 1e-9)))
 
 
-def interior_step(state, scn: Scenario, sources, potential_half,
+def interior_step(state, scn: Scenario, potential_half,
                   terms=None, terms_next=None):
     """Advance the interior fields one step using level-n boundary traces.
 
     ``potential_half(state, scn, terms, g)`` returns the new potentials,
-    given the residual terms at level n (``sources.at(x)(t)``, or None) and
-    the half-step current ``g = j + (dt/2)*f``, ``f`` being the response
-    forcing ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes
-    the Taylor step ``rho - dt*D1(g)`` and the current a Heun corrector,
-    which reads the current's term at level n + 1.  ``terms`` and
+    given the nodal residual terms at level n (or None) and the half-step
+    current ``g = j + (dt/2)*f``, ``f`` being the response forcing
+    ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes the
+    Taylor step ``rho - dt*D1(g)`` and the current a Heun corrector, which
+    reads the current's term at level n + 1.  ``terms`` and
     ``terms_next`` are the nodal terms at levels n and n + 1, given together
-    (:func:`march` evaluates each level once) or left out and evaluated here.
+    (:func:`march` evaluates each level once) or, in verification mode,
+    left out and evaluated here.
     """
-    if sources is None and scn.mms is not None:
-        sources = scn.residuals(scn.mms, scn.mat)
     m, dt, h = scn.mat, scn.dt, 0.5 * scn.dt
     a, b, c = h * m.alpha, h * m.beta, h * m.gamma  # (dt/2) times the forcing's
     rho, j = state.rho, state.j
     g = (a - b * rho) * state.phi + (1.0 - c) * j
-    if terms is None and sources is not None:
-        terms_at = sources.at(scn.grid.x)
+    if terms is None and scn.mms is not None:
+        terms_at = scn.residuals(scn.mms, scn.mat).at(scn.grid.x)
         terms, terms_next = terms_at(state.t), terms_at(state.t + dt)
     potentials = potential_half(state, scn, terms, g)
 
@@ -168,22 +169,20 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     """Advance ``scn`` from its start time to ``t_end``.
 
     ``closure(scn, j0, terms, incident)`` runs once, given the start current,
-    the start level's nodal residual terms (``sources.at(g.x)(t0)``, or None)
+    the start level's nodal residual terms (``terms_at(t0)``, or None)
     and the right-boundary series per level (:meth:`Scenario.incident`);
     it returns the start traces and ``close(n, j, terms)``, the traces at
     level n given the current and the terms there.  Each step runs
-    ``step(state, scn, sources, terms, terms_next)`` with the terms at
-    both of its levels, then calls ``close``; the nodal evaluator
-    ``sources.at(g.x)`` is built once per run, and each level's terms are
-    evaluated once with it and carried to the next step.  A
-    non-finite field raises :class:`DivergenceError`.
+    ``step(state, scn, terms, terms_next)`` with the terms at both of its
+    levels, then calls ``close``; the nodal evaluator
+    ``terms_at = scn.residuals(scn.mms, scn.mat).at(g.x)`` is built once
+    per run, and each level's terms are evaluated once with it and carried
+    to the next step.  A non-finite field raises :class:`DivergenceError`.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = _snapshot_levels(scn, snapshot_times)
-    sources = terms_at = None
-    if scn.mms is not None:
-        sources = scn.residuals(scn.mms, scn.mat)
-        terms_at = sources.at(g.x)
+    terms_at = (scn.residuals(scn.mms, scn.mat).at(g.x)
+                if scn.mms is not None else None)
     times = t0 + dt * np.arange(steps + 1)
     incident = [None] * (steps + 1)
     if scn.source is not None or scn.mms is not None:
@@ -204,7 +203,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     for n in range(1, steps + 1):
         t_next = t0 + n * dt
         terms_next = terms_at(t_next) if terms_at is not None else None
-        fields = step(state, scn, sources, terms, terms_next)
+        fields = step(state, scn, terms, terms_next)
         # One reduction over all fields: cheaper than one per field.
         if not np.isfinite(np.concatenate(fields)).all():
             raise DivergenceError(

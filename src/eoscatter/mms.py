@@ -214,13 +214,10 @@ class ManufacturedFields2:
 
     @classmethod
     def demo(cls) -> "ManufacturedFields2":
-        pulse = dict(ramp_rate=1.0, rate=4.0, drift=4.0, center=6.0, t_shift=1.0)
-        return cls(
-            phi=ArctanGaussianPulse(amplitude=1.0, **pulse),
-            psi=ArctanGaussianPulse(amplitude=1.0, **pulse),
-            j=GaussianBump(1.0, 1.1, 0.3, 1.2, 0.32),
-            rho=GaussianBump(1.0, 1.3, 1.0, 1.3, 0.33),
-        )
+        """Model 1's family (:meth:`ManufacturedFields1.demo`), with ``psi``
+        the same pulse as ``phi``."""
+        one = ManufacturedFields1.demo()
+        return cls(phi=one.phi, psi=one.phi, j=one.j, rho=one.rho)
 
 
 @dataclass(frozen=True)

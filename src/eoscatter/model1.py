@@ -74,18 +74,17 @@ class Run1Result:
 def interior_step_m1(
     state: State1,
     scn: Scenario1,
-    sources: ResidualSources1 | None = None,
     terms: dict | None = None, terms_next: dict | None = None,
 ):
     """Advance the interior fields one step using level-n boundary traces.
 
     Returns the new ``(phi, rho, j)`` arrays; the caller supplies the
-    level-(n+1) traces afterwards.  ``sources`` carries the residual terms
-    in verification mode, including the analytic derivatives folded into
-    the second-order Taylor coefficients; ``terms`` and ``terms_next`` are
-    its nodal terms at levels n and n + 1, evaluated here when not given.
+    level-(n+1) traces afterwards.  In verification mode ``terms`` and
+    ``terms_next`` are the residual terms at the nodes at levels n and
+    n + 1, including the analytic derivatives folded into the second-order
+    Taylor coefficients; they are evaluated here when not given.
     """
-    return interior_step(state, scn, sources, _potential_m1, terms, terms_next)
+    return interior_step(state, scn, _potential_m1, terms, terms_next)
 
 
 def _potential_m1(state, scn, terms, g):

@@ -114,9 +114,7 @@ class Scenario2(Scenario):
     material = Material2
     manufactured = ManufacturedFields2
     residuals = ResidualSources2
-
-    def _check_step(self) -> None:
-        check_step(self.dt, self.grid, self.mat)
+    check_step = staticmethod(check_step)
 
     @cached_property
     def lw_pass(self) -> tuple[ClosedPass, ClosedPass]:
@@ -153,11 +151,10 @@ class Run2Result:
 def interior_step_m2(
     state: State2,
     scn: Scenario2,
-    sources: ResidualSources2 | None = None,
     terms: dict | None = None, terms_next: dict | None = None,
 ):
     """Advance the four interior fields one step with level-n traces."""
-    return interior_step(state, scn, sources, _potential_m2, terms, terms_next)
+    return interior_step(state, scn, _potential_m2, terms, terms_next)
 
 
 def _potential_m2(state, scn, terms, g):

@@ -1,6 +1,7 @@
 """Configuration parsing: schema validation, defaults, and the preset registry."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eoscatter.config import (
     parse_config,
     resolve_config,
 )
+from eoscatter.mms import ManufacturedFields1, ManufacturedFields2
 from eoscatter.sources import GaussianSource, TabulatedSource
 
 
@@ -124,6 +126,37 @@ def test_source_must_sit_beyond_the_right_boundary():
             "space_rate": 36.0, "t_center": 0.5, "time_rate": 4.0}))
 
 
+GAUSSIAN = {"kind": "gaussian", "amplitude": 1.0, "x_center": 4.0,
+            "space_rate": 36.0, "t_center": 0.5, "time_rate": 4.0}
+
+
+def test_source_errors_carry_one_prefix():
+    with pytest.raises(ConfigError, match=r"^'t_center' in source must be a number$"):
+        resolve_config(minimal_run(source={**GAUSSIAN, "t_center": "soon"}))
+    with pytest.raises(ConfigError, match=r"^'t_center' in source must be a number$"):
+        resolve_config(minimal_run(source={**GAUSSIAN, "t_center": True}))
+    partial = {k: v for k, v in GAUSSIAN.items() if k != "t_center"}
+    with pytest.raises(ConfigError, match=r"^missing key 't_center' in source$"):
+        resolve_config(minimal_run(source=partial))
+    # the class's own checks are prefixed once too
+    with pytest.raises(ConfigError,
+                       match=r"^source: Gaussian decay rates must be positive$"):
+        resolve_config(minimal_run(source={**GAUSSIAN, "time_rate": -1.0}))
+
+
+@pytest.mark.parametrize("support", [[True, 5], [3.0, False], [3.0], [3.0, "5"],
+                                     "3-5", 3.0])
+def test_source_support_must_be_a_pair_of_numbers(support):
+    with pytest.raises(ConfigError, match=r"^'support' in source must be \[lo, hi\]$"):
+        resolve_config(minimal_run(source={**GAUSSIAN, "support": support}))
+
+
+def test_source_support_is_read_as_floats():
+    cfg = resolve_config(minimal_run(source={**GAUSSIAN, "support": [3, 5.5]}))
+    assert cfg.source.support == (3.0, 5.5)
+    assert cfg.provenance()["source"]["support"] == [3.0, 5.5]
+
+
 def test_snapshots_validated_against_t_end():
     with pytest.raises(ConfigError, match="snapshot time"):
         resolve_config(minimal_run(output={"snapshots": [2.5]}))
@@ -200,6 +233,95 @@ def test_mms_family_overrides_merge_with_demo():
     # untouched parameters keep the bundled family's values
     assert cfg.mms.phi.drift == 4.0
     assert cfg.mms.j.x_width == 0.3
+
+
+MAT2 = PRESETS["fig3-mms-m2"]["material"]
+
+
+def _mms_run(model):
+    data = minimal_run(mode="mms", mms={})
+    if model == 2:
+        data.update(model=2, material=dict(MAT2))
+    return data
+
+
+def test_model2_psi_pulse_follows_the_phi_pulse_unless_given():
+    base = _mms_run(2)
+    cfg = resolve_config({**base, "mms": {"pulse": {"amplitude": 2.5}}})
+    assert cfg.mms.psi == cfg.mms.phi
+    assert cfg.provenance()["mms"]["pulse_psi"]["amplitude"] == 2.5
+    cfg = resolve_config({**base, "mms": {"pulse": {"amplitude": 2.5},
+                                          "pulse_psi": {"drift": 3.0}}})
+    assert cfg.mms.psi.amplitude == 1.0 and cfg.mms.psi.drift == 3.0
+
+
+PULSE_KEYS = ("amplitude", "ramp_rate", "rate", "drift", "center", "t_shift")
+BUMP_KEYS = ("amplitude", "x_center", "x_width", "t_center", "t_width")
+# block -> (a config holding it, its keys, the manufactured field it sets
+# or None for a block whose keys are all required)
+SCHEMAS = {
+    "material-m1": (minimal_run(), ("c1", "c0", "alpha", "beta", "gamma"), None),
+    "material-m2": (minimal_run(model=2, material=dict(MAT2)),
+                    ("mu1", "nu1", "mu0", "nu0", "alpha", "beta", "gamma"), None),
+    "source": (minimal_run(source=GAUSSIAN),
+               ("amplitude", "x_center", "space_rate", "t_center", "time_rate"), None),
+    "mms.pulse": (_mms_run(1), PULSE_KEYS, "phi"),
+    "mms.pulse_psi": (_mms_run(2), PULSE_KEYS, "psi"),
+    "mms.current": (_mms_run(2), BUMP_KEYS, "j"),
+    "mms.charge": (_mms_run(1), BUMP_KEYS, "rho"),
+}
+
+
+def _with_block(data, where, block):
+    """A copy of ``data`` with ``block`` at the dotted path ``where``."""
+    data = json.loads(json.dumps(data))
+    *outer, last = where.split(".")
+    node = data
+    for key in outer:
+        node = node[key]
+    node[last] = block
+    return data
+
+
+def _at(tree, where):
+    for key in where.split("."):
+        tree = tree[key]
+    return tree
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_every_block_reads_exactly_its_class_fields(name):
+    """Each block's keys are the fields of its class: an unknown key is
+    named, a missing key of a required block is named, and a key left out of
+    a defaulted block takes the demo family's value, provenance included."""
+    data, keys, field_name = SCHEMAS[name]
+    where = name.split("-")[0]
+    kind = {"kind": "gaussian"} if where == "source" else {}
+    resolved = _at(resolve_config(data).resolved, where)
+    assert set(resolved) - {"kind", "support"} == set(keys)
+    # a complete block, off the demo values where there are defaults
+    full = {k: resolved[k] + (0.5 if field_name else 0.0) for k in keys}
+    with pytest.raises(ConfigError,
+                       match=f"^unknown key 'bogus' in {re.escape(where)}$"):
+        resolve_config(_with_block(data, where, {**kind, **full, "bogus": 1.0}))
+    demo = (ManufacturedFields1 if data["model"] == 1 else ManufacturedFields2).demo()
+    for key in keys:
+        partial = {**kind, **{k: v for k, v in full.items() if k != key}}
+        if field_name is None:
+            with pytest.raises(ConfigError,
+                               match=f"^missing key '{key}' in {re.escape(where)}$"):
+                resolve_config(_with_block(data, where, partial))
+            continue
+        cfg = resolve_config(_with_block(data, where, partial))
+        want = {**full, key: getattr(getattr(demo, field_name), key)}
+        assert _at(cfg.provenance(), where) == want
+        assert all(getattr(getattr(cfg.mms, field_name), k) == v
+                   for k, v in want.items())
+
+
+def test_model1_has_no_psi_pulse():
+    with pytest.raises(ConfigError, match=r"^unknown key 'pulse_psi' in mms$"):
+        resolve_config(_mms_run(1) | {"mms": {"pulse_psi": {}}})
 
 
 def test_stability_controls_validation():

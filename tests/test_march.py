@@ -214,7 +214,7 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
         return spied_terms_at
 
     def spied_step(state, *args):
-        steps.append((state.n, tuple(exps), args[2:]))
+        steps.append((state.n, tuple(exps), args[1:]))
         return step(state, *args)
 
     monkeypatch.setattr(np, "exp", counted_exp)
@@ -297,7 +297,7 @@ def test_fused_step_is_the_scheme_the_stability_lab_probes(
     if with_terms:
         terms = {k: rng.standard_normal(n) for k in TERM_NAMES}
         terms_next = {"j": rng.standard_normal(n)}
-    got = step(state, scn, None, terms, terms_next)
+    got = step(state, scn, terms, terms_next)
     want = unfused_step(state, scn, terms, terms_next)
     assert len(got) == len(want)
     for a, b in zip(got, want):

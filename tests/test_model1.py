@@ -85,7 +85,7 @@ def test_terms_step_matches_longhand_oracle():
     terms = {k: rng.standard_normal(g.n) for k in
              ("phi", "phi_dx", "phi_dt", "rho", "rho_dt", "j", "j_dx")}
     terms_next = {"j": rng.standard_normal(g.n)}
-    got = interior_step_m1(state, scn, None, terms, terms_next)
+    got = interior_step_m1(state, scn, terms, terms_next)
     want = reference_step_m1(
         state.phi, state.rho, state.j, state.phi_a0, state.phi_a1,
         MAT.c1, MAT.alpha, MAT.beta, MAT.gamma, g.dx, scn.dt,

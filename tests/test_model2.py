@@ -113,7 +113,7 @@ def test_terms_step_matches_longhand_oracle():
              ("phi", "phi_dx", "phi_dt", "psi", "psi_dx", "psi_dt",
               "rho", "rho_dt", "j", "j_dx")}
     terms_next = {"j": rng.standard_normal(g.n)}
-    got = interior_step_m2(state, scn, None, terms, terms_next)
+    got = interior_step_m2(state, scn, terms, terms_next)
     want = reference_step_m2(
         state.phi, state.psi, state.rho, state.j,
         state.phi_a0, state.phi_a1, state.psi_a0, state.psi_a1,

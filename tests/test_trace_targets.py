@@ -18,3 +18,16 @@ def test_every_traced_target_resolves(bench_module):
             unwrappable.append(target)
     assert len(layers.SPANS) > 20
     assert missing == [] and unwrappable == []
+
+
+def test_benchmark_install_finds_every_target(bench_module):
+    """Beyond ``SPANS`` the traced run wraps the field methods, the source
+    classes' ``src_*`` methods, ``_composite_midpoint`` and
+    ``DelayBuffer.__init__``: installing it on a fresh tracer finds them all."""
+    layers, tracer_module = bench_module("layers"), bench_module("tracer")
+    tracer = tracer_module.Tracer()
+    try:
+        layers.install(tracer)
+        assert tracer.missing == []
+    finally:
+        tracer.unpatch()
