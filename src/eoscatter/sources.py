@@ -178,10 +178,24 @@ class TabulatedSource:
         return out if out.ndim else float(out)
 
 
-#: Integrand samples per block of times in :func:`incident_series`.  Each
-#: temporary array then holds 128 kB however many times are processed, which
-#: stays in cache (2**14 to 2**15 ran fastest; 2**17 took twice as long).
-_BLOCK_POINTS = 1 << 14
+#: Integrand samples per temporary array of the quadrature, at every panel
+#: count: 2**13 float64 values, 64 KiB.  Temporaries of 128 KiB and more reach
+#: glibc's default ``M_MMAP_THRESHOLD`` (``mallopt(3)``) and are mapped and
+#: faulted in afresh each time, which cost a figure run's series 150-180 k
+#: minor page faults.  A longer row is summed in pieces of this size, so it
+#: must be a power of two of at least numpy's 128-value pairwise leaf for
+#: the pieces to add up in numpy's own order (see :func:`_midpoint_rows`).
+_BLOCK_POINTS = 1 << 13
+
+
+def _check_block(points: int) -> None:
+    """Reject a piece size whose pairwise tree would not be numpy's."""
+    if points < 128 or points & (points - 1):
+        raise ValueError(
+            f"quadrature block must be a power of two >= 128, got {points}")
+
+
+_check_block(_BLOCK_POINTS)
 
 
 def _composite_midpoint(f, lo, hi, panels: int):
@@ -210,8 +224,9 @@ def incident_series(
 
     Panel doubling runs over all times together, but each time keeps its own
     stopping level (the same 8, 16, 32, ... sequence and the same test), so
-    every entry equals the one-time result bit for bit.  Times are processed
-    in blocks of about ``_BLOCK_POINTS`` integrand samples.
+    every entry equals the one-time result bit for bit.  No temporary holds
+    more than ``_BLOCK_POINTS`` integrand samples, however many times and
+    panels there are (see :func:`_midpoint_rows`).
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -243,9 +258,30 @@ def incident_series(
 
 
 def _midpoint_rows(source, a1, c0, t, lo, hi, panels):
-    """Midpoint estimates along the characteristics through ``(a1, t)``."""
+    """Midpoint estimates along the characteristics through ``(a1, t)``.
+
+    Rows of up to ``_BLOCK_POINTS`` panels go through
+    :func:`_composite_midpoint` as many at a time as fit in one block.  A
+    longer row is summed in ``_BLOCK_POINTS``-sample pieces at its own
+    midpoints, and the piece sums are added in a balanced pairwise tree.
+    Panel counts are powers of two, and for a contiguous power-of-two row
+    that tree is numpy's own summation order, so each estimate equals the
+    full-row ``np.sum`` bit for bit.
+    """
     out = np.empty(t.size)
-    rows = max(1, _BLOCK_POINTS // panels)
+    if panels > _BLOCK_POINTS:
+        offsets = np.arange(_BLOCK_POINTS) + 0.5
+        for i in range(t.size):
+            width = (hi[i] - lo) / panels
+            sums = np.empty(panels // _BLOCK_POINTS)
+            for p in range(sums.size):
+                x = lo + width * (offsets + p * _BLOCK_POINTS)
+                sums[p] = np.sum(source(x, t[i] - (x - a1) / c0))
+            while sums.size > 1:
+                sums = sums[0::2] + sums[1::2]
+            out[i] = sums[0] * width
+        return out
+    rows = _BLOCK_POINTS // panels
     for k in range(0, t.size, rows):
         tk = t[k:k + rows, None]
         out[k:k + rows] = _composite_midpoint(

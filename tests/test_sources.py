@@ -1,17 +1,27 @@
 """Quadrature of the retarded source integral against the erf closed form."""
 
+import json
 import math
+import operator
+import os
+import subprocess
+import sys
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eoscatter import sources
 from eoscatter.grid import Material1, Material2
 from eoscatter.sources import (
     GaussianSource,
     QuadratureError,
     TabulatedSource,
+    _BLOCK_POINTS,
+    _check_block,
     _composite_midpoint,
     characteristic_integral,
     incident_pair,
@@ -154,6 +164,113 @@ def test_incident_series_is_the_per_time_quadrature_exactly(tmp_path):
         pairs = [incident_pair(src, 3.0, mat2, 0.0, t, 1e-6) for t in times]
         assert np.array_equal(phi, [p[0] for p in pairs])
         assert np.array_equal(psi, [p[1] for p in pairs])
+
+
+def test_long_rows_are_the_full_row_sum_exactly(monkeypatch):
+    # each of these times stops at 2**16 to 2**20 panels, so every estimate
+    # past 2**13 panels is summed in pieces; the longhand sums whole rows
+    times = [0.2, 0.5, 0.9, 1.3]
+    long_times = set()
+    rows = sources._midpoint_rows
+
+    def spy(source, a1, c0, t, lo, hi, panels):
+        if panels > _BLOCK_POINTS:
+            long_times.update(t.tolist())
+        return rows(source, a1, c0, t, lo, hi, panels)
+
+    monkeypatch.setattr(sources, "_midpoint_rows", spy)
+    series = incident_series(PULSE_M1, 3.0, 1.0, 0.0, times, 1e-10)
+    assert long_times == set(times)
+    alone = [doubled_midpoint(PULSE_M1, 3.0, 1.0, 0.0, t, 1e-10) for t in times]
+    assert np.array_equal(series, alone)
+
+
+@pytest.mark.parametrize("block", [1 << 7, 1 << 10, 1 << 13])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_series_does_not_depend_on_the_block_size(tmp_path, monkeypatch,
+                                                  block, tol):
+    # short rows (to 2**10 panels) and long ones (to 2**19) at 1e-10
+    times = 0.1 * np.arange(31)
+    tab = TabulatedSource.from_csv(bilinear_csv(tmp_path))
+    for src, t in ((PULSE_M1, times[[3, 9, 14, 16, 22]]), (tab, times)):
+        want = incident_series(src, 3.0, 1.0, 0.0, t, tol)
+        with monkeypatch.context() as m:
+            m.setattr(sources, "_BLOCK_POINTS", block)
+            got = incident_series(src, 3.0, 1.0, 0.0, t, tol)
+        assert np.array_equal(got, want)
+
+
+def pieces_summed(row, piece):
+    """``piece``-value sums of ``row`` added in a balanced pairwise tree."""
+    sums = np.array([np.sum(row[k:k + piece])
+                     for k in range(0, row.size, piece)])
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
+
+
+def test_piece_sums_in_a_pairwise_tree_are_numpys_row_sum():
+    # the long-row quadrature rests on numpy summing a contiguous row
+    # pairwise down to 128-value leaves; a wide spread of magnitudes makes
+    # any other order round differently
+    rng = np.random.default_rng(0)
+    sequential = smaller_leaf = 0
+    for e in range(14, 21):
+        row = rng.standard_normal(1 << e) * np.exp(rng.uniform(-20, 20, 1 << e))
+        want = np.sum(row[None], axis=-1)[0]
+        assert pieces_summed(row, _BLOCK_POINTS) == want
+        assert pieces_summed(row, 128) == want
+        sums = [np.sum(row[k:k + _BLOCK_POINTS])
+                for k in range(0, row.size, _BLOCK_POINTS)]
+        sequential += reduce(operator.add, sums) != want
+        smaller_leaf += pieces_summed(row, 64) != want
+    # the check can fail: a left-to-right fold of the pieces, or pieces
+    # below numpy's leaf, round differently on some of these rows
+    assert sequential > 0 and smaller_leaf > 0
+
+
+def test_block_is_a_power_of_two_of_at_least_numpys_leaf():
+    _check_block(_BLOCK_POINTS)
+    assert _BLOCK_POINTS * 8 <= 64 * 1024
+    for bad in (0, 64, 100, 3 << 12, (1 << 13) + 1):
+        with pytest.raises(ValueError, match="power of two >= 128"):
+            _check_block(bad)
+
+
+PAGE_FAULT_PROBE = """
+import json, resource
+import numpy as np
+from eoscatter import Scenario1, load_preset
+from eoscatter.sources import RUN_QUAD_REL_TOL, incident_series
+
+cfg = load_preset("fig2-run-m1")
+scn = Scenario1(grid=cfg.grid, mat=cfg.mat, dt=cfg.dt, t_end=cfg.t_end,
+                source=cfg.source)
+
+def faults(times, tol):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    incident_series(scn.source, scn.grid.a1, scn.mat.c0, scn.t0, times, tol)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+steps = scn.t0 + scn.dt * np.arange(scn.steps + 1)
+print(json.dumps([steps.size, faults(steps, RUN_QUAD_REL_TOL),
+                  faults(0.025 * np.arange(120), 1e-10)]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts glibc's page faults")
+def test_quadrature_temporaries_do_not_fault_pages():
+    # 128 KiB temporaries sat at glibc's mmap threshold, and each was
+    # mapped and faulted in afresh: about 160 k and 270 k minor faults
+    src = str(Path(sources.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", PAGE_FAULT_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    times, run_faults, tight_faults = json.loads(out)
+    assert times == 10_668
+    assert run_faults < 10_000 and tight_faults < 10_000
 
 
 def test_incident_series_is_zero_before_arrival():
