@@ -22,6 +22,7 @@ DelayBuffer stays for custom closures and as the reader's test oracle.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -252,6 +253,9 @@ class FixedLagReader:
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(lag) and lag >= 0.0):
             raise ValueError("lag must be finite and nonnegative")
+        if isinstance(width, bool) or not isinstance(width, numbers.Integral) \
+                or width < 1:
+            raise ValueError(f"width must be a positive integer, got {width!r}")
         self.t0, self.dt, self.lag = float(t0), float(dt), float(lag)
         q = self.lag / self.dt
         self._back = math.floor(q) + 1

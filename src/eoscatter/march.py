@@ -8,12 +8,20 @@ divergence handling live here once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import GridSpec, confined_pass
+
+#: Level-node points per call of the nodal residual evaluator: on a grid of
+#: N <= 1024 nodes :func:`march` evaluates ``_BLOCK_POINTS // N`` levels per
+#: call, which spreads the fixed cost of the field families' numpy calls; a
+#: finer grid keeps one scalar call per level, where a block only costs
+#: memory traffic.
+_BLOCK_POINTS = 2048
 
 
 class DivergenceError(RuntimeError):
@@ -165,6 +173,21 @@ def _snapshot_levels(scn: Scenario, snapshot_times) -> dict:
     return wanted
 
 
+def _level_terms(terms_at, times, n: int):
+    """The nodal residual terms at each of ``times`` in turn, from
+    ``terms_at(t)`` per level or, on a coarse grid, one ``terms_at`` call on
+    a ``(K, 1)`` array of times per K levels, row k the level's terms bit
+    for bit (:meth:`eoscatter.mms.Field.at`)."""
+    block = max(1, _BLOCK_POINTS // n)
+    if block == 1:
+        yield from map(terms_at, times.tolist())
+        return
+    for k in range(0, times.size, block):
+        rows = terms_at(times[k:k + block, None])
+        for i in range(min(block, times.size - k)):
+            yield {name: v[i] for name, v in rows.items()}
+
+
 def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     """Advance ``scn`` from its start time to ``t_end``.
 
@@ -176,14 +199,15 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     ``step(state, scn, terms, terms_next)`` with the terms at both of its
     levels, then calls ``close``; the nodal evaluator
     ``terms_at = scn.residuals(scn.mms, scn.mat).at(g.x)`` is built once
-    per run, and each level's terms are evaluated once with it and carried
-    to the next step.  A non-finite field raises :class:`DivergenceError`.
+    per run, and each level's terms are evaluated once with it, in blocks
+    of levels on a coarse grid (:func:`_level_terms`), and carried to the
+    next step.  A non-finite field raises :class:`DivergenceError`.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = _snapshot_levels(scn, snapshot_times)
-    terms_at = (scn.residuals(scn.mms, scn.mat).at(g.x)
-                if scn.mms is not None else None)
     times = t0 + dt * np.arange(steps + 1)
+    levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
+              if scn.mms is not None else itertools.repeat(None))
     incident = [None] * (steps + 1)
     if scn.source is not None or scn.mms is not None:
         incident = scn.incident(times)
@@ -193,7 +217,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                   for name in scn.field_names]
     else:
         fields = [np.zeros(g.n) for _ in scn.field_names]
-    terms = terms_at(t0) if terms_at is not None else None
+    terms = next(levels)
     traces, close = closure(scn, fields[-1], terms, incident)
     state = state_cls(*fields, *traces, 0, t0)
     series = np.zeros((len(traces), steps + 1))
@@ -202,7 +226,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
 
     for n in range(1, steps + 1):
         t_next = t0 + n * dt
-        terms_next = terms_at(t_next) if terms_at is not None else None
+        terms_next = next(levels)
         fields = step(state, scn, terms, terms_next)
         # One reduction over all fields: cheaper than one per field.
         if not np.isfinite(np.concatenate(fields)).all():

@@ -56,7 +56,13 @@ class Field:
     def at(self, x):
         """``jet_at(t, order=2)``: the jet ``(value, dx, dt, dxx, dxt, dtt)``
         at ``(x, t)`` for the fixed points ``x``, cut after the entries of
-        ``order`` (0: the value; 1: up to ``dt``; 2: all six)."""
+        ``order`` (0: the value; 1: up to ``dt``; 2: all six).
+
+        ``x`` and ``t`` broadcast.  For the nodes ``x`` of shape ``(N,)``
+        and a ``(K, 1)`` array of times every entry has shape ``(K, N)``,
+        and its row k equals the entry for the scalar time ``t[k, 0]`` bit
+        for bit.
+        """
         raise NotImplementedError
 
     def jet(self, x, t, order: int = 2) -> tuple:
@@ -168,7 +174,9 @@ class GaussianBump(Field):
 
         def jet_at(t, order: int = 2) -> tuple:
             st = t - self.t_center
-            t_fac = np.exp(-((st / self.t_width) ** 2))
+            # ``**`` is C ``pow`` on a float but a product on an array, and
+            # the two can round one ulp apart; ``float_power`` is ``pow`` on both
+            t_fac = np.exp(-np.float_power(st / self.t_width, 2.0))
             v = t_fac * x_fac
             if order == 0:
                 return (v,)
@@ -242,17 +250,30 @@ class ResidualSources1:
         factors each field computes once (:meth:`Field.at`).
 
         Order 2 gives every term, order 1 only the potential equations'
-        terms (``phi``, and ``psi`` in model 2) from first-order jets of the
-        potentials and the current's value (``src_phi``, ``src_psi``).
+        terms (``phi``, and ``psi`` in model 2) from first-order jets
+        (``src_phi``, ``src_psi``).  Each distinct field is evaluated once
+        per call: equal fields (for hashable ones such as the frozen field
+        families) or one object under two names share a jet, so model 2's
+        ``psi`` costs nothing more when it is ``phi``'s pulse.  A ``(K, 1)``
+        array of times gives every term at K levels, row k equal to the
+        call at ``t[k, 0]`` bit for bit (:meth:`Field.at`).
         """
-        f, m = self.fields, self.mat
-        fields = {name: getattr(f, name).at(x)
-                  for name in self.potentials + ("rho", "j")}
+        m = self.mat
+        groups = {}  # (evaluator, names) per distinct field
+        for name in self.potentials + ("rho", "j"):
+            field = getattr(self.fields, name)
+            key = (field,)  # equal fields share a key
+            try:
+                hash(key)
+            except TypeError:  # unhashable: matched by identity alone
+                key = id(field)
+            groups.setdefault(key, (field.at(x), []))[1].append(name)
+        groups = list(groups.values())
 
         def terms_at(t, order: int = 2) -> dict:
-            names = self.potentials + (("rho",) if order == 2 else ())
-            jets = {name: fields[name](t, order) for name in names}
-            jets["j"] = fields["j"](t, order if order == 2 else 0)
+            jets = {}
+            for jet_at, names in groups:
+                jets.update(dict.fromkeys(names, jet_at(t, order)))
             terms = self._potential_terms(jets, order)
             if order == 1:
                 return terms

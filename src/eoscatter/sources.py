@@ -228,11 +228,12 @@ def incident_series(
     more than ``_BLOCK_POINTS`` integrand samples, however many times and
     panels there are (see :func:`_midpoint_rows`).
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    if c0 <= 0.0:
-        raise ValueError("c0 must be positive")
+    for name, v in (("rel_tol", rel_tol), ("c0", c0)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be positive and finite")
     t = np.asarray(times, dtype=float)
+    if not (math.isfinite(t0) and np.isfinite(t).all()):
+        raise ValueError("t0 and the times must be finite")
     out = np.zeros(t.shape)
     lo = max(a1, source.support[0])
     hi = np.minimum(source.support[1], a1 + c0 * (t - t0))

@@ -35,6 +35,16 @@ class EigenSolverError(RuntimeError):
     """Raised when the dense eigenvalue solve does not converge."""
 
 
+def _check_step(dt, steps=0) -> None:
+    """ValueError unless ``dt`` is positive and finite and ``steps`` a
+    non-negative integer."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
+            or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+
+
 # ---------------------------------------------------------------------------
 # homogeneous steppers (boundary data explicit, reaction coupling dropped)
 # ---------------------------------------------------------------------------
@@ -119,8 +129,7 @@ def _pair_matrix(grid: GridSpec, mu1: float, nu1: float, dt: float) -> np.ndarra
 
 def assemble_propagator(model: int, grid: GridSpec, mat, dt: float) -> Propagator:
     """Dense one-step matrix of the homogeneous stepper on ``grid``."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _check_step(dt)
     if model == 1:
         matrix = _advection_matrix(grid, mat.c1, dt)
     elif model == 2:
@@ -175,6 +184,7 @@ def stability_radius(model: int, grid: GridSpec, mat, dt: float) -> float:
     of the doubled system returns eigenvalues with O(1) errors, while the
     branches stay as well-conditioned as the one-field problem.
     """
+    _check_step(dt)
     if model == 1:
         return spectral_radius(_advection_matrix(grid, mat.c1, dt))
     if model == 2:
@@ -298,6 +308,7 @@ class DecompositionReport:
 
 def decomposition_check(grid: GridSpec, mat2, dt: float) -> DecompositionReport:
     """Verify the two-field propagator is built from the one-field blocks."""
+    _check_step(dt)
     c = math.sqrt(mat2.mu1 * mat2.nu1)
     m_plus = _advection_matrix(grid, +c, dt)
     m_minus = _advection_matrix(grid, -c, dt)
@@ -327,6 +338,7 @@ def fixed_point(grid: GridSpec, mat, dt: float,
     """Constant profile the one-field iteration settles on under constant
     boundary data: the solution of (I - M) u = b, where b is the affine part
     the boundary stencils inject."""
+    _check_step(dt)
     m = _advection_matrix(grid, mat.c1, dt)
     z = np.zeros(grid.n)
     b = advection_step(z, SpatialOps(grid), mat.c1, dt, u_a0, u_a1)
@@ -337,6 +349,7 @@ def homogeneous_run(model: int, grid: GridSpec, mat, dt: float, steps: int,
                     seed: int = 0) -> np.ndarray:
     """Sup-norm envelope of a homogeneous run from random data: array of
     max|state| at every step (index 0 is the initial state)."""
+    _check_step(dt, steps)
     rng = np.random.default_rng(seed)
     ops = SpatialOps(grid)
     env = np.empty(steps + 1)

@@ -310,3 +310,8 @@ def test_fixed_lag_reader_rejects_bad_input():
             FixedLagReader(t0, dt, lag)
     with pytest.raises(ValueError, match="width"):
         FixedLagReader(0.0, 0.1, 1.0, width=2).append((1.0,))
+    # a width of 0 or less stored and returned empty tuples
+    for width in (0, -3, True, 1.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="width must be a positive integer"):
+            FixedLagReader(0.0, 0.1, 1.0, width=width)
+    assert FixedLagReader(0.0, 0.1, 1.0, width=np.int64(2)).read(0) == (0.0, 0.0)

@@ -179,28 +179,37 @@ def test_manufactured_potentials_must_be_quiet_at_the_start(model):
             scenario(grid=grid, mat=mat, dt=0.01, t_end=2.0, mms=loud)
 
 
-@pytest.mark.parametrize("model, node_exps", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("n, t_end", [(40, 1.0), (1600, 0.1)])
+@pytest.mark.parametrize("model", [1, 2])
 def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
-                                                           node_exps):
+                                                           n, t_end):
     """The nodal evaluator is built once per run, and each level's nodal
-    terms are evaluated once with it and carried into the next step and into
-    the retarded sums: no source is evaluated at retarded points, and the
-    exact right traces are evaluated before the loop.  A step makes one
-    N-node exponential per potential; the two bumps keep their x factors
-    and make one scalar exponential each."""
+    terms are evaluated once with it, K = max(1, 2048 // N) levels per call
+    (at N = 40 in blocks of 51 levels and a last one of 17, at N = 1600 one
+    scalar call per level), and carried into the next step and into the
+    retarded sums: no source is evaluated at retarded points, and the exact
+    right traces are evaluated before the loop.  A level makes one N-node
+    exponential, model 2's demo psi being phi's pulse; the two bumps keep
+    their x factors and make one exponential of the times each."""
     scenario, run, mat = MODELS[model]
     module, name = STEPPERS[model]
-    grid = GridSpec(0.0, 3.0, 40)
-    scn = scenario(grid=grid, mat=mat, dt=0.4 * grid.dx / mat.c1, t_end=0.5,
+    grid = GridSpec(0.0, 3.0, n)
+    scn = scenario(grid=grid, mat=mat, dt=0.4 * grid.dx / mat.c1, t_end=t_end,
                    mms=FIELDS[model].demo())
     times = scn.t0 + scn.dt * np.arange(scn.steps + 1)
+    block = max(1, 2048 // n)
     exp, at, step = np.exp, scn.residuals.at, getattr(module, name)
-    exps = [0, 0]  # N-node exps, all exp calls
+    exps = [0, 0, 0]  # N-node exps and exp calls in the evaluator, others
+    inside = [False]
     built, nodal, retarded, steps = [], [], [], []
 
     def counted_exp(z, *args, **kw):
-        exps[0] += np.size(z) // grid.n
-        exps[1] += 1
+        if inside[0]:
+            if np.shape(z)[-1:] == (grid.n,):
+                exps[0] += np.size(z) // grid.n
+            exps[1] += 1
+        else:
+            exps[2] += 1
         return exp(z, *args, **kw)
 
     def spied_at(self, x):
@@ -208,13 +217,20 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
         terms_at = at(self, x)
 
         def spied_terms_at(t, order=2):
-            (retarded if np.ndim(t) else nodal).append(t)
-            return terms_at(t, order)
+            if np.shape(t) in ((), (min(block, len(times) - len(nodal)), 1)):
+                nodal.extend(np.ravel(t).tolist())
+            else:
+                retarded.append(t)
+            inside[0] = True
+            try:
+                return terms_at(t, order)
+            finally:
+                inside[0] = False
 
         return spied_terms_at
 
     def spied_step(state, *args):
-        steps.append((state.n, tuple(exps), args[1:]))
+        steps.append((state.n, exps[2], args[1:]))
         return step(state, *args)
 
     monkeypatch.setattr(np, "exp", counted_exp)
@@ -222,17 +238,17 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
     monkeypatch.setattr(module, name, spied_step)
     run(scn)
     monkeypatch.undo()
-    per_step = [(b[1][0] - a[1][0], b[1][1] - a[1][1])
-                for a, b in zip(steps, steps[1:])]
-    assert per_step == [(node_exps, node_exps + 2)] * (scn.steps - 1)
+    calls = -(-len(times) // block)
+    assert exps[:2] == [len(times), 3 * calls]
+    assert {others for _, others, _ in steps} == {steps[0][1]}  # none in the loop
     assert len(built) == 1 and np.array_equal(built[0], grid.x)
-    assert nodal == list(times)
+    assert nodal == times.tolist()
     assert retarded == []
     # the terms a step is given are those of a fresh evaluation, bit for bit
     sources = scn.residuals(scn.mms, scn.mat)
-    for n, _, levels in steps:
-        for level, got in zip((n, n + 1), levels, strict=True):
-            want = sources.src_terms(grid.x, times[level])
+    for at_n, _, levels in steps:
+        for level, got in zip((at_n, at_n + 1), levels, strict=True):
+            want = sources.src_terms(grid.x, times[level].item())
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[k], want[k]) for k in want)
 

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eoscatter.config import load_preset
 from eoscatter.grid import GridSpec, Material1, Material2
 from eoscatter.history import RetardedSum
 from eoscatter.mms import (
@@ -365,6 +366,94 @@ def test_source_at_equals_src_terms_bit_for_bit(model, shape):
             got, want = terms_at(when, order), src.src_terms(x, when, order)
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[k], want[k]) for k in want), order
+
+
+def own_psi_family() -> ManufacturedFields2:
+    """Model 2's demo family with a psi pulse of its own, amplitude 0.5."""
+    demo = ManufacturedFields2.demo()
+    return ManufacturedFields2(phi=demo.phi,
+                               psi=ArctanGaussianPulse(**{**vars(demo.phi),
+                                                          "amplitude": 0.5}),
+                               j=demo.j, rho=demo.rho)
+
+
+SOURCES = {
+    "m1-demo": lambda: ResidualSources1(ManufacturedFields1.demo(), MAT1),
+    "m2-demo": lambda: ResidualSources2(ManufacturedFields2.demo(), MAT2),
+    "m2-own-psi": lambda: ResidualSources2(own_psi_family(), MAT2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(SOURCES)), n=st.integers(4, 1100),
+       start=st.integers(0, 3000), length=st.integers(1, 64))
+# the N = 200 rung's level 221 (t = 0.663), where squaring a float with
+# ``**`` and an array with a product rounded the rho bump's time factor apart
+@example(family="m1-demo", n=200, start=216, length=8)
+def test_blocked_terms_equal_per_level_terms_bit_for_bit(family, n, start, length):
+    """One ``terms_at`` call on a ``(K, 1)`` array of level times, as the
+    march makes on a coarse grid, gives each level's terms bit for bit."""
+    src, grid = SOURCES[family](), GridSpec(0.0, 3.0, n)
+    dt = 0.4 * grid.dx / src.mat.c1
+    times = dt * np.arange(start, start + length)
+    terms_at = src.at(grid.x)
+    rows = terms_at(times[:, None])
+    for k, t in enumerate(times.tolist()):
+        want = terms_at(t)
+        assert rows.keys() == want.keys()
+        for name in want:
+            assert rows[name].shape == (length, n)
+            assert np.array_equal(rows[name][k], want[name]), (name, t)
+
+
+def node_exps_per_level(src, monkeypatch) -> int:
+    """N-node exponentials in one ``terms_at`` call at a scalar time."""
+    x, exp, count = np.linspace(0.0, 3.0, 64), np.exp, [0]
+
+    def counted_exp(z, *args, **kw):
+        count[0] += np.size(z) == x.size
+        return exp(z, *args, **kw)
+
+    terms_at = src.at(x)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    terms_at(0.7)
+    monkeypatch.undo()
+    return count[0]
+
+
+class Unhashable(ArctanGaussianPulse):
+    """The pulse, unhashable: the sources match it by identity alone."""
+
+    __hash__ = None
+
+
+def test_model2_evaluates_each_distinct_pulse_once(monkeypatch):
+    demo = ManufacturedFields2.demo()
+    # what the configuration builds when ``pulse_psi`` is absent: an equal
+    # pulse, not the same object
+    cfg = load_preset("fig3-mms-m2").mms
+    assert cfg.psi == cfg.phi and cfg.psi is not cfg.phi
+    x = np.linspace(0.0, 3.0, 64)
+    for fields, want in ((demo, 1), (cfg, 1), (own_psi_family(), 2)):
+        src = ResidualSources2(fields, MAT2)
+        assert node_exps_per_level(src, monkeypatch) == want
+        # a shared jet changes no term: psi evaluated on its own gives the same
+        alone = ResidualSources2(ManufacturedFields2(
+            fields.phi, Unhashable(**vars(fields.psi)), fields.j, fields.rho), MAT2)
+        assert node_exps_per_level(alone, monkeypatch) == 2
+        got, ref = src.src_terms(x, 0.7), alone.src_terms(x, 0.7)
+        assert all(np.array_equal(got[k], ref[k]) for k in ref)
+    assert node_exps_per_level(
+        ResidualSources1(ManufacturedFields1.demo(), MAT1), monkeypatch) == 1
+
+
+def test_unhashable_fields_are_matched_by_identity(monkeypatch):
+    demo = ManufacturedFields2.demo()
+    phi = Unhashable(**vars(demo.phi))
+    for psi, want in ((phi, 1), (Unhashable(**vars(demo.phi)), 2)):
+        assert psi == phi
+        src = ResidualSources2(ManufacturedFields2(phi, psi, demo.j, demo.rho), MAT2)
+        assert node_exps_per_level(src, monkeypatch) == want
 
 
 BAD_PULSES = [dict(rate=0.0), dict(rate=-1.0), dict(amplitude=math.nan),

@@ -289,6 +289,30 @@ def test_incident_series_panel_cap_raises():
                         panel_cap=32)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["c0", "rel_tol"])
+def test_quadrature_rejects_a_bad_speed_or_tolerance(name, bad):
+    # a NaN c0 read 0.0, and a NaN rel_tol refined to the panel cap
+    args = {"c0": 1.0, "rel_tol": 1e-6, name: bad}
+    for call in (lambda: incident_series(PULSE_M1, 3.0, args["c0"], 0.0, [1.0],
+                                         args["rel_tol"]),
+                 lambda: characteristic_integral(PULSE_M1, 3.0, args["c0"], 0.0,
+                                                 1.0, args["rel_tol"])):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quadrature_rejects_a_nonfinite_time(bad):
+    # a NaN time read 0.0
+    with pytest.raises(ValueError, match="finite"):
+        incident_series(PULSE_M1, 3.0, 1.0, 0.0, [0.5, bad, 1.5])
+    with pytest.raises(ValueError, match="finite"):
+        characteristic_integral(PULSE_M1, 3.0, 1.0, 0.0, bad)
+    with pytest.raises(ValueError, match="t0"):
+        incident_series(PULSE_M1, 3.0, 1.0, bad, [0.5, 1.5])
+
+
 def test_midpoint_halving_cuts_error_fourfold():
     exact = math.e - 1.0
     err = [abs(_composite_midpoint(np.exp, 0.0, 1.0, n) - exact) for n in (64, 128)]

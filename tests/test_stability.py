@@ -152,6 +152,42 @@ def test_invalid_inputs_rejected():
         homogeneous_run(5, g, MAT1, 0.01, 3)
 
 
+BAD_STEPS = [-0.01, 0.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("dt", BAD_STEPS)
+def test_lab_rejects_a_bad_step(dt):
+    # stability_radius(dt=-0.01) gave a radius, fixed_point(dt=0) a
+    # LinAlgError, assemble_propagator(dt=inf) a NaN matrix and
+    # homogeneous_run ran with a negative or NaN step
+    g = grid(16)
+    calls = [lambda: stability_radius(1, g, MAT1, dt),
+             lambda: stability_radius(2, g, MAT2, dt),
+             lambda: assemble_propagator(1, g, MAT1, dt),
+             lambda: assemble_propagator(2, g, MAT2, dt),
+             lambda: decomposition_check(g, MAT2, dt),
+             lambda: fixed_point(g, MAT1, dt, 0.3, -0.2),
+             lambda: homogeneous_run(1, g, MAT1, dt, 3),
+             lambda: homogeneous_run(2, g, MAT2, dt, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, 3.0, True, "3", None])
+def test_homogeneous_run_rejects_a_bad_step_count(steps):
+    # steps=-1 raised IndexError and steps=2.5 a numpy TypeError
+    with pytest.raises(ValueError, match="steps must be a non-negative integer"):
+        homogeneous_run(1, grid(16), MAT1, 0.01, steps)
+
+
+def test_homogeneous_run_takes_any_non_negative_integer_count():
+    g = grid(16)
+    assert homogeneous_run(1, g, MAT1, 0.01, 0).shape == (1,)
+    assert np.array_equal(homogeneous_run(2, g, MAT2, 0.01, np.int64(4)),
+                          homogeneous_run(2, g, MAT2, 0.01, 4))
+
+
 # ---------------------------------------------------------------------------
 # stable window
 # ---------------------------------------------------------------------------
