@@ -43,7 +43,6 @@ from .sources import (
 from .stability import (
     DecompositionReport,
     EigenSolverError,
-    Propagator,
     StabilityDomain,
     advection_step,
     assemble_propagator,
@@ -78,7 +77,6 @@ __all__ = [
     "Material1",
     "Material2",
     "PRESETS",
-    "Propagator",
     "QuadratureError",
     "ResidualSources1",
     "ResidualSources2",

@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, PRESETS, RunConfig, load_preset, parse_config
-from .grid import GridSpec
 from .mms import convergence_order, mms_run
-from .model1 import DivergenceError, Scenario1, run_m1
-from .model2 import Scenario2, run_m2
+from .model1 import DivergenceError, run_m1
+from .model2 import run_m2
 from .sources import QuadratureError
 from .stability import EigenSolverError, scan_stability
 
@@ -80,12 +79,10 @@ def _flush_run(res, out: Path, prov: dict) -> None:
 
 
 def _run_mode(cfg: RunConfig, out: Path) -> int:
-    scenario, runner = (Scenario1, run_m1) if cfg.model == 1 else (Scenario2, run_m2)
-    scn = scenario(grid=cfg.grid, mat=cfg.mat, dt=cfg.dt, t_end=cfg.t_end,
-                   source=cfg.source)
+    runner = run_m1 if cfg.model == 1 else run_m2
     prov = cfg.provenance()
     try:
-        res = runner(scn, snapshot_times=cfg.snapshot_times)
+        res = runner(cfg.scenarios[0], snapshot_times=cfg.snapshot_times)
     except DivergenceError as exc:
         if exc.partial is not None:
             _flush_run(exc.partial, out, prov)
@@ -130,19 +127,16 @@ def _mms_mode(cfg: RunConfig, out: Path) -> int:
     prov = cfg.provenance()
     reports = []
     failure = None
-    for n in cfg.n_ladder:
-        g = GridSpec(a0=cfg.grid.a0, a1=cfg.grid.a1, n=n,
-                     epsilon=cfg.grid.epsilon)
-        dt = cfg.step(g)
+    for scn in cfg.scenarios:
         try:
-            reports.append(mms_run(cfg.model, cfg.mms, g, cfg.mat, dt,
+            reports.append(mms_run(cfg.model, cfg.mms, scn.grid, cfg.mat, scn.dt,
                                    cfg.t_end))
         except DivergenceError as exc:
             failure = exc
             break
     _flush_mms(reports, out, prov)
     if failure is not None:
-        print(f"error: {failure} (N = {n})", file=sys.stderr)
+        print(f"error: {failure} (N = {scn.grid.n})", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -220,11 +214,14 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         cfg = _load(args)
+        out = Path(args.out or cfg.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         if cfg.mode == "run":
             return _run_mode(cfg, out)

@@ -27,7 +27,7 @@ DEFAULT_EPSILONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 MODES = ("run", "mms", "stability")
 
 # Each model's scenario class names its material, manufactured family and
-# potentials, and carries its rule on the time step.
+# potentials, and checks every rule a run must meet when it is built.
 SCENARIOS = {1: Scenario1, 2: Scenario2}
 
 # The mms blocks and the manufactured fields they set, in parse order;
@@ -111,7 +111,8 @@ class StabilityControls:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated scenario: objects ready to run plus the resolved dict."""
+    """A validated scenario: objects ready to run plus the resolved dict.
+    ``scenarios`` has the model's scenario per grid the mode marches."""
 
     model: int
     mode: str
@@ -126,6 +127,7 @@ class RunConfig:
     snapshot_times: tuple
     out_dir: str
     resolved: dict = field(repr=False, default_factory=dict)
+    scenarios: tuple = field(repr=False, compare=False, default=())
 
     def step(self, grid: GridSpec) -> float:
         """The time step ``dt_cfl * dx / c1`` on ``grid``."""
@@ -202,8 +204,6 @@ def _parse_mms(block, scn_cls, grid: GridSpec, where="mms"):
         raise ConfigError(f"'n_ladder' in {where} must be a list of integers")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"'n_ladder' in {where} must increase")
-    if min(ladder) < 4:
-        raise ConfigError(f"{where}: N must be >= 4")
     return exact, tuple(ladder)
 
 
@@ -303,34 +303,16 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
         if not t_end > 0.0:
             raise ConfigError("'t_end' in config must be positive")
 
-    source = None
-    if data.get("source") is not None:
-        if mode != "run":
-            raise ConfigError("'source' in config is only meaningful in run mode")
-        source = _parse_source(data["source"])
-        lo = source.support[0]
-        if lo < grid.a1 - 1e-12:
-            raise ConfigError(
-                "source: support must lie beyond the right boundary "
-                f"(support starts at {lo!r}, boundary at {grid.a1!r})")
-
-    exact = ladder = None
+    for key, only in (("source", "run"), ("mms", "mms"), ("stability", "stability")):
+        if data.get(key) is not None and mode != only:
+            raise ConfigError(f"'{key}' in config is only meaningful in {only} mode")
+    source = _parse_source(data.get("source"))
+    exact = ladder = stability = None
     if mode == "mms":
         exact, ladder = _parse_mms(data.get("mms"), scn_cls, grid)
-    elif "mms" in data and data["mms"] is not None:
-        raise ConfigError("'mms' in config is only meaningful in mms mode")
-
-    stability = None
     if mode == "stability":
         stability = _parse_stability(data.get("stability"))
-    elif "stability" in data and data["stability"] is not None:
-        raise ConfigError("'stability' in config is only meaningful in stability mode")
-
     out_dir, snapshots = _parse_output(data.get("output"))
-    if grid is not None and t_end is not None:
-        for t in snapshots:
-            if not 0.0 <= t <= t_end + 1e-12:
-                raise ConfigError(f"snapshot time {t!r} outside [0, t_end]")
 
     resolved = {
         "model": model,
@@ -360,16 +342,18 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
                     n_ladder=ladder, stability=stability,
                     snapshot_times=snapshots, out_dir=out_dir,
                     resolved=resolved)
-    if mode != "stability":
-        # the model's step rule, on every grid the mode marches
-        for n in ladder if mode == "mms" else (grid.n,):
+    if mode == "stability":
+        return cfg
+    scenarios = []
+    for n in ladder or (grid.n,):
+        try:  # the scenario checks every run rule, and the snapshot times
             g = replace(grid, n=n)
-            try:
-                scn_cls.check_step(cfg.step(g), g, mat)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"'dt_cfl' in config, at N = {n}: {exc}") from None
-    return cfg
+            scenarios.append(scn_cls(grid=g, mat=mat, dt=cfg.step(g), t_end=t_end,
+                                     source=source, mms=exact))
+            scenarios[-1].snapshot_levels(snapshots)
+        except ValueError as exc:
+            raise ConfigError(f"at N = {n}: {exc}") from exc
+    return replace(cfg, scenarios=tuple(scenarios))
 
 
 def _missing(key):

@@ -88,10 +88,11 @@ class Scenario:
                 "manufactured fields"
             )
         if self.source is not None:
-            if self.source.support[0] < self.grid.a1 - 1e-12:
+            lo = self.source.support[0]
+            if lo < self.grid.a1 - 1e-12:
                 raise ValueError(
-                    "external source support must lie beyond the right boundary"
-                )
+                    "external source support must lie beyond the right boundary "
+                    f"(support starts at {lo!r}, boundary at {self.grid.a1!r})")
             if np.max(np.abs(self.incident(self.t0))) >= 1e-12:
                 raise ValueError(
                     "source already influences the boundary at the start time"
@@ -125,6 +126,18 @@ class Scenario:
     @property
     def steps(self) -> int:
         return max(1, int(math.ceil((self.t_end - self.t0) / self.dt - 1e-9)))
+
+    def snapshot_levels(self, snapshot_times) -> dict:
+        """Time level -> requested time, the first request per level kept;
+        ValueError for a time outside ``[t0, t_end]`` (``1e-12`` slack)."""
+        wanted = {}
+        for t_req in map(float, snapshot_times):
+            if not self.t0 - 1e-12 <= t_req <= self.t_end + 1e-12:
+                raise ValueError(f"snapshot time {t_req!r} outside "
+                                 f"[t0, t_end] = [{self.t0!r}, {self.t_end!r}]")
+            level = min(self.steps, max(0, int(round((t_req - self.t0) / self.dt))))
+            wanted.setdefault(level, t_req)
+        return wanted
 
 
 def interior_step(state, scn: Scenario, potential_half,
@@ -161,18 +174,6 @@ def interior_step(state, scn: Scenario, potential_half,
     return (*potentials, rho_new, j_new)
 
 
-def _snapshot_levels(scn: Scenario, snapshot_times) -> dict:
-    """Time level -> requested time, the first request per level kept."""
-    wanted = {}
-    for t_req in map(float, snapshot_times):
-        if not scn.t0 - 1e-12 <= t_req <= scn.t_end + 1e-12:
-            raise ValueError(f"snapshot time {t_req!r} outside "
-                             f"[t0, t_end] = [{scn.t0!r}, {scn.t_end!r}]")
-        level = min(scn.steps, max(0, int(round((t_req - scn.t0) / scn.dt))))
-        wanted.setdefault(level, t_req)
-    return wanted
-
-
 def _level_terms(terms_at, times, n: int):
     """The nodal residual terms at each of ``times`` in turn, from
     ``terms_at(t)`` per level or, on a coarse grid, one ``terms_at`` call on
@@ -204,7 +205,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     next step.  A non-finite field raises :class:`DivergenceError`.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
-    wanted = _snapshot_levels(scn, snapshot_times)
+    wanted = scn.snapshot_levels(snapshot_times)
     times = t0 + dt * np.arange(steps + 1)
     levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
               if scn.mms is not None else itertools.repeat(None))
@@ -224,21 +225,23 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     series[:, 0] = traces
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
 
-    for n in range(1, steps + 1):
-        t_next = t0 + n * dt
-        terms_next = next(levels)
-        fields = step(state, scn, terms, terms_next)
-        # One reduction over all fields: cheaper than one per field.
-        if not np.isfinite(np.concatenate(fields)).all():
-            raise DivergenceError(
-                f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
-                partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
-            )
-        traces = close(n, fields[-1], terms_next)
-        state = state_cls(*fields, *traces, n, t_next)
-        series[:, n] = traces
-        if n in wanted:
-            snapshots.append((wanted[n], state.copy()))
-        terms = terms_next
+    # a diverging run overflows before the finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            t_next = t0 + n * dt
+            terms_next = next(levels)
+            fields = step(state, scn, terms, terms_next)
+            # One reduction over all fields: cheaper than one per field.
+            if not np.isfinite(np.concatenate(fields)).all():
+                raise DivergenceError(
+                    f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
+                    partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
+                )
+            traces = close(n, fields[-1], terms_next)
+            state = state_cls(*fields, *traces, n, t_next)
+            series[:, n] = traces
+            if n in wanted:
+                snapshots.append((wanted[n], state.copy()))
+            terms = terms_next
 
     return result_cls(scn, times, *series, snapshots, state)

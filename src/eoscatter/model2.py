@@ -242,8 +242,8 @@ def _closure_m2(scn: Scenario2, j0, terms0, incident):
     """Model 2's boundary closure for :func:`march`: the retarded sums of
     both directions, then both boundary systems, then both new pairs."""
     g, bm = scn.grid, BoundaryMatrices(scn.mat)
-    pair0_hist, pair1_hist = (FixedLagReader(scn.t0, scn.dt, scn.transit, width=2)
-                              for _ in range(2))
+    # both pairs, left then right, read at one lag
+    pairs_hist = FixedLagReader(scn.t0, scn.dt, scn.transit, width=4)
     delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
     phi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
     # the psi equation has a right-hand side, pushed here, in verification
@@ -264,15 +264,14 @@ def _closure_m2(scn: Scenario2, j0, terms0, incident):
     if scn.mms is not None:
         start = tuple(float(getattr(scn.mms, p).value(a, scn.t0))
                       for a in (g.a0, g.a1) for p in scn.potentials)
-    pair0_hist.append(start[:2])
-    pair1_hist.append(start[2:])
+    pairs_hist.append(start)
 
     def close(n: int, j, terms):
         (left, right), psi = push(j, terms)
-        traces = boundary_update_m2(scn, bm, left, right, pair0_hist.read(n),
-                                    pair1_hist.read(n), inc[n].tolist(), psi)
-        pair0_hist.append(traces[:2])
-        pair1_hist.append(traces[2:])
+        delayed = pairs_hist.read(n)
+        traces = boundary_update_m2(scn, bm, left, right, delayed[:2],
+                                    delayed[2:], inc[n].tolist(), psi)
+        pairs_hist.append(traces)
         return traces
 
     return start, close

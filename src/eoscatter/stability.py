@@ -93,22 +93,6 @@ def _diff_matrices(grid: GridSpec):
     return d1, d2
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """One-step homogeneous propagator matrix with its provenance."""
-
-    matrix: np.ndarray
-    model: int
-    n: int
-    epsilon: float
-    dt: float
-    speed: float  # c1, or sqrt(mu1*nu1) for the two-field model
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _advection_matrix(grid: GridSpec, c: float, dt: float) -> np.ndarray:
     d1, d2 = _diff_matrices(grid)
     n = grid.n
@@ -127,24 +111,21 @@ def _pair_matrix(grid: GridSpec, mu1: float, nu1: float, dt: float) -> np.ndarra
     return m
 
 
-def assemble_propagator(model: int, grid: GridSpec, mat, dt: float) -> Propagator:
-    """Dense one-step matrix of the homogeneous stepper on ``grid``."""
+def assemble_propagator(model: int, grid: GridSpec, mat, dt: float) -> np.ndarray:
+    """Dense one-step matrix of the homogeneous stepper on ``grid``: N x N
+    for model 1, 2N x 2N (``phi`` then ``psi``) for model 2."""
     _check_step(dt)
     if model == 1:
-        matrix = _advection_matrix(grid, mat.c1, dt)
-    elif model == 2:
-        matrix = _pair_matrix(grid, mat.mu1, mat.nu1, dt)
-    else:
-        raise ValueError("model must be 1 or 2")
-    return Propagator(matrix=matrix, model=model, n=grid.n,
-                      epsilon=grid.epsilon, dt=dt, speed=mat.c1)
+        return _advection_matrix(grid, mat.c1, dt)
+    if model == 2:
+        return _pair_matrix(grid, mat.mu1, mat.nu1, dt)
+    raise ValueError("model must be 1 or 2")
 
 
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus of a dense (generally nonsymmetric) matrix."""
-    matrix = m.matrix if isinstance(m, Propagator) else np.asarray(m)
     try:
-        eig = np.linalg.eigvals(matrix)
+        eig = np.linalg.eigvals(np.asarray(m))
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue solve failed: {exc}") from exc
     return float(np.max(np.abs(eig)))
@@ -350,22 +331,20 @@ def homogeneous_run(model: int, grid: GridSpec, mat, dt: float, steps: int,
     """Sup-norm envelope of a homogeneous run from random data: array of
     max|state| at every step (index 0 is the initial state)."""
     _check_step(dt, steps)
-    rng = np.random.default_rng(seed)
     ops = SpatialOps(grid)
-    env = np.empty(steps + 1)
     if model == 1:
-        phi = rng.standard_normal(grid.n)
-        env[0] = np.max(np.abs(phi))
-        for k in range(steps):
-            phi = advection_step(phi, ops, mat.c1, dt)
-            env[k + 1] = np.max(np.abs(phi))
+        def step(phi):
+            return (advection_step(phi, ops, mat.c1, dt),)
     elif model == 2:
-        phi = rng.standard_normal(grid.n)
-        psi = rng.standard_normal(grid.n)
-        env[0] = max(np.max(np.abs(phi)), np.max(np.abs(psi)))
-        for k in range(steps):
-            phi, psi = wave_pair_step(phi, psi, ops, mat.mu1, mat.nu1, dt)
-            env[k + 1] = max(np.max(np.abs(phi)), np.max(np.abs(psi)))
+        def step(phi, psi):
+            return wave_pair_step(phi, psi, ops, mat.mu1, mat.nu1, dt)
     else:
         raise ValueError("model must be 1 or 2")
+    rng = np.random.default_rng(seed)
+    fields = [rng.standard_normal(grid.n) for _ in range(model)]  # phi, then psi
+    env = np.empty(steps + 1)
+    env[0] = max(np.max(np.abs(f)) for f in fields)
+    for k in range(steps):
+        fields = step(*fields)
+        env[k + 1] = max(np.max(np.abs(f)) for f in fields)
     return env

@@ -248,7 +248,7 @@ def test_c10_probe_fidelity_and_block_structure():
     rng = np.random.default_rng(11)
     zeros = np.zeros(grid.n)
 
-    m1 = assemble_propagator(1, grid, free1, dt).matrix
+    m1 = assemble_propagator(1, grid, free1, dt)
     scn1 = Scenario1(grid=grid, mat=free1, dt=dt, t_end=10 * dt)
     worst = 0.0
     for _ in range(10):
@@ -258,7 +258,7 @@ def test_c10_probe_fidelity_and_block_structure():
         worst = max(worst, np.max(np.abs(m1 @ v - stepped))
                     / np.max(np.abs(stepped)))
 
-    m2 = assemble_propagator(2, grid, free2, dt).matrix
+    m2 = assemble_propagator(2, grid, free2, dt)
     scn2 = Scenario2(grid=grid, mat=free2, dt=dt, t_end=10 * dt)
     for _ in range(10):
         v = rng.standard_normal(2 * grid.n)

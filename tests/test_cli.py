@@ -258,6 +258,34 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == 2
 
 
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    for out in (blocker, blocker / "below"):
+        code = main(["stability", "--preset", "stability-m1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+def test_run_mode_runs_the_configs_own_scenario(tmp_path, monkeypatch):
+    from eoscatter import cli
+    from eoscatter.config import resolve_config
+    cfg = resolve_config({"model": 1, "grid": {"a0": 0.0, "a1": 3.0, "N": 40},
+                          "material": MAT1, "t_end": 0.5, "source": SRC})
+    seen, real = [], cli.run_m1
+
+    def runner(scn, snapshot_times=()):
+        seen.append(scn)
+        return real(scn, snapshot_times=snapshot_times)
+
+    monkeypatch.setattr(cli, "run_m1", runner)
+    assert cli._run_mode(cfg, tmp_path) == 0
+    assert len(seen) == 1 and seen[0] is cfg.scenarios[0]
+
+
 @pytest.mark.parametrize("block, key, value", [("current", "x_width", 0),
                                                ("pulse", "rate", -1)])
 def test_degenerate_manufactured_fields_exit_2(tmp_path, capsys, block, key, value):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from eoscatter.config import (
     parse_config,
     resolve_config,
 )
+from eoscatter.grid import GridSpec, Material1, Material2
 from eoscatter.mms import ManufacturedFields1, ManufacturedFields2
+from eoscatter.model1 import Scenario1, run_m1
+from eoscatter.model2 import Scenario2
 from eoscatter.sources import GaussianSource, TabulatedSource
 
 
@@ -480,3 +484,59 @@ def valid_configs(draw):
 def test_resolved_configs_round_trip(data):
     cfg = resolve_config(data)
     assert resolve_config(cfg.resolved).resolved == cfg.resolved
+
+
+def _library_message(make) -> str:
+    with pytest.raises(ValueError) as info:
+        make()
+    assert not isinstance(info.value, ConfigError)
+    return str(info.value)
+
+
+def _library_scenario(model, grid, dt_cfl=0.4, **kw):
+    """The scenario a ``minimal_run`` of ``model`` describes, built directly."""
+    scenario, mat = ((Scenario1, Material1(**minimal_run()["material"])) if model == 1
+                     else (Scenario2, Material2(**MAT2)))
+    return scenario(grid=grid, mat=mat, dt=dt_cfl * grid.dx / mat.c1,
+                    t_end=1.0, **kw)
+
+
+INSIDE = {**GAUSSIAN, "x_center": 2.0}  # its support reaches into the slab
+
+
+@pytest.mark.parametrize("data, n, library", [
+    (minimal_run(source=INSIDE), 80,
+     lambda: _library_scenario(1, GridSpec(0.0, 3.0, 80), source=GaussianSource(
+         **{k: v for k, v in INSIDE.items() if k != "kind"}))),
+    (minimal_run(output={"snapshots": [2.5]}), 80,
+     lambda: run_m1(_library_scenario(1, GridSpec(0.0, 3.0, 80)), snapshot_times=[2.5])),
+    (minimal_run(mode="mms", mms={"n_ladder": [2, 4]}), 2,
+     lambda: GridSpec(0.0, 3.0, 2)),
+    (minimal_run(model=2, material=MAT2, mode="mms", dt_cfl=12.0,
+                 mms={"n_ladder": [8, 16]}), 8,
+     lambda: _library_scenario(2, GridSpec(0.0, 3.0, 8), dt_cfl=12.0,
+                               mms=ManufacturedFields2.demo())),
+], ids=["source-inside", "snapshot-after-t_end", "rung-below-4", "step-past-transit"])
+def test_config_states_each_run_rule_in_the_librarys_words(data, n, library):
+    with pytest.raises(ConfigError) as info:
+        resolve_config(data)
+    text = str(info.value)
+    assert text.endswith(_library_message(library))
+    assert text.startswith(f"at N = {n}: ")
+
+
+def test_run_config_holds_the_scenario_of_every_marched_grid():
+    cfg = resolve_config(minimal_run(source=GAUSSIAN, output={"snapshots": [0.5]}))
+    (scn,) = cfg.scenarios
+    assert isinstance(scn, Scenario1)
+    assert (scn.grid, scn.mat, scn.dt, scn.t_end) == (cfg.grid, cfg.mat, cfg.dt, cfg.t_end)
+    assert scn.source is cfg.source and scn.mms is None
+    cfg = resolve_config(minimal_run(model=2, material=MAT2, mode="mms",
+                                     mms={"n_ladder": [20, 40, 80]}))
+    assert [s.grid.n for s in cfg.scenarios] == [20, 40, 80]
+    for scn in cfg.scenarios:
+        assert isinstance(scn, Scenario2)
+        assert scn.grid == replace(cfg.grid, n=scn.grid.n)
+        assert scn.dt == cfg.step(scn.grid)
+        assert scn.mms is cfg.mms and scn.source is None
+    assert load_preset("stability-m1").scenarios == ()

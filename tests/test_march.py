@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from collections import defaultdict
 from dataclasses import replace
 
@@ -40,6 +41,25 @@ def test_run_rejects_snapshot_times_outside_the_run(model):
     res = run(scn, snapshot_times=[0.0, 1.0 + 1e-13])
     assert [t for t, _ in res.snapshots] == [0.0, 1.0 + 1e-13]
     assert [s.n for _, s in res.snapshots] == [0, scn.steps]
+
+
+@pytest.mark.parametrize("model, step", [(1, 576), (2, 507)])
+def test_a_diverging_run_raises_no_numpy_warning(model, step):
+    # fig2's and fig4's material and source at N = 55 and dt_cfl 0.2: the
+    # interior step overflowed, and numpy warned, before the finiteness
+    # check raised
+    scenario, run, mat = MODELS[model]
+    grid = GridSpec(0.0, 3.0, 55)
+    src = GaussianSource(amplitude=5.0 if model == 1 else 1.0, x_center=4.0,
+                         space_rate=36.0, t_center=0.5 if model == 1 else 1.0,
+                         time_rate=4.0)
+    scn = scenario(grid=grid, mat=mat, dt=0.2 * grid.dx / mat.c1, t_end=4.0,
+                   source=src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            run(scn)
+    assert info.value.step == step
 
 
 @pytest.mark.parametrize("model, mat, mms, expected", [

@@ -63,7 +63,7 @@ def test_radius_rejects_non_finite_input():
 def test_interior_rows_carry_the_advection_stencil():
     g = grid(4, eps=0.0)
     dt = 0.3 * g.dx / MAT1.c1
-    m = assemble_propagator(1, g, MAT1, dt).matrix
+    m = assemble_propagator(1, g, MAT1, dt)
     assert m.shape == (4, 4)
     nu = MAT1.c1 * dt / g.dx
     diffuse = 0.5 * nu * nu
@@ -81,7 +81,7 @@ def test_interior_rows_carry_the_advection_stencil():
 def test_zero_vector_maps_to_zero():
     g = grid(32)
     p = assemble_propagator(2, g, MAT2, 0.1 * g.dx)
-    assert np.all(p.matrix @ np.zeros(64) == 0.0)
+    assert np.all(p @ np.zeros(64) == 0.0)
 
 
 def test_probe_fidelity_against_full_stepper_model1():
@@ -95,7 +95,7 @@ def test_probe_fidelity_against_full_stepper_model1():
         state = State1(phi=phi.copy(), rho=np.zeros(g.n), j=np.zeros(g.n),
                        phi_a0=0.0, phi_a1=0.0, n=0, t=0.0)
         new_phi, new_rho, new_j = interior_step_m1(state, scn)
-        rel = np.max(np.abs(p.matrix @ phi - new_phi)) / np.max(np.abs(new_phi))
+        rel = np.max(np.abs(p @ phi - new_phi)) / np.max(np.abs(new_phi))
         assert rel < 1e-13
         assert np.all(new_rho == 0.0) and np.all(new_j == 0.0)
 
@@ -113,7 +113,7 @@ def test_probe_fidelity_against_full_stepper_model2():
                        phi_a0=0.0, psi_a0=0.0, phi_a1=0.0, psi_a1=0.0,
                        n=0, t=0.0)
         new_phi, new_psi, _, _ = interior_step_m2(state, scn)
-        got = p.matrix @ u
+        got = p @ u
         want = np.concatenate([new_phi, new_psi])
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
 
@@ -123,7 +123,7 @@ def test_two_field_spectrum_is_the_union_of_signed_branches():
     # assembled doubled matrix must carry exactly the +-c branch spectra
     g = grid(60)
     dt = 0.4 * g.dx / 2.0
-    m2 = assemble_propagator(2, g, MAT2, dt).matrix
+    m2 = assemble_propagator(2, g, MAT2, dt)
     rep = decomposition_check(g, MAT2, dt)
     plus = rep.m_even + 2.0 * rep.m_odd
     minus = rep.m_even - 2.0 * rep.m_odd
@@ -186,6 +186,22 @@ def test_homogeneous_run_takes_any_non_negative_integer_count():
     assert homogeneous_run(1, g, MAT1, 0.01, 0).shape == (1,)
     assert np.array_equal(homogeneous_run(2, g, MAT2, 0.01, np.int64(4)),
                           homogeneous_run(2, g, MAT2, 0.01, 4))
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_homogeneous_run_draws_phi_then_psi(model):
+    # the envelope of the stepped fields, drawn from the seed in state order
+    g, dt = grid(16), 0.01
+    ops, rng = SpatialOps(g), np.random.default_rng(3)
+    fields = [rng.standard_normal(g.n) for _ in range(model)]
+    env = []
+    for k in range(6):
+        if k:
+            fields = ((advection_step(fields[0], ops, MAT1.c1, dt),) if model == 1
+                      else wave_pair_step(*fields, ops, MAT2.mu1, MAT2.nu1, dt))
+        env.append(max(np.max(np.abs(f)) for f in fields))
+    mat = MAT1 if model == 1 else MAT2
+    assert np.array_equal(homogeneous_run(model, g, mat, dt, 5, seed=3), env)
 
 
 # ---------------------------------------------------------------------------
