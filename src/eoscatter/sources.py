@@ -9,12 +9,22 @@ Two source representations are provided -- an analytic space-time Gaussian
 pulse and a tabulated rectangular grid with bilinear interpolation.  Any
 object with a ``support`` attribute ``(x_lo, x_hi)`` and a vectorized
 ``__call__(x, t)`` works in their place.
+
+The quadrature takes one of two paths.  A source with a
+``completed_square(a1, c0, t)`` method -- :class:`GaussianSource` -- writes
+its integrand along each characteristic as ``amp*exp(-(rt*(x - mu))**2)``,
+so the panels sample ``exp(-z**2)`` in the scaled variable
+``z = rt*(x - mu)``: one ``exp`` and a few array passes per sample.  Every
+other source, :class:`TabulatedSource` included, is sampled as
+``source(x, t - (x - a1)/c0)``.  Both paths run the same panel doubling
+and the same stopping test on the estimate in ``x``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +91,23 @@ class GaussianSource:
             -self.space_rate * (x - self.x_center) ** 2
             - self.time_rate * (t - self.t_center) ** 2
         )
+
+    def completed_square(self, a1: float, c0: float, t):
+        """``(amp, mu, rt)`` with ``amp*exp(-(rt*(x - mu))**2)`` equal to
+        ``self(x, t - (x - a1)/c0)``: ``amp`` and ``mu`` per time, ``rt`` a float.
+
+        Along the characteristic the pulse is a product of two Gaussians in
+        ``x``, of rates ``space_rate`` and ``time_rate/c0**2``.  ``lag`` is
+        ``t`` less the time the peak passes ``x_center`` on that line; written
+        through it, no term grows with ``c0`` or ``1/c0`` beyond the rates.
+        """
+        rate = self.space_rate + self.time_rate / c0 / c0
+        lag = np.asarray(t, dtype=float) - self.t_center \
+            - (self.x_center - a1) / c0
+        mu = self.x_center + (self.time_rate / (c0 * rate)) * lag
+        amp = self.amplitude * np.exp(
+            -(self.space_rate * self.time_rate / rate) * lag**2)
+        return amp, mu, math.sqrt(rate)
 
 
 @dataclass(frozen=True)
@@ -197,17 +224,28 @@ def _check_block(points: int) -> None:
 
 _check_block(_BLOCK_POINTS)
 
+#: ``np.arange(n) + 0.5`` for every block-sized ``n``, as prefixes of one
+#: read-only table, so a block pays no pass to rebuild its panel offsets.
+_OFFSETS = np.arange(_BLOCK_POINTS) + 0.5
+_OFFSETS.flags.writeable = False
+
+
+def _offsets(n: int) -> np.ndarray:
+    """The panel-center offsets ``0.5, 1.5, ..., n - 0.5``."""
+    return _OFFSETS[:n] if n <= _OFFSETS.size else np.arange(n) + 0.5
+
 
 def _composite_midpoint(f, lo, hi, panels: int):
     """Composite-midpoint estimate of the integral of ``f`` over ``[lo, hi]``.
 
     ``lo`` and ``hi`` may be arrays of shape ``(m,)``; ``f`` then receives
-    ``(m, panels)`` points and one estimate per row comes back.  Each row is
-    summed exactly as a lone 1-D interval would be.
+    ``(m, panels)`` points, which it may overwrite, and one estimate per row
+    comes back.  Each row is summed exactly as a lone 1-D interval would be.
     """
     lo = np.asarray(lo, dtype=float)[..., None]
     width = (np.asarray(hi, dtype=float)[..., None] - lo) / panels
-    mids = lo + width * (np.arange(panels) + 0.5)
+    mids = width * _offsets(panels)
+    mids += lo
     return np.sum(f(mids), axis=-1) * width[..., 0]
 
 
@@ -226,67 +264,110 @@ def incident_series(
     stopping level (the same 8, 16, 32, ... sequence and the same test), so
     every entry equals the one-time result bit for bit.  No temporary holds
     more than ``_BLOCK_POINTS`` integrand samples, however many times and
-    panels there are (see :func:`_midpoint_rows`).
+    panels there are (see :func:`_midpoint_rows`).  A source with a finite
+    completed square is sampled as ``exp(-z**2)`` on each time's scaled
+    interval, and each estimate is scaled by its ``amp/rt`` before the
+    stopping test (see the module docstring).
     """
     for name, v in (("rel_tol", rel_tol), ("c0", c0)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite")
+    if isinstance(panel_cap, bool) or not isinstance(panel_cap, numbers.Integral) \
+            or panel_cap < 16:
+        raise ValueError(f"panel_cap must be an integer >= 16, got {panel_cap!r}")
     t = np.asarray(times, dtype=float)
-    if not (math.isfinite(t0) and np.isfinite(t).all()):
-        raise ValueError("t0 and the times must be finite")
+    if not (math.isfinite(a1) and math.isfinite(t0) and np.isfinite(t).all()):
+        raise ValueError("a1, t0 and the times must be finite")
     out = np.zeros(t.shape)
     lo = max(a1, source.support[0])
     hi = np.minimum(source.support[1], a1 + c0 * (t - t0))
     todo = np.flatnonzero(hi > lo)
+    t_live, hi_live = t.flat[todo], hi.flat[todo]
+    square = _completed_square(source, a1, c0, t_live)
+    if square is None:
+        f, scale = (lambda x, tk: source(x, tk - (x - a1) / c0)), np.ones(todo.size)
+        rows = [np.full(todo.size, lo), hi_live, t_live]
+    else:
+        amp, mu, rt = square
+        f, scale = _exp_neg_square, amp / rt
+        rows = [rt * (lo - mu), rt * (hi_live - mu)]
     panels = 8
-    prev = _midpoint_rows(source, a1, c0, t.flat[todo], lo, hi.flat[todo], panels)
+    prev = scale * _midpoint_rows(f, *rows, panels=panels)
     diff = np.full(todo.size, math.inf)
     while panels < panel_cap and todo.size:
         panels *= 2
-        cur = _midpoint_rows(source, a1, c0, t.flat[todo], lo, hi.flat[todo], panels)
+        cur = scale * _midpoint_rows(f, *rows, panels=panels)
         diff = np.abs(cur - prev)
         done = diff <= ABS_FLOOR + rel_tol * np.abs(cur)
         out.flat[todo[done]] = cur[done]
-        todo, prev, diff = todo[~done], cur[~done], diff[~done]
+        keep = ~done
+        todo, prev, diff, scale = todo[keep], cur[keep], diff[keep], scale[keep]
+        rows = [r[keep] for r in rows]
     if todo.size:
         worst = int(np.argmax(diff))
         raise QuadratureError(
             f"midpoint refinement stalled at {panels} panels with step-to-step "
-            f"change {diff[worst]:.3e} at t={t.flat[todo[worst]]!r} "
+            f"change {diff[worst]:.3e} at t={float(t.flat[todo[worst]])!r} "
             f"(rel_tol={rel_tol:g})"
         )
     return out
 
 
-def _midpoint_rows(source, a1, c0, t, lo, hi, panels):
-    """Midpoint estimates along the characteristics through ``(a1, t)``.
-
-    Rows of up to ``_BLOCK_POINTS`` panels go through
-    :func:`_composite_midpoint` as many at a time as fit in one block.  A
-    longer row is summed in ``_BLOCK_POINTS``-sample pieces at its own
-    midpoints, and the piece sums are added in a balanced pairwise tree.
-    Panel counts are powers of two, and for a contiguous power-of-two row
-    that tree is numpy's own summation order, so each estimate equals the
-    full-row ``np.sum`` bit for bit.
+def _completed_square(source, a1, c0, t):
+    """The source's ``completed_square(a1, c0, t)``, or ``None`` where the
+    source has none or its square is not finite (rates at the edge of float
+    range); those sources are sampled directly.
     """
-    out = np.empty(t.size)
+    square = getattr(source, "completed_square", None)
+    if square is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp, mu, rt = square(a1, c0, t)
+    if math.isfinite(rt) and np.isfinite(mu).all() and np.isfinite(amp).all():
+        return amp, mu, rt
+    return None
+
+
+def _exp_neg_square(z):
+    """``exp(-z**2)``, computed in place over ``z``."""
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    return np.exp(z, out=z)
+
+
+def _midpoint_rows(f, lo, hi, *cols, panels):
+    """Midpoint estimates of ``f`` over ``[lo[i], hi[i]]``, one per row.
+
+    ``f(x, *col)`` evaluates samples ``x`` of some rows, each ``col`` giving
+    those rows' entries of one of ``cols`` (the times, on the generic path)
+    as a column, or as a scalar for a single row.  Rows of up to
+    ``_BLOCK_POINTS`` panels go through :func:`_composite_midpoint` as many
+    at a time as fit in one block.  A longer row is summed in
+    ``_BLOCK_POINTS``-sample pieces at its own midpoints, and the piece
+    sums are added in a balanced pairwise tree.  Panel counts are powers of
+    two, and for a contiguous power-of-two row that tree is numpy's own
+    summation order, so each estimate equals the full-row ``np.sum`` bit for
+    bit.
+    """
+    out = np.empty(lo.size)
     if panels > _BLOCK_POINTS:
-        offsets = np.arange(_BLOCK_POINTS) + 0.5
-        for i in range(t.size):
-            width = (hi[i] - lo) / panels
+        offsets = _offsets(_BLOCK_POINTS)
+        for i in range(lo.size):
+            width = (hi[i] - lo[i]) / panels
             sums = np.empty(panels // _BLOCK_POINTS)
             for p in range(sums.size):
-                x = lo + width * (offsets + p * _BLOCK_POINTS)
-                sums[p] = np.sum(source(x, t[i] - (x - a1) / c0))
+                x = lo[i] + width * (offsets + p * _BLOCK_POINTS)
+                sums[p] = np.sum(f(x, *(c[i] for c in cols)))
             while sums.size > 1:
                 sums = sums[0::2] + sums[1::2]
             out[i] = sums[0] * width
         return out
     rows = _BLOCK_POINTS // panels
-    for k in range(0, t.size, rows):
-        tk = t[k:k + rows, None]
-        out[k:k + rows] = _composite_midpoint(
-            lambda xp: source(xp, tk - (xp - a1) / c0), lo, hi[k:k + rows], panels
+    for k in range(0, lo.size, rows):
+        block = slice(k, k + rows)
+        col = [c[block, None] for c in cols]
+        out[block] = _composite_midpoint(
+            lambda xp: f(xp, *col), lo[block], hi[block], panels
         )
     return out
 

@@ -40,6 +40,20 @@ PULSE_M2 = GaussianSource(
 )
 
 
+class Sampled:
+    """A Gaussian seen only as a callable with a support: no completed
+    square, so the quadrature samples it as ``source(x, t_ret)``."""
+
+    def __init__(self, pulse):
+        self.pulse, self.support = pulse, pulse.support
+
+    def __call__(self, x, t):
+        return self.pulse(x, t)
+
+
+SAMPLED_M1, SAMPLED_M2 = Sampled(PULSE_M1), Sampled(PULSE_M2)
+
+
 def closed_form(src: GaussianSource, *, a1, c0, t, t0=0.0):
     return gaussian_line_integral(
         src.amplitude,
@@ -144,19 +158,21 @@ def test_incident_series_is_the_per_time_quadrature_exactly(tmp_path):
     mat2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.5, alpha=-1.0, beta=0.3,
                      gamma=8.0)
     # tight tolerances push the panel count past the block size, so times
-    # are also split across blocks
+    # are also split across blocks; a Gaussian's completed-square path is
+    # per time too, but it rounds differently from the longhand
     times = 0.025 * np.arange(120)
-    for src, tol in ((PULSE_M1, 1e-6), (PULSE_M1, 1e-10), (PULSE_M2, 1e-10),
-                     (tab, 1e-6)):
+    for src, tol in ((SAMPLED_M1, 1e-6), (SAMPLED_M1, 1e-10),
+                     (SAMPLED_M2, 1e-10), (tab, 1e-6), (PULSE_M1, 1e-6),
+                     (PULSE_M1, 1e-10), (PULSE_M2, 1e-10)):
         series = incident_series(src, 3.0, mat2.c0, 0.0, times, tol)
         each = [characteristic_integral(src, 3.0, mat2.c0, 0.0, t, tol)
                 for t in times]
         assert np.array_equal(series, each)
-        if tol == 1e-6:
+        if tol == 1e-6 and not isinstance(src, GaussianSource):
             alone = [doubled_midpoint(src, 3.0, mat2.c0, 0.0, t, tol)
                      for t in times]
             assert np.array_equal(series, alone)
-    for src in (PULSE_M1, tab):
+    for src in (PULSE_M1, SAMPLED_M1, tab):
         trace = incident_trace(src, 3.0, mat1, 0.0, times, 1e-6)
         assert np.array_equal(
             trace, [incident_trace(src, 3.0, mat1, 0.0, t, 1e-6) for t in times])
@@ -173,15 +189,16 @@ def test_long_rows_are_the_full_row_sum_exactly(monkeypatch):
     long_times = set()
     rows = sources._midpoint_rows
 
-    def spy(source, a1, c0, t, lo, hi, panels):
+    def spy(f, lo, hi, t, panels):
         if panels > _BLOCK_POINTS:
             long_times.update(t.tolist())
-        return rows(source, a1, c0, t, lo, hi, panels)
+        return rows(f, lo, hi, t, panels=panels)
 
     monkeypatch.setattr(sources, "_midpoint_rows", spy)
-    series = incident_series(PULSE_M1, 3.0, 1.0, 0.0, times, 1e-10)
+    series = incident_series(SAMPLED_M1, 3.0, 1.0, 0.0, times, 1e-10)
     assert long_times == set(times)
-    alone = [doubled_midpoint(PULSE_M1, 3.0, 1.0, 0.0, t, 1e-10) for t in times]
+    alone = [doubled_midpoint(SAMPLED_M1, 3.0, 1.0, 0.0, t, 1e-10)
+             for t in times]
     assert np.array_equal(series, alone)
 
 
@@ -192,12 +209,81 @@ def test_series_does_not_depend_on_the_block_size(tmp_path, monkeypatch,
     # short rows (to 2**10 panels) and long ones (to 2**19) at 1e-10
     times = 0.1 * np.arange(31)
     tab = TabulatedSource.from_csv(bilinear_csv(tmp_path))
-    for src, t in ((PULSE_M1, times[[3, 9, 14, 16, 22]]), (tab, times)):
+    picked = times[[3, 9, 14, 16, 22]]
+    for src, t in ((SAMPLED_M1, picked), (PULSE_M1, picked), (tab, times)):
         want = incident_series(src, 3.0, 1.0, 0.0, t, tol)
         with monkeypatch.context() as m:
             m.setattr(sources, "_BLOCK_POINTS", block)
             got = incident_series(src, 3.0, 1.0, 0.0, t, tol)
         assert np.array_equal(got, want)
+
+
+def stop_panels(monkeypatch, src, t, tol):
+    """The panel count at which one time's doubling stops, and its value."""
+    levels = []
+    rows = sources._midpoint_rows
+
+    def spy(*args, panels):
+        levels.append(panels)
+        return rows(*args, panels=panels)
+
+    with monkeypatch.context() as m:
+        m.setattr(sources, "_midpoint_rows", spy)
+        value = characteristic_integral(src, 3.0, 1.0, 0.0, t, tol)
+    return max(levels), value
+
+
+NARROW = GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0, support=(3.8, 4.3))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("pulse", [PULSE_M1, PULSE_M2, NARROW],
+                         ids=["m1", "m2", "narrow"])
+def test_completed_square_stops_where_sampling_stops(monkeypatch, pulse, tol):
+    # with a1 = 3 and c0 = 1 the cone edge 3 + t sweeps the support from
+    # t = support[0] - 3 to t = support[1] - 3; each time stops at the same
+    # panel count on both paths and the two estimates differ only in rounding
+    plain = Sampled(pulse)
+    for t in np.linspace(pulse.support[0] - 2.95, 2.6, 18):
+        panels, got = stop_panels(monkeypatch, pulse, t, tol)
+        want_panels, want = stop_panels(monkeypatch, plain, t, tol)
+        assert panels == want_panels
+        assert got != 0.0 and abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("pulse", [PULSE_M1, PULSE_M2], ids=["m1", "m2"])
+@pytest.mark.parametrize("c0", [0.5, 1.0, 2.0])
+def test_completed_square_is_the_integrand(pulse, c0):
+    rng = np.random.default_rng(7)
+    a1, t0 = 3.0, 0.0
+    t = rng.uniform(t0, 3.0, 400)
+    hi = np.minimum(pulse.support[1], a1 + c0 * (t - t0))
+    keep = hi > pulse.support[0]
+    t, hi = t[keep], hi[keep]
+    x = pulse.support[0] + rng.uniform(0.0, 1.0, t.size) * (hi - pulse.support[0])
+    amp, mu, rt = pulse.completed_square(a1, c0, t)
+    assert amp.shape == mu.shape == t.shape and isinstance(rt, float)
+    want = pulse(x, t - (x - a1) / c0)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(amp * np.exp(-(rt * (x - mu)) ** 2), want,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_a_square_past_float_range_falls_back_to_sampling():
+    # at c0 = 1e-155 the rate time_rate/c0**2 overflows, and the completed
+    # square would turn the trace into NaN; at c0 = 1e160 it underflows to
+    # nothing beside space_rate, which the square handles
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0, times, exact in ((1e-155, [2e155, 3e155], True),
+                                 (1e160, [3e-161, 1e-160, 0.5], False)):
+            got = incident_series(PULSE_M1, 3.0, c0, 0.0, times, 1e-10)
+            want = incident_series(SAMPLED_M1, 3.0, c0, 0.0, times, 1e-10)
+            assert np.all(np.isfinite(got))
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+                assert np.all(got > 0.0)
 
 
 def pieces_summed(row, piece):
@@ -304,13 +390,47 @@ def test_quadrature_rejects_a_bad_speed_or_tolerance(name, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_quadrature_rejects_a_nonfinite_time(bad):
-    # a NaN time read 0.0
+    # a NaN time read 0.0, and so did a non-finite a1
     with pytest.raises(ValueError, match="finite"):
         incident_series(PULSE_M1, 3.0, 1.0, 0.0, [0.5, bad, 1.5])
     with pytest.raises(ValueError, match="finite"):
         characteristic_integral(PULSE_M1, 3.0, 1.0, 0.0, bad)
     with pytest.raises(ValueError, match="t0"):
         incident_series(PULSE_M1, 3.0, 1.0, bad, [0.5, 1.5])
+    mat1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
+    mat2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3,
+                     gamma=8.0)
+    for call in (lambda: incident_series(PULSE_M1, bad, 1.0, 0.0, [0.5, 1.5]),
+                 lambda: characteristic_integral(PULSE_M1, bad, 1.0, 0.0, 1.5),
+                 lambda: incident_trace(PULSE_M1, bad, mat1, 0.0, 1.5),
+                 lambda: incident_pair(PULSE_M1, bad, mat2, 0.0, [0.5, 1.5])):
+        with pytest.raises(ValueError, match="a1"):
+            call()
+
+
+@pytest.mark.parametrize("cap", [0, -5, 8, 15, 12.5, 32.0, True, None, "64"])
+def test_quadrature_rejects_a_bad_panel_cap(cap):
+    # 0, -5, 8 and 12.5 raised "stalled at 8 panels ... change inf"
+    for call in (lambda: incident_series(PULSE_M1, 3.0, 1.0, 0.0, [1.0],
+                                         panel_cap=cap),
+                 lambda: characteristic_integral(PULSE_M1, 3.0, 1.0, 0.0, 1.0,
+                                                 panel_cap=cap)):
+        with pytest.raises(ValueError, match="panel_cap must be an integer >= 16"):
+            call()
+
+
+def test_smallest_panel_cap_refines_once():
+    got = incident_series(PULSE_M1, 3.0, 1.0, 0.0, [0.0, 1.0], 0.1,
+                          panel_cap=np.int64(16))
+    assert got[0] == 0.0 and got[1] != 0.0
+    with pytest.raises(QuadratureError, match="stalled at 16 panels"):
+        incident_series(PULSE_M1, 3.0, 1.0, 0.0, [1.0], 1e-12, panel_cap=16)
+
+
+def test_quadrature_error_names_the_time_as_a_float():
+    with pytest.raises(QuadratureError, match=r"at t=1\.0 \(rel_tol=1e-12\)$"):
+        incident_series(PULSE_M1, 3.0, 1.0, 0.0, np.array([1.0]), 1e-12,
+                        panel_cap=32)
 
 
 def test_midpoint_halving_cuts_error_fourfold():
