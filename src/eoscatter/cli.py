@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, PRESETS, RunConfig, load_preset, parse_config
-from .mms import convergence_order, mms_run
+# mms_run stays importable here: perfbench's tracer wraps eoscatter.cli.mms_run
+from .mms import convergence_order, mms_report, mms_run  # noqa: F401
 from .model1 import DivergenceError, run_m1
 from .model2 import run_m2
 from .sources import QuadratureError
@@ -129,8 +130,7 @@ def _mms_mode(cfg: RunConfig, out: Path) -> int:
     failure = None
     for scn in cfg.scenarios:
         try:
-            reports.append(mms_run(cfg.model, cfg.mms, scn.grid, cfg.mat, scn.dt,
-                                   cfg.t_end))
+            reports.append(mms_report(cfg.model, scn))
         except DivergenceError as exc:
             failure = exc
             break

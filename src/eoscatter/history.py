@@ -9,8 +9,9 @@ existed before the switch-on time.
 
 A RetardedSum gives the sum over the nodes of a nodal series, each node read
 by the same rule at its own fixed delay, without keeping the series: it
-scatters every new sample forward into the sums of the levels that will read
-it.
+carries each node's quadratic read forward in two running taps, and once a
+read is whole adds it into the pending sum of the level it belongs to, one
+value per node per level.
 
 A FixedLagReader is the DelayBuffer of a boundary closure: its samples are a
 scalar trace or a trace pair, read back as Python floats, and every read is at
@@ -175,11 +176,20 @@ class RetardedSum:
     so its lag and weights are worked out once.  It is first live, by
     ``query_each``'s own test ``t - d > t0``, at level ``lam``; there it
     takes ``query_each``'s clipped bracket of levels 0, 1, 2, or the
-    two-sample linear rule when ``lam`` is 1.  At every later level L it
-    reads the bracket ``L - lam - 1, L - lam, L - lam + 1`` with fixed
-    weights.  So each sample is scattered, on arrival, into the pending sums
-    of the few levels that will read it: the storage is ``max(lam) + 2``
-    numbers, not a history of nodal samples.
+    two-sample linear rule when ``lam`` is 1, scattered by pushes 0, 1 and
+    2.  At every later level L it reads the bracket ``L - lam - 1, L - lam,
+    L - lam + 1`` with fixed weights ``w0, w1, w2``.
+
+    Those regular reads are summed per node before they are scattered: two
+    running taps ``r1 = w1*j[k-1] + w0*j[k-2]`` and ``r2 = w0*j[k-1]`` make
+    ``w2*j[k] + r1`` node i's whole read of level ``k + lam - 1``, so from
+    push 2 on a push adds N values, at the fixed offsets ``lam - 1``, into
+    the pending sums of the levels ahead.  Those sums are a window of
+    ``span = max(lam) + 2`` numbers that slides one place per push over a
+    buffer of ``2*span`` and moves back to the front once every ``span``
+    pushes, so no push allocates or moves ``span`` numbers.  The working
+    storage is ``2*span + 3N`` numbers (the buffer, the running taps and
+    the read being scattered), not a history of nodal samples.
     """
 
     def __init__(self, t0: float, dt: float, delays) -> None:
@@ -195,40 +205,51 @@ class RetardedSum:
         q = d / dt
         # lam: the first level that passes query_each's live test; that is
         # ceil(q) up to rounding, and ceil(q) - 1 never passes but by rounding
-        lam = np.maximum(np.ceil(q).astype(np.int64) - 1, 1)
+        lam = np.maximum(np.ceil(q).astype(np.intp) - 1, 1)
         for _ in range(2):
             lam += ~(t0 + lam * dt - d > t0)
-        # sample k feeds the regular read of level k + lam + 1 - a with the
-        # weight of bracket slot a, once that read exists (k >= a)
-        slot = np.arange(3)[:, None]
-        offsets = lam + 1 - slot
-        weights = np.array(_weights(lam + 1.0 - q))
-        # and sample k <= 2 feeds the first read, at level lam
+        self._taps = np.array(_weights(lam + 1.0 - q))
+        self._offsets = lam - 1
+        # sample k <= 2 feeds the first read, at level lam
         r = (t0 + lam * dt - d - t0) / dt
         first = np.array(_weights(r))
         s = np.clip(r[lam == 1], 0.0, 1.0)
         first[:, lam == 1] = [1.0 - s, s, 0.0 * s]
-        first_offsets = np.maximum(lam - slot, 0)  # weight 0 where clipped
-        self._plans = [
-            (np.vstack([offsets[:k + 1], first_offsets[k]]).ravel(),
-             np.vstack([weights[:k + 1], first[k]]))
-            for k in range(3)
-        ] + [(offsets.ravel(), weights)]
-        self._pending = np.zeros(int(lam.max()) + 2)
+        self._first = [(np.maximum(lam - k, 0), first[k])  # weight 0 where clipped
+                       for k in range(3)]
+        self._r1, self._r2, self._read = np.zeros((3, d.size))
+        self._span = int(lam.max()) + 2
+        self._pending = np.zeros(2 * self._span)
+        self._start = 0  # the pending sum of the next level
         self._levels = 0
 
     def push(self, j) -> float:
         """Take the next level's samples; return that level's sum."""
         j = np.asarray(j, dtype=float)
-        idx, w = self._plans[min(self._levels, 3)]
-        if j.shape != w.shape[1:]:
-            raise ValueError(f"sample shape {j.shape} != {w.shape[1:]}")
-        pending = self._pending
-        pending += np.bincount(idx, (w * j).ravel(), pending.size)
-        out = float(pending[0])
-        pending[:-1] = pending[1:]
-        pending[-1] = 0.0
-        self._levels += 1
+        read, r1, r2 = self._read, self._r1, self._r2
+        if j.shape != read.shape:
+            raise ValueError(f"sample shape {j.shape} != {read.shape}")
+        w0, w1, w2 = self._taps
+        np.multiply(w2, j, out=read)
+        read += r1
+        np.multiply(w1, j, out=r1)
+        r1 += r2
+        np.multiply(w0, j, out=r2)
+        k, start = self._levels, self._start
+        window = self._pending[start:]
+        if k >= 2:
+            np.add.at(window, self._offsets, read)
+        if k <= 2:
+            offsets, weights = self._first[k]
+            np.add.at(window, offsets, weights * j)
+        out = float(window[0])
+        self._levels = k + 1
+        start += 1
+        if start == self._span:  # the window reached the end: back to the front
+            self._pending[:start] = self._pending[start:]
+            self._pending[start:] = 0.0
+            start = 0
+        self._start = start
         return out
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridSpec, confined_pass
+from .sources import source_support
 
 #: Level-node points per call of the nodal residual evaluator: on a grid of
 #: N <= 1024 nodes :func:`march` evaluates ``_BLOCK_POINTS // N`` levels per
@@ -88,7 +89,7 @@ class Scenario:
                 "manufactured fields"
             )
         if self.source is not None:
-            lo = self.source.support[0]
+            lo = source_support(self.source)[0]
             if lo < self.grid.a1 - 1e-12:
                 raise ValueError(
                     "external source support must lie beyond the right boundary "

@@ -52,6 +52,23 @@ class QuadratureError(RuntimeError):
     """Panel doubling hit the cap before the tolerance was reached."""
 
 
+def source_support(source) -> tuple[float, float]:
+    """A source's ``support`` as two floats ``lo < hi``; ValueError for
+    anything else, a NaN end or a reversed or empty interval included."""
+    support = source.support
+    try:
+        lo, hi = support
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
+        raise ValueError(f"source support must be two numbers (lo, hi), "
+                         f"got {support!r}")
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:  # false for a NaN end too
+        raise ValueError(f"source support must have lo < hi, got {(lo, hi)!r}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class GaussianSource:
     """Separable pulse ``amplitude * exp(-space_rate*(x-x_center)**2 - time_rate*(t-t_center)**2)``.
@@ -278,9 +295,10 @@ def incident_series(
     t = np.asarray(times, dtype=float)
     if not (math.isfinite(a1) and math.isfinite(t0) and np.isfinite(t).all()):
         raise ValueError("a1, t0 and the times must be finite")
+    lo, hi = source_support(source)
     out = np.zeros(t.shape)
-    lo = max(a1, source.support[0])
-    hi = np.minimum(source.support[1], a1 + c0 * (t - t0))
+    lo = max(a1, lo)
+    hi = np.minimum(hi, a1 + c0 * (t - t0))
     todo = np.flatnonzero(hi > lo)
     t_live, hi_live = t.flat[todo], hi.flat[todo]
     square = _completed_square(source, a1, c0, t_live)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from eoscatter.cli import _fmt, main
+from eoscatter.march import Scenario
+from eoscatter.mms import Field
 
 MAT1 = {"c1": 2.0, "c0": 1.0, "alpha": -1.0, "beta": 0.3, "gamma": 8.0}
 MAT2 = {"mu1": 2.0, "nu1": 2.0, "mu0": 1.0, "nu0": 1.0,
@@ -159,6 +161,37 @@ def test_mms_reruns_are_byte_identical(tmp_path, model):
     assert main(["mms", cfg, "--out", str(b)]) == 0
     for name in ("errors.csv", "trace_errors.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_mms_mode_builds_one_scenario_per_rung(tmp_path, monkeypatch, model):
+    # the config builds each rung's scenario, quiet-start check included,
+    # and the mms mode runs that scenario instead of building its own
+    builds, quiet = [], []
+    post_init, value = Scenario.__post_init__, Field.value
+
+    def counted_post_init(self):
+        builds.append(self.grid.n)
+        post_init(self)
+
+    def counted_value(self, x, t):
+        if np.size(x) in (52, 102):  # the nodes and both ends: quiet start
+            quiet.append(np.size(x) - 2)
+        return value(self, x, t)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Field, "value", counted_value)
+    cfg = write_config(tmp_path, {
+        "model": model,
+        "mode": "mms",
+        "grid": {"a0": 0.0, "a1": 3.0, "N": 50},
+        "material": MAT1 if model == 1 else MAT2,
+        "t_end": 0.2,
+        "mms": {"n_ladder": [50, 100]},
+    })
+    assert main(["mms", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert builds == [50, 100]
+    assert quiet == [50] * model + [100] * model  # once per potential
 
 
 def test_mms_order_column_blank_when_ladder_jumps(tmp_path):

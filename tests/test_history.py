@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,13 +137,15 @@ def _check_sum_every_level(t0, dt, delays, levels, draw):
 
 
 @pytest.mark.parametrize("direction", ["left", "right"])
-@pytest.mark.parametrize("dt_cfl", [0.4, 0.9])
+@pytest.mark.parametrize("dt_cfl", [0.4, 0.9, 1.1])
 @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
 def test_fixed_lag_sum_matches_query_each_every_step(epsilon, dt_cfl, direction):
     # the solver's setting: nodal current, delays (x - a0)/c1 or (a1 - x)/c1,
     # summed at every level from the first one on, so the warm-up (live
     # prefix, clipped wavefront node, two-sample start) is covered.  At
-    # epsilon = 0, dt_cfl = 0.4 some offsets delay/dt are whole numbers.
+    # epsilon = 0, dt_cfl = 0.4 some offsets delay/dt are whole numbers; at
+    # dt_cfl = 1.1 several nodes share a lag, so their reads land on one
+    # level.
     g = GridSpec(0.0, 3.0, 24, epsilon=epsilon)
     c1 = 2.0
     dt = dt_cfl * g.dx / c1
@@ -154,7 +157,7 @@ def test_fixed_lag_sum_matches_query_each_every_step(epsilon, dt_cfl, direction)
 
 
 @pytest.mark.parametrize("direction", ["left", "right"])
-@pytest.mark.parametrize("dt_cfl", [0.4, 0.9])
+@pytest.mark.parametrize("dt_cfl", [0.4, 0.9, 1.1])
 @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
 def test_folded_push_is_the_sum_of_separate_readers(epsilon, dt_cfl, direction):
     # in verification mode the solver pushes current + residual source into
@@ -193,6 +196,42 @@ def test_fixed_lag_sum_matches_query_each_for_any_delays(start, dt, lags, seed):
     delays = np.array(lags, dtype=float) * dt
     _check_sum_every_level(start * dt, dt, delays, int(max(lags)) + 6,
                            lambda n: rng.uniform(0.5, 1.5, size=n))
+
+
+def test_fixed_lag_sum_matches_query_each_past_several_window_moves():
+    # the pending sums slide over a buffer of 2*span numbers and move back
+    # to its front every span = max(lag) + 2 levels; 3*span + 5 levels move
+    # them three times
+    g = GridSpec(0.0, 3.0, 24, epsilon=0.5)
+    dt = 0.9 * g.dx / 2.0
+    delays = (g.x - g.a0) / 2.0
+    span = math.ceil(delays.max() / dt) + 2
+    rng = np.random.default_rng(5)
+    _check_sum_every_level(0.0, dt, delays, 3 * span + 5,
+                           lambda n: rng.normal(size=n))
+
+
+def test_steady_push_allocates_no_span_sized_block():
+    # a push adds N reads into the pending sums in place: no temporary of
+    # the span's size, also across the window's move back to the front,
+    # which falls inside the 200 traced pushes
+    g = GridSpec(0.0, 3.0, 1600)
+    dt = 0.4 * g.dx / 2.0
+    delays = (g.x - g.a0) / 2.0
+    span = math.ceil(delays.max() / dt) + 2
+    assert span * 8 > 2 * g.n * 8  # a span-sized block stands out
+    reader = RetardedSum(0.0, dt, delays)
+    j = np.random.default_rng(3).normal(size=g.n)
+    for _ in range(span - 100):
+        reader.push(j)
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            reader.push(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < span * 8
 
 
 def test_fixed_lag_sum_before_any_arrival_is_zero():

@@ -184,6 +184,25 @@ def test_closures_trade_in_python_floats(monkeypatch, model, drive):
     assert np.max(np.abs(res.phi_a0)) > 0.0 or drive == "null"
 
 
+class Supported:
+    """A zero source on the support ``support``, as a duck-typed source."""
+
+    def __init__(self, support):
+        self.support = support
+
+    def __call__(self, x, t):
+        return np.zeros(np.broadcast(x, t).shape)
+
+
+@pytest.mark.parametrize("support", [(math.nan, 5.0), (4.0, math.nan), (5.0, 4.0)])
+@pytest.mark.parametrize("model", [1, 2])
+def test_scenario_rejects_a_support_that_is_not_lo_below_hi(model, support):
+    # a NaN lower end passed the check that the support starts beyond a1
+    with pytest.raises(ValueError, match="support"):
+        null_scenario(model, source=Supported(support))
+    null_scenario(model, source=Supported((4.0, 5.0)))
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_manufactured_potentials_must_be_quiet_at_the_start(model):
     # the boundary histories are zero before t0, so the exact potentials

@@ -12,6 +12,7 @@ from eoscatter.mms import (
     ManufacturedFields2,
     ZeroField,
     convergence_order,
+    mms_report,
     mms_run,
 )
 from eoscatter.model1 import Scenario1, run_m1
@@ -128,3 +129,18 @@ def test_invalid_model_number_rejected():
     g = _grid(40)
     with pytest.raises(ValueError, match="model"):
         mms_run(3, ManufacturedFields1.demo(), g, MAT1, 0.01, 0.5)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_report_of_a_built_scenario_is_the_wrapper_report(model):
+    # mms_run builds the scenario and measures it with mms_report
+    scenario, mat, exact = ((Scenario1, MAT1, ManufacturedFields1.demo()) if model == 1
+                            else (Scenario2, MAT2, ManufacturedFields2.demo()))
+    g = _grid(40)
+    dt = _dt(g, 2.0)
+    scn = scenario(grid=g, mat=mat, dt=dt, t_end=0.5, mms=exact)
+    got, want = mms_report(model, scn), mms_run(model, exact, g, mat, dt, 0.5)
+    assert (got.linf, got.l2, got.trace_linf, got.dt, got.t_end) == \
+        (want.linf, want.l2, want.trace_linf, want.dt, want.t_end)
+    with pytest.raises(ValueError, match="manufactured"):
+        mms_report(model, scenario(grid=g, mat=mat, dt=dt, t_end=0.5))

@@ -408,6 +408,34 @@ def test_quadrature_rejects_a_nonfinite_time(bad):
             call()
 
 
+class Supported:
+    """A unit source on the support ``support``, as a duck-typed source."""
+
+    def __init__(self, support):
+        self.support = support
+
+    def __call__(self, x, t):
+        return np.ones(np.broadcast(x, t).shape)
+
+
+@pytest.mark.parametrize("support", [(math.nan, 5.0), (4.0, math.nan), (5.0, 4.0),
+                                     (4.0, 4.0), (4.0,), "45", None])
+def test_quadrature_rejects_a_support_that_is_not_lo_below_hi(support):
+    # (nan, 5) integrated from a1 and read [1, 2] at t = 1, 2; (4, nan) and
+    # the reversed (5, 4) read all zeros
+    with pytest.raises(ValueError, match="support"):
+        incident_series(Supported(support), 3.0, 1.0, 0.0, [1.0, 2.0])
+    with pytest.raises(ValueError, match="support"):
+        characteristic_integral(Supported(support), 3.0, 1.0, 0.0, 2.0)
+
+
+def test_quadrature_takes_a_support_of_any_two_numbers():
+    # integers, numpy scalars and an open upper end are two numbers lo < hi
+    for support in ((4, 5), np.array([4.0, 5.0]), (4.0, math.inf)):
+        got = incident_series(Supported(support), 3.0, 1.0, 0.0, [1.0, 1.5, 1.75])
+        np.testing.assert_allclose(got, [0.0, 0.5, 0.75], rtol=1e-12)
+
+
 @pytest.mark.parametrize("cap", [0, -5, 8, 15, 12.5, 32.0, True, None, "64"])
 def test_quadrature_rejects_a_bad_panel_cap(cap):
     # 0, -5, 8 and 12.5 raised "stalled at 8 panels ... change inf"
