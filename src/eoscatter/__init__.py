@@ -29,8 +29,8 @@ from .mms import (
     convergence_order,
     mms_run,
 )
-from .model1 import DivergenceError, Run1Result, Scenario1, State1, run_m1
-from .model2 import BoundaryMatrices, Run2Result, Scenario2, State2, run_m2
+from .model1 import DivergenceError, Scenario1, run_m1
+from .model2 import BoundaryMatrices, Scenario2, run_m2
 from .sources import (
     GaussianSource,
     QuadratureError,
@@ -41,10 +41,7 @@ from .sources import (
     incident_trace,
 )
 from .stability import (
-    DecompositionReport,
     EigenSolverError,
-    StabilityDomain,
-    advection_step,
     assemble_propagator,
     decomposition_check,
     fixed_point,
@@ -53,7 +50,6 @@ from .stability import (
     spectral_radius,
     stability_bounds,
     stability_radius,
-    wave_pair_step,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +58,6 @@ __all__ = [
     "ArctanGaussianPulse",
     "BoundaryMatrices",
     "ConfigError",
-    "DecompositionReport",
     "DelayBuffer",
     "DivergenceError",
     "EigenSolverError",
@@ -81,17 +76,11 @@ __all__ = [
     "ResidualSources1",
     "ResidualSources2",
     "RetardedSum",
-    "Run1Result",
-    "Run2Result",
     "RunConfig",
     "Scenario1",
     "Scenario2",
     "SpatialOps",
-    "StabilityDomain",
-    "State1",
-    "State2",
     "TabulatedSource",
-    "advection_step",
     "assemble_propagator",
     "characteristic_integral",
     "convergence_order",
@@ -111,6 +100,5 @@ __all__ = [
     "spectral_radius",
     "stability_bounds",
     "stability_radius",
-    "wave_pair_step",
     "__version__",
 ]

@@ -111,7 +111,8 @@ class Scenario:
 
     def incident(self, t):
         """What drives the right boundary at time(s) ``t``: the source's
-        incident trace(s), or in verification mode the exact traces there."""
+        incident trace(s), in verification mode the exact traces there, and
+        zeros in a null run."""
         raise NotImplementedError
 
     @property
@@ -152,16 +153,16 @@ def interior_step(state, scn: Scenario, potential_half,
     Taylor step ``rho - dt*D1(g)`` and the current a Heun corrector, which
     reads the current's term at level n + 1.  ``terms`` and
     ``terms_next`` are the nodal terms at levels n and n + 1, given together
-    (:func:`march` evaluates each level once) or, in verification mode,
-    left out and evaluated here.
+    (:func:`march` evaluates each level once); a verification scenario
+    stepped without them raises ValueError.
     """
+    if terms is None and scn.mms is not None:
+        raise ValueError("a verification step needs the residual terms at "
+                         "both of its levels")
     m, dt, h = scn.mat, scn.dt, 0.5 * scn.dt
     a, b, c = h * m.alpha, h * m.beta, h * m.gamma  # (dt/2) times the forcing's
     rho, j = state.rho, state.j
     g = (a - b * rho) * state.phi + (1.0 - c) * j
-    if terms is None and scn.mms is not None:
-        terms_at = scn.residuals(scn.mms, scn.mat).at(scn.grid.x)
-        terms, terms_next = terms_at(state.t), terms_at(state.t + dt)
     potentials = potential_half(state, scn, terms, g)
 
     rho_new = rho + confined_pass(g, -dt, scn.grid.dx)
@@ -210,9 +211,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     times = t0 + dt * np.arange(steps + 1)
     levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
               if scn.mms is not None else itertools.repeat(None))
-    incident = [None] * (steps + 1)
-    if scn.source is not None or scn.mms is not None:
-        incident = scn.incident(times)
+    incident = scn.incident(times)
 
     if scn.mms is not None:
         fields = [np.asarray(getattr(scn.mms, name).value(g.x, t0), dtype=float)

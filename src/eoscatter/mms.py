@@ -27,15 +27,15 @@ from .grid import Material1, Material2
 VALUE, DX, DT, DXX, DXT, DTT = range(6)
 
 
-def _view(method: str, key, *args):
-    """A method ``(x, t)`` that returns entry ``key`` of
-    ``self.<method>(x, t, *args)``."""
+def _entry(key: int, order: int = 2):
+    """A method ``(x, t)`` that returns entry ``key`` of the jet of
+    ``order`` at ``(x, t)``, ``self.at(x)(t, order)[key]``."""
 
-    def view(self, x, t):
-        return getattr(self, method)(x, t, *args)[key]
+    def entry(self, x, t):
+        return self.at(x)(t, order)[key]
 
-    view.__doc__ = f"Entry {key!r} of :meth:`{method}`."
-    return view
+    entry.__doc__ = f"Entry {key} of the jet of order {order} at ``(x, t)``."
+    return entry
 
 
 def _check_params(obj, positive) -> None:
@@ -51,8 +51,8 @@ def _check_params(obj, positive) -> None:
 
 class Field:
     """Base of the field families: a family supplies :meth:`at`, which
-    computes the factors that depend on ``x`` alone once; :meth:`jet` and
-    the six one-derivative methods are views of it."""
+    computes the factors that depend on ``x`` alone once; the six
+    one-derivative methods read its entries."""
 
     def at(self, x):
         """``jet_at(t, order=2)``: the jet ``(value, dx, dt, dxx, dxt, dtt)``
@@ -66,16 +66,12 @@ class Field:
         """
         raise NotImplementedError
 
-    def jet(self, x, t, order: int = 2) -> tuple:
-        """The jet at ``(x, t)``: ``self.at(x)(t, order)``."""
-        return self.at(x)(t, order)
-
-    value = _view("jet", VALUE, 0)
-    dx = _view("jet", DX, 1)
-    dt = _view("jet", DT, 1)
-    dxx = _view("jet", DXX)
-    dxt = _view("jet", DXT)
-    dtt = _view("jet", DTT)
+    value = _entry(VALUE, 0)
+    dx = _entry(DX, 1)
+    dt = _entry(DT, 1)
+    dxx = _entry(DXX)
+    dxt = _entry(DXT)
+    dtt = _entry(DTT)
 
 
 class ZeroField(Field):
@@ -233,11 +229,10 @@ class ManufacturedFields2:
 class ResidualSources1:
     """Per-equation residual sources that make ``fields`` solve the extended model.
 
-    ``src_phi`` / ``src_rho`` / ``src_j`` are the extra terms in the
+    The terms ``phi`` / ``rho`` / ``j`` are the extra sources in the
     potential, density and current equations; the ``_dx`` / ``_dt``
     companions are the analytic derivatives the second-order time step
-    consumes.  :meth:`at` builds them from one jet per field, and
-    :meth:`src_terms` and the single-term methods are views of it.
+    consumes.  :meth:`at` builds them all from one jet per field.
     """
 
     fields: ManufacturedFields1
@@ -246,18 +241,16 @@ class ResidualSources1:
     potentials = ("phi",)
 
     def at(self, x):
-        """``terms_at(t, order=2)``: the residual terms at ``(x, t)`` by name
-        (``phi``, ``phi_dx``, ...) for the fixed points ``x``, whose x-only
-        factors each field computes once (:meth:`Field.at`).
+        """``terms_at(t)``: the residual terms at ``(x, t)`` by name (``phi``,
+        ``phi_dx``, ...) for the fixed points ``x``, whose x-only factors
+        each field computes once (:meth:`Field.at`).
 
-        Order 2 gives every term, order 1 only the potential equations'
-        terms (``phi``, and ``psi`` in model 2) from first-order jets
-        (``src_phi``, ``src_psi``).  Each distinct field is evaluated once
-        per call: equal fields (for hashable ones such as the frozen field
-        families) or one object under two names share a jet, so model 2's
-        ``psi`` costs nothing more when it is ``phi``'s pulse.  A ``(K, 1)``
-        array of times gives every term at K levels, row k equal to the
-        call at ``t[k, 0]`` bit for bit (:meth:`Field.at`).
+        Each distinct field is evaluated once per call: equal fields (for
+        hashable ones such as the frozen field families) or one object
+        under two names share a jet, so model 2's ``psi`` costs nothing
+        more when it is ``phi``'s pulse.  A ``(K, 1)`` array of times gives
+        every term at K levels, row k equal to the call at ``t[k, 0]`` bit
+        for bit (:meth:`Field.at`).
         """
         m = self.mat
         groups = {}  # (evaluator, names) per distinct field
@@ -271,13 +264,11 @@ class ResidualSources1:
             groups.setdefault(key, (field.at(x), []))[1].append(name)
         groups = list(groups.values())
 
-        def terms_at(t, order: int = 2) -> dict:
+        def terms_at(t) -> dict:
             jets = {}
             for jet_at, names in groups:
-                jets.update(dict.fromkeys(names, jet_at(t, order)))
-            terms = self._potential_terms(jets, order)
-            if order == 1:
-                return terms
+                jets.update(dict.fromkeys(names, jet_at(t)))
+            terms = self._potential_terms(jets)
             phi, rho, j = jets["phi"], jets["rho"], jets["j"]
             resp = m.alpha - m.beta * rho[VALUE]
             terms["rho"] = rho[DT] + j[DX]
@@ -289,25 +280,11 @@ class ResidualSources1:
 
         return terms_at
 
-    def src_terms(self, x, t, order: int = 2) -> dict:
-        """The residual terms at ``(x, t)``: ``self.at(x)(t, order)``."""
-        return self.at(x)(t, order)
-
-    def _potential_terms(self, jets: dict, order: int) -> dict:
+    def _potential_terms(self, jets: dict) -> dict:
         phi, j, c1 = jets["phi"], jets["j"], self.mat.c1
-        terms = {"phi": phi[DT] - c1 * phi[DX] - j[VALUE]}
-        if order == 2:
-            terms["phi_dx"] = phi[DXT] - c1 * phi[DXX] - j[DX]
-            terms["phi_dt"] = phi[DTT] - c1 * phi[DXT] - j[DT]
-        return terms
-
-    src_phi = _view("src_terms", "phi", 1)
-    src_phi_dx = _view("src_terms", "phi_dx")
-    src_phi_dt = _view("src_terms", "phi_dt")
-    src_rho = _view("src_terms", "rho")
-    src_j = _view("src_terms", "j")
-    src_rho_dt = _view("src_terms", "rho_dt")
-    src_j_dx = _view("src_terms", "j_dx")
+        return {"phi": phi[DT] - c1 * phi[DX] - j[VALUE],
+                "phi_dx": phi[DXT] - c1 * phi[DXX] - j[DX],
+                "phi_dt": phi[DTT] - c1 * phi[DXT] - j[DT]}
 
 
 @dataclass(frozen=True)
@@ -320,20 +297,14 @@ class ResidualSources2(ResidualSources1):
 
     potentials = ("phi", "psi")
 
-    def _potential_terms(self, jets: dict, order: int) -> dict:
+    def _potential_terms(self, jets: dict) -> dict:
         phi, psi, j, m = jets["phi"], jets["psi"], jets["j"], self.mat
-        terms = {"phi": phi[DT] - m.mu1 * psi[DX] - j[VALUE],
-                 "psi": psi[DT] - m.nu1 * phi[DX]}
-        if order == 2:
-            terms["phi_dx"] = phi[DXT] - m.mu1 * psi[DXX] - j[DX]
-            terms["phi_dt"] = phi[DTT] - m.mu1 * psi[DXT] - j[DT]
-            terms["psi_dx"] = psi[DXT] - m.nu1 * phi[DXX]
-            terms["psi_dt"] = psi[DTT] - m.nu1 * phi[DXT]
-        return terms
-
-    src_psi = _view("src_terms", "psi", 1)
-    src_psi_dx = _view("src_terms", "psi_dx")
-    src_psi_dt = _view("src_terms", "psi_dt")
+        return {"phi": phi[DT] - m.mu1 * psi[DX] - j[VALUE],
+                "psi": psi[DT] - m.nu1 * phi[DX],
+                "phi_dx": phi[DXT] - m.mu1 * psi[DXX] - j[DX],
+                "phi_dt": phi[DTT] - m.mu1 * psi[DXT] - j[DT],
+                "psi_dx": psi[DXT] - m.nu1 * phi[DXX],
+                "psi_dt": psi[DTT] - m.nu1 * phi[DXT]}
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,8 @@ class Scenario1(Scenario):
     def incident(self, t):
         if self.mms is not None:
             return self.mms.phi.value(self.grid.a1, t)
+        if self.source is None:
+            return np.zeros(np.shape(t))
         return incident_trace(self.source, self.grid.a1, self.mat, self.t0, t,
                               RUN_QUAD_REL_TOL)
 
@@ -82,7 +84,7 @@ def interior_step_m1(
     level-(n+1) traces afterwards.  In verification mode ``terms`` and
     ``terms_next`` are the residual terms at the nodes at levels n and
     n + 1, including the analytic derivatives folded into the second-order
-    Taylor coefficients; they are evaluated here when not given.
+    Taylor coefficients.
     """
     return interior_step(state, scn, _potential_m1, terms, terms_next)
 
@@ -104,10 +106,8 @@ def _potential_m1(state, scn, terms, g):
 
 def boundary_a1_m1(scn: Scenario1, incident: float) -> float:
     """Right-boundary trace: ``incident``, the value of
-    :meth:`Scenario1.incident` at its level (the source's incident trace, or
-    the exact field in verification mode), or zero for a null run."""
-    if scn.source is None and scn.mms is None:
-        return 0.0
+    :meth:`Scenario1.incident` at its level (the source's incident trace,
+    the exact field in verification mode, zero in a null run)."""
     return float(incident)
 
 
@@ -154,7 +154,10 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
     Per-step ordering: interior step with level-n traces, push the new
     current (plus the residual source) into the retarded sum, evaluate the
     right trace at the new time, then the left trace, and append the traces
-    (see :func:`march.march`).
+    (see :func:`march.march`).  TypeError unless ``scn`` is a
+    :class:`Scenario1`.
     """
+    if not isinstance(scn, Scenario1):
+        raise TypeError(f"run_m1 needs a Scenario1, got {type(scn).__name__}")
     return march(scn, snapshot_times, State1, Run1Result, interior_step_m1,
                  _closure_m1)

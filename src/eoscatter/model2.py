@@ -23,20 +23,6 @@ from .march import DivergenceError, FieldState, Scenario, interior_step, march
 from .mms import ManufacturedFields2, ResidualSources2
 from .sources import RUN_QUAD_REL_TOL, incident_pair
 
-__all__ = [
-    "BoundaryMatrices",
-    "DivergenceError",
-    "Run2Result",
-    "Scenario2",
-    "State2",
-    "boundary_update_m2",
-    "check_step",
-    "incident_terms",
-    "interior_step_m2",
-    "run_m2",
-]
-
-
 @dataclass
 class State2(FieldState):
     """Nodal fields plus both boundary trace pairs at one time level."""
@@ -97,16 +83,6 @@ class BoundaryMatrices:
         return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
-def check_step(dt: float, grid: GridSpec, mat: Material2) -> None:
-    """Model 2's rule on the time step: ``dt`` may not exceed the boundary
-    transit time ``(a1 - a0)/c1`` (ValueError otherwise)."""
-    if dt > grid.length / mat.c1:
-        raise ValueError(
-            "time step exceeds the boundary transit time; the coupled "
-            "trace solves need the opposite pair one level back"
-        )
-
-
 class Scenario2(Scenario):
     """A complete model-2 run description (see :class:`march.Scenario`)."""
 
@@ -114,7 +90,16 @@ class Scenario2(Scenario):
     material = Material2
     manufactured = ManufacturedFields2
     residuals = ResidualSources2
-    check_step = staticmethod(check_step)
+
+    @staticmethod
+    def check_step(dt: float, grid: GridSpec, mat: Material2) -> None:
+        """Model 2's rule on the time step: ``dt`` may not exceed the
+        boundary transit time ``(a1 - a0)/c1`` (ValueError otherwise)."""
+        if dt > grid.length / mat.c1:
+            raise ValueError(
+                "time step exceeds the boundary transit time; the coupled "
+                "trace solves need the opposite pair one level back"
+            )
 
     @cached_property
     def lw_pass(self) -> tuple[ClosedPass, ClosedPass]:
@@ -126,10 +111,12 @@ class Scenario2(Scenario):
 
     def incident(self, t):
         """The incident pair at ``t`` (in verification mode the exact pair
-        of traces there), stacked along the last axis."""
+        of traces there, in a null run zeros), stacked along the last axis."""
         if self.mms is not None:
             pair = [getattr(self.mms, p).value(self.grid.a1, t)
                     for p in self.potentials]
+        elif self.source is None:
+            return np.zeros(np.shape(t) + (2,))
         else:
             pair = incident_pair(self.source, self.grid.a1, self.mat, self.t0, t,
                                  RUN_QUAD_REL_TOL)
@@ -183,16 +170,13 @@ def incident_terms(scn: Scenario2, bm: BoundaryMatrices, pairs) -> np.ndarray:
 
     In verification mode the rows hold the exact traces, and the role of
     the incident pair is played by their combination that turns the
-    right-hand update rule into an identity for the manufactured fields.  A
-    null run's terms are zero.
+    right-hand update rule into an identity for the manufactured fields.
     """
     m = scn.mat
     if scn.mms is not None:
         drive = np.array([[m.c0, m.mu0], [m.nu0, m.c0]])
-    elif scn.source is not None:
-        drive = 2.0 * m.c0 * np.eye(2)
     else:
-        return np.zeros((len(pairs), 2))
+        drive = 2.0 * m.c0 * np.eye(2)
     return np.einsum("lj,ij->li", pairs, _compose(bm.right_inv, drive))
 
 
@@ -284,7 +268,10 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
     level-n traces, push the new current (plus the residual sources) into
     the retarded sums, solve both boundary systems at the new time from
     histories through level n, then append both pairs (see
-    :func:`march.march`).
+    :func:`march.march`).  TypeError unless ``scn`` is a
+    :class:`Scenario2`.
     """
+    if not isinstance(scn, Scenario2):
+        raise TypeError(f"run_m2 needs a Scenario2, got {type(scn).__name__}")
     return march(scn, snapshot_times, State2, Run2Result, interior_step_m2,
                  _closure_m2)

@@ -75,6 +75,57 @@ def test_scenario_rejects_the_other_models_inputs(model, mat, mms, expected):
         scenario(grid=grid, mat=mat, dt=0.01, t_end=1.0, mms=mms)
 
 
+@pytest.mark.parametrize("model, other", [(1, 2), (2, 1)])
+def test_runner_rejects_the_other_models_scenario(model, other):
+    run, expected = MODELS[model][1], MODELS[model][0].__name__
+    for scn in (null_scenario(other), null_scenario(other, mms=FIELDS[other].demo())):
+        with pytest.raises(TypeError, match=expected):
+            run(scn)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_null_run_incident_is_zeros(model):
+    scn = null_scenario(model)
+    times = scn.t0 + scn.dt * np.arange(scn.steps + 1)
+    width = () if model == 1 else (2,)
+    for t, shape in ((times, times.shape + width), (scn.t0, width)):
+        got = scn.incident(t)
+        assert got.shape == shape and np.all(got == 0.0)
+        assert not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_verification_step_without_terms_raises(model):
+    module, name = STEPPERS[model]
+    scn = null_scenario(model, mms=FIELDS[model].demo())
+    g, t = scn.grid, 0.5
+    fields = [getattr(scn.mms, p).value(g.x, t) for p in scn.field_names]
+    traces = [float(getattr(scn.mms, p).value(a, t))
+              for a in (g.a0, g.a1) for p in scn.potentials]
+    state = (State1 if model == 1 else State2)(*fields, *traces, 0, t)
+    with pytest.raises(ValueError, match="residual terms"):
+        getattr(module, name)(state, scn)
+    terms_at = scn.residuals(scn.mms, scn.mat).at(g.x)
+    stepped = getattr(module, name)(state, scn, terms_at(t), terms_at(t + scn.dt))
+    assert len(stepped) == len(scn.field_names)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_null_run_outputs_are_positive_zeros(model):
+    """Acceptance criterion c03's null runs (N = 200 to t = 2): every trace
+    and every field stays +0.0, so their CSV cells read 0 and never -0."""
+    scenario, run, mat = MODELS[model]
+    grid = GridSpec(0.0, 3.0, 200)
+    res = run(scenario(grid=grid, mat=mat, dt=0.4 * grid.dx / 2.0, t_end=2.0),
+              snapshot_times=[1.0])
+    arrays = [getattr(res, f"{p}_{side}") for side in ("a0", "a1")
+              for p in res.scenario.potentials]
+    for state in (res.final, res.snapshots[0][1]):
+        arrays += [getattr(state, name) for name in res.scenario.field_names]
+    for a in arrays:
+        assert np.all(a == 0.0) and not np.any(np.signbit(a))
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_snapshots_own_their_arrays(model):
     run = MODELS[model][1]
@@ -255,14 +306,14 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
         built.append(x)
         terms_at = at(self, x)
 
-        def spied_terms_at(t, order=2):
+        def spied_terms_at(t):
             if np.shape(t) in ((), (min(block, len(times) - len(nodal)), 1)):
                 nodal.extend(np.ravel(t).tolist())
             else:
                 retarded.append(t)
             inside[0] = True
             try:
-                return terms_at(t, order)
+                return terms_at(t)
             finally:
                 inside[0] = False
 
@@ -284,10 +335,10 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
     assert nodal == times.tolist()
     assert retarded == []
     # the terms a step is given are those of a fresh evaluation, bit for bit
-    sources = scn.residuals(scn.mms, scn.mat)
+    terms_at = scn.residuals(scn.mms, scn.mat).at(grid.x)
     for at_n, _, levels in steps:
         for level, got in zip((at_n, at_n + 1), levels, strict=True):
-            want = sources.src_terms(grid.x, times[level].item())
+            want = terms_at(times[level].item())
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[k], want[k]) for k in want)
 

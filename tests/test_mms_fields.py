@@ -33,6 +33,12 @@ MAT2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma
 POINTS = [(0.3, 0.4), (1.0, 1.1), (2.2, 1.9), (1.55, 0.75)]
 
 
+def term(src, name):
+    """The residual term ``name`` as a function of ``(x, t)``, read from the
+    sources' one evaluator, ``src.at(x)(t)``."""
+    return lambda x, t: src.at(x)(t)[name]
+
+
 def check_derivatives(f, tol=1e-8):
     for x, t in POINTS:
         assert f.dx(x, t) == pytest.approx(fd4_dx(f.value, x, t), abs=tol)
@@ -91,22 +97,22 @@ def test_zero_fields_give_zero_sources():
         ManufacturedFields1(ZeroField(), ZeroField(), ZeroField()), MAT1
     )
     for x, t in POINTS:
-        assert src.src_phi(x, t) == 0.0
-        assert src.src_rho(x, t) == 0.0
-        assert src.src_j(x, t) == 0.0
+        terms = src.at(x)(t)
+        assert all(v == 0.0 for v in terms.values())
 
 
 def test_residual_closure_model1():
     f = ManufacturedFields1.demo()
     src = ResidualSources1(f, MAT1)
     for x, t in POINTS:
-        r1 = f.phi.dt(x, t) - MAT1.c1 * f.phi.dx(x, t) - f.j.value(x, t) - src.src_phi(x, t)
-        r2 = f.rho.dt(x, t) + f.j.dx(x, t) - src.src_rho(x, t)
+        terms = src.at(x)(t)
+        r1 = f.phi.dt(x, t) - MAT1.c1 * f.phi.dx(x, t) - f.j.value(x, t) - terms["phi"]
+        r2 = f.rho.dt(x, t) + f.j.dx(x, t) - terms["rho"]
         r3 = (
             f.j.dt(x, t)
             - (MAT1.alpha - MAT1.beta * f.rho.value(x, t)) * f.phi.value(x, t)
             + MAT1.gamma * f.j.value(x, t)
-            - src.src_j(x, t)
+            - terms["j"]
         )
         assert abs(r1) < 1e-12 and abs(r2) < 1e-12 and abs(r3) < 1e-12
 
@@ -115,14 +121,15 @@ def test_residual_closure_model2():
     f = ManufacturedFields2.demo()
     src = ResidualSources2(f, MAT2)
     for x, t in POINTS:
-        r1 = f.phi.dt(x, t) - MAT2.mu1 * f.psi.dx(x, t) - f.j.value(x, t) - src.src_phi(x, t)
-        r2 = f.psi.dt(x, t) - MAT2.nu1 * f.phi.dx(x, t) - src.src_psi(x, t)
-        r3 = f.rho.dt(x, t) + f.j.dx(x, t) - src.src_rho(x, t)
+        terms = src.at(x)(t)
+        r1 = f.phi.dt(x, t) - MAT2.mu1 * f.psi.dx(x, t) - f.j.value(x, t) - terms["phi"]
+        r2 = f.psi.dt(x, t) - MAT2.nu1 * f.phi.dx(x, t) - terms["psi"]
+        r3 = f.rho.dt(x, t) + f.j.dx(x, t) - terms["rho"]
         r4 = (
             f.j.dt(x, t)
             - (MAT2.alpha - MAT2.beta * f.rho.value(x, t)) * f.phi.value(x, t)
             + MAT2.gamma * f.j.value(x, t)
-            - src.src_j(x, t)
+            - terms["j"]
         )
         assert max(abs(r1), abs(r2), abs(r3), abs(r4)) < 1e-12
 
@@ -136,27 +143,31 @@ def test_source_via_finite_differenced_fields_model1():
             - MAT1.c1 * fd4_dx(f.phi.value, x, t)
             - f.j.value(x, t)
         )
-        assert src.src_phi(x, t) == pytest.approx(indirect, abs=1e-8)
+        assert src.at(x)(t)["phi"] == pytest.approx(indirect, abs=1e-8)
+
+
+def check_source_derivatives(src, derived):
+    """Each ``(derivative, term, fd)`` of ``derived`` against the fourth-order
+    finite difference ``fd`` of its term."""
+    for x, t in POINTS:
+        terms = src.at(x)(t)
+        for name, of, fd in derived:
+            assert terms[name] == pytest.approx(fd(term(src, of), x, t), abs=1e-8), name
+
+
+SOURCE_DERIVATIVES = [("phi_dx", "phi", fd4_dx), ("phi_dt", "phi", fd4_dt),
+                      ("rho_dt", "rho", fd4_dt), ("j_dx", "j", fd4_dx)]
 
 
 def test_source_derivatives_model1():
-    src = ResidualSources1(ManufacturedFields1.demo(), MAT1)
-    for x, t in POINTS:
-        assert src.src_phi_dx(x, t) == pytest.approx(fd4_dx(src.src_phi, x, t), abs=1e-8)
-        assert src.src_phi_dt(x, t) == pytest.approx(fd4_dt(src.src_phi, x, t), abs=1e-8)
-        assert src.src_rho_dt(x, t) == pytest.approx(fd4_dt(src.src_rho, x, t), abs=1e-8)
-        assert src.src_j_dx(x, t) == pytest.approx(fd4_dx(src.src_j, x, t), abs=1e-8)
+    check_source_derivatives(ResidualSources1(ManufacturedFields1.demo(), MAT1),
+                             SOURCE_DERIVATIVES)
 
 
 def test_source_derivatives_model2():
-    src = ResidualSources2(ManufacturedFields2.demo(), MAT2)
-    for x, t in POINTS:
-        assert src.src_phi_dx(x, t) == pytest.approx(fd4_dx(src.src_phi, x, t), abs=1e-8)
-        assert src.src_phi_dt(x, t) == pytest.approx(fd4_dt(src.src_phi, x, t), abs=1e-8)
-        assert src.src_psi_dx(x, t) == pytest.approx(fd4_dx(src.src_psi, x, t), abs=1e-8)
-        assert src.src_psi_dt(x, t) == pytest.approx(fd4_dt(src.src_psi, x, t), abs=1e-8)
-        assert src.src_rho_dt(x, t) == pytest.approx(fd4_dt(src.src_rho, x, t), abs=1e-8)
-        assert src.src_j_dx(x, t) == pytest.approx(fd4_dx(src.src_j, x, t), abs=1e-8)
+    check_source_derivatives(
+        ResidualSources2(ManufacturedFields2.demo(), MAT2),
+        SOURCE_DERIVATIVES + [("psi_dx", "psi", fd4_dx), ("psi_dt", "psi", fd4_dt)])
 
 
 # The point sets the solvers evaluate fields on: one point, the nodes at one
@@ -188,12 +199,12 @@ def close_to(got, want, rel):
 @pytest.mark.parametrize("name", FIELDS)
 def test_jet_matches_the_six_methods_and_its_lower_orders(name, shape):
     f, (x, t) = FIELDS[name], SHAPES[shape]
-    jet = f.jet(x, t)
+    jet = f.at(x)(t)
     assert len(jet) == 6
     for k, method in enumerate(METHODS):
         assert close_to(jet[k], getattr(f, method)(x, t), 1e-15), method
     for order, size in ((0, 1), (1, 3)):
-        low = f.jet(x, t, order)
+        low = f.at(x)(t, order)
         assert len(low) == size
         for k in range(size):
             assert close_to(low[k], jet[k], 1e-15)
@@ -202,7 +213,7 @@ def test_jet_matches_the_six_methods_and_its_lower_orders(name, shape):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("name", [*FIELDS, "zero"])
 def test_jet_matches_the_longhand_derivatives(name, shape):
-    """Both the jet and the evaluator ``at(x)``, at every order."""
+    """The evaluator ``at(x)``, at every order."""
     x, t = SHAPES[shape]
     if name == "zero":
         f = ZeroField()
@@ -212,8 +223,6 @@ def test_jet_matches_the_longhand_derivatives(name, shape):
         longhand = (pulse_derivatives_longhand if name.startswith("pulse")
                     else bump_derivatives_longhand)
         want = longhand(f, x, t)
-    for k, w in enumerate(want):
-        assert close_to(f.jet(x, t)[k], w, 1e-13), METHODS[k]
     jet_at = f.at(x)
     for order, size in ((0, 1), (1, 3), (2, 6)):
         got = jet_at(t, order)
@@ -227,35 +236,10 @@ def test_zero_field_jet_is_zeros_of_the_broadcast_shape(shape):
     x, t = SHAPES[shape]
     want = np.broadcast(np.asarray(x), np.asarray(t)).shape
     for order, size in ((0, 1), (1, 3), (2, 6)):
-        jet = ZeroField().jet(x, t, order)
+        jet = ZeroField().at(x)(t, order)
         assert len(jet) == size
         for a in jet:
             assert a.shape == want and np.all(a == 0.0)
-
-
-def _bundle_terms(src):
-    """Every ``src_terms`` key with the single-term method that must agree."""
-    names = ["phi", "phi_dx", "phi_dt", "rho", "rho_dt", "j", "j_dx"]
-    if isinstance(src, ResidualSources2):
-        names += ["psi", "psi_dx", "psi_dt"]
-    return names
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("model", [1, 2])
-def test_source_bundles_equal_the_single_terms(model, shape):
-    x, t = SHAPES[shape]
-    src = (ResidualSources1(ManufacturedFields1.demo(), MAT1) if model == 1
-           else ResidualSources2(ManufacturedFields2.demo(), MAT2))
-    terms = src.src_terms(x, t)
-    names = _bundle_terms(src)
-    assert sorted(terms) == sorted(names)
-    for name in names:
-        assert close_to(terms[name], getattr(src, f"src_{name}")(x, t), 1e-15), name
-    potentials = src.src_terms(x, t, 1)
-    assert sorted(potentials) == sorted(src.potentials)
-    for name in src.potentials:
-        assert close_to(potentials[name], terms[name], 1e-15), name
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -288,7 +272,8 @@ def test_source_bundle_matches_the_field_methods(model, shape):
         want["psi"] = f.psi.dt(x, t) - m.nu1 * f.phi.dx(x, t)
         want["psi_dx"] = f.psi.dxt(x, t) - m.nu1 * f.phi.dxx(x, t)
         want["psi_dt"] = f.psi.dtt(x, t) - m.nu1 * f.phi.dxt(x, t)
-    terms = src.src_terms(x, t)
+    terms = src.at(x)(t)
+    assert sorted(terms) == sorted(want)
     for name, value in want.items():
         assert close_to(terms[name], value, 1e-14), name
 
@@ -297,7 +282,7 @@ def test_folded_source_sums_are_third_order_close_to_exact_retarded_sums():
     # The solver pushes the nodal phi and psi residual sources of each level
     # into the retarded sums beside the current, so each node's source is
     # read at its retarded time by the quadratic rule of the current.  Its
-    # gap to the masked sum of src_terms at the retarded times, weighted by
+    # gap to the masked sum of the terms at the retarded times, weighted by
     # dx/c1 as in the traces, must fall 8x per doubling: third order.
     src = ResidualSources2(ManufacturedFields2.demo(), MAT2)
     c1 = MAT2.c1
@@ -309,15 +294,16 @@ def test_folded_source_sums_are_third_order_close_to_exact_retarded_sums():
         sets = ((g.x - g.a0) / c1, (g.a1 - g.x) / c1)
         readers = [[RetardedSum(0.0, dt, delays) for _ in range(2)]
                    for delays in sets]
+        terms_at = src.at(g.x)
         folded = np.array([
             [[reader.push(terms[p]) for reader, p in zip(pair, ("phi", "psi"))]
              for pair in readers]
-            for terms in (src.src_terms(g.x, tk) for tk in t)])
+            for terms in map(terms_at, t)])
         gap = 0.0
         for block in np.array_split(np.arange(t.size), t.size // 256 + 1):
             for side, delays in enumerate(sets):
                 at = t[block, None] - delays
-                exact = src.src_terms(g.x, at, 1)
+                exact = terms_at(at)
                 for k, p in enumerate(("phi", "psi")):
                     want = np.sum(np.where(at > 0.0, exact[p], 0.0), axis=1)
                     gap = max(gap, np.max(np.abs(folded[block, side, k] - want)))
@@ -345,27 +331,37 @@ LATER = 0.3  # a second time for the same evaluator
 @given(f=FAMILIES, shape=st.sampled_from(sorted(SHAPES)),
        order=st.sampled_from((0, 1, 2)))
 def test_field_at_equals_jet_bit_for_bit(f, shape, order):
+    """One evaluator ``at(x)`` serves every time: its jets equal those of an
+    evaluator built afresh for the call, bit for bit, and on the nodes a
+    ``(K, 1)`` column of times gives row k equal to the jet at time k."""
     x, t = SHAPES[shape]
     jet_at = f.at(x)
-    for when in (t, np.add(t, LATER)):  # one evaluator serves every time
-        got, want = jet_at(when, order), f.jet(x, when, order)
+    for when in (t, np.add(t, LATER)):
+        got, want = jet_at(when, order), f.at(x)(when, order)
         assert len(got) == len(want) == (1, 3, 6)[order]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+    if shape == "nodes":
+        times = [t, t + LATER]
+        rows = jet_at(np.array(times)[:, None], order)
+        for k, when in enumerate(times):
+            for a, b in zip(rows, jet_at(when, order), strict=True):
+                assert a.shape == (2, x.size) and np.array_equal(a[k], b)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("model", [1, 2])
 def test_source_at_equals_src_terms_bit_for_bit(model, shape):
+    """One evaluator ``at(x)`` serves every time: its terms equal those of
+    an evaluator built afresh for the call, bit for bit."""
     x, t = SHAPES[shape]
     src = (ResidualSources1(ManufacturedFields1.demo(), MAT1) if model == 1
            else ResidualSources2(ManufacturedFields2.demo(), MAT2))
     terms_at = src.at(x)
     for when in (t, np.add(t, LATER)):
-        for order in (1, 2):
-            got, want = terms_at(when, order), src.src_terms(x, when, order)
-            assert got.keys() == want.keys()
-            assert all(np.array_equal(got[k], want[k]) for k in want), order
+        got, want = terms_at(when), src.at(x)(when)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 def own_psi_family() -> ManufacturedFields2:
@@ -441,7 +437,7 @@ def test_model2_evaluates_each_distinct_pulse_once(monkeypatch):
         alone = ResidualSources2(ManufacturedFields2(
             fields.phi, Unhashable(**vars(fields.psi)), fields.j, fields.rho), MAT2)
         assert node_exps_per_level(alone, monkeypatch) == 2
-        got, ref = src.src_terms(x, 0.7), alone.src_terms(x, 0.7)
+        got, ref = src.at(x)(0.7), alone.at(x)(0.7)
         assert all(np.array_equal(got[k], ref[k]) for k in ref)
     assert node_exps_per_level(
         ResidualSources1(ManufacturedFields1.demo(), MAT1), monkeypatch) == 1

@@ -144,3 +144,14 @@ def test_report_of_a_built_scenario_is_the_wrapper_report(model):
         (want.linf, want.l2, want.trace_linf, want.dt, want.t_end)
     with pytest.raises(ValueError, match="manufactured"):
         mms_report(model, scenario(grid=g, mat=mat, dt=dt, t_end=0.5))
+
+
+@pytest.mark.parametrize("model, other", [(1, 2), (2, 1)])
+def test_report_rejects_the_other_models_scenario(model, other):
+    scenario, mat, exact = ((Scenario1, MAT1, ManufacturedFields1.demo()) if other == 1
+                            else (Scenario2, MAT2, ManufacturedFields2.demo()))
+    g = _grid(40)
+    scn = scenario(grid=g, mat=mat, dt=_dt(g, 2.0), t_end=0.5, mms=exact)
+    expected = "Scenario1" if model == 1 else "Scenario2"
+    with pytest.raises(TypeError, match=expected):
+        mms_report(model, scn)

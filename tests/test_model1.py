@@ -143,7 +143,9 @@ def test_mms_step_local_error_is_third_order():
             phi_a0=float(mms.phi.value(g.a0, t)),
             phi_a1=float(mms.phi.value(g.a1, t)), n=0, t=t,
         )
-        phi, rho, j = interior_step_m1(state, scn)
+        terms_at = scn.residuals(mms, scn.mat).at(g.x)
+        terms = terms_at(t), terms_at(t + scn.dt)
+        phi, rho, j = interior_step_m1(state, scn, *terms)
         t1 = t + scn.dt
         errs[n] = (
             np.max(np.abs(phi - mms.phi.value(g.x, t1))),

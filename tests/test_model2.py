@@ -155,7 +155,8 @@ def test_boundary_update_zero_histories_zero_incident():
     left, right = current_sums(scn, j_hist, 1.2)
     delay = 1.2 - scn.transit
     got = boundary_update_m2(scn, bm, left, right, p0.query(delay),
-                             p1.query(delay), incident_terms(scn, bm, [None])[0].tolist())
+                             p1.query(delay),
+                             incident_terms(scn, bm, scn.incident(np.array([1.2])))[0].tolist())
     assert got == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -226,7 +227,9 @@ def test_mms_step_local_error_is_third_order():
             phi_a1=float(mms.phi.value(g.a1, t)),
             psi_a1=float(mms.psi.value(g.a1, t)), n=0, t=t,
         )
-        out = interior_step_m2(state, scn)
+        terms_at = scn.residuals(mms, scn.mat).at(g.x)
+        terms = terms_at(t), terms_at(t + scn.dt)
+        out = interior_step_m2(state, scn, *terms)
         t1 = t + scn.dt
         exact = (
             mms.phi.value(g.x, t1), mms.psi.value(g.x, t1),
