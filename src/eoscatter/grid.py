@@ -232,10 +232,10 @@ class ClosedPass:
         return out
 
 
-def confined_pass(u: np.ndarray, k: float, dx: float) -> np.ndarray:
-    """``k * SpatialOps.d1_confined(u)`` in one pass."""
+def confined_pass(u: np.ndarray, k: float, dx: float, out: np.ndarray) -> np.ndarray:
+    """``k * SpatialOps.d1_confined(u)`` in one pass, written into and
+    returned as ``out``, an array the shape of ``u`` and apart from it."""
     c = 0.5 * k / dx
-    out = np.empty_like(u)
     np.multiply(np.subtract(u[2:], u[:-2], out=out[1:-1]), c, out=out[1:-1])
     u0, u1, u2 = u[:3].tolist()
     w2, w1, w0 = u[-3:].tolist()

@@ -143,18 +143,22 @@ class Scenario:
 
 
 def interior_step(state, scn: Scenario, potential_half,
-                  terms=None, terms_next=None):
+                  terms=None, terms_next=None, out=None):
     """Advance the interior fields one step using level-n boundary traces.
 
-    ``potential_half(state, scn, terms, g)`` returns the new potentials,
-    given the nodal residual terms at level n (or None) and the half-step
-    current ``g = j + (dt/2)*f``, ``f`` being the response forcing
-    ``(alpha - beta*rho)*phi - gamma*j``.  The density then takes the
-    Taylor step ``rho - dt*D1(g)`` and the current a Heun corrector, which
-    reads the current's term at level n + 1.  ``terms`` and
-    ``terms_next`` are the nodal terms at levels n and n + 1, given together
-    (:func:`march` evaluates each level once); a verification scenario
-    stepped without them raises ValueError.
+    ``potential_half(state, scn, terms, g, tmp)`` returns the new
+    potentials, given the nodal residual terms at level n (or None), the
+    half-step current ``g = j + (dt/2)*f``, ``f`` being the response forcing
+    ``(alpha - beta*rho)*phi - gamma*j``, and a scratch array ``tmp``.  The
+    density then takes the Taylor step ``rho - dt*D1(g)`` and the current a
+    Heun corrector, which reads the current's term at level n + 1.
+    ``terms`` and ``terms_next`` are the nodal terms at levels n and n + 1,
+    given together (:func:`march` evaluates each level once); a
+    verification scenario stepped without them raises ValueError.
+
+    ``out`` is four N-arrays, none of them the state's: the new density and
+    current are written into the first two, which are returned, and the
+    last two hold ``g`` and ``tmp``.  By default they are fresh.
     """
     if terms is None and scn.mms is not None:
         raise ValueError("a verification step needs the residual terms at "
@@ -162,15 +166,26 @@ def interior_step(state, scn: Scenario, potential_half,
     m, dt, h = scn.mat, scn.dt, 0.5 * scn.dt
     a, b, c = h * m.alpha, h * m.beta, h * m.gamma  # (dt/2) times the forcing's
     rho, j = state.rho, state.j
-    g = (a - b * rho) * state.phi + (1.0 - c) * j
-    potentials = potential_half(state, scn, terms, g)
+    rho_new, j_new, g, tmp = np.empty((4, rho.size)) if out is None else out
+    # g = (a - b*rho)*phi + (1 - c)*j
+    np.subtract(a, np.multiply(b, rho, out=g), out=g)
+    g *= state.phi
+    g += np.multiply(1.0 - c, j, out=tmp)
+    potentials = potential_half(state, scn, terms, g, tmp)
 
-    rho_new = rho + confined_pass(g, -dt, scn.grid.dx)
+    np.add(rho, confined_pass(g, -dt, scn.grid.dx, tmp), out=rho_new)
     if terms is not None:
         rho_new += dt * terms["rho"] + 0.5 * dt**2 * (terms["rho_dt"] - terms["j_dx"])
-        g = g + h * terms["j"]
-    # Heun: the predictor j + dt*f is 2*g - j, and the corrector g + h*f_next
-    j_new = (a - b * rho_new) * potentials[0] + (1.0 - 2.0 * c) * g + c * j
+        g += h * terms["j"]
+    # Heun: the predictor j + dt*f is 2*g - j, and the corrector g + h*f_next,
+    # j_new = (a - b*rho_new)*phi_new + (1 - 2c)*g + c*j [+ h*s_j].  j_new is
+    # non-finite at every node where phi_new or rho_new is (IEEE 754: inf*0
+    # and 0*inf are NaN, so a zero factor, b = 0 included, cannot hide one):
+    # march tests j_new in their place, so keep both in this product
+    np.subtract(a, np.multiply(b, rho_new, out=j_new), out=j_new)
+    j_new *= potentials[0]
+    j_new += np.multiply(1.0 - 2.0 * c, g, out=tmp)
+    j_new += np.multiply(c, j, out=tmp)
     if terms_next is not None:
         j_new += h * terms_next["j"]
     return (*potentials, rho_new, j_new)
@@ -199,12 +214,20 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     and the right-boundary series per level (:meth:`Scenario.incident`);
     it returns the start traces and ``close(n, j, terms)``, the traces at
     level n given the current and the terms there.  Each step runs
-    ``step(state, scn, terms, terms_next)`` with the terms at both of its
-    levels, then calls ``close``; the nodal evaluator
-    ``terms_at = scn.residuals(scn.mms, scn.mat).at(g.x)`` is built once
-    per run, and each level's terms are evaluated once with it, in blocks
-    of levels on a coarse grid (:func:`_level_terms`), and carried to the
-    next step.  A non-finite field raises :class:`DivergenceError`.
+    ``step(state, scn, terms, terms_next, out=...)`` with the terms at both
+    of its levels and the buffers of :func:`interior_step`, then calls
+    ``close``.  It hands level n - 1's density and current arrays to the
+    step as the arrays of level n + 1; snapshots are copies.  The nodal
+    evaluator ``terms_at = scn.residuals(scn.mms, scn.mat).at(g.x)`` is
+    built once per run, and each level's terms are evaluated once with it,
+    in blocks of levels on a coarse grid (:func:`_level_terms`), and
+    carried to the next step.
+
+    A step whose new current, or new potential other than ``phi`` (model
+    2's ``psi``), is non-finite raises :class:`DivergenceError`; the other
+    fields are not tested.  So the march stops at the first step with a
+    non-finite field only for steps that fold their new ``phi`` and ``rho``
+    into the new current, as :func:`interior_step` does.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
     wanted = scn.snapshot_levels(snapshot_times)
@@ -224,20 +247,28 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     series = np.zeros((len(traces), steps + 1))
     series[:, 0] = traces
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
+    # the step writes the new rho and j into level n - 1's arrays
+    rho_spare, j_spare, *scratch = np.empty((4, g.n))
+    finite = np.empty(g.n, dtype=bool)
+    # j' carries every non-finite phi' and rho' (see interior_step), so the
+    # current and the potentials beyond phi' are the fields to test
+    unfolded = slice(1, len(scn.potentials))
 
     # a diverging run overflows before the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
             t_next = t0 + n * dt
             terms_next = next(levels)
-            fields = step(state, scn, terms, terms_next)
-            # One reduction over all fields: cheaper than one per field.
-            if not np.isfinite(np.concatenate(fields)).all():
+            fields = step(state, scn, terms, terms_next,
+                          out=(rho_spare, j_spare, *scratch))
+            if not all(np.count_nonzero(np.isfinite(f, out=finite)) == g.n
+                       for f in (*fields[unfolded], fields[-1])):
                 raise DivergenceError(
                     f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
                     partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
                 )
             traces = close(n, fields[-1], terms_next)
+            rho_spare, j_spare = state.rho, state.j
             state = state_cls(*fields, *traces, n, t_next)
             series[:, n] = traces
             if n in wanted:

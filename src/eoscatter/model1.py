@@ -76,7 +76,7 @@ class Run1Result:
 def interior_step_m1(
     state: State1,
     scn: Scenario1,
-    terms: dict | None = None, terms_next: dict | None = None,
+    terms: dict | None = None, terms_next: dict | None = None, out=None,
 ):
     """Advance the interior fields one step using level-n boundary traces.
 
@@ -84,20 +84,20 @@ def interior_step_m1(
     level-(n+1) traces afterwards.  In verification mode ``terms`` and
     ``terms_next`` are the residual terms at the nodes at levels n and
     n + 1, including the analytic derivatives folded into the second-order
-    Taylor coefficients.
+    Taylor coefficients.  ``out``: the buffers of :func:`march.interior_step`.
     """
-    return interior_step(state, scn, _potential_m1, terms, terms_next)
+    return interior_step(state, scn, _potential_m1, terms, terms_next, out)
 
 
-def _potential_m1(state, scn, terms, g):
+def _potential_m1(state, scn, terms, g, tmp):
     """The potential half of :func:`interior_step_m1`: the Lax-Wendroff step
     ``phi + dt*(c1*D1(phi) + j) + dt**2/2*(c1**2*D2(phi) + c1*D1(j) + f)``,
     regrouped as ``lw_pass(phi) + dt*g + (dt**2*c1/2)*D1(j)``."""
     m, dt = scn.mat, scn.dt
     phi, a0, a1 = state.phi, state.phi_a0, state.phi_a1
     new = scn.lw_pass(phi, a0, a1, phi, a0, a1)
-    new += dt * g
-    new += confined_pass(state.j, 0.5 * dt * dt * m.c1, scn.grid.dx)
+    new += np.multiply(dt, g, out=tmp)
+    new += confined_pass(state.j, 0.5 * dt * dt * m.c1, scn.grid.dx, tmp)
     if terms is not None:
         new += dt * terms["phi"] + 0.5 * dt**2 * (
             m.c1 * terms["phi_dx"] + terms["phi_dt"] + terms["j"])

@@ -138,13 +138,14 @@ class Run2Result:
 def interior_step_m2(
     state: State2,
     scn: Scenario2,
-    terms: dict | None = None, terms_next: dict | None = None,
+    terms: dict | None = None, terms_next: dict | None = None, out=None,
 ):
-    """Advance the four interior fields one step with level-n traces."""
-    return interior_step(state, scn, _potential_m2, terms, terms_next)
+    """Advance the four interior fields one step with level-n traces;
+    ``out``: the buffers of :func:`march.interior_step`."""
+    return interior_step(state, scn, _potential_m2, terms, terms_next, out)
 
 
-def _potential_m2(state, scn, terms, g):
+def _potential_m2(state, scn, terms, g, tmp):
     """The potential half of :func:`interior_step_m2`: Lax-Wendroff steps
     for the coupled pair, each one pass of :attr:`Scenario2.lw_pass` plus
     its current term, ``dt*g`` for ``phi`` and ``(dt**2*nu1/2)*D1(j)`` for
@@ -152,9 +153,9 @@ def _potential_m2(state, scn, terms, g):
     m, dt, s = scn.mat, scn.dt, state
     phi_pass, psi_pass = scn.lw_pass
     phi = phi_pass(s.phi, s.phi_a0, s.phi_a1, s.psi, s.psi_a0, s.psi_a1)
-    phi += dt * g
+    phi += np.multiply(dt, g, out=tmp)
     psi = psi_pass(s.psi, s.psi_a0, s.psi_a1, s.phi, s.phi_a0, s.phi_a1)
-    psi += confined_pass(s.j, 0.5 * dt * dt * m.nu1, scn.grid.dx)
+    psi += confined_pass(s.j, 0.5 * dt * dt * m.nu1, scn.grid.dx, tmp)
     if terms is not None:
         phi += dt * terms["phi"] + 0.5 * dt**2 * (
             terms["j"] + m.mu1 * terms["psi_dx"] + terms["phi_dt"])
@@ -230,9 +231,9 @@ def _closure_m2(scn: Scenario2, j0, terms0, incident):
     pairs_hist = FixedLagReader(scn.t0, scn.dt, scn.transit, width=4)
     delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
     phi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
-    # the psi equation has a right-hand side, pushed here, in verification
-    # mode only
-    psi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
+    # the psi equation has a right-hand side in verification mode only
+    psi_sums = ([RetardedSum(scn.t0, scn.dt, d) for d in delays]
+                if scn.mms is not None else None)
     inc = incident_terms(scn, bm, incident)
 
     def push(j, terms):

@@ -51,7 +51,12 @@ def _check_step(dt, steps=0) -> None:
 
 def advection_step(phi, ops: SpatialOps, c: float, dt: float,
                    u_a0: float = 0.0, u_a1: float = 0.0):
-    """One second-order step of the one-way equation phi_t = c*phi_x."""
+    """One second-order step of the one-way equation phi_t = c*phi_x.
+
+    Callers: :func:`fixed_point` and :func:`homogeneous_run` (acceptance
+    criterion c09) here, and ``tests/test_stability.py``'s
+    ``test_signed_branch_steppers_agree_with_matrices`` and
+    ``test_iteration_converges_to_solved_fixed_point``."""
     d1 = ops.d1_closed(phi, u_a0, u_a1)
     d2 = ops.d2_closed(phi, u_a0, u_a1)
     return phi + dt * c * d1 + 0.5 * (dt * c) ** 2 * d2
@@ -61,7 +66,11 @@ def wave_pair_step(phi, psi, ops: SpatialOps, mu1: float, nu1: float,
                    dt: float, bc=(0.0, 0.0, 0.0, 0.0)):
     """One second-order step of the coupled pair phi_t = mu1*psi_x,
     psi_t = nu1*phi_x (current dropped).  ``bc`` holds the fixed boundary
-    values (phi_a0, phi_a1, psi_a0, psi_a1)."""
+    values (phi_a0, phi_a1, psi_a0, psi_a1).
+
+    Callers: :func:`homogeneous_run` (acceptance criterion c09) and
+    ``tests/test_stability.py``'s
+    ``test_pair_step_constant_state_with_matching_bc_is_inert``."""
     p_a0, p_a1, s_a0, s_a1 = bc
     c2 = mu1 * nu1
     half = 0.5 * dt * dt * c2
@@ -100,6 +109,10 @@ def _advection_matrix(grid: GridSpec, c: float, dt: float) -> np.ndarray:
 
 
 def _pair_matrix(grid: GridSpec, mu1: float, nu1: float, dt: float) -> np.ndarray:
+    """The 2N x 2N homogeneous pair propagator; callers:
+    :func:`assemble_propagator` and :func:`decomposition_check` (acceptance
+    criterion c10).  The window search eigensolves its signed branches
+    instead (:func:`stability_radius`)."""
     d1, d2 = _diff_matrices(grid)
     n = grid.n
     diag = np.eye(n) + 0.5 * dt * dt * (mu1 * nu1) * d2
@@ -113,7 +126,10 @@ def _pair_matrix(grid: GridSpec, mu1: float, nu1: float, dt: float) -> np.ndarra
 
 def assemble_propagator(model: int, grid: GridSpec, mat, dt: float) -> np.ndarray:
     """Dense one-step matrix of the homogeneous stepper on ``grid``: N x N
-    for model 1, 2N x 2N (``phi`` then ``psi``) for model 2."""
+    for model 1, 2N x 2N (``phi`` then ``psi``) for model 2.
+
+    Callers: acceptance criterion c10, which checks it against the marching
+    step, and ``tests/test_stability.py``'s probe-fidelity tests."""
     _check_step(dt)
     if model == 1:
         return _advection_matrix(grid, mat.c1, dt)
@@ -288,7 +304,10 @@ class DecompositionReport:
 
 
 def decomposition_check(grid: GridSpec, mat2, dt: float) -> DecompositionReport:
-    """Verify the two-field propagator is built from the one-field blocks."""
+    """Verify the two-field propagator is built from the one-field blocks.
+
+    Callers: acceptance criterion c10 and ``tests/test_stability.py``'s
+    even/odd split and block tests."""
     _check_step(dt)
     c = math.sqrt(mat2.mu1 * mat2.nu1)
     m_plus = _advection_matrix(grid, +c, dt)
@@ -318,7 +337,11 @@ def fixed_point(grid: GridSpec, mat, dt: float,
                 u_a0: float, u_a1: float) -> np.ndarray:
     """Constant profile the one-field iteration settles on under constant
     boundary data: the solution of (I - M) u = b, where b is the affine part
-    the boundary stencils inject."""
+    the boundary stencils inject.
+
+    Callers: ``tests/test_stability.py``'s
+    ``test_constant_boundary_data_has_constant_fixed_point`` and
+    ``test_iteration_converges_to_solved_fixed_point`` only."""
     _check_step(dt)
     m = _advection_matrix(grid, mat.c1, dt)
     z = np.zeros(grid.n)
@@ -329,7 +352,11 @@ def fixed_point(grid: GridSpec, mat, dt: float,
 def homogeneous_run(model: int, grid: GridSpec, mat, dt: float, steps: int,
                     seed: int = 0) -> np.ndarray:
     """Sup-norm envelope of a homogeneous run from random data: array of
-    max|state| at every step (index 0 is the initial state)."""
+    max|state| at every step (index 0 is the initial state).
+
+    Callers: acceptance criterion c09, which checks the window against it,
+    and ``tests/test_stability.py``'s window-classification and envelope
+    tests."""
     _check_step(dt, steps)
     ops = SpatialOps(grid)
     if model == 1:

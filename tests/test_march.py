@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from eoscatter import model1, model2
 from eoscatter.grid import GridSpec, Material1, Material2, SpatialOps
-from eoscatter.march import DivergenceError
+from eoscatter.march import DivergenceError, march
 from eoscatter.mms import GaussianBump, ManufacturedFields1, ManufacturedFields2
 from eoscatter.model1 import Scenario1, State1, run_m1
 from eoscatter.model2 import Scenario2, State2, run_m2
@@ -43,23 +43,34 @@ def test_run_rejects_snapshot_times_outside_the_run(model):
     assert [s.n for _, s in res.snapshots] == [0, scn.steps]
 
 
-@pytest.mark.parametrize("model, step", [(1, 576), (2, 507)])
-def test_a_diverging_run_raises_no_numpy_warning(model, step):
-    # fig2's and fig4's material and source at N = 55 and dt_cfl 0.2: the
-    # interior step overflowed, and numpy warned, before the finiteness
-    # check raised
+@pytest.mark.parametrize("model, n, cfl, t_end, step", [
+    pytest.param(1, 55, 0.2, 40.0, 576, id="1-576"),
+    pytest.param(2, 55, 0.2, 40.0, 507, id="2-507"),
+    pytest.param(2, 80, 0.3, 40.0, 688, id="2-688"),
+    pytest.param(2, 40, 2.0, 4.0, 30, id="2-30"),
+    pytest.param(1, 40, 2.0, 4.0, 28, id="1-28"),
+])
+def test_a_diverging_run_raises_no_numpy_warning(model, n, cfl, t_end, step):
+    # fig2's and fig4's material and source on unstable steps: the interior
+    # step overflowed, and numpy warned, before the finiteness check raised.
+    # Each pinned step is the first whose output has a non-finite field;
+    # the march finds it from the current and psi alone
     scenario, run, mat = MODELS[model]
-    grid = GridSpec(0.0, 3.0, 55)
+    grid = GridSpec(0.0, 3.0, n)
     src = GaussianSource(amplitude=5.0 if model == 1 else 1.0, x_center=4.0,
                          space_rate=36.0, t_center=0.5 if model == 1 else 1.0,
                          time_rate=4.0)
-    scn = scenario(grid=grid, mat=mat, dt=0.2 * grid.dx / mat.c1, t_end=4.0,
+    scn = scenario(grid=grid, mat=mat, dt=cfl * grid.dx / mat.c1, t_end=t_end,
                    source=src)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as info:
             run(scn)
     assert info.value.step == step
+    final = info.value.partial.final
+    assert final.n == step - 1
+    for name in scn.field_names:
+        assert np.all(np.isfinite(getattr(final, name)))
 
 
 @pytest.mark.parametrize("model, mat, mms, expected", [
@@ -150,13 +161,14 @@ def test_one_bad_value_in_any_field_stops_the_run(monkeypatch, model, field, bad
     scn = null_scenario(model)
     at = 3
 
-    def poisoned(state, *args):
-        fields = list(step(state, *args))
+    def poisoned(state, *args, **kw):
+        # the bad value enters the step that makes level `at`, in a copy:
+        # the march tests only the fields that the step's arithmetic does
+        # not fold into the new current
         if state.n + 1 == at:
-            k = scn.field_names.index(field)
-            fields[k] = fields[k].copy()
-            fields[k][5] = bad
-        return tuple(fields)
+            state = state.copy()
+            getattr(state, field)[5] = bad
+        return step(state, *args, **kw)
 
     monkeypatch.setattr(module, name, poisoned)
     with pytest.raises(DivergenceError) as info:
@@ -172,13 +184,98 @@ def test_one_bad_value_in_any_field_stops_the_run(monkeypatch, model, field, bad
         assert np.all(getattr(part.final, name) == 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from([1, 2]), n=st.integers(4, 30),
+       epsilon=st.floats(0.0, 1.0), cfl=st.floats(0.05, 2.0),
+       response=st.lists(st.sampled_from([0.0, 1.0, -3.0]) | st.floats(-10.0, 10.0),
+                         min_size=3, max_size=3),
+       field=st.integers(0, 3), node=st.integers(0, 29),
+       bad=st.sampled_from([math.inf, -math.inf, math.nan, None]),
+       zeros=st.sampled_from(["none", "phi", "all"]),
+       huge=st.integers(0, 3), scale=st.sampled_from([1.0, 1e300, 1e306, 1e308]),
+       with_terms=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_march_flags_a_step_exactly_when_some_field_is_non_finite(
+        model, n, epsilon, cfl, response, field, node, bad, zeros, huge, scale,
+        with_terms, seed):
+    """The march tests the new current (and model 2's psi) for finiteness:
+    a step whose inputs carry one non-finite value (or none) at one node of
+    one field, on a random state, is flagged exactly when some output field
+    is non-finite.  Zero fields and a zero response (``beta = 0``) put the
+    0*inf products in reach, and one field scaled near the largest float
+    lets the step overflow from finite inputs."""
+    rng = np.random.default_rng(seed)
+    scenario, _, mat = MODELS[model]
+    grid = GridSpec(0.0, 1.0, n, epsilon)
+    mat = replace(mat, **dict(zip(("alpha", "beta", "gamma"), response)))
+    dt = cfl * grid.dx / mat.c1
+    scn = scenario(grid=grid, mat=mat, dt=dt, t_end=dt)  # one step
+    module, name = STEPPERS[model]
+    real, state_cls = getattr(module, name), (State1, State2)[model - 1]
+    fields = [rng.standard_normal(n) for _ in scn.field_names]
+    if zeros != "none":
+        for k in range(1 if zeros == "phi" else len(fields)):
+            fields[k][:] = 0.0
+    with np.errstate(over="ignore"):
+        fields[huge % len(fields)] *= scale
+    if bad is not None:
+        fields[field % len(fields)][node % n] = bad
+    terms = terms_next = None
+    if with_terms:
+        terms = {k: rng.standard_normal(n) for k in TERM_NAMES}
+        terms_next = {"j": rng.standard_normal(n)}
+    every_field = []
+
+    def step(state, scn, _terms, _terms_next, **kw):
+        start = state_cls(*fields, *rng.standard_normal(2 * model), 0, 0.0)
+        out = real(start, scn, terms, terms_next, **kw)
+        every_field.append(bool(np.isfinite(np.concatenate(out)).all()))
+        return out
+
+    result_cls = (model1.Run1Result, model2.Run2Result)[model - 1]
+    closure = getattr(module, f"_closure_m{model}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            march(scn, (), state_cls, result_cls, step, closure)
+            flagged = False
+        except DivergenceError:
+            flagged = True
+    assert every_field and flagged == (not every_field[0])
+
+
+def test_a_pair_step_that_overflows_psi_alone_is_flagged(monkeypatch):
+    """psi is the one field outside the new current: a psi alternating at
+    1e308 on a uniform grid (traces continuing the pattern) has no slope
+    but rounding, so phi, rho and j stay finite while the curvature term
+    overflows psi."""
+    grid = GridSpec(0.0, 3.0, 16, epsilon=0.0)
+    dt = 1.5 * grid.dx / MAT2.c1
+    scn = Scenario2(grid=grid, mat=MAT2, dt=dt, t_end=dt)
+    zeros = np.zeros(grid.n)
+    psi = 1e308 * (-1.0) ** np.arange(grid.n)
+    start = State2(zeros, psi, zeros, zeros, 0.0, -psi[0], 0.0, -psi[-1], 0, 0.0)
+    step, outputs = model2.interior_step_m2, []
+
+    def overflowing(state, scn, *args, **kw):
+        outputs.append(step(start, scn, *args, **kw))
+        return outputs[-1]
+
+    monkeypatch.setattr(model2, "interior_step_m2", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError) as info:
+        run_m2(scn)
+    assert info.value.step == 1
+    phi, psi_new, rho, j = outputs[0]
+    assert np.isfinite(np.concatenate((phi, rho, j))).all()
+    assert not np.isfinite(psi_new).all()
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_huge_finite_fields_are_not_divergence(monkeypatch, model):
     """Values whose sum overflows are still finite and must pass the check."""
     module, name = STEPPERS[model]
     scn = null_scenario(model, t_end=0.1)
 
-    def huge(state, *args):
+    def huge(state, *args, **kw):
         return tuple(np.full(scn.grid.n, 1e308) for _ in scn.field_names)
 
     monkeypatch.setattr(module, name, huge)
@@ -204,6 +301,74 @@ def test_boundary_sums_keep_no_nodal_history(model):
         tracemalloc.stop()
     assert res.final.n == 20
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_steady_steps_take_no_page_faults(monkeypatch, model):
+    """A null run at N = 25 600 (0.2 MiB per nodal array, above glibc's
+    initial 128 KiB mmap threshold): over steps 100 to 300 the march takes
+    fewer than one minor page fault per step, by ``getrusage`` of this
+    process.  The whole run's faults are its set-up, before step 3."""
+    resource = pytest.importorskip("resource")
+    scenario, run, mat = MODELS[model]
+    grid = GridSpec(0.0, 3.0, 25600)
+    dt = 0.4 * grid.dx / mat.c1
+    scn = scenario(grid=grid, mat=mat, dt=dt, t_end=301 * dt)
+    module, name = STEPPERS[model]
+    step, faults = getattr(module, name), {}
+
+    def counted(state, *args, **kw):
+        if state.n in (100, 300):
+            faults[state.n] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        return step(state, *args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    run(scn)
+    assert (faults[300] - faults[100]) / 200 < 1.0
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_a_step_given_buffers_allocates_no_nodal_array(monkeypatch, model):
+    """Given its ``out=`` buffers, the interior step's only N-wide
+    allocations are its closed passes' ``np.correlate`` outputs.  Here the
+    passes hand back their outputs made beforehand, so the traced peak of
+    the step stays below one nodal array, and the step returns what a step
+    with fresh arrays returns, its density and current in the first two
+    buffers."""
+    n = 20000
+    scenario, _, mat = MODELS[model]
+    grid = GridSpec(0.0, 3.0, n)
+    scn = scenario(grid=grid, mat=mat, dt=0.4 * grid.dx / mat.c1, t_end=1.0)
+    module, name = STEPPERS[model]
+    rng = np.random.default_rng(model)
+    step, s = getattr(module, name), (State1, State2)[model - 1](
+        *rng.standard_normal((len(scn.field_names), n)),
+        *rng.standard_normal(2 * model).tolist(), 0, 0.0)
+    expected = step(s, scn)
+
+    # each pass's arguments as the potential half gives them
+    if model == 1:
+        passes = {scn.lw_pass: (s.phi, s.phi_a0, s.phi_a1, s.phi, s.phi_a0, s.phi_a1)}
+    else:
+        phi_pass, psi_pass = scn.lw_pass
+        passes = {phi_pass: (s.phi, s.phi_a0, s.phi_a1, s.psi, s.psi_a0, s.psi_a1),
+                  psi_pass: (s.psi, s.psi_a0, s.psi_a1, s.phi, s.phi_a0, s.phi_a1)}
+    made = [closed(*args) for closed, args in passes.items()]
+    handed = [lambda *args, k=k: made[k] for k in range(len(made))]
+    monkeypatch.setitem(scn.__dict__, "lw_pass",
+                        handed[0] if model == 1 else tuple(handed))
+    out = np.empty((4, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fields = step(s, scn, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n
+    assert np.shares_memory(fields[-2], out[0]) and np.shares_memory(fields[-1], out[1])
+    for got, want in zip(fields, expected):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("model", [1, 2])
@@ -319,9 +484,9 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
 
         return spied_terms_at
 
-    def spied_step(state, *args):
+    def spied_step(state, *args, **kw):
         steps.append((state.n, exps[2], args[1:]))
-        return step(state, *args)
+        return step(state, *args, **kw)
 
     monkeypatch.setattr(np, "exp", counted_exp)
     monkeypatch.setattr(scn.residuals, "at", spied_at)
