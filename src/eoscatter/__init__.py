@@ -13,6 +13,7 @@ from .config import (
     PRESETS,
     RunConfig,
     load_preset,
+    mms_run,
     parse_config,
     resolve_config,
 )
@@ -27,7 +28,6 @@ from .mms import (
     ResidualSources1,
     ResidualSources2,
     convergence_order,
-    mms_run,
 )
 from .model1 import DivergenceError, Scenario1, run_m1
 from .model2 import BoundaryMatrices, Scenario2, run_m2
@@ -44,7 +44,6 @@ from .stability import (
     EigenSolverError,
     assemble_propagator,
     decomposition_check,
-    fixed_point,
     homogeneous_run,
     scan_stability,
     spectral_radius,
@@ -85,7 +84,6 @@ __all__ = [
     "characteristic_integral",
     "convergence_order",
     "decomposition_check",
-    "fixed_point",
     "homogeneous_run",
     "incident_pair",
     "incident_series",

@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import ConfigError, PRESETS, RunConfig, load_preset, parse_config
 # mms_run stays importable here: perfbench's tracer wraps eoscatter.cli.mms_run
-from .mms import convergence_order, mms_report, mms_run  # noqa: F401
+from .config import mms_run  # noqa: F401
+from .mms import convergence_order, mms_report
 from .model1 import DivergenceError, run_m1
 from .model2 import run_m2
 from .sources import QuadratureError
@@ -130,7 +131,7 @@ def _mms_mode(cfg: RunConfig, out: Path) -> int:
     failure = None
     for scn in cfg.scenarios:
         try:
-            reports.append(mms_report(cfg.model, scn))
+            reports.append(mms_report(scn))
         except DivergenceError as exc:
             failure = exc
             break

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .grid import GridSpec
+from .mms import ErrorReport, mms_report
 from .model1 import Scenario1
 from .model2 import Scenario2
 from .sources import GaussianSource, TabulatedSource
@@ -29,6 +30,15 @@ MODES = ("run", "mms", "stability")
 # Each model's scenario class names its material, manufactured family and
 # potentials, and checks every rule a run must meet when it is built.
 SCENARIOS = {1: Scenario1, 2: Scenario2}
+
+
+def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorReport:
+    """:func:`mms_report` of the model's scenario built from these inputs."""
+    if model not in SCENARIOS:
+        raise ValueError("model must be 1 or 2")
+    return mms_report(SCENARIOS[model](grid=grid, mat=mat, dt=dt, t_end=t_end,
+                                       mms=exact))
+
 
 # The mms blocks and the manufactured fields they set, in parse order;
 # ``pulse_psi`` is read only by a model with a ``psi`` potential.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,7 @@ class Scenario:
     (verification), or neither (null run).  A model's subclass sets the
     class attributes ``potentials``, ``material``, ``manufactured`` and
     ``residuals`` (its field-name tuple and classes) and supplies
-    :meth:`incident`.
+    :meth:`incident` and ``run(snapshot_times=())``, its model's runner.
     """
 
     grid: GridSpec
@@ -244,8 +245,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     terms = next(levels)
     traces, close = closure(scn, fields[-1], terms, incident)
     state = state_cls(*fields, *traces, 0, t0)
-    series = np.zeros((len(traces), steps + 1))
-    series[:, 0] = traces
+    series = array("d", traces)  # each level's traces in turn, as float64
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
     # the step writes the new rho and j into level n - 1's arrays
     rho_spare, j_spare, *scratch = np.empty((4, g.n))
@@ -265,14 +265,16 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                        for f in (*fields[unfolded], fields[-1])):
                 raise DivergenceError(
                     f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
-                    partial=result_cls(scn, times[:n], *series[:, :n], snapshots, state),
+                    partial=result_cls(scn, times[:n], *np.reshape(series, (n, -1)).T,
+                                       snapshots, state),
                 )
             traces = close(n, fields[-1], terms_next)
             rho_spare, j_spare = state.rho, state.j
             state = state_cls(*fields, *traces, n, t_next)
-            series[:, n] = traces
+            series.extend(traces)
             if n in wanted:
                 snapshots.append((wanted[n], state.copy()))
             terms = terms_next
 
-    return result_cls(scn, times, *series, snapshots, state)
+    return result_cls(scn, times, *np.reshape(series, (steps + 1, -1)).T,
+                      snapshots, state)

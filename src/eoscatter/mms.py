@@ -317,7 +317,6 @@ class ErrorReport:
     ``linf_x`` the position of each field's worst node.
     """
 
-    model: int
     n: int
     dt: float
     t_end: float
@@ -328,28 +327,15 @@ class ErrorReport:
     linf_x: dict
 
 
-def _solver(model: int):
-    """The scenario class and the runner of model 1 or 2."""
-    # The solver modules import the field families from here, so pull them
-    # in lazily to keep the import graph acyclic.
-    if model == 1:
-        from .model1 import Scenario1, run_m1
-        return Scenario1, run_m1
-    if model == 2:
-        from .model2 import Scenario2, run_m2
-        return Scenario2, run_m2
-    raise ValueError("model must be 1 or 2")
-
-
-def mms_report(model: int, scn) -> ErrorReport:
-    """Run the model's verification scenario ``scn`` and measure its errors
-    against the manufactured fields ``scn.mms``."""
-    runner = _solver(model)[1]
+def mms_report(scn) -> ErrorReport:
+    """Run the verification scenario ``scn`` (:meth:`Scenario1.run` or
+    :meth:`Scenario2.run`) and measure its errors against the manufactured
+    fields ``scn.mms``."""
     exact, grid = scn.mms, scn.grid
     if exact is None:
         raise ValueError("mms_report needs a scenario with manufactured fields")
     tic = time.perf_counter()
-    res = runner(scn)
+    res = scn.run()
     runtime = time.perf_counter() - tic
 
     t_final = res.final.t
@@ -366,15 +352,8 @@ def mms_report(model: int, scn) -> ErrorReport:
         for p in scn.potentials:
             err = getattr(res, f"{p}_{side}") - getattr(exact, p).value(a, res.times)
             trace_linf[f"{p}_{side}"] = float(np.max(np.abs(err)))
-    return ErrorReport(model, grid.n, scn.dt, t_final, runtime, linf, l2,
-                       trace_linf, linf_x)
-
-
-def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorReport:
-    """:func:`mms_report` of the model's scenario built from these inputs."""
-    scenario = _solver(model)[0]
-    return mms_report(model, scenario(grid=grid, mat=mat, dt=dt, t_end=t_end,
-                                      mms=exact))
+    return ErrorReport(grid.n, scn.dt, t_final, runtime, linf, l2, trace_linf,
+                       linf_x)
 
 
 def convergence_order(reports) -> dict:

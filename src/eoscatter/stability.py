@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, SpatialOps
+from .model1 import Scenario1
+from .model2 import Scenario2
 
 RHO_MARGIN = 1e-9          # stable means spectral radius < 1 - RHO_MARGIN
 DEFAULT_BISECT_TOL = 1e-4  # relative width of the bisected transition bracket
@@ -43,42 +45,6 @@ def _check_step(dt, steps=0) -> None:
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
             or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-
-
-# ---------------------------------------------------------------------------
-# homogeneous steppers (boundary data explicit, reaction coupling dropped)
-# ---------------------------------------------------------------------------
-
-def advection_step(phi, ops: SpatialOps, c: float, dt: float,
-                   u_a0: float = 0.0, u_a1: float = 0.0):
-    """One second-order step of the one-way equation phi_t = c*phi_x.
-
-    Callers: :func:`fixed_point` and :func:`homogeneous_run` (acceptance
-    criterion c09) here, and ``tests/test_stability.py``'s
-    ``test_signed_branch_steppers_agree_with_matrices`` and
-    ``test_iteration_converges_to_solved_fixed_point``."""
-    d1 = ops.d1_closed(phi, u_a0, u_a1)
-    d2 = ops.d2_closed(phi, u_a0, u_a1)
-    return phi + dt * c * d1 + 0.5 * (dt * c) ** 2 * d2
-
-
-def wave_pair_step(phi, psi, ops: SpatialOps, mu1: float, nu1: float,
-                   dt: float, bc=(0.0, 0.0, 0.0, 0.0)):
-    """One second-order step of the coupled pair phi_t = mu1*psi_x,
-    psi_t = nu1*phi_x (current dropped).  ``bc`` holds the fixed boundary
-    values (phi_a0, phi_a1, psi_a0, psi_a1).
-
-    Callers: :func:`homogeneous_run` (acceptance criterion c09) and
-    ``tests/test_stability.py``'s
-    ``test_pair_step_constant_state_with_matching_bc_is_inert``."""
-    p_a0, p_a1, s_a0, s_a1 = bc
-    c2 = mu1 * nu1
-    half = 0.5 * dt * dt * c2
-    new_phi = phi + dt * mu1 * ops.d1_closed(psi, s_a0, s_a1) \
-        + half * ops.d2_closed(phi, p_a0, p_a1)
-    new_psi = psi + dt * nu1 * ops.d1_closed(phi, p_a0, p_a1) \
-        + half * ops.d2_closed(psi, s_a0, s_a1)
-    return new_phi, new_psi
 
 
 # ---------------------------------------------------------------------------
@@ -326,52 +292,36 @@ def decomposition_check(grid: GridSpec, mat2, dt: float) -> DecompositionReport:
     recon[n:, n:] = m_even
     m2 = _pair_matrix(grid, mat2.mu1, mat2.nu1, dt)
     block_error = float(np.max(np.abs(m2 - recon)))
-    odd_diag = float(np.max(np.abs(np.diag(m_odd)[1:-1]))) if n > 2 else 0.0
+    odd_diag = float(np.max(np.abs(np.diag(m_odd)[1:-1])))
     return DecompositionReport(m_even=m_even, m_odd=m_odd,
                                split_residual=split_residual,
                                block_error=block_error,
                                odd_interior_diag=odd_diag)
 
 
-def fixed_point(grid: GridSpec, mat, dt: float,
-                u_a0: float, u_a1: float) -> np.ndarray:
-    """Constant profile the one-field iteration settles on under constant
-    boundary data: the solution of (I - M) u = b, where b is the affine part
-    the boundary stencils inject.
-
-    Callers: ``tests/test_stability.py``'s
-    ``test_constant_boundary_data_has_constant_fixed_point`` and
-    ``test_iteration_converges_to_solved_fixed_point`` only."""
-    _check_step(dt)
-    m = _advection_matrix(grid, mat.c1, dt)
-    z = np.zeros(grid.n)
-    b = advection_step(z, SpatialOps(grid), mat.c1, dt, u_a0, u_a1)
-    return np.linalg.solve(np.eye(grid.n) - m, b)
-
-
 def homogeneous_run(model: int, grid: GridSpec, mat, dt: float, steps: int,
                     seed: int = 0) -> np.ndarray:
     """Sup-norm envelope of a homogeneous run from random data: array of
-    max|state| at every step (index 0 is the initial state).
+    max|state| at every step (index 0 is the initial state).  Each step is
+    one pass per potential of the model scenario's :attr:`lw_pass`, the
+    passes the march steps, with zero boundary traces and the current
+    dropped; TypeError unless ``mat`` is the model's material.
 
     Callers: acceptance criterion c09, which checks the window against it,
     and ``tests/test_stability.py``'s window-classification and envelope
     tests."""
     _check_step(dt, steps)
-    ops = SpatialOps(grid)
-    if model == 1:
-        def step(phi):
-            return (advection_step(phi, ops, mat.c1, dt),)
-    elif model == 2:
-        def step(phi, psi):
-            return wave_pair_step(phi, psi, ops, mat.mu1, mat.nu1, dt)
-    else:
+    if model not in (1, 2):
         raise ValueError("model must be 1 or 2")
+    scn = (Scenario1, Scenario2)[model - 1](grid=grid, mat=mat, dt=dt, t_end=dt)
+    passes = scn.lw_pass if model == 2 else (scn.lw_pass,)
     rng = np.random.default_rng(seed)
-    fields = [rng.standard_normal(grid.n) for _ in range(model)]  # phi, then psi
+    fields = [rng.standard_normal(grid.n) for _ in passes]  # phi, then psi
     env = np.empty(steps + 1)
     env[0] = max(np.max(np.abs(f)) for f in fields)
     for k in range(steps):
-        fields = step(*fields)
+        # each potential's pass reads the other one (model 1: itself)
+        fields = [p(u, 0.0, 0.0, v, 0.0, 0.0)
+                  for p, u, v in zip(passes, fields, fields[::-1])]
         env[k + 1] = max(np.max(np.abs(f)) for f in fields)
     return env

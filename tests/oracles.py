@@ -46,6 +46,39 @@ def _erf_difference(x, y):
     return math.erf(y) - math.erf(x)
 
 
+def slab_reflection_traces(f, t, *, length, mu1, nu1, mu0, nu0):
+    """Boundary traces ``(phi_a0, psi_a0, phi_a1, psi_a1)`` at time ``t`` of
+    the two-potential model on a slab with no response (alpha = beta =
+    gamma = 0, so the current stays zero), as a multiple-reflection series.
+
+    ``f(s)`` is the incident ``phi`` trace at the right boundary, zero for
+    ``s <= 0`` (for a Gaussian source, :func:`gaussian_line_integral` over
+    ``2*c0``).  With impedances Z = sqrt(mu/nu), R = (Z1 - Z0)/(Z1 + Z0),
+    r = -R, Tr = 2*Z1/(Z1 + Z0) and transit time T1 = length/c1:
+
+        phi(a1) = (1 + R) f(t) + sum_{k>=1} (1 + r) r^(2k-1) Tr f(t - 2k T1)
+        psi(a1) = ((1 - R) f(t) - sum_{k>=1} (same terms)) / Z0
+        phi(a0) = sum_{k>=0} (1 + r) r^(2k) Tr f(t - (2k+1) T1)
+        psi(a0) = phi(a0) / Z0
+    """
+    z1, z0 = math.sqrt(mu1 / nu1), math.sqrt(mu0 / nu0)
+    big_r = (z1 - z0) / (z1 + z0)
+    r, tr, t1 = -big_r, 2.0 * z1 / (z1 + z0), length / math.sqrt(mu1 * nu1)
+    back = 0.0  # what has crossed back out at a1
+    k = 1
+    while t - 2 * k * t1 > 0.0:
+        back += (1.0 + r) * r ** (2 * k - 1) * tr * f(t - 2 * k * t1)
+        k += 1
+    out = 0.0  # what has crossed out at a0
+    k = 0
+    while t - (2 * k + 1) * t1 > 0.0:
+        out += (1.0 + r) * r ** (2 * k) * tr * f(t - (2 * k + 1) * t1)
+        k += 1
+    here = f(t) if t > 0.0 else 0.0
+    return (out, out / z0, (1.0 + big_r) * here + back,
+            ((1.0 - big_r) * here - back) / z0)
+
+
 # -- finite-difference derivative probes ------------------------------------
 
 def fd_dx(f, x, t, h=1e-5):

@@ -5,21 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from eoscatter.grid import GridSpec, Material1, Material2, SpatialOps
+from eoscatter.grid import GridSpec, Material1, Material2
 from eoscatter.model1 import Scenario1, State1, interior_step_m1
 from eoscatter.model2 import Scenario2, State2, interior_step_m2
 from eoscatter.stability import (
     EigenSolverError,
-    advection_step,
     assemble_propagator,
     decomposition_check,
-    fixed_point,
     homogeneous_run,
     scan_stability,
     spectral_radius,
     stability_bounds,
     stability_radius,
-    wave_pair_step,
 )
 
 MAT1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
@@ -150,6 +147,11 @@ def test_invalid_inputs_rejected():
         scan_stability(1, MAT1, 16, [1.5])
     with pytest.raises(ValueError, match="model"):
         homogeneous_run(5, g, MAT1, 0.01, 3)
+    # the run builds the model's scenario, which checks the material
+    with pytest.raises(TypeError, match="Material1"):
+        homogeneous_run(1, g, MAT2, 0.01, 3)
+    with pytest.raises(TypeError, match="Material2"):
+        homogeneous_run(2, g, MAT1, 0.01, 3)
 
 
 BAD_STEPS = [-0.01, 0.0, math.nan, math.inf, -math.inf]
@@ -157,16 +159,14 @@ BAD_STEPS = [-0.01, 0.0, math.nan, math.inf, -math.inf]
 
 @pytest.mark.parametrize("dt", BAD_STEPS)
 def test_lab_rejects_a_bad_step(dt):
-    # stability_radius(dt=-0.01) gave a radius, fixed_point(dt=0) a
-    # LinAlgError, assemble_propagator(dt=inf) a NaN matrix and
-    # homogeneous_run ran with a negative or NaN step
+    # stability_radius(dt=-0.01) gave a radius, assemble_propagator(dt=inf)
+    # a NaN matrix and homogeneous_run ran with a negative or NaN step
     g = grid(16)
     calls = [lambda: stability_radius(1, g, MAT1, dt),
              lambda: stability_radius(2, g, MAT2, dt),
              lambda: assemble_propagator(1, g, MAT1, dt),
              lambda: assemble_propagator(2, g, MAT2, dt),
              lambda: decomposition_check(g, MAT2, dt),
-             lambda: fixed_point(g, MAT1, dt, 0.3, -0.2),
              lambda: homogeneous_run(1, g, MAT1, dt, 3),
              lambda: homogeneous_run(2, g, MAT2, dt, 3)]
     for call in calls:
@@ -190,15 +190,25 @@ def test_homogeneous_run_takes_any_non_negative_integer_count():
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_homogeneous_run_draws_phi_then_psi(model):
-    # the envelope of the stepped fields, drawn from the seed in state order
+    # the envelope of the scenario's own passes with zero traces, stepped
+    # from fields drawn from the seed in state order
     g, dt = grid(16), 0.01
-    ops, rng = SpatialOps(g), np.random.default_rng(3)
+    if model == 1:
+        lw_pass = Scenario1(grid=g, mat=MAT1, dt=dt, t_end=1.0).lw_pass
+
+        def step(phi):
+            return [lw_pass(phi, 0.0, 0.0, phi, 0.0, 0.0)]
+    else:
+        phi_pass, psi_pass = Scenario2(grid=g, mat=MAT2, dt=dt, t_end=1.0).lw_pass
+
+        def step(phi, psi):
+            return [phi_pass(phi, 0.0, 0.0, psi, 0.0, 0.0),
+                    psi_pass(psi, 0.0, 0.0, phi, 0.0, 0.0)]
+    rng = np.random.default_rng(3)
     fields = [rng.standard_normal(g.n) for _ in range(model)]
-    env = []
-    for k in range(6):
-        if k:
-            fields = ((advection_step(fields[0], ops, MAT1.c1, dt),) if model == 1
-                      else wave_pair_step(*fields, ops, MAT2.mu1, MAT2.nu1, dt))
+    env = [max(np.max(np.abs(f)) for f in fields)]
+    for _ in range(5):
+        fields = step(*fields)
         env.append(max(np.max(np.abs(f)) for f in fields))
     mat = MAT1 if model == 1 else MAT2
     assert np.array_equal(homogeneous_run(model, g, mat, dt, 5, seed=3), env)
@@ -319,35 +329,16 @@ def test_block_scaling_with_asymmetric_coupling():
 
 
 def test_signed_branch_steppers_agree_with_matrices():
+    # the +c branch of the pair is model 1's pass at c1 = c = 2
     g = grid(40)
     dt = 0.35 * g.dx / 2.0
     rep = decomposition_check(g, MAT2, dt)
-    ops = SpatialOps(g)
+    lw_pass = Scenario1(grid=g, mat=MAT1, dt=dt, t_end=1.0).lw_pass
+    assert MAT1.c1 == 2.0
     rng = np.random.default_rng(5)
     v = rng.standard_normal(g.n)
     plus = (rep.m_even + 2.0 * rep.m_odd) @ v
-    assert np.max(np.abs(plus - advection_step(v, ops, 2.0, dt))) < 1e-13
-
-
-# ---------------------------------------------------------------------------
-# fixed point of the affine iteration
-# ---------------------------------------------------------------------------
-
-def test_constant_boundary_data_has_constant_fixed_point():
-    g = grid(50)
-    u = fixed_point(g, MAT1, 0.4 * g.dx / MAT1.c1, 0.7, 0.7)
-    assert np.max(np.abs(u - 0.7)) < 1e-10
-
-
-def test_iteration_converges_to_solved_fixed_point():
-    g = grid(50)
-    dt = 0.4 * g.dx / MAT1.c1
-    ops = SpatialOps(g)
-    u = np.zeros(g.n)
-    for _ in range(4000):
-        u = advection_step(u, ops, MAT1.c1, dt, 0.3, -0.2)
-    ustar = fixed_point(g, MAT1, dt, 0.3, -0.2)
-    assert np.max(np.abs(u - ustar)) < 1e-10
+    assert np.max(np.abs(plus - lw_pass(v, 0.0, 0.0, v, 0.0, 0.0))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +356,10 @@ def test_envelope_shape_and_determinism():
 
 def test_pair_step_constant_state_with_matching_bc_is_inert():
     g = grid(32)
-    ops = SpatialOps(g)
+    phi_pass, psi_pass = Scenario2(grid=g, mat=MAT2, dt=0.01, t_end=1.0).lw_pass
     phi = np.full(g.n, 1.3)
     psi = np.full(g.n, -0.4)
-    nphi, npsi = wave_pair_step(phi, psi, ops, 2.0, 2.0, 0.01,
-                                bc=(1.3, 1.3, -0.4, -0.4))
+    nphi = phi_pass(phi, 1.3, 1.3, psi, -0.4, -0.4)
+    npsi = psi_pass(psi, -0.4, -0.4, phi, 1.3, 1.3)
     assert np.max(np.abs(nphi - 1.3)) < 1e-14
     assert np.max(np.abs(npsi + 0.4)) < 1e-14
