@@ -4,8 +4,13 @@ The boundary update rules need field values at retarded times that generally
 fall between time levels. A DelayBuffer keeps a sliding window of samples at
 t0 + k*dt and answers queries with the quadratic through the three samples
 bracketing the query time, which is exact at the knots and for any quadratic
-in time. Query times at or before t0 read back as exactly zero — nothing
-existed before the switch-on time.
+in time. Nothing existed before the switch-on time t0, so one rule serves
+every read: a query at or before t0 reads back as exactly zero, and every
+later query reads the bracket of levels m - 1, m, m + 1, m = floor((t -
+t0)/dt), with the samples of levels before 0 read as zero.  Only a query in
+the newest interval, which has no level above it, takes the bracket one
+level lower.  Zeroed storage gives that rule without a branch: the levels
+before 0 are rows of a ring that have not been written yet.
 
 A RetardedSum gives the sum over the nodes of a nodal series, each node read
 by the same rule at its own fixed delay, without keeping the series: it
@@ -35,6 +40,17 @@ def _weights(s):
     w1 = -s * (s - 2.0)
     w2 = 0.5 * s * (s - 1.0)
     return w0, w1, w2
+
+
+def _first_live(t0, dt, lags):
+    """The first level n whose read ``t0 + n*dt - lag`` passes the live
+    test ``> t0``, as DelayBuffer's queries make it: ``ceil(lag/dt)`` up to
+    rounding, and never level 0."""
+    lags = np.asarray(lags, dtype=float)
+    n = np.maximum(np.ceil(lags / dt).astype(np.intp) - 1, 1)
+    for _ in range(2):
+        n += ~(t0 + n * dt - lags > t0)
+    return n
 
 
 class HistoryError(ValueError):
@@ -95,43 +111,29 @@ class DelayBuffer:
             )
 
     def _check_lower(self, level_min: int) -> None:
-        if level_min < self.oldest_level:
+        # the ring's rows not yet written hold the zero levels before 0
+        if level_min < self._levels - self._cap:
             raise HistoryError(
                 f"query needs level {level_min}, older than the retained window "
                 f"(oldest kept: {self.oldest_level})"
             )
-
-    def _row(self, level):
-        return level % self._cap
-
-    def _few_samples(self, r):
-        # fewer than 3 samples exist: interpolate through all of them
-        if self._levels == 1:
-            return self._data[0] * 0.0
-        v0, v1 = self._data[0], self._data[1]
-        s = np.clip(r, 0.0, 1.0)
-        return (1.0 - s) * v0 + s * v1
 
     # -- queries -----------------------------------------------------------
 
     def query(self, t: float):
         """Value of the stored series at time t (whole sample)."""
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"query time {t!r} is not finite")
         if t <= self.t0:
             return np.zeros(self.shape) if self.shape else 0.0
-        r = (t - self.t0) / self.dt
         self._check_upper(t)
-        if self._levels < 3:
-            out = self._few_samples(r)
-            return out if self.shape else float(out)
-        m = min(max(math.floor(r), 1), self._levels - 2)
+        r = (t - self.t0) / self.dt
+        m = min(math.floor(r), self._levels - 2)  # one lower in the newest interval
         self._check_lower(m - 1)
         w0, w1, w2 = _weights(r - (m - 1))
-        out = (
-            w0 * self._data[self._row(m - 1)]
-            + w1 * self._data[self._row(m)]
-            + w2 * self._data[self._row(m + 1)]
-        )
+        data, cap = self._data, self._cap
+        out = w0 * data[(m - 1) % cap] + w1 * data[m % cap] + w2 * data[(m + 1) % cap]
         return out if self.shape else float(out)
 
     def query_each(self, times) -> np.ndarray:
@@ -144,25 +146,21 @@ class DelayBuffer:
         t = np.asarray(times, dtype=float)
         if t.shape != self.shape:
             raise ValueError("times must have one entry per component")
+        if not np.isfinite(t).all():
+            bad = t[~np.isfinite(t)][0]
+            raise ValueError(f"query time {float(bad)!r} is not finite")
         out = np.zeros(self.shape)
         cols = np.flatnonzero(t > self.t0)
         if cols.size == 0:
             return out
         self._check_upper(float(t[cols].max()))
         r = (t[cols] - self.t0) / self.dt
-        if self._levels < 3:
-            if self._levels == 2:
-                s = np.clip(r, 0.0, 1.0)
-                out[cols] = (1.0 - s) * self._data[0, cols] + s * self._data[1, cols]
-            return out
-        m = np.clip(np.floor(r).astype(int), 1, self._levels - 2)
+        m = np.minimum(np.floor(r).astype(int), self._levels - 2)
         self._check_lower(int(m.min()) - 1)
         w0, w1, w2 = _weights(r - (m - 1))
-        out[cols] = (
-            w0 * self._data[self._row(m - 1), cols]
-            + w1 * self._data[self._row(m), cols]
-            + w2 * self._data[self._row(m + 1), cols]
-        )
+        data, cap = self._data, self._cap
+        out[cols] = (w0 * data[(m - 1) % cap, cols] + w1 * data[m % cap, cols]
+                     + w2 * data[(m + 1) % cap, cols])
         return out
 
 
@@ -174,22 +172,21 @@ class RetardedSum:
     rounding, for a :class:`DelayBuffer` ``buf`` holding the samples pushed
     so far.  Node i trails every level by the same offset ``delays[i]/dt``,
     so its lag and weights are worked out once.  It is first live, by
-    ``query_each``'s own test ``t - d > t0``, at level ``lam``; there it
-    takes ``query_each``'s clipped bracket of levels 0, 1, 2, or the
-    two-sample linear rule when ``lam`` is 1, scattered by pushes 0, 1 and
-    2.  At every later level L it reads the bracket ``L - lam - 1, L - lam,
-    L - lam + 1`` with fixed weights ``w0, w1, w2``.
+    ``query_each``'s own test ``t - d > t0``, at level ``lam``, and from
+    there on it reads at level L the bracket ``L - lam - 1, L - lam, L - lam
+    + 1`` with fixed weights ``w0, w1, w2``; the first read's level -1 is a
+    zero sample, as in ``query_each``.
 
-    Those regular reads are summed per node before they are scattered: two
-    running taps ``r1 = w1*j[k-1] + w0*j[k-2]`` and ``r2 = w0*j[k-1]`` make
-    ``w2*j[k] + r1`` node i's whole read of level ``k + lam - 1``, so from
-    push 2 on a push adds N values, at the fixed offsets ``lam - 1``, into
-    the pending sums of the levels ahead.  Those sums are a window of
-    ``span = max(lam) + 2`` numbers that slides one place per push over a
-    buffer of ``2*span`` and moves back to the front once every ``span``
-    pushes, so no push allocates or moves ``span`` numbers.  The working
-    storage is ``2*span + 3N`` numbers (the buffer, the running taps and
-    the read being scattered), not a history of nodal samples.
+    The reads are summed per node before they are scattered: two running
+    taps ``r1 = w1*j[k-1] + w0*j[k-2]`` and ``r2 = w0*j[k-1]``, zero before
+    the first push, make ``w2*j[k] + r1`` node i's whole read of level ``k +
+    lam - 1``, so from push 1 on a push adds N values, at the fixed offsets
+    ``lam - 1``, into the pending sums of the levels ahead.  Those sums are
+    a window of ``span = max(lam) + 2`` numbers that slides one place per
+    push over a buffer of ``2*span`` and moves back to the front once every
+    ``span`` pushes, so no push allocates or moves ``span`` numbers.  The
+    working storage is ``2*span + 3N`` numbers (the buffer, the running taps
+    and the read being scattered), not a history of nodal samples.
     """
 
     def __init__(self, t0: float, dt: float, delays) -> None:
@@ -202,21 +199,9 @@ class RetardedSum:
             raise ValueError("delays must be a nonempty 1-D array")
         if not np.all(np.isfinite(d) & (d >= 0.0)):
             raise ValueError("delays must be finite and nonnegative")
-        q = d / dt
-        # lam: the first level that passes query_each's live test; that is
-        # ceil(q) up to rounding, and ceil(q) - 1 never passes but by rounding
-        lam = np.maximum(np.ceil(q).astype(np.intp) - 1, 1)
-        for _ in range(2):
-            lam += ~(t0 + lam * dt - d > t0)
-        self._taps = np.array(_weights(lam + 1.0 - q))
+        lam = _first_live(t0, dt, d)
+        self._taps = np.array(_weights(lam + 1.0 - d / dt))
         self._offsets = lam - 1
-        # sample k <= 2 feeds the first read, at level lam
-        r = (t0 + lam * dt - d - t0) / dt
-        first = np.array(_weights(r))
-        s = np.clip(r[lam == 1], 0.0, 1.0)
-        first[:, lam == 1] = [1.0 - s, s, 0.0 * s]
-        self._first = [(np.maximum(lam - k, 0), first[k])  # weight 0 where clipped
-                       for k in range(3)]
         self._r1, self._r2, self._read = np.zeros((3, d.size))
         self._span = int(lam.max()) + 2
         self._pending = np.zeros(2 * self._span)
@@ -235,15 +220,12 @@ class RetardedSum:
         np.multiply(w1, j, out=r1)
         r1 += r2
         np.multiply(w0, j, out=r2)
-        k, start = self._levels, self._start
+        start = self._start
         window = self._pending[start:]
-        if k >= 2:
+        if self._levels:  # push 0's read is of level lam - 1, not yet live
             np.add.at(window, self._offsets, read)
-        if k <= 2:
-            offsets, weights = self._first[k]
-            np.add.at(window, offsets, weights * j)
         out = float(window[0])
-        self._levels = k + 1
+        self._levels += 1
         start += 1
         if start == self._span:  # the window reached the end: back to the front
             self._pending[:start] = self._pending[start:]
@@ -258,13 +240,14 @@ class FixedLagReader:
     floats, read back at the fixed lag ``lag``.
 
     ``read(n)`` equals ``DelayBuffer.query(t0 + n*dt - lag)``, to rounding,
-    for a DelayBuffer holding the same samples.  From two levels past the
-    lag on it reads the bracket ``n - b - 1, n - b, n - b + 1``, ``b =
-    floor(lag/dt) + 1``, with weights worked out once.  Before that it
-    follows ``query`` step by step: exactly zero while ``t0 + n*dt - lag <=
-    t0``, by the same float test, then the clamped bracket or the
-    two-sample linear rule.  A read may come before or after the append of
-    level n; the ring keeps the ``floor(lag/dt) + 3`` levels that needs.
+    for a DelayBuffer holding the same samples: exactly zero before the
+    first live level, which is worked out once by ``query``'s own float
+    test ``t0 + n*dt - lag > t0``, and from there on the bracket ``n - b -
+    1, n - b, n - b + 1``, ``b = floor(lag/dt) + 1``, with weights worked
+    out once.  The first reads' levels before 0 are ring slots not yet
+    written, so they read as zero.  A read may come before or after the
+    append of level n; the ring keeps the ``floor(lag/dt) + 3`` levels that
+    needs.
     """
 
     def __init__(self, t0: float, dt: float, lag: float, width: int = 1):
@@ -281,6 +264,7 @@ class FixedLagReader:
         q = self.lag / self.dt
         self._back = math.floor(q) + 1
         self._weights = _weights(self._back + 1 - q)
+        self._live = int(_first_live(self.t0, self.dt, self.lag))
         self._cap = self._back + 2
         # one float64 ring per component, read back as Python floats
         self._rings = [memoryview(bytearray(8 * self._cap)).cast("d")
@@ -299,36 +283,15 @@ class FixedLagReader:
 
     def read(self, n: int) -> tuple:
         """The series at ``t0 + n*dt - lag``, one float per component."""
+        if n < self._live:
+            return self._zero
         m = n - self._back
-        if not 1 <= m < self._levels - 1 or m <= self._levels - self._cap:
-            return self._read_edge(n)
-        return self._bracket(m, self._weights)
-
-    def _bracket(self, m: int, weights) -> tuple:
-        """The samples of levels m - 1, m, m + 1, weighted."""
+        if not self._levels - self._cap < m < self._levels - 1:
+            if m >= self._levels - 1:
+                raise HistoryError(f"read at t={self.t0 + n * self.dt - self.lag!r}"
+                                   " is beyond the newest sample")
+            raise HistoryError(f"read needs level {m - 1}, older than the ring")
         i = m % self._cap  # levels m - 1 and m + 1 wrap by negative indices
-        w0, w1, w2 = weights
+        w0, w1, w2 = self._weights
         return tuple([w0 * r[i - 1] + w1 * r[i] + w2 * r[i + 1 - self._cap]
                       for r in self._rings])
-
-    def _read_edge(self, n: int) -> tuple:
-        """``DelayBuffer.query``'s rules, step by step, for the reads off
-        the steady bracket: before t0, on the first live levels, or out of
-        the ring."""
-        t0, dt = self.t0, self.dt
-        t = t0 + n * dt - self.lag
-        if t <= t0:
-            return self._zero
-        levels = self._levels
-        if levels == 0 or t > t0 + (levels - 1) * dt + 1e-9 * dt:
-            raise HistoryError(f"read at t={t!r} is beyond the newest sample")
-        r = (t - t0) / dt
-        if levels < 3:
-            if levels == 1:
-                return self._zero
-            s = min(max(r, 0.0), 1.0)
-            return tuple([(1.0 - s) * ring[0] + s * ring[1] for ring in self._rings])
-        m = min(max(math.floor(r), 1), levels - 2)
-        if m - 1 < levels - self._cap:
-            raise HistoryError(f"read needs level {m - 1}, older than the ring")
-        return self._bracket(m, _weights(r - (m - 1)))

@@ -64,31 +64,53 @@ def test_query_older_than_window_raises():
         nodal.query_each(3.9 - np.array([0.05, 1.5, 0.25]))
 
 
-def test_left_edge_bracket_uses_first_three_samples():
-    # inside the first interval the parabola through samples {0,1,2} is used
+def test_first_interval_bracket_reads_level_minus_one_as_zero():
+    # inside the first interval the bracket is levels -1, 0, 1, level -1
+    # read as zero: the parabola through (-dt, 0), (0, q0), (dt, q1)
     q = lambda t: 3.0 * t**2 - t + 2.0
     buf = DelayBuffer(t0=0.0, dt=0.2, window=2.0)
     _fill(buf, q, 6)
-    assert buf.query(0.07) == pytest.approx(q(0.07), rel=1e-12)
+    x = 0.07 / 0.2
+    want = q(0.0) * (1.0 - x * x) + q(0.2) * x * (x + 1.0) / 2.0
+    assert buf.query(0.07) == pytest.approx(want, rel=1e-12)
 
 
-def test_two_sample_fallback_is_linear():
+def test_two_samples_read_the_parabola_through_zero_before_t0():
+    # samples 0 and 4 at levels 0 and 1, and the zero of level -1: the
+    # parabola 8t(t + 0.5)
     buf = DelayBuffer(t0=0.0, dt=0.5, window=2.0)
     buf.append(0.0)
     buf.append(4.0)
-    assert buf.query(0.25) == pytest.approx(2.0)
+    assert buf.query(0.25) == pytest.approx(1.5)
 
 
 def test_nodal_query_each():
-    n = 6
+    # components zero at t0: a read in the first interval is the parabola
+    # through (-dt, 0), (0, 0), (dt, f(dt)), every later read is f itself
+    n, dt = 6, 0.1
     f = lambda t: np.cos(0.3 + np.arange(n)) * t**2 + np.arange(n) * t
-    buf = DelayBuffer(t0=0.0, dt=0.1, window=2.0, shape=(n,))
+    buf = DelayBuffer(t0=0.0, dt=dt, window=2.0, shape=(n,))
     _fill(buf, f, 12)
     times = np.array([0.33, -0.2, 0.0, 1.1, 0.74, 0.05])
     got = buf.query_each(times)
     for i, t in enumerate(times):
-        want = 0.0 if t <= 0.0 else f(t)[i]
+        x = t / dt
+        want = (0.0 if t <= 0.0 else f(dt)[i] * x * (x + 1.0) / 2.0 if t < dt
+                else f(t)[i])
         assert got[i] == pytest.approx(want, rel=1e-11, abs=1e-12)
+
+
+def test_non_finite_query_times_are_rejected():
+    # t > t0 is false for nan, so a nan query read as zero
+    buf = DelayBuffer(t0=0.0, dt=0.1, window=1.0)
+    nodal = DelayBuffer(t0=0.0, dt=0.1, window=1.0, shape=(3,))
+    _fill(buf, lambda t: 1.0, 4)
+    _fill(nodal, lambda t: np.ones(3), 4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"query time {bad!r} is not finite"):
+            buf.query(bad)
+        with pytest.raises(ValueError, match=f"query time {bad!r} is not finite"):
+            nodal.query_each([0.25, bad, 0.3])
 
 
 def test_pair_history_query():
@@ -117,6 +139,78 @@ def test_nonfinite_construction_is_rejected():
             DelayBuffer(**args)
 
 
+# -- the read rule in closed form ---------------------------------------------
+
+# Every reader against formulas, not against DelayBuffer, which shares the
+# rule.  dt and t0 are short binary fractions; the lags are below dt (the
+# first live level is 1), whole multiples of dt, and fractions of dt.
+T0, DT = -0.75, 0.25
+LAGS = DT * np.array([0.4, 0.75, 1.0, 2.0, 2.5, 3.3])
+READERS = ("query", "query_each", "read_after", "read_before", "push")
+
+
+def _reads(sample, levels):
+    """Each reader's read of the samples ``sample(k)`` at ``t0 + n*dt -
+    lag``, n < levels, for every lag: reader -> (levels, lags) array, nan
+    where the reader makes no read (a read before the append of level n
+    needs lag >= dt)."""
+    reads = {name: np.full((levels, LAGS.size), np.nan) for name in READERS}
+    buf = DelayBuffer(T0, DT, LAGS.max() + 2 * DT)
+    nodal = DelayBuffer(T0, DT, LAGS.max() + 2 * DT, shape=LAGS.shape)
+    before, after = ([FixedLagReader(T0, DT, lag) for lag in LAGS] for _ in range(2))
+    sums = [RetardedSum(T0, DT, [lag]) for lag in LAGS]
+    for n in range(levels):
+        s = sample(n)
+        t = T0 + n * DT - LAGS
+        buf.append(s)
+        nodal.append(np.full(LAGS.shape, s))
+        reads["query_each"][n] = nodal.query_each(t)
+        for i, lag in enumerate(LAGS):
+            if lag >= DT:
+                reads["read_before"][n, i] = before[i].read(n)[0]
+            before[i].append((s,))
+            after[i].append((s,))
+            reads["read_after"][n, i] = after[i].read(n)[0]
+            reads["push"][n, i] = sums[i].push([s])
+            reads["query"][n, i] = buf.query(t[i])
+    return reads
+
+
+def test_a_series_vanishing_one_level_before_t0_reads_back_exactly():
+    # zero before t0 and, from t0 on, a quadratic with a root at t0 - dt:
+    # the rule's zero at level -1 lies on it, so every read is exact
+    p = lambda t: (t - T0 + DT) * (0.7 * (t - T0) / DT + 1.3)
+    levels = 24
+    reads = _reads(lambda k: p(T0 + k * DT), levels)
+    for n in range(levels):
+        for i, lag in enumerate(LAGS):
+            t = T0 + n * DT - lag
+            want = p(t) if t > T0 else 0.0
+            for name in READERS:
+                got = reads[name][n, i]
+                if not np.isnan(got):
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, n, lag)
+
+
+def test_first_live_read_is_the_parabola_through_zero_before_t0():
+    # samples s0 != 0, s1, ...: the first live read, at level x in (0, 1],
+    # is the parabola through (-1, 0), (0, s0), (1, s1), and every read
+    # before it is exactly zero
+    s = np.random.default_rng(4).uniform(0.5, 1.5, 12)
+    reads = _reads(lambda k: s[k], s.size)
+    for i, lag in enumerate(LAGS):
+        first = next(n for n in range(s.size) if T0 + n * DT - lag > T0)
+        x = (first * DT - lag) / DT
+        assert 0.0 < x <= 1.0
+        want = s[0] * (1.0 - x * x) + s[1] * x * (x + 1.0) / 2.0
+        for name in READERS:
+            if name == "read_before" and lag < DT:
+                continue
+            got = reads[name][:, i]
+            assert np.all(got[:first] == 0.0), (name, lag)
+            assert got[first] == pytest.approx(want, rel=1e-12), (name, lag)
+
+
 # -- fixed-lag sums ------------------------------------------------------------
 
 
@@ -141,8 +235,8 @@ def _check_sum_every_level(t0, dt, delays, levels, draw):
 @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
 def test_fixed_lag_sum_matches_query_each_every_step(epsilon, dt_cfl, direction):
     # the solver's setting: nodal current, delays (x - a0)/c1 or (a1 - x)/c1,
-    # summed at every level from the first one on, so the warm-up (live
-    # prefix, clipped wavefront node, two-sample start) is covered.  At
+    # summed at every level from the first one on, so the start-up (live
+    # prefix, each node's first read with its zero level -1) is covered.  At
     # epsilon = 0, dt_cfl = 0.4 some offsets delay/dt are whole numbers; at
     # dt_cfl = 1.1 several nodes share a lag, so their reads land on one
     # level.
@@ -186,7 +280,7 @@ def test_folded_push_is_the_sum_of_separate_readers(epsilon, dt_cfl, direction):
 def test_fixed_lag_sum_matches_query_each_for_any_delays(start, dt, lags, seed):
     # whole-number offsets delay/dt (integer draws) put a node's retarded
     # time on a level, where query_each's float test decides whether the
-    # node is live; offsets below 1 make the first read two-sample linear.
+    # node is live; offsets below 1 make level 1 the first live level.
     # t0 is drawn in steps: query_each's fractional level (t - d - t0)/dt
     # carries a rounding error of about eps*|t0|/dt, which at t0/dt = 1000
     # already moves a single read by 1e-12 of its size.  Samples of one sign
@@ -315,9 +409,9 @@ def test_fixed_lag_reader_matches_delay_buffer_query():
 
 def test_fixed_lag_reader_prehistory_and_first_levels():
     # lag 2.5 levels: levels 0-2 read before t0 (zero, although the samples
-    # there are not), level 3 reads the clamped bracket 0, 1, 2 at 0.5, and
-    # from level 4 on the steady bracket; a quadratic in time reads back
-    # exactly from the first live level on
+    # there are not), level 3 reads the bracket -1, 0, 1 at 0.5 with level
+    # -1 zero, and from level 4 on the bracket of stored samples, where a
+    # quadratic in time reads back exactly
     dt, lag = 0.25, 0.625
     q = lambda t: 2.0 + t - 3.0 * t * t
     reader = FixedLagReader(0.0, dt, lag)
@@ -326,7 +420,8 @@ def test_fixed_lag_reader_prehistory_and_first_levels():
         reader.append((q(n * dt),))
         got.append(reader.read(n)[0])
     assert got[:3] == [0.0, 0.0, 0.0]
-    for n in range(3, 12):
+    assert got[3] == pytest.approx(q(0.0) * 0.75 + q(dt) * 0.375, rel=1e-14)
+    for n in range(4, 12):
         assert got[n] == pytest.approx(q(n * dt - lag), rel=1e-14)
 
 

@@ -121,10 +121,12 @@ def test_boundary_a0_delayed_passthrough():
     scn = Scenario1(grid=g, mat=MAT, dt=dt, t_end=2.0)
     j_hist = DelayBuffer(0.0, dt, scn.transit + 2 * dt, shape=(g.n,))
     pa1_hist = DelayBuffer(0.0, dt, scn.transit + 2 * dt)
-    for _ in range(6):
+    for _ in range(7):
         j_hist.append(np.zeros(g.n))
         pa1_hist.append(1.0)
-    t_next = 1.8  # past the transit 1.5, so the delayed trace passes through
+    # past the transit 1.5 and its first interval, so the delayed constant
+    # passes through exactly
+    t_next = 2.2
     assert scn.transit < t_next
     current = np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
     got = boundary_a0_m1(scn, current, pa1_hist.query(t_next - scn.transit))
