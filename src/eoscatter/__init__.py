@@ -30,7 +30,7 @@ from .mms import (
     convergence_order,
 )
 from .model1 import DivergenceError, Scenario1, run_m1
-from .model2 import BoundaryMatrices, Scenario2, run_m2
+from .model2 import Scenario2, run_m2
 from .sources import (
     GaussianSource,
     QuadratureError,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArctanGaussianPulse",
-    "BoundaryMatrices",
     "ConfigError",
     "DelayBuffer",
     "DivergenceError",

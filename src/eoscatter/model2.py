@@ -39,48 +39,19 @@ class State2(FieldState):
     t: float
 
 
-def _compose(a: np.ndarray, b: np.ndarray) -> tuple:
-    """``a @ b`` of two 2x2 arrays, as nested tuples of Python floats.
-    Written out, as ``incident_terms`` uses ``einsum``: a run's first
-    ``@`` would set up the BLAS, about 0.4 MiB of resident memory."""
-    (a00, a01), (a10, a11) = a.tolist()
-    (b00, b01), (b10, b11) = b.tolist()
-    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
-            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
-
-
-class BoundaryMatrices:
-    """The two 2x2 boundary systems and their exact inverses.
-
-    Both determinants equal ``2*c1*c0 + mu0*nu1 + mu1*nu0``, strictly
-    positive for positive material coefficients, so the solves are always
-    well posed.  ``mix_out`` / ``mix_back`` are the interior combination
-    matrices applied to the delayed data on the left and right side
-    respectively.  ``left_out`` and ``right_back`` are ``left_inv @
-    mix_out`` and ``right_inv @ mix_back`` as nested tuples of floats, the
-    forms the per-step solves use.
-    """
-
-    def __init__(self, mat: Material2) -> None:
-        c1, c0 = mat.c1, mat.c0
-        self.left = np.array(
-            [[c1 + c0, mat.mu1 - mat.mu0], [mat.nu1 - mat.nu0, c1 + c0]]
-        )
-        self.right = np.array(
-            [[c1 + c0, mat.mu0 - mat.mu1], [mat.nu0 - mat.nu1, c1 + c0]]
-        )
-        self.det = 2.0 * c1 * c0 + mat.mu0 * mat.nu1 + mat.mu1 * mat.nu0
-        self.left_inv = self._inv2(self.left)
-        self.right_inv = self._inv2(self.right)
-        self.mix_out = np.array([[c1, mat.mu1], [mat.nu1, c1]])
-        self.mix_back = np.array([[c1, -mat.mu1], [-mat.nu1, c1]])
-        self.left_out = _compose(self.left_inv, self.mix_out)
-        self.right_back = _compose(self.right_inv, self.mix_back)
-
-    @staticmethod
-    def _inv2(m: np.ndarray) -> np.ndarray:
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+def boundary_map(mat: Material2) -> tuple[float, float, float, float]:
+    """``(a, b, c, d)`` with ``[[a, b], [c, d]] = left^-1 @ mix_out``, which
+    solves the left system ``[[c1 + c0, mu1 - mu0], [nu1 - nu0, c1 + c0]]``
+    for ``mix_out @ x``, ``mix_out = [[c1, mu1], [nu1, c1]]``.  The right
+    system ``[[c1 + c0, mu0 - mu1], [nu0 - nu1, c1 + c0]]`` for ``mix_back
+    @ x``, ``mix_back = [[c1, -mu1], [-nu1, c1]]``, is solved by the same
+    map with its off-diagonals negated, ``[[a, -b], [-c, d]]``.  Both
+    systems' determinant is ``det = 2*c1*c0 + mu0*nu1 + mu1*nu0`` (using
+    ``c**2 = mu*nu``), positive for any admissible material."""
+    c1, c0, mu1, nu1, mu0, nu0 = mat.c1, mat.c0, mat.mu1, mat.nu1, mat.mu0, mat.nu0
+    det = 2.0 * c1 * c0 + mu0 * nu1 + mu1 * nu0
+    return ((c1 * c0 + mu0 * nu1) / det, (c0 * mu1 + c1 * mu0) / det,
+            (c0 * nu1 + c1 * nu0) / det, (c1 * c0 + mu1 * nu0) / det)
 
 
 class Scenario2(Scenario):
@@ -169,42 +140,35 @@ def _potential_m2(state, scn, terms, g, tmp):
     return phi, psi
 
 
-def incident_terms(scn: Scenario2, bm: BoundaryMatrices, pairs) -> np.ndarray:
-    """The right system's incident term per level, solved through
-    ``bm.right_inv``: ``right_inv @ (2*c0*pair)`` for each incident pair of
-    ``pairs`` (rows of :meth:`Scenario2.incident`), one row per level.
+def incident_terms(scn: Scenario2, pairs) -> np.ndarray:
+    """The right system's incident term per level, solved: ``right^-1 @
+    (2*c0*pair)``, that is ``(2*c0/det)*[[c1 + c0, mu1 - mu0], [nu1 - nu0,
+    c1 + c0]] @ pair``, for each pair of ``pairs`` (rows of
+    :meth:`Scenario2.incident`), one row per level.
 
     In verification mode the rows hold the exact traces, and the role of
-    the incident pair is played by their combination that turns the
-    right-hand update rule into an identity for the manufactured fields.
+    the incident pair is played by ``[[c0, mu0], [nu0, c0]] @ pair``, which
+    turns the right-hand update rule into an identity for the manufactured
+    fields; solved, that is ``[[d, b], [c, a]] @ pair`` (:func:`boundary_map`).
     """
     m = scn.mat
     if scn.mms is not None:
-        drive = np.array([[m.c0, m.mu0], [m.nu0, m.c0]])
+        a, b, c, d = boundary_map(m)
+        solve = ((d, b), (c, a))
     else:
-        drive = 2.0 * m.c0 * np.eye(2)
-    return np.einsum("lj,ij->li", pairs, _compose(bm.right_inv, drive))
+        c1, c0 = m.c1, m.c0
+        w = 2.0 * c0 / (2.0 * c1 * c0 + m.mu0 * m.nu1 + m.mu1 * m.nu0)
+        solve = ((w * (c1 + c0), w * (m.mu1 - m.mu0)),
+                 (w * (m.nu1 - m.nu0), w * (c1 + c0)))
+    # einsum, not @: a run's first @ would set up the BLAS, about 0.4 MiB
+    # of resident memory
+    return np.einsum("lj,ij->li", pairs, solve)
 
 
-def _apply(mat, u: float, v: float) -> tuple[float, float]:
-    """``mat @ (u, v)`` for a 2x2 ``mat`` of nested float tuples, in scalar
-    arithmetic: numpy's per-call overhead on 2x2 arrays outweighs the four
-    products."""
-    (a, b), (c, d) = mat
-    return a * u + b * v, c * u + d * v
-
-
-def boundary_update_m2(
-    scn: Scenario2,
-    bm: BoundaryMatrices,
-    left: float,
-    right: float,
-    delayed0,
-    delayed1,
-    incident,
-    psi_sums=(0.0, 0.0),
-):
-    """Solve both boundary systems at a new level.
+def boundary_update_m2(scn: Scenario2, face, left: float, right: float,
+                       delayed0, delayed1, incident, psi_sums=(0.0, 0.0)):
+    """Solve both boundary systems at a new level through ``face``, the
+    :func:`boundary_map` of the scenario's material.
 
     ``left`` and ``right`` are the retarded sums over the leftward delays
     ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
@@ -215,23 +179,25 @@ def boundary_update_m2(
     ``delayed1`` are the left and right trace pairs one transit time behind
     the new level, as a :class:`FixedLagReader` reads them, and
     ``incident`` is the level's row of :func:`incident_terms`.  Returns
-    ``(phi_a0, psi_a0, phi_a1, psi_a1)``, Python floats when the inputs
-    are.
+    ``(phi_a0, psi_a0, phi_a1, psi_a1)``, Python floats when the inputs are
+    (scalar arithmetic: numpy's overhead on 2x2 arrays outweighs it).
     """
+    a, b, c, d = face
     weight = scn.grid.dx / scn.mat.c1
     psi0, psi1 = psi_sums
     p, q = delayed1
-    pair0 = _apply(bm.left_out, weight * left + p, weight * psi0 + q)
+    u, v = weight * left + p, weight * psi0 + q
+    phi_a0, psi_a0 = a * u + b * v, c * u + d * v
     p, q = delayed0
-    u, v = _apply(bm.right_back, weight * right + p, weight * psi1 + q)
+    u, v = weight * right + p, weight * psi1 + q
     inc_u, inc_v = incident
-    return (*pair0, u + inc_u, v + inc_v)
+    return (phi_a0, psi_a0, a * u - b * v + inc_u, d * v - c * u + inc_v)
 
 
 def _closure_m2(scn: Scenario2, j0, terms0, incident):
     """Model 2's boundary closure for :func:`march`: the retarded sums of
     both directions, then both boundary systems, then both new pairs."""
-    g, bm = scn.grid, BoundaryMatrices(scn.mat)
+    g, face = scn.grid, boundary_map(scn.mat)
     # both pairs, left then right, read at one lag
     pairs_hist = FixedLagReader(scn.t0, scn.dt, scn.transit, width=4)
     delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
@@ -239,7 +205,7 @@ def _closure_m2(scn: Scenario2, j0, terms0, incident):
     # the psi equation has a right-hand side in verification mode only
     psi_sums = ([RetardedSum(scn.t0, scn.dt, d) for d in delays]
                 if scn.mms is not None else None)
-    inc = incident_terms(scn, bm, incident)
+    inc = incident_terms(scn, incident)
 
     def push(j, terms):
         """Both directions' phi sums, and their psi sums."""
@@ -259,7 +225,7 @@ def _closure_m2(scn: Scenario2, j0, terms0, incident):
     def close(n: int, j, terms):
         (left, right), psi = push(j, terms)
         delayed = pairs_hist.read(n)
-        traces = boundary_update_m2(scn, bm, left, right, delayed[:2],
+        traces = boundary_update_m2(scn, face, left, right, delayed[:2],
                                     delayed[2:], inc[n].tolist(), psi)
         pairs_hist.append(traces)
         return traces

@@ -185,9 +185,13 @@ class TabulatedSource:
                         f"duplicate CSV sample at (x, t) = ({xt[0]!r}, {xt[1]!r})"
                     )
                 seen.add(xt)
+                value = float(row[2])
+                if not math.isfinite(value):
+                    raise ValueError(f"sample values must be finite, got {value!r} "
+                                     f"at (x, t) = ({xt[0]!r}, {xt[1]!r})")
                 xs.append(xt[0])
                 ts.append(xt[1])
-                vals.append(float(row[2]))
+                vals.append(value)
         x = np.unique(np.asarray(xs))
         t = np.unique(np.asarray(ts))
         grid = np.full((x.size, t.size), np.nan)

@@ -79,6 +79,22 @@ def slab_reflection_traces(f, t, *, length, mu1, nu1, mu0, nu0):
             ((1.0 - big_r) * here - back) / z0)
 
 
+def model2_face_systems(mat):
+    """Model 2's boundary update rules as the paper states them: the left
+    system, the right system, and the interior mixes ``mix_out`` (left side)
+    and ``mix_back`` (right side) of the delayed data, as 2x2 arrays built
+    from the material's coefficients alone.  The new left pair ``u`` solves
+    ``left @ u = mix_out @ x``, the new right pair ``right @ u = mix_back @
+    x + 2*c0*incident``."""
+    mu1, nu1, mu0, nu0 = mat.mu1, mat.nu1, mat.mu0, mat.nu0
+    c1, c0 = math.sqrt(mu1 * nu1), math.sqrt(mu0 * nu0)
+    left = np.array([[c1 + c0, mu1 - mu0], [nu1 - nu0, c1 + c0]])
+    right = np.array([[c1 + c0, mu0 - mu1], [nu0 - nu1, c1 + c0]])
+    mix_out = np.array([[c1, mu1], [nu1, c1]])
+    mix_back = np.array([[c1, -mu1], [-nu1, c1]])
+    return left, right, mix_out, mix_back
+
+
 # -- finite-difference derivative probes ------------------------------------
 
 def fd_dx(f, x, t, h=1e-5):

@@ -184,6 +184,16 @@ def test_tabulated_source_round_trip(tmp_path):
         resolve_config(minimal_run(source={"kind": "tabulated"}))
 
 
+def test_tabulated_source_non_finite_value_is_a_source_error(tmp_path):
+    path = tmp_path / "incident.csv"
+    path.write_text("x,t,value\n3.0,0.0,0.0\n4.0,0.0,nan\n"
+                    "3.0,1.0,0.5\n4.0,1.0,0.25\n")
+    with pytest.raises(ConfigError, match=r"^source: sample values must be "
+                       r"finite, got nan at \(x, t\) = \(4\.0, 0\.0\)$"):
+        resolve_config(minimal_run(source={"kind": "tabulated",
+                                           "path": str(path)}))
+
+
 def test_tabulated_source_provenance_re_resolves(tmp_path):
     path = tmp_path / "incident.csv"
     path.write_text("x,t,value\n3.0,0.0,0.0\n4.0,0.0,1.0\n"

@@ -20,3 +20,12 @@ def test_no_module_imports_inside_a_function():
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert len(modules) >= 10
     assert found == []
+
+
+def test_export_list_resolves_once_and_is_what_a_star_import_binds():
+    names = eoscatter.__all__
+    assert [n for n in names if not hasattr(eoscatter, n)] == []
+    assert len(set(names)) == len(names)
+    bound = {}
+    exec("from eoscatter import *", bound)
+    assert set(bound) - {"__builtins__"} == set(names)

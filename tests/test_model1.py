@@ -1,5 +1,7 @@
 """One-potential solver: stepping, boundary rules, and verification runs."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,41 @@ def test_mms_run_tracks_exact_solution():
     ref = np.max(np.abs(scn.mms.phi.value(g.x, t)))
     assert ref > 0.5  # the pulse is inside the domain at t_end
     assert err < 0.05 * ref
+
+
+def frozen_phi_growth(n: int, big_phi: float, amp: float = 1e-8) -> float:
+    """Growth per time unit of the step's (rho, j) response at k*dx = pi/2,
+    with phi and both traces held at ``big_phi`` (fig2's material with
+    alpha = 0, so zero rho and j are a steady state): the spectral radius of
+    the 4x4 one-step map of the (cos, sin) mode coefficients of rho and j,
+    read at a mid-grid node pair, to the power 1/dt."""
+    mat = Material1(c1=2.0, c0=1.0, alpha=0.0, beta=0.3, gamma=8.0)
+    scn = scenario(n=n, mat=mat, cfl=0.4)
+    i = np.arange(n)
+    modes = (np.cos(0.5 * np.pi * i), np.sin(0.5 * np.pi * i))
+    pair = slice(n // 2, n // 2 + 2)
+    basis = np.array([modes[0][pair], modes[1][pair]]).T
+    cols = []
+    for field in ("rho", "j"):
+        for mode in modes:
+            kicked = {"rho": np.zeros(n), "j": np.zeros(n), field: amp * mode}
+            state = State1(phi=np.full(n, big_phi), **kicked,
+                           phi_a0=big_phi, phi_a1=big_phi, n=0, t=0.0)
+            _, rho, j = interior_step_m1(state, scn)
+            cols.append(np.concatenate([np.linalg.solve(basis, f[pair] / amp)
+                                        for f in (rho, j)]))
+    radius = np.max(np.abs(np.linalg.eigvals(np.array(cols).T)))
+    return radius ** (1.0 / scn.dt)
+
+
+def test_frozen_phi_density_current_growth_rises_with_n():
+    # the rho/j subsystem at frozen phi is ill-posed wherever beta*phi != 0:
+    # per time unit the step's k*dx = pi/2 mode grows x4.2, x19.8, x222,
+    # x7.86e3 at phi = 1 and x1.24 ... x27.5 at phi = 0.28 (N = 400 ... 3200)
+    tic = time.perf_counter()
+    for big_phi in (1.0, 0.28):
+        growth = [frozen_phi_growth(n, big_phi) for n in (400, 800, 1600, 3200)]
+        assert all(a < b for a, b in zip(growth, growth[1:])), (big_phi, growth)
+        if big_phi == 1.0:
+            assert growth[2] > 100.0
+    assert time.perf_counter() - tic < 1.0

@@ -10,10 +10,10 @@ from eoscatter.grid import GridSpec, Material2
 from eoscatter.history import DelayBuffer
 from eoscatter.mms import ManufacturedFields2
 from eoscatter.model2 import (
-    BoundaryMatrices,
     DivergenceError,
     Scenario2,
     State2,
+    boundary_map,
     boundary_update_m2,
     incident_terms,
     interior_step_m2,
@@ -21,7 +21,12 @@ from eoscatter.model2 import (
 )
 from eoscatter.sources import RUN_QUAD_REL_TOL, GaussianSource
 
-from oracles import gaussian_line_integral, reference_step_m2, slab_reflection_traces
+from oracles import (
+    gaussian_line_integral,
+    model2_face_systems,
+    reference_step_m2,
+    slab_reflection_traces,
+)
 
 MAT = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 MATCHED = Material2(
@@ -38,15 +43,18 @@ def scenario(n=100, mat=MAT, cfl=0.4, t_end=2.0, **kw):
     return Scenario2(grid=grid, mat=mat, dt=dt, t_end=t_end, **kw)
 
 
-def test_boundary_matrices_share_their_determinant():
-    bm = BoundaryMatrices(MAT)
-    assert bm.det == pytest.approx(8.0, rel=1e-14)
-    det_left = np.linalg.det(bm.left)
-    det_right = np.linalg.det(bm.right)
-    assert det_left == pytest.approx(bm.det, rel=1e-14)
-    assert det_right == pytest.approx(bm.det, rel=1e-14)
-    assert np.allclose(bm.left_inv @ bm.left, np.eye(2), atol=1e-14)
-    assert np.allclose(bm.right_inv @ bm.right, np.eye(2), atol=1e-14)
+def test_both_face_maps_solve_their_systems_of_determinant_det():
+    # the paper's systems from the oracle; det = 2*c1*c0 + mu0*nu1 + mu1*nu0
+    # by hand, for MAT and for a material with mu != nu (c1 = 2, c0 = 1)
+    asym = Material2(mu1=3.0, nu1=4.0 / 3.0, mu0=2.0, nu0=0.5,
+                     alpha=-1.0, beta=0.3, gamma=8.0)
+    for mat, det in ((MAT, 8.0), (asym, 49.0 / 6.0)):
+        left, right, mix_out, mix_back = model2_face_systems(mat)
+        a, b, c, d = boundary_map(mat)
+        assert np.linalg.det(left) == pytest.approx(det, rel=1e-14)
+        assert np.linalg.det(right) == pytest.approx(det, rel=1e-14)
+        assert np.allclose(left @ [[a, b], [c, d]], mix_out, atol=1e-14)
+        assert np.allclose(right @ [[a, -b], [-c, d]], mix_back, atol=1e-14)
 
 
 def test_null_run_is_exactly_zero():
@@ -152,13 +160,12 @@ def current_sums(scn, j_hist, t_next):
 def test_boundary_update_zero_histories_zero_incident():
     g = GridSpec(0.0, 3.0, 8)
     scn = Scenario2(grid=g, mat=MAT, dt=0.3, t_end=2.0)
-    bm = BoundaryMatrices(MAT)
     j_hist, p0, p1 = histories(scn)
     left, right = current_sums(scn, j_hist, 1.2)
     delay = 1.2 - scn.transit
-    got = boundary_update_m2(scn, bm, left, right, p0.query(delay),
+    got = boundary_update_m2(scn, boundary_map(MAT), left, right, p0.query(delay),
                              p1.query(delay),
-                             incident_terms(scn, bm, scn.incident(np.array([1.2])))[0].tolist())
+                             incident_terms(scn, scn.incident(np.array([1.2])))[0].tolist())
     assert got == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -166,16 +173,15 @@ def test_boundary_update_constant_incident_pair():
     g = GridSpec(0.0, 3.0, 8)
     mat = MAT
     scn = Scenario2(grid=g, mat=mat, dt=0.3, t_end=2.0, source=PULSE)
-    bm = BoundaryMatrices(mat)
     j_hist, p0, p1 = histories(scn)
     left, right = current_sums(scn, j_hist, 1.2)
     delay = 1.2 - scn.transit
-    got = boundary_update_m2(scn, bm, left, right, p0.query(delay),
+    got = boundary_update_m2(scn, boundary_map(mat), left, right, p0.query(delay),
                              p1.query(delay),
-                             incident_terms(scn, bm, [(1.0, mat.nu0 / mat.c0)])[0].tolist())
+                             incident_terms(scn, [(1.0, mat.nu0 / mat.c0)])[0].tolist())
     assert got[:2] == (0.0, 0.0)
     rhs = 2.0 * mat.c0 * np.array([1.0, mat.nu0 / mat.c0])
-    want = np.linalg.solve(bm.right, rhs)
+    want = np.linalg.solve(model2_face_systems(mat)[1], rhs)
     assert got[2] == pytest.approx(want[0], rel=1e-13)
     assert got[3] == pytest.approx(want[1], rel=1e-13)
 
@@ -184,20 +190,21 @@ def test_boundary_update_constant_incident_pair():
 @given(coeffs=st.tuples(*[st.floats(0.2, 5.0)] * 4),
        mode=st.sampled_from(["source", "mms"]), seed=st.integers(0, 2**16))
 def test_float_solves_match_linalg_solve(coeffs, mode, seed):
-    # the composed float solves (left_inv @ mix_out, right_inv @ mix_back,
-    # the incident term through right_inv) against np.linalg.solve of the
-    # two systems; rounding is bounded componentwise, |A| |x| for A @ x
+    # the closed-form float solves (boundary_map for both faces, the
+    # incident term through its closed form) against np.linalg.solve of the
+    # paper's two systems; rounding is bounded componentwise, |A| |x| for
+    # A @ x
     mu1, nu1, mu0, nu0 = coeffs
     mat = Material2(mu1=mu1, nu1=nu1, mu0=mu0, nu0=nu0,
                     alpha=-1.0, beta=0.3, gamma=8.0)
     drive = ({"source": GaussianSource(1.0, 4.0, 36.0, 3.0, 4.0)}
              if mode == "source" else {"mms": ManufacturedFields2.demo()})
     scn = scenario(n=8, mat=mat, **drive)
-    bm = BoundaryMatrices(mat)
+    sys_left, sys_right, mix_out, mix_back = model2_face_systems(mat)
     rng = np.random.default_rng(seed)
     left, right, psi0, psi1, p0, q0, p1, q1, pe, se = rng.normal(size=10).tolist()
-    got = boundary_update_m2(scn, bm, left, right, (p0, q0), (p1, q1),
-                             incident_terms(scn, bm, [(pe, se)])[0].tolist(),
+    got = boundary_update_m2(scn, boundary_map(mat), left, right, (p0, q0), (p1, q1),
+                             incident_terms(scn, [(pe, se)])[0].tolist(),
                              (psi0, psi1))
     assert all(type(v) is float for v in got)
     w = scn.grid.dx / mat.c1
@@ -207,10 +214,10 @@ def test_float_solves_match_linalg_solve(coeffs, mode, seed):
     else:
         inc = np.array([mat.c0 * pe + mat.mu0 * se, mat.nu0 * pe + mat.c0 * se])
     x1 = np.array([w * right + p0, w * psi1 + q0])
-    want0 = np.linalg.solve(bm.left, bm.mix_out @ x0)
-    want1 = np.linalg.solve(bm.right, bm.mix_back @ x1 + inc)
-    size0 = np.abs(bm.left_inv) @ np.abs(bm.mix_out) @ np.abs(x0)
-    size1 = np.abs(bm.right_inv) @ (np.abs(bm.mix_back) @ np.abs(x1) + np.abs(inc))
+    want0 = np.linalg.solve(sys_left, mix_out @ x0)
+    want1 = np.linalg.solve(sys_right, mix_back @ x1 + inc)
+    size0 = np.abs(np.linalg.inv(sys_left)) @ np.abs(mix_out) @ np.abs(x0)
+    size1 = np.abs(np.linalg.inv(sys_right)) @ (np.abs(mix_back) @ np.abs(x1) + np.abs(inc))
     assert np.all(np.abs(np.array(got[:2]) - want0) <= 1e-14 * size0)
     assert np.all(np.abs(np.array(got[2:]) - want1) <= 1e-14 * size1)
 

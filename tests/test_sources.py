@@ -530,6 +530,18 @@ def test_tabulated_rejects_duplicate_csv_rows(tmp_path):
         TabulatedSource.from_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_tabulated_csv_names_a_non_finite_value(tmp_path, cell):
+    # a nan cell was reported as a grid that is not rectangular, and an inf
+    # one without its row
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,t,value\n4.0,0.0,1.0\n4.0,1.0,{cell}\n5.0,0.0,1.0\n"
+                    "5.0,1.0,1.0\n")
+    with pytest.raises(ValueError, match=r"^sample values must be finite, got "
+                       r"-?(nan|inf) at \(x, t\) = \(4\.0, 1\.0\)$"):
+        TabulatedSource.from_csv(path)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["amplitude", "x_center", "space_rate",
                                   "t_center", "time_rate", "support"])
