@@ -15,10 +15,11 @@ from pathlib import Path
 
 from .grid import GridSpec
 from .mms import ErrorReport, mms_report
-from .model1 import Scenario1
-from .model2 import Scenario2
 from .sources import GaussianSource, TabulatedSource
-from .stability import DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR, DEFAULT_SCAN_POINTS
+# SCENARIOS, the map from model number to scenario class, is the stability
+# lab's: the lowest module that imports both models
+from .stability import (DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR,
+                        DEFAULT_SCAN_POINTS, SCENARIOS)
 
 DEFAULT_DT_CFL = 0.4
 DEFAULT_EPSILON = 1.0
@@ -26,10 +27,6 @@ DEFAULT_STABILITY_N = 200
 DEFAULT_EPSILONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 MODES = ("run", "mms", "stability")
-
-# Each model's scenario class names its material, manufactured family and
-# potentials, and checks every rule a run must meet when it is built.
-SCENARIOS = {1: Scenario1, 2: Scenario2}
 
 
 def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorReport:

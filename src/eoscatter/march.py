@@ -95,10 +95,6 @@ class Scenario:
                 raise ValueError(
                     "external source support must lie beyond the right boundary "
                     f"(support starts at {lo!r}, boundary at {self.grid.a1!r})")
-            if np.max(np.abs(self.incident(self.t0))) >= 1e-12:
-                raise ValueError(
-                    "source already influences the boundary at the start time"
-                )
         if self.mms is not None:
             at = np.concatenate((self.grid.x, (self.grid.a0, self.grid.a1)))
             for p in self.potentials:  # the trace histories are zero before t0

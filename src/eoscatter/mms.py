@@ -22,19 +22,18 @@ import numpy as np
 from .grid import Material1, Material2
 
 
-# Positions in a jet ``(value, dx, dt, dxx, dxt, dtt)``; a jet of order 0, 1
-# or 2 holds the first 1, 3 or 6 of them.
+# Positions in a jet ``(value, dx, dt, dxx, dxt, dtt)``.
 VALUE, DX, DT, DXX, DXT, DTT = range(6)
 
 
-def _entry(key: int, order: int = 2):
-    """A method ``(x, t)`` that returns entry ``key`` of the jet of
-    ``order`` at ``(x, t)``, ``self.at(x)(t, order)[key]``."""
+def _entry(key: int):
+    """A method ``(x, t)`` that returns entry ``key`` of the jet at
+    ``(x, t)``, ``self.at(x)(t)[key]``."""
 
     def entry(self, x, t):
-        return self.at(x)(t, order)[key]
+        return self.at(x)(t)[key]
 
-    entry.__doc__ = f"Entry {key} of the jet of order {order} at ``(x, t)``."
+    entry.__doc__ = f"Entry {key} of the jet at ``(x, t)``."
     return entry
 
 
@@ -55,9 +54,8 @@ class Field:
     one-derivative methods read its entries."""
 
     def at(self, x):
-        """``jet_at(t, order=2)``: the jet ``(value, dx, dt, dxx, dxt, dtt)``
-        at ``(x, t)`` for the fixed points ``x``, cut after the entries of
-        ``order`` (0: the value; 1: up to ``dt``; 2: all six).
+        """``jet_at(t)``: the jet ``(value, dx, dt, dxx, dxt, dtt)`` at
+        ``(x, t)`` for the fixed points ``x``.
 
         ``x`` and ``t`` broadcast.  For the nodes ``x`` of shape ``(N,)``
         and a ``(K, 1)`` array of times every entry has shape ``(K, N)``,
@@ -66,9 +64,9 @@ class Field:
         """
         raise NotImplementedError
 
-    value = _entry(VALUE, 0)
-    dx = _entry(DX, 1)
-    dt = _entry(DT, 1)
+    value = _entry(VALUE)
+    dx = _entry(DX)
+    dt = _entry(DT)
     dxx = _entry(DXX)
     dxt = _entry(DXT)
     dtt = _entry(DTT)
@@ -78,9 +76,9 @@ class ZeroField(Field):
     """The identically-zero field; every derivative vanishes too."""
 
     def at(self, x):
-        def jet_at(t, order: int = 2) -> tuple:
+        def jet_at(t) -> tuple:
             shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
-            return tuple(np.zeros(shape) for _ in range((1, 3, 6)[order]))
+            return tuple(np.zeros(shape) for _ in range(6))
 
         return jet_at
 
@@ -113,15 +111,13 @@ class ArctanGaussianPulse(Field):
         xc = x - self.center
         scale = 2.0 * self.amplitude / math.pi
 
-        def jet_at(t, order: int = 2) -> tuple:
+        def jet_at(t) -> tuple:
             bt = self.ramp_rate * t
             s = bt * bt
             ramp = scale * np.arctan(s)
             u = xc + self.drift * (t - self.t_shift)
             env = np.exp(-self.rate * (u * u))
             value = ramp * env
-            if order == 0:
-                return (value,)
             # The envelope moves with u_t = drift * u_x, so d/dt acts on it
             # as drift * d/dx; what is left of d/dt hits the ramp.
             b2 = self.ramp_rate**2
@@ -131,8 +127,6 @@ class ArctanGaussianPulse(Field):
             dx = p * value
             w = ramp_t * env
             dt = w + self.drift * dx
-            if order == 1:
-                return value, dx, dt
             ramp_tt = scale * 2.0 * b2 * (1.0 - 3.0 * s * s) / (den * den)
             dxx = (p * p - 2.0 * self.rate) * value
             wx = p * w
@@ -169,19 +163,15 @@ class GaussianBump(Field):
         x_dx = p * x_fac
         x_dxx = (p * p - 2.0 / self.x_width**2) * x_fac
 
-        def jet_at(t, order: int = 2) -> tuple:
+        def jet_at(t) -> tuple:
             st = t - self.t_center
             # ``**`` is C ``pow`` on a float but a product on an array, and
             # the two can round one ulp apart; ``float_power`` is ``pow`` on both
             t_fac = np.exp(-np.float_power(st / self.t_width, 2.0))
             v = t_fac * x_fac
-            if order == 0:
-                return (v,)
             q = -2.0 * st / self.t_width**2
             t_dt = q * t_fac
             dx, dt = t_fac * x_dx, t_dt * x_fac
-            if order == 1:
-                return v, dx, dt
             t_dtt = (q * q - 2.0 / self.t_width**2) * t_fac
             return v, dx, dt, t_fac * x_dxx, t_dt * x_dx, t_dtt * x_fac
 

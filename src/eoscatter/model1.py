@@ -47,10 +47,11 @@ class Scenario1(Scenario):
     residuals = ResidualSources1
 
     @cached_property
-    def lw_pass(self) -> ClosedPass:
-        """``phi + dt*c1*D1(phi) + (dt*c1)**2/2*D2(phi)``, built once."""
+    def lw_pass(self) -> tuple[ClosedPass]:
+        """One pass per potential, built once: ``phi + dt*c1*D1(phi) +
+        (dt*c1)**2/2*D2(phi)``."""
         a = self.dt * self.mat.c1
-        return ClosedPass(SpatialOps(self.grid), a, 0.5 * a * a)
+        return (ClosedPass(SpatialOps(self.grid), a, 0.5 * a * a),)
 
     def incident(self, t):
         if self.mms is not None:
@@ -99,8 +100,9 @@ def _potential_m1(state, scn, terms, g, tmp):
     ``phi + dt*(c1*D1(phi) + j) + dt**2/2*(c1**2*D2(phi) + c1*D1(j) + f)``,
     regrouped as ``lw_pass(phi) + dt*g + (dt**2*c1/2)*D1(j)``."""
     m, dt = scn.mat, scn.dt
+    (phi_pass,) = scn.lw_pass
     phi, a0, a1 = state.phi, state.phi_a0, state.phi_a1
-    new = scn.lw_pass(phi, a0, a1, phi, a0, a1)
+    new = phi_pass(phi, a0, a1, phi, a0, a1)
     new += np.multiply(dt, g, out=tmp)
     new += confined_pass(state.j, 0.5 * dt * dt * m.c1, scn.grid.dx, tmp)
     if terms is not None:

@@ -142,27 +142,20 @@ def _potential_m2(state, scn, terms, g, tmp):
 
 def incident_terms(scn: Scenario2, pairs) -> np.ndarray:
     """The right system's incident term per level, solved: ``right^-1 @
-    (2*c0*pair)``, that is ``(2*c0/det)*[[c1 + c0, mu1 - mu0], [nu1 - nu0,
-    c1 + c0]] @ pair``, for each pair of ``pairs`` (rows of
+    [[c0, mu0], [nu0, c0]] @ pair``, that is ``[[d, b], [c, a]] @ pair``
+    (:func:`boundary_map`), for each pair of ``pairs`` (rows of
     :meth:`Scenario2.incident`), one row per level.
 
-    In verification mode the rows hold the exact traces, and the role of
-    the incident pair is played by ``[[c0, mu0], [nu0, c0]] @ pair``, which
-    turns the right-hand update rule into an identity for the manufactured
-    fields; solved, that is ``[[d, b], [c, a]] @ pair`` (:func:`boundary_map`).
+    ``[[c0, mu0], [nu0, c0]] @ pair`` is the part of the exterior pair that
+    comes in from outside.  For an incident pair (``psi = nu0*phi/c0``, as
+    :func:`incident_pair` builds it) that is ``2*c0*pair``; in verification
+    mode the rows hold the exact traces, and it turns the right-hand update
+    rule into an identity for the manufactured fields.
     """
-    m = scn.mat
-    if scn.mms is not None:
-        a, b, c, d = boundary_map(m)
-        solve = ((d, b), (c, a))
-    else:
-        c1, c0 = m.c1, m.c0
-        w = 2.0 * c0 / (2.0 * c1 * c0 + m.mu0 * m.nu1 + m.mu1 * m.nu0)
-        solve = ((w * (c1 + c0), w * (m.mu1 - m.mu0)),
-                 (w * (m.nu1 - m.nu0), w * (c1 + c0)))
+    a, b, c, d = boundary_map(scn.mat)
     # einsum, not @: a run's first @ would set up the BLAS, about 0.4 MiB
     # of resident memory
-    return np.einsum("lj,ij->li", pairs, solve)
+    return np.einsum("lj,ij->li", pairs, ((d, b), (c, a)))
 
 
 def boundary_update_m2(scn: Scenario2, face, left: float, right: float,

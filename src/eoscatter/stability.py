@@ -32,19 +32,31 @@ DEFAULT_BISECT_TOL = 1e-4  # relative width of the bisected transition bracket
 DEFAULT_SCAN_POINTS = 64
 DEFAULT_DT_MAX_FACTOR = 1.25
 
+# Each model's scenario class names its material, manufactured family and
+# potentials, and checks every rule a run must meet when it is built.
+SCENARIOS = {1: Scenario1, 2: Scenario2}
+
 
 class EigenSolverError(RuntimeError):
     """Raised when the dense eigenvalue solve does not converge."""
 
 
-def _check_step(dt, steps=0) -> None:
-    """ValueError unless ``dt`` is positive and finite and ``steps`` a
-    non-negative integer."""
+def _check_inputs(model, mat, dt, steps=0) -> type:
+    """The scenario class of ``model`` (1 or 2, else ValueError) once ``mat``
+    is its material (else TypeError), ``dt`` positive and finite and
+    ``steps`` a non-negative integer (else ValueError)."""
+    if model not in (1, 2):
+        raise ValueError("model must be 1 or 2")
+    scenario = SCENARIOS[model]
+    if not isinstance(mat, scenario.material):
+        raise TypeError(f"model {model} needs a {scenario.material.__name__}, "
+                        f"got {type(mat).__name__}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
             or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +92,13 @@ def _pair_matrix(grid: GridSpec, mu1: float, nu1: float, dt: float) -> np.ndarra
     criterion c10).  The window search eigensolves its signed branches
     instead (:func:`stability_radius`)."""
     d1, d2 = _diff_matrices(grid)
-    n = grid.n
-    diag = np.eye(n) + 0.5 * dt * dt * (mu1 * nu1) * d2
-    m = np.empty((2 * n, 2 * n))
-    m[:n, :n] = diag
-    m[:n, n:] = dt * mu1 * d1
-    m[n:, :n] = dt * nu1 * d1
-    m[n:, n:] = diag
-    return m
+    diag = np.eye(grid.n) + 0.5 * dt * dt * (mu1 * nu1) * d2
+    return _pair_blocks(diag, dt * mu1 * d1, dt * nu1 * d1)
+
+
+def _pair_blocks(diag, phi_from_psi, psi_from_phi) -> np.ndarray:
+    """The pair layout, ``phi`` then ``psi``."""
+    return np.block([[diag, phi_from_psi], [psi_from_phi, diag]])
 
 
 def assemble_propagator(model: int, grid: GridSpec, mat, dt: float) -> np.ndarray:
@@ -96,12 +107,10 @@ def assemble_propagator(model: int, grid: GridSpec, mat, dt: float) -> np.ndarra
 
     Callers: acceptance criterion c10, which checks it against the marching
     step, and ``tests/test_stability.py``'s probe-fidelity tests."""
-    _check_step(dt)
+    _check_inputs(model, mat, dt)
     if model == 1:
         return _advection_matrix(grid, mat.c1, dt)
-    if model == 2:
-        return _pair_matrix(grid, mat.mu1, mat.nu1, dt)
-    raise ValueError("model must be 1 or 2")
+    return _pair_matrix(grid, mat.mu1, mat.nu1, dt)
 
 
 def spectral_radius(m) -> float:
@@ -147,14 +156,10 @@ def stability_radius(model: int, grid: GridSpec, mat, dt: float) -> float:
     of the doubled system returns eigenvalues with O(1) errors, while the
     branches stay as well-conditioned as the one-field problem.
     """
-    _check_step(dt)
-    if model == 1:
-        return spectral_radius(_advection_matrix(grid, mat.c1, dt))
-    if model == 2:
-        c = math.sqrt(mat.mu1 * mat.nu1)
-        return max(spectral_radius(_advection_matrix(grid, +c, dt)),
-                   spectral_radius(_advection_matrix(grid, -c, dt)))
-    raise ValueError("model must be 1 or 2")
+    scenario = _check_inputs(model, mat, dt)
+    # one potential carries waves one way, a pair carries them both ways
+    speeds = (mat.c1, -mat.c1)[:len(scenario.potentials)]
+    return max(spectral_radius(_advection_matrix(grid, c, dt)) for c in speeds)
 
 
 def _is_stable(model, grid, mat, dt) -> tuple[bool, float]:
@@ -199,22 +204,17 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
         flags.append(ok)
         samples.append((dt * c / grid.dx, rho))
 
-    # widest contiguous stable run of scan points
-    best = None
-    k = 0
-    while k < scan_points:
-        if flags[k]:
-            start = k
-            while k < scan_points and flags[k]:
-                k += 1
-            if best is None or (k - start) > (best[1] - best[0]):
-                best = (start, k - 1)
-        else:
-            k += 1
-    if best is None:
+    # widest contiguous stable run of scan points, the later of equally
+    # wide runs; a run starts where the padded flags step up and ends
+    # before they step down
+    edges = np.diff(np.concatenate(([0], flags, [0])))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if starts.size == 0:
         return StabilityDomain(model, grid.epsilon, grid.n,
                                math.nan, math.nan, tuple(samples))
-    lo_idx, hi_idx = best
+    widths = ends - starts
+    best = np.flatnonzero(widths == widths.max())[-1]
+    lo_idx, hi_idx = int(starts[best]), int(ends[best]) - 1
     if lo_idx > 0:
         dt1 = _bisect_edge(model, grid, mat, dts[lo_idx - 1], dts[lo_idx],
                            bisect_tol)
@@ -274,8 +274,8 @@ def decomposition_check(grid: GridSpec, mat2, dt: float) -> DecompositionReport:
 
     Callers: acceptance criterion c10 and ``tests/test_stability.py``'s
     even/odd split and block tests."""
-    _check_step(dt)
-    c = math.sqrt(mat2.mu1 * mat2.nu1)
+    _check_inputs(2, mat2, dt)
+    c = mat2.c1
     m_plus = _advection_matrix(grid, +c, dt)
     m_minus = _advection_matrix(grid, -c, dt)
     m_even = 0.5 * (m_plus + m_minus)
@@ -284,12 +284,7 @@ def decomposition_check(grid: GridSpec, mat2, dt: float) -> DecompositionReport:
         float(np.max(np.abs(m_plus - (m_even + c * m_odd)))),
         float(np.max(np.abs(m_minus - (m_even - c * m_odd)))),
     )
-    n = grid.n
-    recon = np.empty((2 * n, 2 * n))
-    recon[:n, :n] = m_even
-    recon[:n, n:] = mat2.mu1 * m_odd
-    recon[n:, :n] = mat2.nu1 * m_odd
-    recon[n:, n:] = m_even
+    recon = _pair_blocks(m_even, mat2.mu1 * m_odd, mat2.nu1 * m_odd)
     m2 = _pair_matrix(grid, mat2.mu1, mat2.nu1, dt)
     block_error = float(np.max(np.abs(m2 - recon)))
     odd_diag = float(np.max(np.abs(np.diag(m_odd)[1:-1])))
@@ -310,11 +305,8 @@ def homogeneous_run(model: int, grid: GridSpec, mat, dt: float, steps: int,
     Callers: acceptance criterion c09, which checks the window against it,
     and ``tests/test_stability.py``'s window-classification and envelope
     tests."""
-    _check_step(dt, steps)
-    if model not in (1, 2):
-        raise ValueError("model must be 1 or 2")
-    scn = (Scenario1, Scenario2)[model - 1](grid=grid, mat=mat, dt=dt, t_end=dt)
-    passes = scn.lw_pass if model == 2 else (scn.lw_pass,)
+    scenario = _check_inputs(model, mat, dt, steps)
+    passes = scenario(grid=grid, mat=mat, dt=dt, t_end=dt).lw_pass
     rng = np.random.default_rng(seed)
     fields = [rng.standard_normal(grid.n) for _ in passes]  # phi, then psi
     env = np.empty(steps + 1)

@@ -380,6 +380,51 @@ def test_divergent_run_exits_3_and_flushes_partials(tmp_path, capsys, model):
     assert header == ["x"] + pots + ["rho", "j"]
 
 
+def test_a_ladder_that_diverges_on_its_second_rung_exits_3(tmp_path, capsys):
+    # dt_cfl = 1.3 lies above the stretched grid's window: N = 20 reaches
+    # t_end = 3 before the growth overflows, N = 40 does not
+    mms = {"model": 1, "mode": "mms", "grid": {"a0": 0.0, "a1": 3.0, "N": 20},
+           "material": MAT1, "t_end": 3.0, "dt_cfl": 1.3}
+    one, two = tmp_path / "one", tmp_path / "two"
+    cfg = write_config(tmp_path, {**mms, "mms": {"n_ladder": [20]}}, "one.json")
+    assert main(["mms", cfg, "--out", str(one)]) == 0
+    cfg = write_config(tmp_path, {**mms, "mms": {"n_ladder": [20, 40]}}, "two.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["mms", cfg, "--out", str(two)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite fields at step ")
+    assert err.endswith("(N = 40)\n")
+    # the finished rung's rows are kept, as a ladder of that rung alone has them
+    _, _, rows = read_rows(two / "errors.csv")
+    assert [r[:2] for r in rows] == [["phi", "20"], ["rho", "20"], ["j", "20"]]
+    assert rows == read_rows(one / "errors.csv")[2]
+
+
+def test_numerical_failures_exit_4(tmp_path, monkeypatch, capsys):
+    from eoscatter import cli
+    from eoscatter.sources import QuadratureError
+    from eoscatter.stability import EigenSolverError
+
+    def fail(exc):
+        def raiser(*args, **kw):
+            raise exc
+        return raiser
+
+    monkeypatch.setattr(cli, "scan_stability",
+                        fail(EigenSolverError("eigenvalue solve failed: stub")))
+    cfg = write_config(tmp_path, {"model": 1, "mode": "stability",
+                                  "material": MAT1}, "stab.json")
+    assert main(["stability", cfg, "--out", str(tmp_path / "stab")]) == 4
+    assert capsys.readouterr().err == "error: eigenvalue solve failed: stub\n"
+
+    monkeypatch.setattr(cli, "run_m1", fail(QuadratureError("panel cap hit")))
+    cfg = write_config(tmp_path, {"model": 1, "grid": {"a0": 0.0, "a1": 3.0, "N": 40},
+                                  "material": MAT1, "t_end": 0.5, "source": SRC})
+    assert main(["run", cfg, "--out", str(tmp_path / "run")]) == 4
+    assert capsys.readouterr().err == "error: panel cap hit\n"
+
+
 def test_preset_plumbing_with_out_override(tmp_path, monkeypatch):
     # the bundled presets run at figure scale; exercise the preset path with
     # a registry entry sized for a unit test

@@ -361,6 +361,49 @@ def test_stability_scan_controls_must_be_positive(key, value):
         resolve_config({**base, "stability": {key: value}})
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+_STABILITY = {"model": 1, "mode": "stability",
+              "material": minimal_run()["material"]}
+
+# (config, the whole message) for each check that no other test reaches
+REJECTED = {
+    "block-not-an-object": (minimal_run(grid=[0.0, 3.0, 80]),
+                            "grid must be an object"),
+    "non-finite-number": (minimal_run(t_end=float("inf")),
+                          "'t_end' in config must be finite"),
+    "missing-integer": (_without(minimal_run(), "model"),
+                        "missing key 'model' in config"),
+    "unknown-source-kind": (minimal_run(source={"kind": "plane"}),
+                            "'kind' in source must be 'gaussian' or 'tabulated'"),
+    "ladder-of-floats": (minimal_run(mode="mms", mms={"n_ladder": [80, 160.0]}),
+                         "'n_ladder' in mms must be a list of integers"),
+    "no-epsilons": ({**_STABILITY, "stability": {"epsilons": []}},
+                    "'epsilons' in stability must be a list of numbers"),
+    "stability-n": ({**_STABILITY, "stability": {"N": 3}},
+                    "stability: N must be >= 4"),
+    "samples-not-a-bool": ({**_STABILITY, "stability": {"samples": 1}},
+                           "'samples' in stability must be true or false"),
+    "dir-not-a-string": (minimal_run(output={"dir": 3}),
+                         "'dir' in output must be a string"),
+    "snapshots-not-a-list": (minimal_run(output={"snapshots": 0.5}),
+                             "'snapshots' in output must be a list of times"),
+    "missing-grid": (_without(minimal_run(), "grid"),
+                     "missing key 'grid' in config"),
+    "zero-dt-cfl": (minimal_run(dt_cfl=0.0), "'dt_cfl' in config must be positive"),
+    "negative-t-end": (minimal_run(t_end=-1.0), "'t_end' in config must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_each_schema_check_names_its_rule(name):
+    data, message = REJECTED[name]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        resolve_config(data)
+
+
 def test_preset_registry_has_six_scenarios():
     assert sorted(PRESETS) == [
         "fig1-mms-m1", "fig2-run-m1", "fig3-mms-m2", "fig4-run-m2",

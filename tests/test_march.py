@@ -348,15 +348,13 @@ def test_a_step_given_buffers_allocates_no_nodal_array(monkeypatch, model):
 
     # each pass's arguments as the potential half gives them
     if model == 1:
-        passes = {scn.lw_pass: (s.phi, s.phi_a0, s.phi_a1, s.phi, s.phi_a0, s.phi_a1)}
+        args = [(s.phi, s.phi_a0, s.phi_a1, s.phi, s.phi_a0, s.phi_a1)]
     else:
-        phi_pass, psi_pass = scn.lw_pass
-        passes = {phi_pass: (s.phi, s.phi_a0, s.phi_a1, s.psi, s.psi_a0, s.psi_a1),
-                  psi_pass: (s.psi, s.psi_a0, s.psi_a1, s.phi, s.phi_a0, s.phi_a1)}
-    made = [closed(*args) for closed, args in passes.items()]
-    handed = [lambda *args, k=k: made[k] for k in range(len(made))]
+        args = [(s.phi, s.phi_a0, s.phi_a1, s.psi, s.psi_a0, s.psi_a1),
+                (s.psi, s.psi_a0, s.psi_a1, s.phi, s.phi_a0, s.phi_a1)]
+    made = [closed(*a) for closed, a in zip(scn.lw_pass, args, strict=True)]
     monkeypatch.setitem(scn.__dict__, "lw_pass",
-                        handed[0] if model == 1 else tuple(handed))
+                        tuple(lambda *a, k=k: made[k] for k in range(len(made))))
     out = np.empty((4, n))
     tracemalloc.start()
     try:
@@ -417,6 +415,21 @@ def test_scenario_rejects_a_support_that_is_not_lo_below_hi(model, support):
     with pytest.raises(ValueError, match="support"):
         null_scenario(model, source=Supported(support))
     null_scenario(model, source=Supported((4.0, 5.0)))
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_a_source_at_the_boundary_drives_nothing_at_the_start(model):
+    # the incident cone is cut at a1 + c0*(t - t0), so a support that starts
+    # within the 1e-12 allowance below a1 still reads exactly zero at t0,
+    # however strong the source is there
+    a1 = 3.0
+    source = GaussianSource(amplitude=1e6, x_center=a1, space_rate=36.0,
+                            t_center=0.0, time_rate=4.0,
+                            support=(a1 - 5e-13, a1 + 1.0))
+    scn = null_scenario(model, source=source)
+    assert scn.grid.a1 == a1
+    assert np.all(scn.incident(scn.t0) == 0.0)
+    assert np.max(np.abs(scn.incident(scn.t0 + scn.dt))) > 0.0
 
 
 @pytest.mark.parametrize("model", [1, 2])

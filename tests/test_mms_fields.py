@@ -203,17 +203,12 @@ def test_jet_matches_the_six_methods_and_its_lower_orders(name, shape):
     assert len(jet) == 6
     for k, method in enumerate(METHODS):
         assert close_to(jet[k], getattr(f, method)(x, t), 1e-15), method
-    for order, size in ((0, 1), (1, 3)):
-        low = f.at(x)(t, order)
-        assert len(low) == size
-        for k in range(size):
-            assert close_to(low[k], jet[k], 1e-15)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("name", [*FIELDS, "zero"])
 def test_jet_matches_the_longhand_derivatives(name, shape):
-    """The evaluator ``at(x)``, at every order."""
+    """The evaluator ``at(x)``, all six entries."""
     x, t = SHAPES[shape]
     if name == "zero":
         f = ZeroField()
@@ -223,23 +218,20 @@ def test_jet_matches_the_longhand_derivatives(name, shape):
         longhand = (pulse_derivatives_longhand if name.startswith("pulse")
                     else bump_derivatives_longhand)
         want = longhand(f, x, t)
-    jet_at = f.at(x)
-    for order, size in ((0, 1), (1, 3), (2, 6)):
-        got = jet_at(t, order)
-        assert len(got) == size
-        for k in range(size):
-            assert close_to(got[k], want[k], 1e-13), (order, METHODS[k])
+    got = f.at(x)(t)
+    assert len(got) == 6
+    for k, method in enumerate(METHODS):
+        assert close_to(got[k], want[k], 1e-13), method
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_zero_field_jet_is_zeros_of_the_broadcast_shape(shape):
     x, t = SHAPES[shape]
     want = np.broadcast(np.asarray(x), np.asarray(t)).shape
-    for order, size in ((0, 1), (1, 3), (2, 6)):
-        jet = ZeroField().at(x)(t, order)
-        assert len(jet) == size
-        for a in jet:
-            assert a.shape == want and np.all(a == 0.0)
+    jet = ZeroField().at(x)(t)
+    assert len(jet) == 6
+    for a in jet:
+        assert a.shape == want and np.all(a == 0.0)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -328,24 +320,23 @@ LATER = 0.3  # a second time for the same evaluator
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=FAMILIES, shape=st.sampled_from(sorted(SHAPES)),
-       order=st.sampled_from((0, 1, 2)))
-def test_field_at_equals_jet_bit_for_bit(f, shape, order):
+@given(f=FAMILIES, shape=st.sampled_from(sorted(SHAPES)))
+def test_field_at_equals_jet_bit_for_bit(f, shape):
     """One evaluator ``at(x)`` serves every time: its jets equal those of an
     evaluator built afresh for the call, bit for bit, and on the nodes a
     ``(K, 1)`` column of times gives row k equal to the jet at time k."""
     x, t = SHAPES[shape]
     jet_at = f.at(x)
     for when in (t, np.add(t, LATER)):
-        got, want = jet_at(when, order), f.at(x)(when, order)
-        assert len(got) == len(want) == (1, 3, 6)[order]
+        got, want = jet_at(when), f.at(x)(when)
+        assert len(got) == len(want) == 6
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
     if shape == "nodes":
         times = [t, t + LATER]
-        rows = jet_at(np.array(times)[:, None], order)
+        rows = jet_at(np.array(times)[:, None])
         for k, when in enumerate(times):
-            for a, b in zip(rows, jet_at(when, order), strict=True):
+            for a, b in zip(rows, jet_at(when), strict=True):
                 assert a.shape == (2, x.size) and np.array_equal(a[k], b)
 
 

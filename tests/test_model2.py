@@ -190,10 +190,9 @@ def test_boundary_update_constant_incident_pair():
 @given(coeffs=st.tuples(*[st.floats(0.2, 5.0)] * 4),
        mode=st.sampled_from(["source", "mms"]), seed=st.integers(0, 2**16))
 def test_float_solves_match_linalg_solve(coeffs, mode, seed):
-    # the closed-form float solves (boundary_map for both faces, the
-    # incident term through its closed form) against np.linalg.solve of the
-    # paper's two systems; rounding is bounded componentwise, |A| |x| for
-    # A @ x
+    # the closed-form float solves (boundary_map for both faces and the
+    # incident term) against np.linalg.solve of the paper's two systems;
+    # rounding is bounded componentwise, |A| |x| for A @ x
     mu1, nu1, mu0, nu0 = coeffs
     mat = Material2(mu1=mu1, nu1=nu1, mu0=mu0, nu0=nu0,
                     alpha=-1.0, beta=0.3, gamma=8.0)
@@ -209,10 +208,8 @@ def test_float_solves_match_linalg_solve(coeffs, mode, seed):
     assert all(type(v) is float for v in got)
     w = scn.grid.dx / mat.c1
     x0 = np.array([w * left + p1, w * psi0 + q1])
-    if mode == "source":
-        inc = 2.0 * mat.c0 * np.array([pe, se])
-    else:
-        inc = np.array([mat.c0 * pe + mat.mu0 * se, mat.nu0 * pe + mat.c0 * se])
+    incoming = np.array([[mat.c0, mat.mu0], [mat.nu0, mat.c0]])
+    inc = incoming @ np.array([pe, se])
     x1 = np.array([w * right + p0, w * psi1 + q0])
     want0 = np.linalg.solve(sys_left, mix_out @ x0)
     want1 = np.linalg.solve(sys_right, mix_back @ x1 + inc)
@@ -220,6 +217,13 @@ def test_float_solves_match_linalg_solve(coeffs, mode, seed):
     size1 = np.abs(np.linalg.inv(sys_right)) @ (np.abs(mix_back) @ np.abs(x1) + np.abs(inc))
     assert np.all(np.abs(np.array(got[:2]) - want0) <= 1e-14 * size0)
     assert np.all(np.abs(np.array(got[2:]) - want1) <= 1e-14 * size1)
+    # an incident pair (psi = nu0*phi/c0, as incident_pair builds it) comes
+    # in whole: its drive is right^-1 @ (2*c0*pair)
+    pair = np.array([pe, mat.nu0 * pe / mat.c0])
+    got_inc = incident_terms(scn, [pair])[0]
+    inc = 2.0 * mat.c0 * pair
+    size = np.abs(np.linalg.inv(sys_right)) @ np.abs(inc)
+    assert np.all(np.abs(got_inc - np.linalg.solve(sys_right, inc)) <= 1e-14 * size)
 
 
 def test_mms_step_local_error_is_third_order():

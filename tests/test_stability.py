@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eoscatter import stability
 from eoscatter.grid import GridSpec, Material1, Material2
 from eoscatter.model1 import Scenario1, State1, interior_step_m1
 from eoscatter.model2 import Scenario2, State2, interior_step_m2
@@ -134,24 +135,51 @@ def test_two_field_spectrum_is_the_union_of_signed_branches():
 
 
 def test_invalid_inputs_rejected():
+    # the model and material checks of every entry point: the two tests below
     g = grid(16)
-    with pytest.raises(ValueError, match="model"):
-        assemble_propagator(3, g, MAT1, 0.01)
     with pytest.raises(ValueError, match="dt"):
         assemble_propagator(1, g, MAT1, 0.0)
-    with pytest.raises(ValueError, match="model"):
-        stability_radius(0, g, MAT1, 0.01)
     with pytest.raises(ValueError, match="scan_points"):
         stability_bounds(1, g, MAT1, scan_points=8)
     with pytest.raises(ValueError, match="epsilon"):
         scan_stability(1, MAT1, 16, [1.5])
-    with pytest.raises(ValueError, match="model"):
-        homogeneous_run(5, g, MAT1, 0.01, 3)
-    # the run builds the model's scenario, which checks the material
-    with pytest.raises(TypeError, match="Material1"):
-        homogeneous_run(1, g, MAT2, 0.01, 3)
-    with pytest.raises(TypeError, match="Material2"):
-        homogeneous_run(2, g, MAT1, 0.01, 3)
+
+
+def lab_calls(model, g, mat):
+    """Every lab entry point that takes a model and a material, at a small
+    stable step."""
+    return {"assemble_propagator": lambda: assemble_propagator(model, g, mat, 0.01),
+            "stability_radius": lambda: stability_radius(model, g, mat, 0.01),
+            "stability_bounds": lambda: stability_bounds(model, g, mat, scan_points=16),
+            "scan_stability": lambda: scan_stability(model, mat, 16, [1.0],
+                                                     scan_points=16),
+            "homogeneous_run": lambda: homogeneous_run(model, g, mat, 0.01, 3)}
+
+
+@pytest.mark.parametrize("model, mat, expected, given", [
+    (1, MAT2, "Material1", "Material2"), (2, MAT1, "Material2", "Material1")],
+    ids=["m1", "m2"])
+def test_every_lab_entry_point_rejects_the_other_models_material(
+        model, mat, expected, given):
+    # stability_radius(1, grid, Material2) gave a radius, the model-2 entry
+    # points died on a missing attribute, and homogeneous_run raised the
+    # scenario's TypeError: one mistake, three outcomes
+    g = grid(16)
+    calls = lab_calls(model, g, mat)
+    if model == 2:
+        calls["decomposition_check"] = lambda: decomposition_check(g, mat, 0.01)
+    for call in calls.values():
+        with pytest.raises(TypeError,
+                           match=f"model {model} needs a {expected}, got {given}"):
+            call()
+
+
+@pytest.mark.parametrize("model", [0, 3, -1, 1.5, None, "1", [1]])
+@pytest.mark.parametrize("mat", [MAT1, MAT2], ids=["m1", "m2"])
+def test_every_lab_entry_point_rejects_an_unknown_model(model, mat):
+    for call in lab_calls(model, grid(16), mat).values():
+        with pytest.raises(ValueError, match="model must be 1 or 2"):
+            call()
 
 
 BAD_STEPS = [-0.01, 0.0, math.nan, math.inf, -math.inf]
@@ -194,10 +222,10 @@ def test_homogeneous_run_draws_phi_then_psi(model):
     # from fields drawn from the seed in state order
     g, dt = grid(16), 0.01
     if model == 1:
-        lw_pass = Scenario1(grid=g, mat=MAT1, dt=dt, t_end=1.0).lw_pass
+        (phi_pass,) = Scenario1(grid=g, mat=MAT1, dt=dt, t_end=1.0).lw_pass
 
         def step(phi):
-            return [lw_pass(phi, 0.0, 0.0, phi, 0.0, 0.0)]
+            return [phi_pass(phi, 0.0, 0.0, phi, 0.0, 0.0)]
     else:
         phi_pass, psi_pass = Scenario2(grid=g, mat=MAT2, dt=dt, t_end=1.0).lw_pass
 
@@ -272,6 +300,47 @@ def test_scan_points_must_be_an_integer(value):
         stability_bounds(1, grid(16), MAT1, scan_points=value)
 
 
+@pytest.mark.parametrize("runs, want", [
+    ([(1, 4), (6, 9)], (6, 9)),     # equally wide: the later run
+    ([(1, 5), (8, 11)], (1, 5)),    # a wider earlier run
+    ([(0, 2), (4, 7), (9, 12)], (9, 12)),
+    ([(3, 16)], (3, 16)),           # reaching the top of the scan
+])
+def test_the_window_is_the_widest_stable_run(monkeypatch, runs, want):
+    """``_is_stable`` driven by a fixed pattern over 16 scan points: point k
+    (1-based, at tau = k/16) is stable when some run ``(a, b)`` has
+    ``a < k <= b``, and the bisection lands halfway between scan points."""
+    g = grid(16)
+
+    def fake(model, grid_, mat, dt):
+        k = 16.0 * dt * MAT1.c1 / g.dx
+        ok = any(a + 0.5 < k < b + 0.5 for a, b in runs)
+        return ok, 0.5 if ok else 2.0
+
+    monkeypatch.setattr(stability, "_is_stable", fake)
+    dom = stability_bounds(1, g, MAT1, dt_max_factor=1.0, scan_points=16)
+    assert [rho < 1.0 for _, rho in dom.samples] == [
+        any(a < k <= b for a, b in runs) for k in range(1, 17)]
+    lo, hi = want
+    assert dom.tau1 == pytest.approx((lo + 0.5) / 16.0, rel=1e-4)
+    if hi == 16:  # no upper transition: the top sample
+        assert dom.tau2 == dom.samples[-1][0] == pytest.approx(1.0, abs=1e-15)
+    else:
+        assert dom.tau2 == pytest.approx((hi + 0.5) / 16.0, rel=1e-4)
+
+
+def test_a_window_that_reaches_the_scan_top_ends_there():
+    # the upper edge at epsilon = 1 lies above 0.6, so the stable run takes
+    # the scan's last point and no upper transition is bisected
+    g = grid(40)
+    full = stability_bounds(1, g, MAT1, scan_points=16)
+    assert full.tau2 > 0.6
+    dom = stability_bounds(1, g, MAT1, dt_max_factor=0.6, scan_points=16)
+    assert 0.0 < dom.tau1 < 0.6
+    assert dom.tau2 == dom.samples[-1][0]
+    assert dom.tau2 == pytest.approx(0.6, abs=1e-15)
+
+
 def test_bisection_stops_at_float_resolution():
     # a tolerance below the float spacing must still end once the bracket
     # ends are adjacent floats
@@ -333,12 +402,12 @@ def test_signed_branch_steppers_agree_with_matrices():
     g = grid(40)
     dt = 0.35 * g.dx / 2.0
     rep = decomposition_check(g, MAT2, dt)
-    lw_pass = Scenario1(grid=g, mat=MAT1, dt=dt, t_end=1.0).lw_pass
+    (phi_pass,) = Scenario1(grid=g, mat=MAT1, dt=dt, t_end=1.0).lw_pass
     assert MAT1.c1 == 2.0
     rng = np.random.default_rng(5)
     v = rng.standard_normal(g.n)
     plus = (rep.m_even + 2.0 * rep.m_odd) @ v
-    assert np.max(np.abs(plus - lw_pass(v, 0.0, 0.0, v, 0.0, 0.0))) < 1e-13
+    assert np.max(np.abs(plus - phi_pass(v, 0.0, 0.0, v, 0.0, 0.0))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
