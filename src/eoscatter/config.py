@@ -16,10 +16,11 @@ from pathlib import Path
 from .grid import GridSpec
 from .mms import ErrorReport, mms_report
 from .sources import GaussianSource, TabulatedSource
-# SCENARIOS, the map from model number to scenario class, is the stability
-# lab's: the lowest module that imports both models
+# SCENARIOS, the map from model number to scenario class, and its check of
+# the model number are the stability lab's: the lowest module that imports
+# both models
 from .stability import (DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR,
-                        DEFAULT_SCAN_POINTS, SCENARIOS)
+                        DEFAULT_SCAN_POINTS, SCENARIOS, _model_scenario)
 
 DEFAULT_DT_CFL = 0.4
 DEFAULT_EPSILON = 1.0
@@ -31,10 +32,8 @@ MODES = ("run", "mms", "stability")
 
 def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorReport:
     """:func:`mms_report` of the model's scenario built from these inputs."""
-    if model not in SCENARIOS:
-        raise ValueError("model must be 1 or 2")
-    return mms_report(SCENARIOS[model](grid=grid, mat=mat, dt=dt, t_end=t_end,
-                                       mms=exact))
+    return mms_report(_model_scenario(model)(grid=grid, mat=mat, dt=dt, t_end=t_end,
+                                             mms=exact))
 
 
 # The mms blocks and the manufactured fields they set, in parse order;

@@ -18,11 +18,11 @@ carries each node's quadratic read forward in two running taps, and once a
 read is whole adds it into the pending sum of the level it belongs to, one
 value per node per level.
 
-A FixedLagReader is the DelayBuffer of a boundary closure: its samples are a
-scalar trace or a trace pair, read back as Python floats, and every read is at
-one fixed lag behind a time level, so its bracket offset and weights are
-worked out once.  Both models' closures read their trace histories with it;
-DelayBuffer stays for custom closures and as the reader's test oracle.
+A FixedLagReader is the DelayBuffer of the boundary closure: its samples are
+a row of traces, read back as Python floats, and every read is at one fixed
+lag behind a time level, so its bracket offset and weights are worked out
+once.  The march reads both models' trace histories with it; DelayBuffer
+stays for custom studies and as the reader's test oracle.
 """
 
 from __future__ import annotations

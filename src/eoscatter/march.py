@@ -1,9 +1,10 @@
 """The marching core both solvers share.
 
 A model supplies its potentials (``phi``, or ``phi`` and ``psi``), the
-potential half of the interior step and the boundary closure; the scenario
-checks, the density/current half, the snapshots, the trace series and the
-divergence handling live here once.
+potential half of the interior step and its trace update
+(:meth:`Scenario.traces`); the scenario checks, the density/current half,
+the boundary closure's retarded sums, trace history and start traces, the
+snapshots, the trace series and the divergence handling live here once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridSpec, confined_pass
+from .history import FixedLagReader, RetardedSum
 from .sources import source_support
 
 #: Level-node points per call of the nodal residual evaluator: on a grid of
@@ -58,7 +60,8 @@ class Scenario:
     (verification), or neither (null run).  A model's subclass sets the
     class attributes ``potentials``, ``material``, ``manufactured`` and
     ``residuals`` (its field-name tuple and classes) and supplies
-    :meth:`incident` and ``run(snapshot_times=())``, its model's runner.
+    :meth:`incident`, :meth:`traces` and ``run(snapshot_times=())``, its
+    model's runner.
     """
 
     grid: GridSpec
@@ -83,7 +86,9 @@ class Scenario:
             raise ValueError("t0 and t_end must be finite")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed the start time")
-        self.check_step(self.dt, self.grid, self.mat)
+        if self.dt > self.transit:
+            raise ValueError("time step exceeds the boundary transit time; "
+                             "the traces read their history one transit back")
         if self.source is not None and self.mms is not None:
             raise ValueError(
                 "scenario cannot carry both an external source and "
@@ -101,15 +106,16 @@ class Scenario:
                 if np.max(np.abs(getattr(self.mms, p).value(at, self.t0))) >= 1e-12:
                     raise ValueError(f"manufactured {p} is not quiet at the start time")
 
-    @staticmethod
-    def check_step(dt: float, grid: GridSpec, mat) -> None:
-        """The model's rule on the time step ``dt`` (ValueError when broken);
-        none by default."""
-
     def incident(self, t):
         """What drives the right boundary at time(s) ``t``: the source's
         incident trace(s), in verification mode the exact traces there, and
         zeros in a null run."""
+        raise NotImplementedError
+
+    def traces(self, sums, delayed, incident):
+        """A new level's traces, left then right, as Python floats, from its
+        retarded ``sums`` (:func:`march`), the trace row ``delayed`` one
+        transit back and its row ``incident`` of :meth:`incident`."""
         raise NotImplementedError
 
     @property
@@ -203,22 +209,27 @@ def _level_terms(terms_at, times, n: int):
             yield {name: v[i] for name, v in rows.items()}
 
 
-def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
+def march(scn: Scenario, snapshot_times, state_cls, result_cls, step):
     """Advance ``scn`` from its start time to ``t_end``.
 
-    ``closure(scn, j0, terms, incident)`` runs once, given the start current,
-    the start level's nodal residual terms (``terms_at(t0)``, or None)
-    and the right-boundary series per level (:meth:`Scenario.incident`);
-    it returns the start traces and ``close(n, j, terms)``, the traces at
-    level n given the current and the terms there.  Each step runs
-    ``step(state, scn, terms, terms_next, out=...)`` with the terms at both
-    of its levels and the buffers of :func:`interior_step`, then calls
-    ``close``.  It hands level n - 1's density and current arrays to the
-    step as the arrays of level n + 1; snapshots are copies.  The nodal
-    evaluator ``terms_at = scn.residuals(scn.mms, scn.mat).at(g.x)`` is
-    built once per run, and each level's terms are evaluated once with it,
-    in blocks of levels on a coarse grid (:func:`_level_terms`), and
-    carried to the next step.
+    Each step runs ``step(state, scn, terms, terms_next, out=...)`` with the
+    nodal residual terms at both of its levels (or None) and the buffers of
+    :func:`interior_step`, then closes the boundary at the new level.  It
+    hands level n - 1's density and current arrays to the step as the arrays
+    of level n + 1; snapshots are copies.  The nodal evaluator ``terms_at =
+    scn.residuals(scn.mms, scn.mat).at(g.x)`` is built once per run, and
+    each level's terms are evaluated once with it, in blocks of levels on a
+    coarse grid (:func:`_level_terms`), and carried to the next step.
+
+    The boundary closure is the same for both models.  Each level's
+    right-hand sides of the potential equations (the current, plus in
+    verification mode the ``phi`` residual source, and each further
+    potential's residual source) go into one :class:`RetardedSum` per
+    direction, ``(x - a0)/c1`` and, for a pair, ``(a1 - x)/c1``.  The new
+    traces are :meth:`Scenario.traces` of those sums, the trace row one
+    transit back (a :class:`FixedLagReader`, read before the level's row is
+    appended) and the level's incident row; the start row is zeros at a0
+    and the incident row at a1.
 
     A step whose new current, or new potential other than ``phi`` (model
     2's ``psi``), is non-finite raises :class:`DivergenceError`; the other
@@ -227,11 +238,23 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     into the new current, as :func:`interior_step` does.
     """
     g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
+    potentials = scn.potentials
     wanted = scn.snapshot_levels(snapshot_times)
     times = t0 + dt * np.arange(steps + 1)
     levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
               if scn.mms is not None else itertools.repeat(None))
-    incident = scn.incident(times)
+    incident = np.reshape(scn.incident(times), (steps + 1, -1)).tolist()
+    # one potential carries waves one way, a pair carries them both ways
+    delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
+    sums = [[RetardedSum(t0, dt, d) for d in delays[:len(potentials)]]
+            for _ in range(1 if scn.mms is None else len(potentials))]
+    history = FixedLagReader(t0, dt, scn.transit, width=2 * len(potentials))
+
+    def push(j, terms):
+        """The sums' new values, by equation, then leftward before rightward."""
+        rhs = (j,) if terms is None else (
+            j + terms["phi"], *(terms[p] for p in potentials[1:]))
+        return [s.push(v) for v, row in zip(rhs, sums) for s in row]
 
     if scn.mms is not None:
         fields = [np.asarray(getattr(scn.mms, name).value(g.x, t0), dtype=float)
@@ -239,7 +262,9 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     else:
         fields = [np.zeros(g.n) for _ in scn.field_names]
     terms = next(levels)
-    traces, close = closure(scn, fields[-1], terms, incident)
+    push(fields[-1], terms)
+    traces = [0.0] * len(potentials) + incident[0]
+    history.append(traces)
     state = state_cls(*fields, *traces, 0, t0)
     series = array("d", traces)  # each level's traces in turn, as float64
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
@@ -248,7 +273,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
     finite = np.empty(g.n, dtype=bool)
     # j' carries every non-finite phi' and rho' (see interior_step), so the
     # current and the potentials beyond phi' are the fields to test
-    unfolded = slice(1, len(scn.potentials))
+    unfolded = slice(1, len(potentials))
 
     # a diverging run overflows before the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,7 +289,9 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step, closure):
                     partial=result_cls(scn, times[:n], *np.reshape(series, (n, -1)).T,
                                        snapshots, state),
                 )
-            traces = close(n, fields[-1], terms_next)
+            traces = scn.traces(push(fields[-1], terms_next), history.read(n),
+                                incident[n])
+            history.append(traces)
             rho_spare, j_spare = state.rho, state.j
             state = state_cls(*fields, *traces, n, t_next)
             series.extend(traces)

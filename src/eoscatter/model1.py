@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .grid import ClosedPass, Material1, SpatialOps, confined_pass
-from .history import FixedLagReader, RetardedSum
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
 from .mms import ManufacturedFields1, ResidualSources1
@@ -60,6 +59,13 @@ class Scenario1(Scenario):
             return np.zeros(np.shape(t))
         return incident_trace(self.source, self.grid.a1, self.mat, self.t0, t,
                               RUN_QUAD_REL_TOL)
+
+    def traces(self, sums, delayed, incident) -> tuple[float, float]:
+        """``(phi_a0, phi_a1)`` from the retarded current sum, the delayed
+        right trace and the incident value (:meth:`march.Scenario.traces`)."""
+        (left,) = sums
+        return (boundary_a0_m1(self, left, delayed[1]),
+                boundary_a1_m1(self, incident[0]))
 
     def run(self, snapshot_times=()) -> Run1Result:
         """:func:`run_m1` of this scenario, the module's ``run_m1`` as it
@@ -133,38 +139,9 @@ def boundary_a0_m1(scn: Scenario1, current: float, delayed_a1: float) -> float:
     return scn.grid.dx / scn.mat.c1 * current + delayed_a1
 
 
-def _closure_m1(scn: Scenario1, j0, terms0, incident):
-    """Model 1's boundary closure for :func:`march`: the right trace, then
-    the left one, which may read the fresh right value."""
-    pa1_hist = FixedLagReader(scn.t0, scn.dt, scn.transit)
-    left = RetardedSum(scn.t0, scn.dt, (scn.grid.x - scn.grid.a0) / scn.mat.c1)
-
-    def rhs(j, terms):
-        return j if terms is None else j + terms["phi"]
-
-    left.push(rhs(j0, terms0))
-    start = (0.0, boundary_a1_m1(scn, incident[0]))
-    pa1_hist.append(start[1:])
-
-    def close(n: int, j, terms):
-        pa1 = boundary_a1_m1(scn, incident[n])
-        pa1_hist.append((pa1,))
-        return boundary_a0_m1(scn, left.push(rhs(j, terms)),
-                              *pa1_hist.read(n)), pa1
-
-    return start, close
-
-
 def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
-    """Advance a model-1 scenario from the start time to ``t_end``.
-
-    Per-step ordering: interior step with level-n traces, push the new
-    current (plus the residual source) into the retarded sum, evaluate the
-    right trace at the new time, then the left trace, and append the traces
-    (see :func:`march.march`).  TypeError unless ``scn`` is a
-    :class:`Scenario1`.
-    """
+    """Advance a model-1 scenario from the start time to ``t_end`` with
+    :func:`march.march`; TypeError unless ``scn`` is a :class:`Scenario1`."""
     if not isinstance(scn, Scenario1):
         raise TypeError(f"run_m1 needs a Scenario1, got {type(scn).__name__}")
-    return march(scn, snapshot_times, State1, Run1Result, interior_step_m1,
-                 _closure_m1)
+    return march(scn, snapshot_times, State1, Run1Result, interior_step_m1)

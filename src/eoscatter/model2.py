@@ -16,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ClosedPass, GridSpec, Material2, SpatialOps, confined_pass
-from .history import FixedLagReader, RetardedSum
+from .grid import ClosedPass, Material2, SpatialOps, confined_pass
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, FieldState, Scenario, interior_step, march
 from .mms import ManufacturedFields2, ResidualSources2
@@ -62,16 +61,6 @@ class Scenario2(Scenario):
     manufactured = ManufacturedFields2
     residuals = ResidualSources2
 
-    @staticmethod
-    def check_step(dt: float, grid: GridSpec, mat: Material2) -> None:
-        """Model 2's rule on the time step: ``dt`` may not exceed the
-        boundary transit time ``(a1 - a0)/c1`` (ValueError otherwise)."""
-        if dt > grid.length / mat.c1:
-            raise ValueError(
-                "time step exceeds the boundary transit time; the coupled "
-                "trace solves need the opposite pair one level back"
-            )
-
     @cached_property
     def lw_pass(self) -> tuple[ClosedPass, ClosedPass]:
         """``phi + h*D2(phi) + dt*mu1*D1(psi)`` and ``psi + h*D2(psi) +
@@ -92,6 +81,19 @@ class Scenario2(Scenario):
             pair = incident_pair(self.source, self.grid.a1, self.mat, self.t0, t,
                                  RUN_QUAD_REL_TOL)
         return np.stack(pair, axis=-1)
+
+    @cached_property
+    def _face(self) -> tuple[float, float, float, float]:
+        """The :func:`boundary_map` of the material, worked out once."""
+        return boundary_map(self.mat)
+
+    def traces(self, sums, delayed, incident) -> tuple[float, float, float, float]:
+        """Both boundary systems solved by :func:`boundary_update_m2` (see
+        :meth:`march.Scenario.traces`); the ``psi`` sums are zero outside
+        verification mode."""
+        left, right, *psi_sums = sums
+        return boundary_update_m2(self, self._face, left, right, delayed[:2],
+                                  delayed[2:], incident, psi_sums or (0.0, 0.0))
 
     def run(self, snapshot_times=()) -> Run2Result:
         """:func:`run_m2` of this scenario, the module's ``run_m2`` as it
@@ -140,24 +142,6 @@ def _potential_m2(state, scn, terms, g, tmp):
     return phi, psi
 
 
-def incident_terms(scn: Scenario2, pairs) -> np.ndarray:
-    """The right system's incident term per level, solved: ``right^-1 @
-    [[c0, mu0], [nu0, c0]] @ pair``, that is ``[[d, b], [c, a]] @ pair``
-    (:func:`boundary_map`), for each pair of ``pairs`` (rows of
-    :meth:`Scenario2.incident`), one row per level.
-
-    ``[[c0, mu0], [nu0, c0]] @ pair`` is the part of the exterior pair that
-    comes in from outside.  For an incident pair (``psi = nu0*phi/c0``, as
-    :func:`incident_pair` builds it) that is ``2*c0*pair``; in verification
-    mode the rows hold the exact traces, and it turns the right-hand update
-    rule into an identity for the manufactured fields.
-    """
-    a, b, c, d = boundary_map(scn.mat)
-    # einsum, not @: a run's first @ would set up the BLAS, about 0.4 MiB
-    # of resident memory
-    return np.einsum("lj,ij->li", pairs, ((d, b), (c, a)))
-
-
 def boundary_update_m2(scn: Scenario2, face, left: float, right: float,
                        delayed0, delayed1, incident, psi_sums=(0.0, 0.0)):
     """Solve both boundary systems at a new level through ``face``, the
@@ -170,10 +154,13 @@ def boundary_update_m2(scn: Scenario2, face, left: float, right: float,
     source.  ``psi_sums`` are the same two sums of the ``psi`` residual
     source (zero outside verification mode).  ``delayed0`` and
     ``delayed1`` are the left and right trace pairs one transit time behind
-    the new level, as a :class:`FixedLagReader` reads them, and
-    ``incident`` is the level's row of :func:`incident_terms`.  Returns
-    ``(phi_a0, psi_a0, phi_a1, psi_a1)``, Python floats when the inputs are
-    (scalar arithmetic: numpy's overhead on 2x2 arrays outweighs it).
+    the new level, as a :class:`FixedLagReader` reads them.  ``incident`` is
+    the level's exterior pair at ``a1`` (:meth:`Scenario2.incident`), whose
+    incoming part ``[[c0, mu0], [nu0, c0]] @ pair`` (``2*c0*pair`` for an
+    incident pair) enters the right system solved, ``[[d, b], [c, a]] @
+    pair``.  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``, Python floats
+    when the inputs are (scalar arithmetic: numpy's overhead on 2x2 arrays
+    outweighs it).
     """
     a, b, c, d = face
     weight = scn.grid.dx / scn.mat.c1
@@ -183,60 +170,14 @@ def boundary_update_m2(scn: Scenario2, face, left: float, right: float,
     phi_a0, psi_a0 = a * u + b * v, c * u + d * v
     p, q = delayed0
     u, v = weight * right + p, weight * psi1 + q
-    inc_u, inc_v = incident
-    return (phi_a0, psi_a0, a * u - b * v + inc_u, d * v - c * u + inc_v)
-
-
-def _closure_m2(scn: Scenario2, j0, terms0, incident):
-    """Model 2's boundary closure for :func:`march`: the retarded sums of
-    both directions, then both boundary systems, then both new pairs."""
-    g, face = scn.grid, boundary_map(scn.mat)
-    # both pairs, left then right, read at one lag
-    pairs_hist = FixedLagReader(scn.t0, scn.dt, scn.transit, width=4)
-    delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
-    phi_sums = [RetardedSum(scn.t0, scn.dt, d) for d in delays]
-    # the psi equation has a right-hand side in verification mode only
-    psi_sums = ([RetardedSum(scn.t0, scn.dt, d) for d in delays]
-                if scn.mms is not None else None)
-    inc = incident_terms(scn, incident)
-
-    def push(j, terms):
-        """Both directions' phi sums, and their psi sums."""
-        if terms is None:
-            return [s.push(j) for s in phi_sums], (0.0, 0.0)
-        rhs = j + terms["phi"]
-        return ([s.push(rhs) for s in phi_sums],
-                [s.push(terms["psi"]) for s in psi_sums])
-
-    push(j0, terms0)
-    start = (0.0, 0.0, 0.0, 0.0)
-    if scn.mms is not None:
-        start = tuple(float(getattr(scn.mms, p).value(a, scn.t0))
-                      for a in (g.a0, g.a1) for p in scn.potentials)
-    pairs_hist.append(start)
-
-    def close(n: int, j, terms):
-        (left, right), psi = push(j, terms)
-        delayed = pairs_hist.read(n)
-        traces = boundary_update_m2(scn, face, left, right, delayed[:2],
-                                    delayed[2:], inc[n].tolist(), psi)
-        pairs_hist.append(traces)
-        return traces
-
-    return start, close
+    p, q = incident
+    return (phi_a0, psi_a0, a * u - b * v + (d * p + b * q),
+            d * v - c * u + (c * p + a * q))
 
 
 def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
-    """Advance a model-2 scenario from the start time to ``t_end``.
-
-    Per-step ordering mirrors the one-potential solver: interior step with
-    level-n traces, push the new current (plus the residual sources) into
-    the retarded sums, solve both boundary systems at the new time from
-    histories through level n, then append both pairs (see
-    :func:`march.march`).  TypeError unless ``scn`` is a
-    :class:`Scenario2`.
-    """
+    """Advance a model-2 scenario from the start time to ``t_end`` with
+    :func:`march.march`; TypeError unless ``scn`` is a :class:`Scenario2`."""
     if not isinstance(scn, Scenario2):
         raise TypeError(f"run_m2 needs a Scenario2, got {type(scn).__name__}")
-    return march(scn, snapshot_times, State2, Run2Result, interior_step_m2,
-                 _closure_m2)
+    return march(scn, snapshot_times, State2, Run2Result, interior_step_m2)

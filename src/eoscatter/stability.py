@@ -41,13 +41,20 @@ class EigenSolverError(RuntimeError):
     """Raised when the dense eigenvalue solve does not converge."""
 
 
-def _check_inputs(model, mat, dt, steps=0) -> type:
-    """The scenario class of ``model`` (1 or 2, else ValueError) once ``mat``
-    is its material (else TypeError), ``dt`` positive and finite and
-    ``steps`` a non-negative integer (else ValueError)."""
-    if model not in (1, 2):
+def _model_scenario(model) -> type:
+    """The scenario class of ``model``, an integer 1 or 2 that is not a
+    bool (numpy integers count), else ValueError."""
+    if isinstance(model, bool) or not isinstance(model, numbers.Integral) \
+            or model not in SCENARIOS:
         raise ValueError("model must be 1 or 2")
-    scenario = SCENARIOS[model]
+    return SCENARIOS[model]
+
+
+def _check_inputs(model, mat, dt, steps=0) -> type:
+    """The scenario class of ``model`` (:func:`_model_scenario`) once
+    ``mat`` is its material (else TypeError), ``dt`` positive and finite
+    and ``steps`` a non-negative integer (else ValueError)."""
+    scenario = _model_scenario(model)
     if not isinstance(mat, scenario.material):
         raise TypeError(f"model {model} needs a {scenario.material.__name__}, "
                         f"got {type(mat).__name__}")
@@ -153,8 +160,14 @@ def stability_radius(model: int, grid: GridSpec, mat, dt: float) -> float:
     differences), so its radius equals the larger of the two N x N branch
     radii.  The branch form is what gets eigensolved: near the CFL edge the
     assembled matrix is close to a defective shift and a direct dense solve
-    of the doubled system returns eigenvalues with O(1) errors, while the
-    branches stay as well-conditioned as the one-field problem.
+    of the doubled system returns eigenvalues with O(1) errors.
+
+    The branches are not well conditioned either.  At epsilon = 0 the +c
+    matrix is the -c one reversed on both axes, to rounding, so the two share
+    one spectrum; yet at N = 200 their dense eigensolves read 0.866 and 0.925
+    at sigma = c*dt/dx = 0.5, and 0.435 and 0.848 at sigma = 0.9 (at epsilon
+    = 1, 0.866 within 1e-4 and equal to 1e-13).  So model 2's epsilon = 0
+    window edges depend on eigensolver rounding (ROADMAP item 4).
     """
     scenario = _check_inputs(model, mat, dt)
     # one potential carries waves one way, a pair carries them both ways

@@ -217,9 +217,9 @@ def test_mms_ladder_validation():
     assert cfg.n_ladder == (80,)  # defaults to the grid resolution
 
 
-def test_model2_step_longer_than_the_transit_is_rejected():
-    # model 2's trace solves read the opposite pair one level back, so
-    # dt <= transit: at a1 - a0 = 3 that is dt_cfl * dx <= 3
+def test_a_step_longer_than_the_transit_is_rejected():
+    # both models read the trace history one transit back before a level is
+    # stored, so dt <= transit: at a1 - a0 = 3 that is dt_cfl * dx <= 3
     base = minimal_run(model=2, grid={"a0": 0.0, "a1": 3.0, "N": 100},
                        material={"mu1": 2.0, "nu1": 2.0, "mu0": 1.0,
                                  "nu0": 1.0, "alpha": -1.0, "beta": 0.3,
@@ -236,8 +236,11 @@ def test_model2_step_longer_than_the_transit_is_rejected():
     resolve_config({**mms, "dt_cfl": 12.0, "mms": {"n_ladder": [16, 32]}})
     resolve_config({**mms, "grid": {"a0": 0.0, "a1": 3.0, "N": 8},
                     "dt_cfl": 12.0, "mms": {"n_ladder": [16, 32]}})
-    # model 1 has no such rule
-    resolve_config(minimal_run(dt_cfl=200.0))
+    # model 1 keeps the same rule: at dt_cfl 200 it ran two steps of
+    # meaningless traces
+    with pytest.raises(ConfigError, match="at N = 80: time step exceeds the boundary transit"):
+        resolve_config(minimal_run(dt_cfl=200.0))
+    resolve_config(minimal_run(dt_cfl=50.0))
 
 
 def test_mms_family_overrides_merge_with_demo():
@@ -569,7 +572,10 @@ INSIDE = {**GAUSSIAN, "x_center": 2.0}  # its support reaches into the slab
                  mms={"n_ladder": [8, 16]}), 8,
      lambda: _library_scenario(2, GridSpec(0.0, 3.0, 8), dt_cfl=12.0,
                                mms=ManufacturedFields2.demo())),
-], ids=["source-inside", "snapshot-after-t_end", "rung-below-4", "step-past-transit"])
+    (minimal_run(dt_cfl=200.0), 80,
+     lambda: _library_scenario(1, GridSpec(0.0, 3.0, 80), dt_cfl=200.0)),
+], ids=["source-inside", "snapshot-after-t_end", "rung-below-4", "step-past-transit",
+        "step-past-transit-m1"])
 def test_config_states_each_run_rule_in_the_librarys_words(data, n, library):
     with pytest.raises(ConfigError) as info:
         resolve_config(data)

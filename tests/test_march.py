@@ -232,10 +232,9 @@ def test_the_march_flags_a_step_exactly_when_some_field_is_non_finite(
         return out
 
     result_cls = (model1.Run1Result, model2.Run2Result)[model - 1]
-    closure = getattr(module, f"_closure_m{model}")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            march(scn, (), state_cls, result_cls, step, closure)
+            march(scn, (), state_cls, result_cls, step)
             flagged = False
         except DivergenceError:
             flagged = True
@@ -372,30 +371,53 @@ def test_a_step_given_buffers_allocates_no_nodal_array(monkeypatch, model):
 @pytest.mark.parametrize("model", [1, 2])
 @pytest.mark.parametrize("drive", ["source", "mms", "null"])
 def test_closures_trade_in_python_floats(monkeypatch, model, drive):
-    # the traces a closure starts with and returns every step are Python
-    # floats: numpy scalars would cost the per-step scalar work several
-    # times over
-    module = {1: model1, 2: model2}[model]
-    name = f"_closure_m{model}"
-    closure, seen = getattr(module, name), []
+    # the traces the march starts with and a model's trace update returns
+    # every step are Python floats: numpy scalars would cost the per-step
+    # scalar work several times over.  The start row is the quiet start at
+    # a0 and the incident row at t0 at a1
+    scenario, seen = MODELS[model][0], []
+    traces = scenario.traces
 
-    def spy(scn, j0, terms, incident):
-        start, close = closure(scn, j0, terms, incident)
-        seen.append(start)
+    def spy(scn, sums, delayed, incident):
+        seen.append(traces(scn, sums, delayed, incident))
+        return seen[-1]
 
-        def spied(n, j, terms):
-            seen.append(close(n, j, terms))
-            return seen[-1]
-        return start, spied
-
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(scenario, "traces", spy)
     kw = {"source": {"source": GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)},
           "mms": {"mms": FIELDS[model].demo()}, "null": {}}[drive]
     scn = null_scenario(model, t_end=3.0, **kw)
-    res = MODELS[model][1](scn)
+    res = MODELS[model][1](scn, snapshot_times=[0.0])
+    start = res.snapshots[0][1]
+    names = [f"{p}_{a}" for a in ("a0", "a1") for p in scn.potentials]
+    seen.insert(0, tuple(getattr(start, name) for name in names))
     assert len(seen) == scn.steps + 1
     assert {type(v) for traces in seen for v in traces} == {float}
+    assert seen[0] == (0.0,) * model + tuple(np.reshape(scn.incident(scn.t0), -1))
+    assert [getattr(res, name)[0] for name in names] == list(seen[0])
     assert np.max(np.abs(res.phi_a0)) > 0.0 or drive == "null"
+
+
+TRACED = ((model1, "boundary_a0_m1"), (model1, "boundary_a1_m1"),
+          (model2, "boundary_update_m2"))
+
+
+@pytest.mark.parametrize("model", [1, 2])
+@pytest.mark.parametrize("drive", ["source", "mms"])
+def test_each_step_calls_the_traced_boundary_updates_once(monkeypatch, model, drive):
+    # the benchmark times the boundary updates by wrapping these module
+    # globals: a trace update that bound them earlier would time nothing
+    counts = defaultdict(int)
+    for module, name in TRACED:
+        def counted(*args, real=getattr(module, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    kw = {"source": {"source": GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)},
+          "mms": {"mms": FIELDS[model].demo()}}[drive]
+    scn = null_scenario(model, t_end=0.5, **kw)
+    MODELS[model][1](scn)
+    names = {1: ("boundary_a0_m1", "boundary_a1_m1"), 2: ("boundary_update_m2",)}[model]
+    assert dict(counts) == dict.fromkeys(names, scn.steps)
 
 
 class Supported:

@@ -125,10 +125,12 @@ def test_trace_errors_track_the_boundary_series():
     assert 0.0 < rep.trace_linf["phi_a0"] < 1e-2
 
 
-def test_invalid_model_number_rejected():
+@pytest.mark.parametrize("model", [3, True, 1.0])
+def test_invalid_model_number_rejected(model):
+    # True and 1.0 compare equal to 1, and ran model 1
     g = _grid(40)
-    with pytest.raises(ValueError, match="model"):
-        mms_run(3, ManufacturedFields1.demo(), g, MAT1, 0.01, 0.5)
+    with pytest.raises(ValueError, match="model must be 1 or 2"):
+        mms_run(model, ManufacturedFields1.demo(), g, MAT1, 0.01, 0.5)
 
 
 @pytest.mark.parametrize("model", [1, 2])

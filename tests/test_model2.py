@@ -15,7 +15,6 @@ from eoscatter.model2 import (
     State2,
     boundary_map,
     boundary_update_m2,
-    incident_terms,
     interior_step_m2,
     run_m2,
 )
@@ -164,8 +163,7 @@ def test_boundary_update_zero_histories_zero_incident():
     left, right = current_sums(scn, j_hist, 1.2)
     delay = 1.2 - scn.transit
     got = boundary_update_m2(scn, boundary_map(MAT), left, right, p0.query(delay),
-                             p1.query(delay),
-                             incident_terms(scn, scn.incident(np.array([1.2])))[0].tolist())
+                             p1.query(delay), scn.incident(np.array([1.2]))[0].tolist())
     assert got == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -177,8 +175,7 @@ def test_boundary_update_constant_incident_pair():
     left, right = current_sums(scn, j_hist, 1.2)
     delay = 1.2 - scn.transit
     got = boundary_update_m2(scn, boundary_map(mat), left, right, p0.query(delay),
-                             p1.query(delay),
-                             incident_terms(scn, [(1.0, mat.nu0 / mat.c0)])[0].tolist())
+                             p1.query(delay), (1.0, mat.nu0 / mat.c0))
     assert got[:2] == (0.0, 0.0)
     rhs = 2.0 * mat.c0 * np.array([1.0, mat.nu0 / mat.c0])
     want = np.linalg.solve(model2_face_systems(mat)[1], rhs)
@@ -191,7 +188,7 @@ def test_boundary_update_constant_incident_pair():
        mode=st.sampled_from(["source", "mms"]), seed=st.integers(0, 2**16))
 def test_float_solves_match_linalg_solve(coeffs, mode, seed):
     # the closed-form float solves (boundary_map for both faces and the
-    # incident term) against np.linalg.solve of the paper's two systems;
+    # incident pair's drive) against np.linalg.solve of the paper's two systems;
     # rounding is bounded componentwise, |A| |x| for A @ x
     mu1, nu1, mu0, nu0 = coeffs
     mat = Material2(mu1=mu1, nu1=nu1, mu0=mu0, nu0=nu0,
@@ -202,8 +199,8 @@ def test_float_solves_match_linalg_solve(coeffs, mode, seed):
     sys_left, sys_right, mix_out, mix_back = model2_face_systems(mat)
     rng = np.random.default_rng(seed)
     left, right, psi0, psi1, p0, q0, p1, q1, pe, se = rng.normal(size=10).tolist()
-    got = boundary_update_m2(scn, boundary_map(mat), left, right, (p0, q0), (p1, q1),
-                             incident_terms(scn, [(pe, se)])[0].tolist(),
+    face = boundary_map(mat)
+    got = boundary_update_m2(scn, face, left, right, (p0, q0), (p1, q1), (pe, se),
                              (psi0, psi1))
     assert all(type(v) is float for v in got)
     w = scn.grid.dx / mat.c1
@@ -218,9 +215,11 @@ def test_float_solves_match_linalg_solve(coeffs, mode, seed):
     assert np.all(np.abs(np.array(got[:2]) - want0) <= 1e-14 * size0)
     assert np.all(np.abs(np.array(got[2:]) - want1) <= 1e-14 * size1)
     # an incident pair (psi = nu0*phi/c0, as incident_pair builds it) comes
-    # in whole: its drive is right^-1 @ (2*c0*pair)
+    # in whole: its drive, the right face's traces when every sum and
+    # delayed pair is zero, is right^-1 @ (2*c0*pair)
     pair = np.array([pe, mat.nu0 * pe / mat.c0])
-    got_inc = incident_terms(scn, [pair])[0]
+    got_inc = np.array(boundary_update_m2(scn, face, 0.0, 0.0, (0.0, 0.0), (0.0, 0.0),
+                                          pair.tolist())[2:])
     inc = 2.0 * mat.c0 * pair
     size = np.abs(np.linalg.inv(sys_right)) @ np.abs(inc)
     assert np.all(np.abs(got_inc - np.linalg.solve(sys_right, inc)) <= 1e-14 * size)

@@ -174,12 +174,24 @@ def test_every_lab_entry_point_rejects_the_other_models_material(
             call()
 
 
-@pytest.mark.parametrize("model", [0, 3, -1, 1.5, None, "1", [1]])
+@pytest.mark.parametrize("model", [0, 3, -1, 1.5, None, "1", [1], True, 1.0,
+                                   np.float64(2.0)])
 @pytest.mark.parametrize("mat", [MAT1, MAT2], ids=["m1", "m2"])
 def test_every_lab_entry_point_rejects_an_unknown_model(model, mat):
+    # True and 1.0 compare equal to 1, and np.float64(2.0) to 2: only an
+    # integer that is not a bool names a model
     for call in lab_calls(model, grid(16), mat).values():
         with pytest.raises(ValueError, match="model must be 1 or 2"):
             call()
+
+
+@pytest.mark.parametrize("model, mat", [(1, MAT1), (2, MAT2)], ids=["m1", "m2"])
+def test_a_numpy_integer_names_its_model(model, mat):
+    g = grid(16)
+    for call in lab_calls(np.int64(model), g, mat).values():
+        call()
+    assert stability_radius(np.int64(model), g, mat, 0.01) == \
+        stability_radius(model, g, mat, 0.01)
 
 
 BAD_STEPS = [-0.01, 0.0, math.nan, math.inf, -math.inf]
