@@ -1,10 +1,11 @@
 """The marching core both solvers share.
 
-A model supplies its potentials (``phi``, or ``phi`` and ``psi``), the
-potential half of the interior step and its trace update
-(:meth:`Scenario.traces`); the scenario checks, the density/current half,
-the boundary closure's retarded sums, trace history and start traces, the
-snapshots, the trace series and the divergence handling live here once.
+A model is data: its potentials (``phi``, or ``phi`` and ``psi``), their
+coupling matrix (:attr:`Scenario.coupling`), their Lax-Wendroff passes
+and its trace update (:meth:`Scenario.traces`).  The state and result
+classes, the scenario checks, the interior step, the boundary closure's
+retarded sums, trace history and start traces, the snapshots, the trace
+series and the divergence handling live here once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, make_dataclass, replace
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,7 +62,10 @@ class Scenario:
     right boundary (production), a manufactured-solution bundle ``mms``
     (verification), or neither (null run).  A model's subclass sets the
     class attributes ``potentials``, ``material``, ``manufactured`` and
-    ``residuals`` (its field-name tuple and classes) and supplies
+    ``residuals`` (its field-name tuple and classes), names its state and
+    result classes (``class Scenario1(Scenario, state="State1",
+    result="Run1Result")``, built here as ``State`` and ``Result``) and
+    supplies ``coupling`` (see :func:`interior_step`), ``lw_pass``,
     :meth:`incident`, :meth:`traces` and ``run(snapshot_times=())``, its
     model's runner.
     """
@@ -72,8 +78,27 @@ class Scenario:
     mms: object | None = None
     t0: float = 0.0
 
+    def __init_subclass__(cls, *, state: str, result: str, **kw) -> None:
+        """Build the model's nodal ``field_names`` and its state and result
+        dataclasses, named ``state`` and ``result``, from its
+        ``potentials``."""
+        super().__init_subclass__(**kw)
+        cls.field_names = (*cls.potentials, "rho", "j")  # in state order
+        traces = [f"{p}_{a}" for a in ("a0", "a1") for p in cls.potentials]
+        # each set in the model's module, where pickle looks it up, before
+        # the next is made (make_dataclass has no module= before Python 3.12)
+        cls.State = make_dataclass(state, [
+            *((f, np.ndarray) for f in cls.field_names),
+            *((f, float) for f in traces), ("n", int), ("t", float)], bases=(FieldState,))
+        cls.State.__module__ = cls.__module__
+        cls.Result = make_dataclass(result, [
+            ("scenario", cls), ("times", np.ndarray), *((f, np.ndarray) for f in traces),
+            ("snapshots", list, field(default_factory=list)),
+            ("final", cls.State | None, None)])
+        cls.Result.__module__ = cls.__module__
+
     def __post_init__(self) -> None:
-        expected = [(self.mat, self.material)]
+        expected = [(self.grid, GridSpec), (self.mat, self.material)]
         if self.mms is not None:
             expected.append((self.mms, self.manufactured))
         for value, cls in expected:
@@ -118,10 +143,20 @@ class Scenario:
         transit back and its row ``incident`` of :meth:`incident`."""
         raise NotImplementedError
 
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        """The evolved interior fields, in state order."""
-        return self.potentials + ("rho", "j")
+    @cached_property
+    def _halves(self) -> tuple:
+        """Per potential ``u``, what :func:`interior_step` reads, worked out
+        once: the getter of ``u`` and of the potential whose gradient drives
+        it (``u``'s row of ``A`` has one non-zero entry, ``a``), each with
+        its traces; ``dt**2/2*(A*e1)_u``; and ``u``'s name, ``a`` and the
+        names of the residual derivatives ``u`` reads."""
+        halves = []
+        for p, row in zip(self.potentials, self.coupling):
+            ((q, a),) = [(q, a) for q, a in zip(self.potentials, row) if a]
+            halves.append((attrgetter(p, f"{p}_a0", f"{p}_a1", q, f"{q}_a0", f"{q}_a1"),
+                           0.5 * self.dt * self.dt * row[0],
+                           p, a, f"{q}_dx", f"{p}_dt"))
+        return tuple(halves)
 
     @property
     def transit(self) -> float:
@@ -145,23 +180,26 @@ class Scenario:
         return wanted
 
 
-def interior_step(state, scn: Scenario, potential_half,
-                  terms=None, terms_next=None, out=None):
+def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
     """Advance the interior fields one step using level-n boundary traces.
 
-    ``potential_half(state, scn, terms, g, tmp)`` returns the new
-    potentials, given the nodal residual terms at level n (or None), the
-    half-step current ``g = j + (dt/2)*f``, ``f`` being the response forcing
-    ``(alpha - beta*rho)*phi - gamma*j``, and a scratch array ``tmp``.  The
-    density then takes the Taylor step ``rho - dt*D1(g)`` and the current a
-    Heun corrector, which reads the current's term at level n + 1.
+    Each potential ``u_k`` solves ``u_t = A*u_x + e1*j`` (``A`` is
+    :attr:`Scenario.coupling`) and takes a Lax-Wendroff step: its pass of
+    :attr:`Scenario.lw_pass`, plus ``dt*g`` for the first potential, plus
+    ``(dt**2/2*(A*e1)_k)*D1(j)``, where ``g = j + (dt/2)*f`` is the
+    half-step current, ``f`` being the response forcing ``(alpha -
+    beta*rho)*phi - gamma*j``; in verification mode, plus ``dt*s_k +
+    dt**2/2*(sum_l A_kl*s_l,x + s_k,t + e1_k*s_j)`` of the terms ``s``.
+    The density then takes the Taylor step ``rho - dt*D1(g)`` and the
+    current a Heun corrector, which reads the current's term at level n + 1.
     ``terms`` and ``terms_next`` are the nodal terms at levels n and n + 1,
     given together (:func:`march` evaluates each level once); a
     verification scenario stepped without them raises ValueError.
 
     ``out`` is four N-arrays, none of them the state's: the new density and
-    current are written into the first two, which are returned, and the
-    last two hold ``g`` and ``tmp``.  By default they are fresh.
+    current are written into the first two, which are returned after the
+    new potentials, and the last two hold ``g`` and scratch.  By default
+    they are fresh.
     """
     if terms is None and scn.mms is not None:
         raise ValueError("a verification step needs the residual terms at "
@@ -174,7 +212,19 @@ def interior_step(state, scn: Scenario, potential_half,
     np.subtract(a, np.multiply(b, rho, out=g), out=g)
     g *= state.phi
     g += np.multiply(1.0 - c, j, out=tmp)
-    potentials = potential_half(state, scn, terms, g, tmp)
+    potentials = []
+    for (read, jx, p, coef, q_dx, p_dt), lw in zip(scn._halves, scn.lw_pass):
+        u = lw(*read(state))
+        if not potentials:
+            u += np.multiply(dt, g, out=tmp)
+        if jx:
+            u += confined_pass(j, jx, scn.grid.dx, tmp)
+        if terms is not None:
+            second = coef * terms[q_dx] + terms[p_dt]
+            if not potentials:
+                second = second + terms["j"]
+            u += dt * terms[p] + 0.5 * dt**2 * second
+        potentials.append(u)
 
     np.add(rho, confined_pass(g, -dt, scn.grid.dx, tmp), out=rho_new)
     if terms is not None:
@@ -209,8 +259,9 @@ def _level_terms(terms_at, times, n: int):
             yield {name: v[i] for name, v in rows.items()}
 
 
-def march(scn: Scenario, snapshot_times, state_cls, result_cls, step):
-    """Advance ``scn`` from its start time to ``t_end``.
+def march(scn: Scenario, snapshot_times, step=interior_step):
+    """Advance ``scn`` from its start time to ``t_end``, returning a
+    ``scn.Result`` of ``scn.State`` levels.
 
     Each step runs ``step(state, scn, terms, terms_next, out=...)`` with the
     nodal residual terms at both of its levels (or None) and the buffers of
@@ -265,7 +316,7 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step):
     push(fields[-1], terms)
     traces = [0.0] * len(potentials) + incident[0]
     history.append(traces)
-    state = state_cls(*fields, *traces, 0, t0)
+    state = scn.State(*fields, *traces, 0, t0)
     series = array("d", traces)  # each level's traces in turn, as float64
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
     # the step writes the new rho and j into level n - 1's arrays
@@ -286,18 +337,18 @@ def march(scn: Scenario, snapshot_times, state_cls, result_cls, step):
                        for f in (*fields[unfolded], fields[-1])):
                 raise DivergenceError(
                     f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
-                    partial=result_cls(scn, times[:n], *np.reshape(series, (n, -1)).T,
+                    partial=scn.Result(scn, times[:n], *np.reshape(series, (n, -1)).T,
                                        snapshots, state),
                 )
             traces = scn.traces(push(fields[-1], terms_next), history.read(n),
                                 incident[n])
             history.append(traces)
             rho_spare, j_spare = state.rho, state.j
-            state = state_cls(*fields, *traces, n, t_next)
+            state = scn.State(*fields, *traces, n, t_next)
             series.extend(traces)
             if n in wanted:
                 snapshots.append((wanted[n], state.copy()))
             terms = terms_next
 
-    return result_cls(scn, times, *np.reshape(series, (steps + 1, -1)).T,
+    return scn.Result(scn, times, *np.reshape(series, (steps + 1, -1)).T,
                       snapshots, state)

@@ -12,38 +12,29 @@ time loop is shared with model 2 (:mod:`eoscatter.march`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .grid import ClosedPass, Material1, SpatialOps, confined_pass
+from .grid import ClosedPass, Material1, SpatialOps
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
-from .march import DivergenceError, FieldState, Scenario, interior_step, march
+from .march import DivergenceError, Scenario, interior_step, march
 from .mms import ManufacturedFields1, ResidualSources1
 from .sources import RUN_QUAD_REL_TOL, incident_trace
 
 
-@dataclass
-class State1(FieldState):
-    """Nodal fields plus boundary traces at one time level."""
-
-    phi: np.ndarray
-    rho: np.ndarray
-    j: np.ndarray
-    phi_a0: float
-    phi_a1: float
-    n: int
-    t: float
-
-
-class Scenario1(Scenario):
+class Scenario1(Scenario, state="State1", result="Run1Result"):
     """A complete model-1 run description (see :class:`march.Scenario`)."""
 
     potentials = ("phi",)
     material = Material1
     manufactured = ManufacturedFields1
     residuals = ResidualSources1
+
+    @property
+    def coupling(self) -> tuple[tuple[float]]:
+        """``A`` of ``phi_t = c1*phi_x + j``."""
+        return ((self.mat.c1,),)
 
     @cached_property
     def lw_pass(self) -> tuple[ClosedPass]:
@@ -73,48 +64,9 @@ class Scenario1(Scenario):
         return run_m1(self, snapshot_times)
 
 
-@dataclass
-class Run1Result:
-    """Trajectory summary: boundary series, requested snapshots, final state."""
-
-    scenario: Scenario1
-    times: np.ndarray
-    phi_a0: np.ndarray
-    phi_a1: np.ndarray
-    snapshots: list[tuple[float, State1]] = field(default_factory=list)
-    final: State1 | None = None
-
-
-def interior_step_m1(
-    state: State1,
-    scn: Scenario1,
-    terms: dict | None = None, terms_next: dict | None = None, out=None,
-):
-    """Advance the interior fields one step using level-n boundary traces.
-
-    Returns the new ``(phi, rho, j)`` arrays; the caller supplies the
-    level-(n+1) traces afterwards.  In verification mode ``terms`` and
-    ``terms_next`` are the residual terms at the nodes at levels n and
-    n + 1, including the analytic derivatives folded into the second-order
-    Taylor coefficients.  ``out``: the buffers of :func:`march.interior_step`.
-    """
-    return interior_step(state, scn, _potential_m1, terms, terms_next, out)
-
-
-def _potential_m1(state, scn, terms, g, tmp):
-    """The potential half of :func:`interior_step_m1`: the Lax-Wendroff step
-    ``phi + dt*(c1*D1(phi) + j) + dt**2/2*(c1**2*D2(phi) + c1*D1(j) + f)``,
-    regrouped as ``lw_pass(phi) + dt*g + (dt**2*c1/2)*D1(j)``."""
-    m, dt = scn.mat, scn.dt
-    (phi_pass,) = scn.lw_pass
-    phi, a0, a1 = state.phi, state.phi_a0, state.phi_a1
-    new = phi_pass(phi, a0, a1, phi, a0, a1)
-    new += np.multiply(dt, g, out=tmp)
-    new += confined_pass(state.j, 0.5 * dt * dt * m.c1, scn.grid.dx, tmp)
-    if terms is not None:
-        new += dt * terms["phi"] + 0.5 * dt**2 * (
-            m.c1 * terms["phi_dx"] + terms["phi_dt"] + terms["j"])
-    return (new,)
+State1, Run1Result = Scenario1.State, Scenario1.Result
+#: the traced name of the interior step, which :func:`run_m1` reads when called
+interior_step_m1 = interior_step
 
 
 def boundary_a1_m1(scn: Scenario1, incident: float) -> float:
@@ -144,4 +96,4 @@ def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:
     :func:`march.march`; TypeError unless ``scn`` is a :class:`Scenario1`."""
     if not isinstance(scn, Scenario1):
         raise TypeError(f"run_m1 needs a Scenario1, got {type(scn).__name__}")
-    return march(scn, snapshot_times, State1, Run1Result, interior_step_m1)
+    return march(scn, snapshot_times, interior_step_m1)

@@ -11,31 +11,15 @@ The time loop is shared with model 1 (:mod:`eoscatter.march`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .grid import ClosedPass, Material2, SpatialOps, confined_pass
+from .grid import ClosedPass, Material2, SpatialOps
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
-from .march import DivergenceError, FieldState, Scenario, interior_step, march
+from .march import DivergenceError, Scenario, interior_step, march
 from .mms import ManufacturedFields2, ResidualSources2
 from .sources import RUN_QUAD_REL_TOL, incident_pair
-
-@dataclass
-class State2(FieldState):
-    """Nodal fields plus both boundary trace pairs at one time level."""
-
-    phi: np.ndarray
-    psi: np.ndarray
-    rho: np.ndarray
-    j: np.ndarray
-    phi_a0: float
-    psi_a0: float
-    phi_a1: float
-    psi_a1: float
-    n: int
-    t: float
 
 
 def boundary_map(mat: Material2) -> tuple[float, float, float, float]:
@@ -53,13 +37,18 @@ def boundary_map(mat: Material2) -> tuple[float, float, float, float]:
             (c0 * nu1 + c1 * nu0) / det, (c1 * c0 + mu1 * nu0) / det)
 
 
-class Scenario2(Scenario):
+class Scenario2(Scenario, state="State2", result="Run2Result"):
     """A complete model-2 run description (see :class:`march.Scenario`)."""
 
     potentials = ("phi", "psi")
     material = Material2
     manufactured = ManufacturedFields2
     residuals = ResidualSources2
+
+    @property
+    def coupling(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """``A`` of ``phi_t = mu1*psi_x + j`` and ``psi_t = nu1*phi_x``."""
+        return ((0.0, self.mat.mu1), (self.mat.nu1, 0.0))
 
     @cached_property
     def lw_pass(self) -> tuple[ClosedPass, ClosedPass]:
@@ -101,45 +90,9 @@ class Scenario2(Scenario):
         return run_m2(self, snapshot_times)
 
 
-@dataclass
-class Run2Result:
-    scenario: Scenario2
-    times: np.ndarray
-    phi_a0: np.ndarray
-    psi_a0: np.ndarray
-    phi_a1: np.ndarray
-    psi_a1: np.ndarray
-    snapshots: list[tuple[float, State2]] = field(default_factory=list)
-    final: State2 | None = None
-
-
-def interior_step_m2(
-    state: State2,
-    scn: Scenario2,
-    terms: dict | None = None, terms_next: dict | None = None, out=None,
-):
-    """Advance the four interior fields one step with level-n traces;
-    ``out``: the buffers of :func:`march.interior_step`."""
-    return interior_step(state, scn, _potential_m2, terms, terms_next, out)
-
-
-def _potential_m2(state, scn, terms, g, tmp):
-    """The potential half of :func:`interior_step_m2`: Lax-Wendroff steps
-    for the coupled pair, each one pass of :attr:`Scenario2.lw_pass` plus
-    its current term, ``dt*g`` for ``phi`` and ``(dt**2*nu1/2)*D1(j)`` for
-    ``psi``."""
-    m, dt, s = scn.mat, scn.dt, state
-    phi_pass, psi_pass = scn.lw_pass
-    phi = phi_pass(s.phi, s.phi_a0, s.phi_a1, s.psi, s.psi_a0, s.psi_a1)
-    phi += np.multiply(dt, g, out=tmp)
-    psi = psi_pass(s.psi, s.psi_a0, s.psi_a1, s.phi, s.phi_a0, s.phi_a1)
-    psi += confined_pass(s.j, 0.5 * dt * dt * m.nu1, scn.grid.dx, tmp)
-    if terms is not None:
-        phi += dt * terms["phi"] + 0.5 * dt**2 * (
-            terms["j"] + m.mu1 * terms["psi_dx"] + terms["phi_dt"])
-        psi += dt * terms["psi"] + 0.5 * dt**2 * (
-            m.nu1 * terms["phi_dx"] + terms["psi_dt"])
-    return phi, psi
+State2, Run2Result = Scenario2.State, Scenario2.Result
+#: the traced name of the interior step, which :func:`run_m2` reads when called
+interior_step_m2 = interior_step
 
 
 def boundary_update_m2(scn: Scenario2, face, left: float, right: float,
@@ -180,4 +133,4 @@ def run_m2(scn: Scenario2, snapshot_times=()) -> Run2Result:
     :func:`march.march`; TypeError unless ``scn`` is a :class:`Scenario2`."""
     if not isinstance(scn, Scenario2):
         raise TypeError(f"run_m2 needs a Scenario2, got {type(scn).__name__}")
-    return march(scn, snapshot_times, State2, Run2Result, interior_step_m2)
+    return march(scn, snapshot_times, interior_step_m2)

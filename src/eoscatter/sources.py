@@ -87,7 +87,7 @@ class GaussianSource:
     def __post_init__(self) -> None:
         params = [self.amplitude, self.x_center, self.space_rate,
                   self.t_center, self.time_rate]
-        if self.support is not None:
+        if self.support is not None:  # a NaN end fails here, as non-finite
             params += list(self.support)
         if not all(map(math.isfinite, params)):
             raise ValueError("Gaussian source parameters must be finite")
@@ -98,8 +98,8 @@ class GaussianSource:
             object.__setattr__(
                 self, "support", (self.x_center - half, self.x_center + half)
             )
-        elif self.support[1] <= self.support[0]:
-            raise ValueError("support interval must have positive length")
+        else:
+            source_support(self)
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)

@@ -167,7 +167,7 @@ def stability_radius(model: int, grid: GridSpec, mat, dt: float) -> float:
     one spectrum; yet at N = 200 their dense eigensolves read 0.866 and 0.925
     at sigma = c*dt/dx = 0.5, and 0.435 and 0.848 at sigma = 0.9 (at epsilon
     = 1, 0.866 within 1e-4 and equal to 1e-13).  So model 2's epsilon = 0
-    window edges depend on eigensolver rounding (ROADMAP item 4).
+    window edges depend on eigensolver rounding (ROADMAP item 1).
     """
     scenario = _check_inputs(model, mat, dt)
     # one potential carries waves one way, a pair carries them both ways

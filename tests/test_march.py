@@ -1,16 +1,20 @@
 """The marching core both solvers share: checks made once for both models."""
 
+import inspect
+import json
 import math
+import pickle
 import tracemalloc
 import warnings
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eoscatter import model1, model2
+from eoscatter import cli, model1, model2
+from eoscatter.config import parse_config
 from eoscatter.grid import GridSpec, Material1, Material2, SpatialOps
 from eoscatter.march import DivergenceError, march
 from eoscatter.mms import GaussianBump, ManufacturedFields1, ManufacturedFields2
@@ -84,6 +88,50 @@ def test_scenario_rejects_the_other_models_inputs(model, mat, mms, expected):
     grid = GridSpec(0.0, 3.0, 16)
     with pytest.raises(TypeError, match=expected):
         scenario(grid=grid, mat=mat, dt=0.01, t_end=1.0, mms=mms)
+
+
+@pytest.mark.parametrize("grid", [None, (0.0, 3.0, 16)])
+@pytest.mark.parametrize("model", [1, 2])
+def test_scenario_rejects_a_grid_that_is_not_a_gridspec(model, grid):
+    # None raised AttributeError from the transit check
+    scenario, _, mat = MODELS[model]
+    with pytest.raises(TypeError, match=f"{scenario.__name__} needs a GridSpec"):
+        scenario(grid=grid, mat=mat, dt=0.01, t_end=1.0)
+
+
+@pytest.mark.parametrize("module, name, names", [
+    (model1, "State1", ("phi", "rho", "j", "phi_a0", "phi_a1", "n", "t")),
+    (model2, "State2", ("phi", "psi", "rho", "j", "phi_a0", "psi_a0",
+                        "phi_a1", "psi_a1", "n", "t")),
+    (model1, "Run1Result", ("scenario", "times", "phi_a0", "phi_a1",
+                            "snapshots", "final")),
+    (model2, "Run2Result", ("scenario", "times", "phi_a0", "psi_a0", "phi_a1",
+                            "psi_a1", "snapshots", "final")),
+])
+def test_the_built_state_and_result_classes_keep_their_public_identity(
+        module, name, names):
+    # the march builds these from each model's potentials; their fields,
+    # positional order, module and name are what callers and pickle see
+    cls = getattr(module, name)
+    assert tuple(f.name for f in fields(cls)) == names
+    assert tuple(inspect.signature(cls).parameters) == names
+    assert (cls.__module__, cls.__qualname__, cls.__name__) == (module.__name__, name, name)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_a_state_and_a_result_survive_a_pickle_round_trip(model):
+    source = GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)
+    res = MODELS[model][1](null_scenario(model, t_end=0.5, source=source),
+                           snapshot_times=[0.25])
+    back = pickle.loads(pickle.dumps(res))
+    assert type(back) is type(res) and type(back.final) is type(res.final)
+    assert back.scenario == res.scenario
+    for got, want in ((back.final, res.final), (back.snapshots[0][1], res.snapshots[0][1])):
+        for f in fields(want):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+    for f in fields(res)[1:-2]:  # the times and the trace series
+        np.testing.assert_array_equal(getattr(back, f.name), getattr(res, f.name))
+    assert np.max(np.abs(res.phi_a1)) > 0.0
 
 
 @pytest.mark.parametrize("model, other", [(1, 2), (2, 1)])
@@ -231,10 +279,9 @@ def test_the_march_flags_a_step_exactly_when_some_field_is_non_finite(
         every_field.append(bool(np.isfinite(np.concatenate(out)).all()))
         return out
 
-    result_cls = (model1.Run1Result, model2.Run2Result)[model - 1]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            march(scn, (), state_cls, result_cls, step)
+            march(scn, (), step)
             flagged = False
         except DivergenceError:
             flagged = True
@@ -402,22 +449,46 @@ TRACED = ((model1, "boundary_a0_m1"), (model1, "boundary_a1_m1"),
 
 
 @pytest.mark.parametrize("model", [1, 2])
-@pytest.mark.parametrize("drive", ["source", "mms"])
-def test_each_step_calls_the_traced_boundary_updates_once(monkeypatch, model, drive):
-    # the benchmark times the boundary updates by wrapping these module
-    # globals: a trace update that bound them earlier would time nothing
+@pytest.mark.parametrize("drive", ["source", "mms", "cli-run", "cli-mms"])
+def test_each_step_calls_the_traced_boundary_updates_once(monkeypatch, tmp_path,
+                                                          model, drive):
+    # the benchmark times the boundary updates, and counts steps and runs, by
+    # wrapping these module globals (a runner also where the command line
+    # imported it): a trace update that bound them earlier would time
+    # nothing, and since interior_step_m1/_m2 are aliases of
+    # march.interior_step, a march that called that directly would count no
+    # step
+    module = (model1, model2)[model - 1]
+    step, run = f"interior_step_m{model}", f"run_m{model}"
     counts = defaultdict(int)
-    for module, name in TRACED:
-        def counted(*args, real=getattr(module, name), name=name):
+    for owner, name in (*TRACED, (module, step), (module, run), (cli, run)):
+        def counted(*args, real=getattr(owner, name), name=name, **kw):
             counts[name] += 1
-            return real(*args)
-        monkeypatch.setattr(module, name, counted)
-    kw = {"source": {"source": GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)},
-          "mms": {"mms": FIELDS[model].demo()}}[drive]
-    scn = null_scenario(model, t_end=0.5, **kw)
-    MODELS[model][1](scn)
+            return real(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    if drive in ("source", "mms"):
+        kw = {"source": {"source": GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)},
+              "mms": {"mms": FIELDS[model].demo()}}[drive]
+        scenarios = [null_scenario(model, t_end=0.5, **kw)]
+        scenarios[0].run()
+    else:
+        mode = drive[4:]
+        config = {"model": model, "grid": {"a0": 0.0, "a1": 3.0, "N": 20},
+                  "material": asdict(MODELS[model][2]), "t_end": 0.5}
+        if mode == "run":
+            config["source"] = {"kind": "gaussian",
+                                **asdict(GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0))}
+        else:
+            config["mms"] = {"n_ladder": [20, 40]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        scenarios = parse_config(path, default_mode=mode).scenarios
+        assert cli.main([mode, str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(scenarios) == (2 if drive == "cli-mms" else 1)
+    steps = sum(scn.steps for scn in scenarios)
     names = {1: ("boundary_a0_m1", "boundary_a1_m1"), 2: ("boundary_update_m2",)}[model]
-    assert dict(counts) == dict.fromkeys(names, scn.steps)
+    assert dict(counts) == {**dict.fromkeys(names, steps), step: steps,
+                            run: len(scenarios)}
 
 
 class Supported:

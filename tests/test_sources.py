@@ -556,6 +556,14 @@ def test_gaussian_source_rejects_nonfinite_parameters(name, value):
         GaussianSource(**params)
 
 
+@pytest.mark.parametrize("support", [(4.5,), (4.0, 4.5, 5.0), (4.5, 4.0), (4.5, 4.5)])
+def test_gaussian_source_rejects_a_support_that_is_not_two_numbers_lo_below_hi(support):
+    # a one-number support raised IndexError and a three-number one was
+    # accepted, until a scenario rejected it
+    with pytest.raises(ValueError, match="support"):
+        GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0, support=support)
+
+
 @pytest.mark.parametrize("x, t", [([3.0, math.nan, 5.0], [0.0, 1.0]),
                                   ([3.0, 5.0], [0.0, math.inf])])
 def test_tabulated_source_rejects_nonfinite_coordinates(x, t):
