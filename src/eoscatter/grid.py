@@ -93,6 +93,11 @@ class Material1:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
+    @property
+    def coupling(self) -> tuple[tuple[float]]:
+        """``A`` of ``phi_t = A*phi_x + j``."""
+        return ((self.c1,),)
+
 
 @dataclass(frozen=True)
 class Material2:
@@ -123,6 +128,17 @@ class Material2:
     @property
     def c0(self) -> float:
         return math.sqrt(self.mu0 * self.nu0)
+
+    @property
+    def coupling(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """``A`` of ``(phi, psi)_t = A*(phi, psi)_x + (j, 0)``."""
+        return ((0.0, self.mu1), (self.nu1, 0.0))
+
+
+def drivers(coupling) -> list[tuple[int, float]]:
+    """Per row k of a coupling matrix ``A``, ``(l, A_kl)`` for its one
+    non-zero entry: the gradient of potential l drives potential k."""
+    return [next((l, a) for l, a in enumerate(row) if a) for row in coupling]
 
 
 def _d1_weights(s0, s1, s2, at=0.0):

@@ -1,11 +1,12 @@
 """The marching core both solvers share.
 
-A model is data: its potentials (``phi``, or ``phi`` and ``psi``), their
-coupling matrix (:attr:`Scenario.coupling`), their Lax-Wendroff passes
-and its trace update (:meth:`Scenario.traces`).  The state and result
-classes, the scenario checks, the interior step, the boundary closure's
-retarded sums, trace history and start traces, the snapshots, the trace
-series and the divergence handling live here once.
+A model is data: its potentials (``phi``, or ``phi`` and ``psi``), its
+material, whose ``coupling`` is their matrix ``A``, the source's drive at
+the right boundary (:meth:`Scenario.drive`) and its trace update
+(:meth:`Scenario.traces`).  The state and result classes, the scenario
+checks, the Lax-Wendroff passes, the incident rows, the interior step, the
+boundary closure's retarded sums, trace history and start traces, the
+snapshots, the trace series and the divergence handling live here once.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .grid import GridSpec, confined_pass
+from .grid import ClosedPass, GridSpec, SpatialOps, confined_pass, drivers
 from .history import FixedLagReader, RetardedSum
+from .mms import ResidualSources
 from .sources import source_support
 
 #: Level-node points per call of the nodal residual evaluator: on a grid of
@@ -61,14 +63,14 @@ class Scenario:
     Exactly one driving mode applies: an external ``source`` beyond the
     right boundary (production), a manufactured-solution bundle ``mms``
     (verification), or neither (null run).  A model's subclass sets the
-    class attributes ``potentials``, ``material``, ``manufactured`` and
-    ``residuals`` (its field-name tuple and classes), names its state and
-    result classes (``class Scenario1(Scenario, state="State1",
-    result="Run1Result")``, built here as ``State`` and ``Result``) and
-    supplies ``coupling`` (see :func:`interior_step`), ``lw_pass``,
-    :meth:`incident`, :meth:`traces` and ``run(snapshot_times=())``, its
-    model's runner.
+    class attributes ``potentials``, ``material`` and ``manufactured`` (its
+    field-name tuple and classes), names its state and result classes
+    (``class Scenario1(Scenario, state="State1", result="Run1Result")``,
+    built here as ``State`` and ``Result``) and supplies :meth:`drive`,
+    :meth:`traces` and ``run(snapshot_times=())``, its model's runner.
     """
+
+    residuals = ResidualSources
 
     grid: GridSpec
     mat: object
@@ -131,11 +133,20 @@ class Scenario:
                 if np.max(np.abs(getattr(self.mms, p).value(at, self.t0))) >= 1e-12:
                     raise ValueError(f"manufactured {p} is not quiet at the start time")
 
-    def incident(self, t):
-        """What drives the right boundary at time(s) ``t``: the source's
-        incident trace(s), in verification mode the exact traces there, and
-        zeros in a null run."""
+    def drive(self, t) -> tuple:
+        """The source's incident traces at time(s) ``t``, one per potential."""
         raise NotImplementedError
+
+    def incident(self, t):
+        """What drives the right boundary at time(s) ``t``, one column per
+        potential along the last axis: the source's :meth:`drive`, in
+        verification mode the exact traces there, and zeros in a null run."""
+        if self.mms is not None:
+            return np.stack([getattr(self.mms, p).value(self.grid.a1, t)
+                             for p in self.potentials], axis=-1)
+        if self.source is None:
+            return np.zeros(np.shape(t) + (len(self.potentials),))
+        return np.stack(self.drive(t), axis=-1)
 
     def traces(self, sums, delayed, incident):
         """A new level's traces, left then right, as Python floats, from its
@@ -144,15 +155,25 @@ class Scenario:
         raise NotImplementedError
 
     @cached_property
+    def lw_pass(self) -> tuple[ClosedPass, ...]:
+        """One pass per potential ``u_k``, built once: ``u_k +
+        dt*a*D1(u_l) + (dt*a)*(dt*A_lk)/2*D2(u_k)``, ``a = A_kl`` being the
+        one non-zero entry of row k of ``A`` (``mat.coupling``), so that the
+        last coefficient is ``dt**2/2*(A**2)_kk``."""
+        ops, A, dt = SpatialOps(self.grid), self.mat.coupling, self.dt
+        return tuple(ClosedPass(ops, dt * a, 0.5 * (dt * a) * (dt * A[l][k]))
+                     for k, (l, a) in enumerate(drivers(A)))
+
+    @cached_property
     def _halves(self) -> tuple:
         """Per potential ``u``, what :func:`interior_step` reads, worked out
         once: the getter of ``u`` and of the potential whose gradient drives
         it (``u``'s row of ``A`` has one non-zero entry, ``a``), each with
         its traces; ``dt**2/2*(A*e1)_u``; and ``u``'s name, ``a`` and the
         names of the residual derivatives ``u`` reads."""
-        halves = []
-        for p, row in zip(self.potentials, self.coupling):
-            ((q, a),) = [(q, a) for q, a in zip(self.potentials, row) if a]
+        halves, A = [], self.mat.coupling
+        for p, row, (l, a) in zip(self.potentials, A, drivers(A)):
+            q = self.potentials[l]
             halves.append((attrgetter(p, f"{p}_a0", f"{p}_a1", q, f"{q}_a0", f"{q}_a1"),
                            0.5 * self.dt * self.dt * row[0],
                            p, a, f"{q}_dx", f"{p}_dt"))
@@ -183,8 +204,8 @@ class Scenario:
 def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
     """Advance the interior fields one step using level-n boundary traces.
 
-    Each potential ``u_k`` solves ``u_t = A*u_x + e1*j`` (``A`` is
-    :attr:`Scenario.coupling`) and takes a Lax-Wendroff step: its pass of
+    Each potential ``u_k`` solves ``u_t = A*u_x + e1*j`` (``A`` is the
+    material's ``coupling``) and takes a Lax-Wendroff step: its pass of
     :attr:`Scenario.lw_pass`, plus ``dt*g`` for the first potential, plus
     ``(dt**2/2*(A*e1)_k)*D1(j)``, where ``g = j + (dt/2)*f`` is the
     half-step current, ``f`` being the response forcing ``(alpha -
@@ -294,7 +315,7 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     times = t0 + dt * np.arange(steps + 1)
     levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
               if scn.mms is not None else itertools.repeat(None))
-    incident = np.reshape(scn.incident(times), (steps + 1, -1)).tolist()
+    incident = scn.incident(times).tolist()
     # one potential carries waves one way, a pair carries them both ways
     delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
     sums = [[RetardedSum(t0, dt, d) for d in delays[:len(potentials)]]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Material1, Material2
+from .grid import Material1, Material2, drivers
 
 
 # Positions in a jet ``(value, dx, dt, dxx, dxt, dtt)``.
@@ -216,19 +216,18 @@ class ManufacturedFields2:
 
 
 @dataclass(frozen=True)
-class ResidualSources1:
-    """Per-equation residual sources that make ``fields`` solve the extended model.
+class ResidualSources:
+    """Per-equation residual sources that make ``fields`` solve the extended
+    model, ``u_t = A*u_x + e1*j`` with ``A`` the material's ``coupling``.
 
-    The terms ``phi`` / ``rho`` / ``j`` are the extra sources in the
-    potential, density and current equations; the ``_dx`` / ``_dt``
+    The terms ``phi`` (and ``psi``) / ``rho`` / ``j`` are the extra sources
+    in the potential, density and current equations; the ``_dx`` / ``_dt``
     companions are the analytic derivatives the second-order time step
     consumes.  :meth:`at` builds them all from one jet per field.
     """
 
-    fields: ManufacturedFields1
-    mat: Material1
-
-    potentials = ("phi",)
+    fields: ManufacturedFields1 | ManufacturedFields2
+    mat: Material1 | Material2
 
     def at(self, x):
         """``terms_at(t)``: the residual terms at ``(x, t)`` by name (``phi``,
@@ -242,9 +241,14 @@ class ResidualSources1:
         every term at K levels, row k equal to the call at ``t[k, 0]`` bit
         for bit (:meth:`Field.at`).
         """
-        m = self.mat
+        m, A = self.mat, self.mat.coupling
+        potentials = ("phi", "psi")[:len(A)]
+        # per potential u_k: its terms' names, the potential u_l that drives
+        # it with a = A_kl, and whether the current drives it (e1_k)
+        halves = [((p, f"{p}_dx", f"{p}_dt"), potentials[l], a, k == 0)
+                  for k, (p, (l, a)) in enumerate(zip(potentials, drivers(A)))]
         groups = {}  # (evaluator, names) per distinct field
-        for name in self.potentials + ("rho", "j"):
+        for name in potentials + ("rho", "j"):
             field = getattr(self.fields, name)
             key = (field,)  # equal fields share a key
             try:
@@ -258,8 +262,15 @@ class ResidualSources1:
             jets = {}
             for jet_at, names in groups:
                 jets.update(dict.fromkeys(names, jet_at(t)))
-            terms = self._potential_terms(jets)
             phi, rho, j = jets["phi"], jets["rho"], jets["j"]
+            terms = {}
+            # s_k = u_k,t - A_kl*u_l,x - e1_k*j, then its x and t derivatives
+            for names, q, a, current in halves:
+                u, v = jets[names[0]], jets[q]
+                s = (u[DT] - a * v[DX], u[DXT] - a * v[DXX], u[DTT] - a * v[DXT])
+                if current:
+                    s = (s[0] - j[VALUE], s[1] - j[DX], s[2] - j[DT])
+                terms.update(zip(names, s))
             resp = m.alpha - m.beta * rho[VALUE]
             terms["rho"] = rho[DT] + j[DX]
             terms["rho_dt"] = rho[DTT] + j[DXT]
@@ -270,31 +281,9 @@ class ResidualSources1:
 
         return terms_at
 
-    def _potential_terms(self, jets: dict) -> dict:
-        phi, j, c1 = jets["phi"], jets["j"], self.mat.c1
-        return {"phi": phi[DT] - c1 * phi[DX] - j[VALUE],
-                "phi_dx": phi[DXT] - c1 * phi[DXX] - j[DX],
-                "phi_dt": phi[DTT] - c1 * phi[DXT] - j[DT]}
 
-
-@dataclass(frozen=True)
-class ResidualSources2(ResidualSources1):
-    """Residual sources for the two-potential model (see :class:`ResidualSources1`,
-    whose density and current terms it inherits)."""
-
-    fields: ManufacturedFields2
-    mat: Material2
-
-    potentials = ("phi", "psi")
-
-    def _potential_terms(self, jets: dict) -> dict:
-        phi, psi, j, m = jets["phi"], jets["psi"], jets["j"], self.mat
-        return {"phi": phi[DT] - m.mu1 * psi[DX] - j[VALUE],
-                "psi": psi[DT] - m.nu1 * phi[DX],
-                "phi_dx": phi[DXT] - m.mu1 * psi[DXX] - j[DX],
-                "phi_dt": phi[DTT] - m.mu1 * psi[DXT] - j[DT],
-                "psi_dx": psi[DXT] - m.nu1 * phi[DXX],
-                "psi_dt": psi[DTT] - m.nu1 * phi[DXT]}
+#: the residual sources of model 1 and of model 2, one class over ``A``
+ResidualSources1 = ResidualSources2 = ResidualSources
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,10 @@ time loop is shared with model 2 (:mod:`eoscatter.march`).
 
 from __future__ import annotations
 
-from functools import cached_property
-
-import numpy as np
-
-from .grid import ClosedPass, Material1, SpatialOps
+from .grid import Material1
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, Scenario, interior_step, march
-from .mms import ManufacturedFields1, ResidualSources1
+from .mms import ManufacturedFields1
 from .sources import RUN_QUAD_REL_TOL, incident_trace
 
 
@@ -29,27 +25,11 @@ class Scenario1(Scenario, state="State1", result="Run1Result"):
     potentials = ("phi",)
     material = Material1
     manufactured = ManufacturedFields1
-    residuals = ResidualSources1
 
-    @property
-    def coupling(self) -> tuple[tuple[float]]:
-        """``A`` of ``phi_t = c1*phi_x + j``."""
-        return ((self.mat.c1,),)
-
-    @cached_property
-    def lw_pass(self) -> tuple[ClosedPass]:
-        """One pass per potential, built once: ``phi + dt*c1*D1(phi) +
-        (dt*c1)**2/2*D2(phi)``."""
-        a = self.dt * self.mat.c1
-        return (ClosedPass(SpatialOps(self.grid), a, 0.5 * a * a),)
-
-    def incident(self, t):
-        if self.mms is not None:
-            return self.mms.phi.value(self.grid.a1, t)
-        if self.source is None:
-            return np.zeros(np.shape(t))
-        return incident_trace(self.source, self.grid.a1, self.mat, self.t0, t,
-                              RUN_QUAD_REL_TOL)
+    def drive(self, t) -> tuple:
+        """``(phi,)``: the source's :func:`incident_trace` at ``t``."""
+        return (incident_trace(self.source, self.grid.a1, self.mat, self.t0, t,
+                               RUN_QUAD_REL_TOL),)
 
     def traces(self, sums, delayed, incident) -> tuple[float, float]:
         """``(phi_a0, phi_a1)`` from the retarded current sum, the delayed

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
-from .grid import ClosedPass, Material2, SpatialOps
+from .grid import Material2
 # DivergenceError and RUN_QUAD_REL_TOL are imported for re-export too.
 from .march import DivergenceError, Scenario, interior_step, march
-from .mms import ManufacturedFields2, ResidualSources2
+from .mms import ManufacturedFields2
 from .sources import RUN_QUAD_REL_TOL, incident_pair
 
 
@@ -43,33 +41,11 @@ class Scenario2(Scenario, state="State2", result="Run2Result"):
     potentials = ("phi", "psi")
     material = Material2
     manufactured = ManufacturedFields2
-    residuals = ResidualSources2
 
-    @property
-    def coupling(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """``A`` of ``phi_t = mu1*psi_x + j`` and ``psi_t = nu1*phi_x``."""
-        return ((0.0, self.mat.mu1), (self.mat.nu1, 0.0))
-
-    @cached_property
-    def lw_pass(self) -> tuple[ClosedPass, ClosedPass]:
-        """``phi + h*D2(phi) + dt*mu1*D1(psi)`` and ``psi + h*D2(psi) +
-        dt*nu1*D1(phi)``, ``h = dt**2*c1**2/2``, built once."""
-        ops, m, dt = SpatialOps(self.grid), self.mat, self.dt
-        h = 0.5 * dt * dt * m.mu1 * m.nu1
-        return ClosedPass(ops, dt * m.mu1, h), ClosedPass(ops, dt * m.nu1, h)
-
-    def incident(self, t):
-        """The incident pair at ``t`` (in verification mode the exact pair
-        of traces there, in a null run zeros), stacked along the last axis."""
-        if self.mms is not None:
-            pair = [getattr(self.mms, p).value(self.grid.a1, t)
-                    for p in self.potentials]
-        elif self.source is None:
-            return np.zeros(np.shape(t) + (2,))
-        else:
-            pair = incident_pair(self.source, self.grid.a1, self.mat, self.t0, t,
-                                 RUN_QUAD_REL_TOL)
-        return np.stack(pair, axis=-1)
+    def drive(self, t) -> tuple:
+        """``(phi, psi)``: the source's :func:`incident_pair` at ``t``."""
+        return incident_pair(self.source, self.grid.a1, self.mat, self.t0, t,
+                             RUN_QUAD_REL_TOL)
 
     @cached_property
     def _face(self) -> tuple[float, float, float, float]:

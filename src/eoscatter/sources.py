@@ -52,10 +52,8 @@ class QuadratureError(RuntimeError):
     """Panel doubling hit the cap before the tolerance was reached."""
 
 
-def source_support(source) -> tuple[float, float]:
-    """A source's ``support`` as two floats ``lo < hi``; ValueError for
-    anything else, a NaN end or a reversed or empty interval included."""
-    support = source.support
+def _support_ends(support) -> tuple[float, float]:
+    """``support`` as two floats; ValueError unless it is two numbers."""
     try:
         lo, hi = support
     except (TypeError, ValueError):
@@ -63,7 +61,13 @@ def source_support(source) -> tuple[float, float]:
     if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
         raise ValueError(f"source support must be two numbers (lo, hi), "
                          f"got {support!r}")
-    lo, hi = float(lo), float(hi)
+    return float(lo), float(hi)
+
+
+def source_support(source) -> tuple[float, float]:
+    """A source's ``support`` as two floats ``lo < hi``; ValueError for
+    anything else, a NaN end or a reversed or empty interval included."""
+    lo, hi = _support_ends(source.support)
     if not lo < hi:  # false for a NaN end too
         raise ValueError(f"source support must have lo < hi, got {(lo, hi)!r}")
     return lo, hi
@@ -87,8 +91,8 @@ class GaussianSource:
     def __post_init__(self) -> None:
         params = [self.amplitude, self.x_center, self.space_rate,
                   self.t_center, self.time_rate]
-        if self.support is not None:  # a NaN end fails here, as non-finite
-            params += list(self.support)
+        if self.support is not None:  # its shape first; a NaN end fails next
+            params += _support_ends(self.support)
         if not all(map(math.isfinite, params)):
             raise ValueError("Gaussian source parameters must be finite")
         if self.space_rate <= 0.0 or self.time_rate <= 0.0:
@@ -419,13 +423,6 @@ def characteristic_integral(
     )
 
 
-def _retarded(source, a1, c0, t0, t, rel_tol):
-    """The characteristic integral at a time, or at each of an array of times."""
-    if np.ndim(t):
-        return incident_series(source, a1, c0, t0, t, rel_tol)
-    return characteristic_integral(source, a1, c0, t0, t, rel_tol)
-
-
 def incident_trace(
     source,
     a1: float,
@@ -434,12 +431,11 @@ def incident_trace(
     t,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float | np.ndarray:
-    """Right-boundary potential trace driven purely by the external source.
-
-    An array of times gives the array of traces, through one
-    :func:`incident_series` call.
+    """Right-boundary potential trace driven purely by the external source,
+    through one :func:`incident_series` call: an array of times gives the
+    array of traces, one time a numpy float.
     """
-    return _retarded(source, a1, mat.c0, t0, t, rel_tol) / mat.c0
+    return incident_series(source, a1, mat.c0, t0, t, rel_tol) / mat.c0
 
 
 def incident_pair(
@@ -452,9 +448,10 @@ def incident_pair(
 ):
     """Right-boundary trace pair for the two-potential model.
 
-    Both components share one retarded integral, so their ratio is exactly
-    ``nu0 / c0``.  An array of times gives a pair of arrays.
+    Both components share one retarded integral (:func:`incident_series`),
+    so their ratio is exactly ``nu0 / c0``.  An array of times gives a pair
+    of arrays, one time a pair of numpy floats.
     """
-    base = _retarded(source, a1, mat.c0, t0, t, rel_tol)
+    base = incident_series(source, a1, mat.c0, t0, t, rel_tol)
     phi = base / (2.0 * mat.c0)
     return phi, mat.nu0 * phi / mat.c0

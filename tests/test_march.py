@@ -144,13 +144,21 @@ def test_runner_rejects_the_other_models_scenario(model, other):
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_null_run_incident_is_zeros(model):
-    scn = null_scenario(model)
-    times = scn.t0 + scn.dt * np.arange(scn.steps + 1)
-    width = () if model == 1 else (2,)
-    for t, shape in ((times, times.shape + width), (scn.t0, width)):
-        got = scn.incident(t)
-        assert got.shape == shape and np.all(got == 0.0)
-        assert not np.any(np.signbit(got))
+    # in every mode the incident rows have one column per potential, model
+    # 1's a column of one; a null run's are +0.0 and verification's exact
+    source = GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0)
+    for kw in ({}, {"mms": FIELDS[model].demo()}, {"source": source}):
+        scn = null_scenario(model, t_end=3.0, **kw)
+        times = scn.t0 + scn.dt * np.arange(scn.steps + 1)
+        for t in (times, scn.t0):
+            got = scn.incident(t)
+            assert got.shape == np.shape(t) + (model,)
+            if not kw:
+                assert np.all(got == 0.0) and not np.any(np.signbit(got))
+            elif "mms" in kw:
+                for k, p in enumerate(scn.potentials):
+                    assert np.array_equal(got[..., k], getattr(scn.mms, p).value(3.0, t))
+        assert np.max(np.abs(scn.incident(times))) > 0.0 or not kw
 
 
 @pytest.mark.parametrize("model", [1, 2])

@@ -134,6 +134,26 @@ def test_residual_closure_model2():
         assert max(abs(r1), abs(r2), abs(r3), abs(r4)) < 1e-12
 
 
+def test_residual_closure_model2_with_unequal_coupling():
+    # mu1 != nu1 and psi a pulse of its own, so a source that read the
+    # coupling matrix transposed, or psi for phi, would show here; the
+    # demo material's mu1 = nu1 hides the first
+    mat = Material2(mu1=3.0, nu1=4.0 / 3.0, mu0=2.0, nu0=0.5,
+                    alpha=-1.0, beta=0.3, gamma=8.0)
+    f = own_psi_family()
+    src = ResidualSources2(f, mat)
+    for x, t in POINTS:
+        terms = src.at(x)(t)
+        r1 = f.phi.dt(x, t) - mat.mu1 * f.psi.dx(x, t) - f.j.value(x, t) - terms["phi"]
+        r2 = f.psi.dt(x, t) - mat.nu1 * f.phi.dx(x, t) - terms["psi"]
+        assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+    # the coupling terms are not negligible at every point
+    assert max(abs(f.psi.dx(x, t)) for x, t in POINTS) > 0.1
+    assert max(abs(f.phi.dx(x, t)) for x, t in POINTS) > 0.1
+    check_source_derivatives(
+        src, SOURCE_DERIVATIVES + [("psi_dx", "psi", fd4_dx), ("psi_dt", "psi", fd4_dt)])
+
+
 def test_source_via_finite_differenced_fields_model1():
     f = ManufacturedFields1.demo()
     src = ResidualSources1(f, MAT1)

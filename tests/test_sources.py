@@ -556,10 +556,12 @@ def test_gaussian_source_rejects_nonfinite_parameters(name, value):
         GaussianSource(**params)
 
 
-@pytest.mark.parametrize("support", [(4.5,), (4.0, 4.5, 5.0), (4.5, 4.0), (4.5, 4.5)])
+@pytest.mark.parametrize("support", [(4.5,), (4.0, 4.5, 5.0), (4.5, 4.0), (4.5, 4.5),
+                                     "ab", 4.0, (4.0, "x")])
 def test_gaussian_source_rejects_a_support_that_is_not_two_numbers_lo_below_hi(support):
     # a one-number support raised IndexError and a three-number one was
-    # accepted, until a scenario rejected it
+    # accepted, until a scenario rejected it; a string, a number or a
+    # non-numeric end raised TypeError in the finiteness test
     with pytest.raises(ValueError, match="support"):
         GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0, support=support)
 
