@@ -35,6 +35,9 @@ class GridSpec:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        for name, v in (("a0", self.a0), ("a1", self.a1), ("epsilon", self.epsilon)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         if not (math.isfinite(self.a0) and math.isfinite(self.a1)):
             raise ValueError("a0 and a1 must be finite")
         if not self.a1 > self.a0:

@@ -5,8 +5,8 @@ material, whose ``coupling`` is their matrix ``A``, the source's drive at
 the right boundary (:meth:`Scenario.drive`) and its trace update
 (:meth:`Scenario.traces`).  The state and result classes, the scenario
 checks, the Lax-Wendroff passes, the incident rows, the interior step, the
-boundary closure's retarded sums, trace history and start traces, the
-snapshots, the trace series and the divergence handling live here once.
+boundary closure's weighted retarded sums, trace history and start traces,
+the snapshots, the trace series and the divergence handling live here once.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ class Scenario:
         return np.stack(self.drive(t), axis=-1)
 
     def traces(self, sums, delayed, incident):
-        """A new level's traces, left then right, as Python floats, from its
-        retarded ``sums`` (:func:`march`), the trace row ``delayed`` one
-        transit back and its row ``incident`` of :meth:`incident`."""
+        """A new level's traces, left then right, as Python floats, from the
+        boundary integrals ``sums`` (:func:`march`), the trace row ``delayed``
+        one transit back and the row ``incident`` of :meth:`incident`."""
         raise NotImplementedError
 
     @cached_property
@@ -297,8 +297,9 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     right-hand sides of the potential equations (the current, plus in
     verification mode the ``phi`` residual source, and each further
     potential's residual source) go into one :class:`RetardedSum` per
-    direction, ``(x - a0)/c1`` and, for a pair, ``(a1 - x)/c1``.  The new
-    traces are :meth:`Scenario.traces` of those sums, the trace row one
+    direction, ``(x - a0)/c1`` and, for a pair, ``(a1 - x)/c1``.  Each sum
+    times the node weight ``dx/c1`` is a boundary integral, and the new
+    traces are :meth:`Scenario.traces` of those integrals, the trace row one
     transit back (a :class:`FixedLagReader`, read before the level's row is
     appended) and the level's incident row; the start row is zeros at a0
     and the incident row at a1.
@@ -321,12 +322,13 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     sums = [[RetardedSum(t0, dt, d) for d in delays[:len(potentials)]]
             for _ in range(1 if scn.mms is None else len(potentials))]
     history = FixedLagReader(t0, dt, scn.transit, width=2 * len(potentials))
+    weight = g.dx / scn.mat.c1  # every node's share of a boundary integral
 
     def push(j, terms):
-        """The sums' new values, by equation, then leftward before rightward."""
+        """The integrals' new values, by equation, then leftward before rightward."""
         rhs = (j,) if terms is None else (
             j + terms["phi"], *(terms[p] for p in potentials[1:]))
-        return [s.push(v) for v, row in zip(rhs, sums) for s in row]
+        return [weight * s.push(v) for v, row in zip(rhs, sums) for s in row]
 
     if scn.mms is not None:
         fields = [np.asarray(getattr(scn.mms, name).value(g.x, t0), dtype=float)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -178,41 +178,30 @@ class GaussianBump(Field):
         return jet_at
 
 
-@dataclass(frozen=True)
-class ManufacturedFields1:
-    """Closed-form (potential, current, density) triple for the one-potential model."""
+def _manufactured(name: str, potentials: tuple[str, ...]) -> type:
+    """The frozen dataclass ``name`` of closed-form fields for the model
+    whose potentials are ``potentials``: its fields are the potentials, then
+    the current ``j`` and the density ``rho``, and it keeps ``potentials``."""
+    names = (*potentials, "j", "rho")
 
-    phi: object
-    j: object
-    rho: object
+    def demo(cls):
+        """The bundled verification family (quiet start, support near the
+        domain): one pulse object for every potential."""
+        pulse = ArctanGaussianPulse(amplitude=1.0, ramp_rate=1.0, rate=4.0,
+                                    drift=4.0, center=6.0, t_shift=1.0)
+        return cls(**dict.fromkeys(cls.potentials, pulse),
+                   j=GaussianBump(1.0, 1.1, 0.3, 1.2, 0.32),
+                   rho=GaussianBump(1.0, 1.3, 1.0, 1.3, 0.33))
 
-    @classmethod
-    def demo(cls) -> "ManufacturedFields1":
-        """The bundled verification family (quiet start, support near the domain)."""
-        return cls(
-            phi=ArctanGaussianPulse(
-                amplitude=1.0, ramp_rate=1.0, rate=4.0, drift=4.0, center=6.0, t_shift=1.0
-            ),
-            j=GaussianBump(1.0, 1.1, 0.3, 1.2, 0.32),
-            rho=GaussianBump(1.0, 1.3, 1.0, 1.3, 0.33),
-        )
+    cls = make_dataclass(name, [(f, object) for f in names], frozen=True, namespace={
+        "__doc__": f"Closed-form ``({', '.join(names)})`` fields of a model.",
+        "potentials": potentials, "demo": classmethod(demo)})
+    cls.__module__ = __name__  # where pickle looks it up
+    return cls
 
 
-@dataclass(frozen=True)
-class ManufacturedFields2:
-    """Closed-form (phi, psi, current, density) quadruple for the two-potential model."""
-
-    phi: object
-    psi: object
-    j: object
-    rho: object
-
-    @classmethod
-    def demo(cls) -> "ManufacturedFields2":
-        """Model 1's family (:meth:`ManufacturedFields1.demo`), with ``psi``
-        the same pulse as ``phi``."""
-        one = ManufacturedFields1.demo()
-        return cls(phi=one.phi, psi=one.phi, j=one.j, rho=one.rho)
+ManufacturedFields1 = _manufactured("ManufacturedFields1", ("phi",))
+ManufacturedFields2 = _manufactured("ManufacturedFields2", ("phi", "psi"))
 
 
 @dataclass(frozen=True)
@@ -241,8 +230,7 @@ class ResidualSources:
         every term at K levels, row k equal to the call at ``t[k, 0]`` bit
         for bit (:meth:`Field.at`).
         """
-        m, A = self.mat, self.mat.coupling
-        potentials = ("phi", "psi")[:len(A)]
+        m, A, potentials = self.mat, self.mat.coupling, self.fields.potentials
         # per potential u_k: its terms' names, the potential u_l that drives
         # it with a = A_kl, and whether the current drives it (e1_k)
         halves = [((p, f"{p}_dx", f"{p}_dt"), potentials[l], a, k == 0)

@@ -32,11 +32,10 @@ class Scenario1(Scenario, state="State1", result="Run1Result"):
                                RUN_QUAD_REL_TOL),)
 
     def traces(self, sums, delayed, incident) -> tuple[float, float]:
-        """``(phi_a0, phi_a1)`` from the retarded current sum, the delayed
-        right trace and the incident value (:meth:`march.Scenario.traces`)."""
+        """``(phi_a0, phi_a1)`` from the current's integral, the delayed right
+        trace and the incident value (:meth:`march.Scenario.traces`)."""
         (left,) = sums
-        return (boundary_a0_m1(self, left, delayed[1]),
-                boundary_a1_m1(self, incident[0]))
+        return boundary_a0_m1(left, delayed[1]), boundary_a1_m1(incident[0])
 
     def run(self, snapshot_times=()) -> Run1Result:
         """:func:`run_m1` of this scenario, the module's ``run_m1`` as it
@@ -49,26 +48,27 @@ State1, Run1Result = Scenario1.State, Scenario1.Result
 interior_step_m1 = interior_step
 
 
-def boundary_a1_m1(scn: Scenario1, incident: float) -> float:
+def boundary_a1_m1(incident: float) -> float:
     """Right-boundary trace: ``incident``, the value of
     :meth:`Scenario1.incident` at its level (the source's incident trace,
     the exact field in verification mode, zero in a null run)."""
     return float(incident)
 
 
-def boundary_a0_m1(scn: Scenario1, current: float, delayed_a1: float) -> float:
+def boundary_a0_m1(current: float, delayed_a1: float) -> float:
     """Left-boundary trace from the delayed nodal current plus the delayed
     right trace.
 
-    ``current`` is the retarded current sum: every node at its own delay
-    ``(x - a0)/c1`` behind the new level, zero at or before the start time
-    (the causal mask), as a :class:`RetardedSum` gives it.  In verification
-    mode it is the sum of the current plus the potential equation's residual
+    ``current`` is the current's boundary integral: the retarded sum of
+    every node at its own delay ``(x - a0)/c1`` behind the new level, zero
+    at or before the start time (the causal mask), times the node weight
+    ``dx/c1``, as :func:`march.march` gives it.  In verification mode it is
+    the integral of the current plus the potential equation's residual
     source, read by the same rule.  ``delayed_a1`` is the right trace one
     transit time behind the new level, as a :class:`FixedLagReader` reads
     it.
     """
-    return scn.grid.dx / scn.mat.c1 * current + delayed_a1
+    return current + delayed_a1
 
 
 def run_m1(scn: Scenario1, snapshot_times=()) -> Run1Result:

@@ -54,10 +54,10 @@ class Scenario2(Scenario, state="State2", result="Run2Result"):
 
     def traces(self, sums, delayed, incident) -> tuple[float, float, float, float]:
         """Both boundary systems solved by :func:`boundary_update_m2` (see
-        :meth:`march.Scenario.traces`); the ``psi`` sums are zero outside
-        verification mode."""
+        :meth:`march.Scenario.traces`); the ``psi`` integrals are zero
+        outside verification mode."""
         left, right, *psi_sums = sums
-        return boundary_update_m2(self, self._face, left, right, delayed[:2],
+        return boundary_update_m2(self._face, left, right, delayed[:2],
                                   delayed[2:], incident, psi_sums or (0.0, 0.0))
 
     def run(self, snapshot_times=()) -> Run2Result:
@@ -71,34 +71,34 @@ State2, Run2Result = Scenario2.State, Scenario2.Result
 interior_step_m2 = interior_step
 
 
-def boundary_update_m2(scn: Scenario2, face, left: float, right: float,
-                       delayed0, delayed1, incident, psi_sums=(0.0, 0.0)):
+def boundary_update_m2(face, left: float, right: float, delayed0, delayed1,
+                       incident, psi_sums=(0.0, 0.0)):
     """Solve both boundary systems at a new level through ``face``, the
     :func:`boundary_map` of the scenario's material.
 
-    ``left`` and ``right`` are the retarded sums over the leftward delays
-    ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``, as
-    :class:`RetardedSum` gives them, of the ``phi`` equation's right-hand
-    side: the current, plus in verification mode the ``phi`` residual
-    source.  ``psi_sums`` are the same two sums of the ``psi`` residual
-    source (zero outside verification mode).  ``delayed0`` and
-    ``delayed1`` are the left and right trace pairs one transit time behind
-    the new level, as a :class:`FixedLagReader` reads them.  ``incident`` is
-    the level's exterior pair at ``a1`` (:meth:`Scenario2.incident`), whose
-    incoming part ``[[c0, mu0], [nu0, c0]] @ pair`` (``2*c0*pair`` for an
-    incident pair) enters the right system solved, ``[[d, b], [c, a]] @
-    pair``.  Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``, Python floats
-    when the inputs are (scalar arithmetic: numpy's overhead on 2x2 arrays
-    outweighs it).
+    ``left`` and ``right`` are the boundary integrals, retarded sums times
+    the node weight ``dx/c1`` as :func:`march.march` gives them, over the
+    leftward delays ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``
+    of the ``phi`` equation's right-hand side: the current, plus in
+    verification mode the ``phi`` residual source.  ``psi_sums`` are the
+    same two integrals of the ``psi`` residual source (zero outside
+    verification mode).  ``delayed0`` and ``delayed1`` are the left and
+    right trace pairs one transit time behind the new level, as a
+    :class:`FixedLagReader` reads them.  ``incident`` is the level's
+    exterior pair at ``a1`` (:meth:`Scenario2.incident`), whose incoming
+    part ``[[c0, mu0], [nu0, c0]] @ pair`` (``2*c0*pair`` for an incident
+    pair) enters the right system solved, ``[[d, b], [c, a]] @ pair``.
+    Returns ``(phi_a0, psi_a0, phi_a1, psi_a1)``, Python floats when the
+    inputs are (scalar arithmetic: numpy's overhead on 2x2 arrays outweighs
+    it).
     """
     a, b, c, d = face
-    weight = scn.grid.dx / scn.mat.c1
     psi0, psi1 = psi_sums
     p, q = delayed1
-    u, v = weight * left + p, weight * psi0 + q
+    u, v = left + p, psi0 + q
     phi_a0, psi_a0 = a * u + b * v, c * u + d * v
     p, q = delayed0
-    u, v = weight * right + p, weight * psi1 + q
+    u, v = right + p, psi1 + q
     p, q = incident
     return (phi_a0, psi_a0, a * u - b * v + (d * p + b * q),
             d * v - c * u + (c * p + a * q))

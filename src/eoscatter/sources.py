@@ -53,12 +53,13 @@ class QuadratureError(RuntimeError):
 
 
 def _support_ends(support) -> tuple[float, float]:
-    """``support`` as two floats; ValueError unless it is two numbers."""
+    """``support`` as two floats; ValueError unless it is two numbers, not bools."""
     try:
         lo, hi = support
     except (TypeError, ValueError):
         lo = hi = None
-    if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in (lo, hi)):
         raise ValueError(f"source support must be two numbers (lo, hi), "
                          f"got {support!r}")
     return float(lo), float(hi)
@@ -77,8 +78,8 @@ def source_support(source) -> tuple[float, float]:
 class GaussianSource:
     """Separable pulse ``amplitude * exp(-space_rate*(x-x_center)**2 - time_rate*(t-t_center)**2)``.
 
-    ``support`` defaults to six e-folding widths either side of the spatial
-    center; the truncated tails are below 1e-15 of the peak.
+    ``support``, kept as two floats, defaults to six e-folding widths either
+    side of the spatial center; the truncated tails are below 1e-15 of the peak.
     """
 
     amplitude: float
@@ -92,7 +93,8 @@ class GaussianSource:
         params = [self.amplitude, self.x_center, self.space_rate,
                   self.t_center, self.time_rate]
         if self.support is not None:  # its shape first; a NaN end fails next
-            params += _support_ends(self.support)
+            object.__setattr__(self, "support", _support_ends(self.support))
+            params += self.support
         if not all(map(math.isfinite, params)):
             raise ValueError("Gaussian source parameters must be finite")
         if self.space_rate <= 0.0 or self.time_rate <= 0.0:

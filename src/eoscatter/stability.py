@@ -206,8 +206,8 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
     if scan_points < 16:
         raise ValueError("scan_points must be >= 16")
     for name, v in (("dt_max_factor", dt_max_factor), ("bisect_tol", bisect_tol)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be positive and finite")
+        if isinstance(v, bool) or not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
     c = mat.c1
     dt_unit = grid.dx / c
     dts = dt_unit * dt_max_factor * np.arange(1, scan_points + 1) / scan_points
@@ -250,11 +250,7 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
 
 def scan_stability(model: int, mat, n: int, epsilons, **search) -> list[StabilityDomain]:
     """Stability window per grid stretching, for re-plotting the window as a
-    function of epsilon."""
-    epsilons = [float(e) for e in epsilons]
-    for e in epsilons:
-        if not 0.0 <= e <= 1.0:
-            raise ValueError("epsilon values must lie in [0, 1]")
+    function of epsilon; each epsilon is checked by :class:`GridSpec`."""
     return [stability_bounds(model, GridSpec(0.0, 1.0, n, e), mat, **search)
             for e in epsilons]
 

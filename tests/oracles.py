@@ -79,6 +79,26 @@ def slab_reflection_traces(f, t, *, length, mu1, nu1, mu0, nu0):
             ((1.0 - big_r) * here - back) / z0)
 
 
+def model1_left_trace(right, dt, *, length, c1, alpha, gamma):
+    """Model 1's left trace at beta = 0, at the times of ``right``, its right
+    trace sampled every ``dt`` from a quiet start.
+
+    At beta = 0 the slab is linear and time invariant: phi_t = c1*phi_x + j
+    and j_t = alpha*phi - gamma*j give phi_hat(a0) = H(s)*phi_hat(a1) with
+    H(s) = exp(-p(s)*length/c1) and p(s) = s - alpha/(s + gamma).  H is
+    applied by a damped FFT: the samples, zero padded to m = 8 times their
+    count, are weighted by exp(-sigma*t) with sigma = 20/(m*dt), so what the
+    periodic transform wraps around is damped by exp(-20).
+    """
+    right = np.asarray(right, dtype=float)
+    k, m = right.size, 8 * right.size
+    sigma = 20.0 / (m * dt)
+    ramp = np.exp(sigma * dt * np.arange(k))
+    s = sigma + 2j * np.pi * np.fft.rfftfreq(m, dt)
+    h = np.exp(-(s - alpha / (s + gamma)) * (length / c1))
+    return np.fft.irfft(np.fft.rfft(right / ramp, m) * h, m)[:k] * ramp
+
+
 def model2_face_systems(mat):
     """Model 2's boundary update rules as the paper states them: the left
     system, the right system, and the interior mixes ``mix_out`` (left side)

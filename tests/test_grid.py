@@ -61,6 +61,16 @@ def test_grid_validation():
         GridSpec(1.0, 1.0, 8, 1.0)
 
 
+@pytest.mark.parametrize("value", [True, False, "1", None])
+@pytest.mark.parametrize("name", ["a0", "a1", "epsilon"])
+def test_grid_rejects_a_coordinate_or_epsilon_that_is_not_a_number(name, value):
+    # GridSpec(True, 3.0, 8, True) built a grid on [1, 3] at epsilon 1, and a
+    # string or None raised TypeError
+    params = {"a0": 0.0, "a1": 3.0, "n": 8, "epsilon": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+        GridSpec(**params)
+
+
 def test_grid_rejects_non_integer_node_count():
     for n in (100.5, 100.0, True, "100"):
         with pytest.raises(ValueError, match="integer"):

@@ -1,6 +1,8 @@
 """Analytic derivatives and residual sources vs finite-difference oracles."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,6 +92,26 @@ def test_demo_families_start_quiet_on_a_grid():
     assert np.all(f1.phi.value(x, 0.0) == 0.0)
     assert np.all(f2.phi.value(x, 0.0) == 0.0)
     assert np.all(f2.psi.value(x, 0.0) == 0.0)
+
+
+@pytest.mark.parametrize("cls, potentials", [
+    (ManufacturedFields1, ("phi",)), (ManufacturedFields2, ("phi", "psi"))])
+def test_demo_gives_every_potential_one_pulse_object(cls, potentials):
+    demo = cls.demo()
+    assert cls.potentials == potentials
+    assert [f.name for f in dataclasses.fields(cls)] == [*potentials, "j", "rho"]
+    assert all(getattr(demo, p) is demo.phi for p in potentials)
+    assert isinstance(demo.phi, ArctanGaussianPulse)
+
+
+@pytest.mark.parametrize("cls", [ManufacturedFields1, ManufacturedFields2])
+def test_manufactured_fields_survive_a_pickle_round_trip(cls):
+    demo = cls.demo()
+    back = pickle.loads(pickle.dumps(demo))
+    assert type(back) is cls and back == demo
+    assert cls.__module__ == "eoscatter.mms"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        back.phi = ZeroField()
 
 
 def test_zero_fields_give_zero_sources():

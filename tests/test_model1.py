@@ -19,7 +19,7 @@ from eoscatter.model1 import (
 )
 from eoscatter.sources import GaussianSource
 
-from oracles import reference_step_m1
+from oracles import model1_left_trace, reference_step_m1
 
 MAT = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 FREE = Material1(c1=2.0, c0=1.0, alpha=0.0, beta=0.0, gamma=0.0)
@@ -112,9 +112,9 @@ def test_boundary_a0_all_masked_is_zero():
     # earliest node arrival is gap_a0/c1; query before that
     t_next = 0.5 * g.gap_a0 / MAT.c1
     assert t_next < g.gap_a0 / MAT.c1
-    current = np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
-    assert boundary_a0_m1(scn, current,
-                          pa1_hist.query(t_next - scn.transit)) == 0.0
+    # the march hands over the sum times the node weight dx/c1
+    current = g.dx / MAT.c1 * np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
+    assert boundary_a0_m1(current, pa1_hist.query(t_next - scn.transit)) == 0.0
 
 
 def test_boundary_a0_delayed_passthrough():
@@ -130,8 +130,8 @@ def test_boundary_a0_delayed_passthrough():
     # passes through exactly
     t_next = 2.2
     assert scn.transit < t_next
-    current = np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
-    got = boundary_a0_m1(scn, current, pa1_hist.query(t_next - scn.transit))
+    current = g.dx / MAT.c1 * np.sum(j_hist.query_each(t_next - (g.x - g.a0) / MAT.c1))
+    got = boundary_a0_m1(current, pa1_hist.query(t_next - scn.transit))
     assert got == pytest.approx(1.0, abs=1e-13)
 
 
@@ -186,6 +186,39 @@ def test_trace_delay_identity_with_material_response_off():
     assert np.max(np.abs(got - want)) < 1e-9 * peak
 
 
+def test_transfer_function_oracle_delays_a_matched_slab():
+    # alpha = gamma = 0 leaves H(s) = exp(-s*T), a pure delay; T = 0.5 is
+    # 50 whole steps, so the oracle shifts the samples by 50
+    dt = 0.01
+    t = dt * np.arange(400)
+    right = np.exp(-(((t - 1.0) / 0.1) ** 2))
+    got = model1_left_trace(right, dt, length=1.0, c1=2.0, alpha=0.0, gamma=0.0)
+    want = np.concatenate((np.zeros(50), right[:-50]))
+    assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_left_trace_converges_at_order_two_to_the_transfer_function_oracle():
+    # fig2's source and material with beta = 0, where the slab is linear:
+    # the left trace against H(s) applied to the march's own right trace, so
+    # the incident quadrature drops out.  Errors over max read 2.60e-4,
+    # 6.53e-5, 1.62e-5 and 3.99e-6 (orders 2.00, 2.01, 2.02)
+    tic = time.perf_counter()
+    mat = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.0, gamma=8.0)
+    source = GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0)
+    errors = []
+    for n in (100, 200, 400, 800):
+        g = GridSpec(0.0, 3.0, n, 1.0)
+        scn = Scenario1(grid=g, mat=mat, dt=0.4 * g.dx / mat.c1, t_end=4.0,
+                        source=source)
+        res = run_m1(scn)
+        want = model1_left_trace(res.phi_a1, scn.dt, length=g.length, c1=mat.c1,
+                                 alpha=mat.alpha, gamma=mat.gamma)
+        errors.append(np.max(np.abs(res.phi_a0 - want)) / np.max(np.abs(want)))
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all((orders > 1.9) & (orders < 2.1)), (errors, orders)
+    assert time.perf_counter() - tic < 30.0
+
+
 def test_scenario_rejects_source_inside_domain():
     bad = GaussianSource(1.0, 2.0, 36.0, 0.5, 4.0)  # support straddles a1=3
     with pytest.raises(ValueError, match="support"):
@@ -200,8 +233,9 @@ def test_scenario_rejects_nonfinite_times():
 
 
 def test_boundary_a0_fixed_lag_reader_matches_direct_sum():
-    # the solver's left sum, a RetardedSum fed every level, against the
-    # trace written out from query_each reads of the whole current history
+    # the solver's left sum, a RetardedSum fed every level and weighted by
+    # dx/c1 as the march weights it, against the trace written out from
+    # query_each reads of the whole current history
     scn = scenario(n=12, t_end=1.0)
     g = scn.grid
     delays = (g.x - g.a0) / MAT.c1
@@ -217,7 +251,7 @@ def test_boundary_a0_fixed_lag_reader_matches_direct_sum():
     t_next = 39 * scn.dt
     want = (g.dx / MAT.c1 * np.sum(j_hist.query_each(t_next - delays))
             + pa1_hist.query(t_next - scn.transit))
-    got = boundary_a0_m1(scn, current, pa1_hist.query(t_next - scn.transit))
+    got = boundary_a0_m1(g.dx / MAT.c1 * current, pa1_hist.query(t_next - scn.transit))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 

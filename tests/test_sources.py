@@ -557,13 +557,25 @@ def test_gaussian_source_rejects_nonfinite_parameters(name, value):
 
 
 @pytest.mark.parametrize("support", [(4.5,), (4.0, 4.5, 5.0), (4.5, 4.0), (4.5, 4.5),
-                                     "ab", 4.0, (4.0, "x")])
+                                     "ab", 4.0, (4.0, "x"), (True, 5), (4.0, True)])
 def test_gaussian_source_rejects_a_support_that_is_not_two_numbers_lo_below_hi(support):
     # a one-number support raised IndexError and a three-number one was
     # accepted, until a scenario rejected it; a string, a number or a
-    # non-numeric end raised TypeError in the finiteness test
+    # non-numeric end raised TypeError in the finiteness test; a bool end
+    # was kept as the number it equals, which the config rejects
     with pytest.raises(ValueError, match="support"):
         GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0, support=support)
+
+
+def test_gaussian_source_keeps_a_given_support_as_two_floats():
+    # a list support was kept as the list: the source was unhashable and
+    # unequal to the same source built with a tuple
+    src = GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0, support=[3, 5])
+    assert src.support == (3.0, 5.0)
+    assert all(type(v) is float for v in src.support)
+    assert src == GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0, support=(3.0, 5.0))
+    assert hash(src) == hash(GaussianSource(5.0, 4.0, 36.0, 0.5, 4.0,
+                                            support=np.array([3.0, 5.0])))
 
 
 @pytest.mark.parametrize("x, t", [([3.0, math.nan, 5.0], [0.0, 1.0]),

@@ -297,12 +297,20 @@ def test_scan_ignores_eos_threads(monkeypatch):
     ("bisect_tol", 0.0), ("bisect_tol", -1e-4), ("bisect_tol", math.nan),
     ("bisect_tol", math.inf), ("dt_max_factor", 0.0),
     ("dt_max_factor", -1.0), ("dt_max_factor", math.nan),
-    ("dt_max_factor", math.inf),
+    ("dt_max_factor", math.inf), ("bisect_tol", True), ("dt_max_factor", True),
 ])
 def test_scan_controls_must_be_positive_and_finite(control, value):
-    # zero or negative values leave the bisection without progress
+    # zero or negative values leave the bisection without progress; True ran
+    # a scan as 1.0, where the config rejects it
     with pytest.raises(ValueError, match=control):
         stability_bounds(1, grid(16), MAT1, **{control: value})
+
+
+@pytest.mark.parametrize("epsilon", [True, False, "0.5", -0.5, 1.5, math.nan])
+def test_scan_epsilons_are_checked_by_the_grid(epsilon):
+    # [True] scanned epsilon = 1.0, and ["0.5"] epsilon = 0.5
+    with pytest.raises(ValueError, match="^epsilon must"):
+        scan_stability(1, MAT1, 20, [epsilon])
 
 
 @pytest.mark.parametrize("value", [16.5, 16.0, True, "16"])
