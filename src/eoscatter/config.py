@@ -9,18 +9,18 @@ exact inputs that produced it.
 from __future__ import annotations
 
 import json
-import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .grid import GridSpec
+from .grid import GridSpec, check_real
 from .mms import ErrorReport, mms_report
 from .sources import GaussianSource, TabulatedSource
-# SCENARIOS, the map from model number to scenario class, and its check of
-# the model number are the stability lab's: the lowest module that imports
-# both models
+# The map from model number to scenario class, with its check of the model
+# number, is the stability lab's (the lowest module that imports both
+# models), and so is the check of the scan controls
 from .stability import (DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR,
-                        DEFAULT_SCAN_POINTS, SCENARIOS, _model_scenario)
+                        DEFAULT_SCAN_POINTS, _check_controls, _model_scenario)
 
 DEFAULT_DT_CFL = 0.4
 DEFAULT_EPSILON = 1.0
@@ -56,51 +56,43 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key '{extra[0]}' in {where}")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+@contextmanager
+def _located(prefix: str):
+    """Raise a ValueError of the library again as a ConfigError that
+    starts with ``prefix``, the place in the config."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _number(block, key, where, default=None, required=False):
+def _number(block, key, where, default=None, required=False, positive=False):
+    """``block[key]`` by :func:`check_real`, named by its place."""
     if key not in block:
         if required:
             raise ConfigError(f"missing key '{key}' in {where}")
         return default
-    v = block[key]
-    if not _is_number(v):
-        raise ConfigError(f"'{key}' in {where} must be a number")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"'{key}' in {where} must be finite")
-    return v
-
-
-def _integer(block, key, where, default=None, required=False):
-    if key not in block:
-        if required:
-            raise ConfigError(f"missing key '{key}' in {where}")
-        return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"'{key}' in {where} must be an integer")
-    return v
+    with _located(""):
+        return check_real(f"'{key}' in {where}", block[key], positive=positive)
 
 
 def _build(cls, block, where: str, defaults=None, **given):
-    """A ``cls`` from ``block``, whose keys are the fields of ``cls``.
+    """A ``cls`` from ``block``, whose keys are the fields of ``cls``, which
+    checks them.
 
-    Each field not in ``given`` is read as a number: required when
-    ``defaults`` is None, otherwise defaulting to that instance's value.
+    Each field not in ``given`` is required when ``defaults`` is None,
+    otherwise it defaults to that instance's value.
     """
     block = _require_mapping(block, where)
-    names = [f.name for f in fields(cls)]
-    _reject_unknown(block, names, where)
-    vals = {k: _number(block, k, where, default=getattr(defaults, k, None),
-                       required=defaults is None)
-            for k in names if k not in given}
-    try:
-        return cls(**vals, **given)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    names = [f.name for f in fields(cls) if f.name not in given]
+    _reject_unknown(block, [*names, *given], where)
+    if defaults is None:
+        for k in names:
+            if k not in block:
+                raise ConfigError(f"missing key '{k}' in {where}")
+    with _located(f"{where}: "):
+        return cls(**{k: block.get(k, getattr(defaults, k, None)) for k in names},
+                   **given)
 
 
 @dataclass(frozen=True)
@@ -154,14 +146,12 @@ class RunConfig:
 def _parse_grid(block, where="grid") -> GridSpec:
     block = _require_mapping(block, where)
     _reject_unknown(block, ("a0", "a1", "N", "epsilon"), where)
-    a0 = _number(block, "a0", where, required=True)
-    a1 = _number(block, "a1", where, required=True)
-    n = _integer(block, "N", where, required=True)
-    eps = _number(block, "epsilon", where, default=DEFAULT_EPSILON)
-    try:
-        return GridSpec(a0=a0, a1=a1, n=n, epsilon=eps)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    for key in ("a0", "a1", "N"):
+        if key not in block:
+            raise ConfigError(f"missing key '{key}' in {where}")
+    with _located(f"{where}: "):
+        return GridSpec(a0=block["a0"], a1=block["a1"], n=block["N"],
+                        epsilon=block.get("epsilon", DEFAULT_EPSILON))
 
 
 def _parse_source(block, where="source"):
@@ -170,14 +160,8 @@ def _parse_source(block, where="source"):
     block = _require_mapping(block, where)
     kind = block.get("kind", "gaussian")
     if kind == "gaussian":
-        support = block.get("support")
-        if support is not None:
-            if (not isinstance(support, (list, tuple)) or len(support) != 2
-                    or not all(map(_is_number, support))):
-                raise ConfigError(f"'support' in {where} must be [lo, hi]")
-            support = (float(support[0]), float(support[1]))
         params = {k: v for k, v in block.items() if k != "kind"}
-        return _build(GaussianSource, params, where, support=support)
+        return _build(GaussianSource, params, where, support=block.get("support"))
     if kind == "tabulated":
         _reject_unknown(block, ("kind", "path"), where)
         path = block.get("path")
@@ -202,14 +186,9 @@ def _parse_mms(block, scn_cls, grid: GridSpec, where="mms"):
         given = block.get(key, block.get("pulse", {}) if key == "pulse_psi" else {})
         parts[name] = _build(type(default), given, f"{where}.{key}", default)
     exact = scn_cls.manufactured(**parts)
-    ladder = block.get("n_ladder")
-    if ladder is None:
-        ladder = [grid.n]
-    if (not isinstance(ladder, list) or not ladder
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in ladder)):
+    ladder = block.get("n_ladder", [grid.n])
+    if not isinstance(ladder, list) or not ladder:
         raise ConfigError(f"'n_ladder' in {where} must be a list of integers")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(f"'n_ladder' in {where} must increase")
     return exact, tuple(ladder)
 
 
@@ -218,31 +197,23 @@ def _parse_stability(block, where="stability") -> StabilityControls:
     _reject_unknown(block, ("N", "epsilons", "dt_max_factor", "scan_points",
                             "bisect_tol", "samples"), where)
     eps = block.get("epsilons", list(DEFAULT_EPSILONS))
-    if not isinstance(eps, list) or not eps or not all(map(_is_number, eps)):
+    if not isinstance(eps, list) or not eps:
         raise ConfigError(f"'epsilons' in {where} must be a list of numbers")
-    eps = tuple(float(v) for v in eps)
-    if any(not 0.0 <= v <= 1.0 for v in eps):
-        raise ConfigError(f"'epsilons' in {where} must lie in [0, 1]")
-    n = _integer(block, "N", where, default=DEFAULT_STABILITY_N)
-    if n < 4:
-        raise ConfigError(f"{where}: N must be >= 4")
-    scan_points = _integer(block, "scan_points", where,
-                           default=DEFAULT_SCAN_POINTS)
-    if scan_points < 16:
-        raise ConfigError(f"'scan_points' in {where} must be >= 16")
-    factor = _number(block, "dt_max_factor", where, default=DEFAULT_DT_MAX_FACTOR)
-    tol = _number(block, "bisect_tol", where, default=DEFAULT_BISECT_TOL)
-    for key, v in (("dt_max_factor", factor), ("bisect_tol", tol)):
-        if not v > 0.0:
-            raise ConfigError(f"'{key}' in {where} must be positive")
     samples = block.get("samples", True)
     if not isinstance(samples, bool):
         raise ConfigError(f"'samples' in {where} must be true or false")
+    with _located(f"{where}: "):  # the scan's grids and the lab's controls
+        grids = [GridSpec(0.0, 1.0, block.get("N", DEFAULT_STABILITY_N), e)
+                 for e in eps]
+        factor, points, tol = _check_controls(
+            block.get("dt_max_factor", DEFAULT_DT_MAX_FACTOR),
+            block.get("scan_points", DEFAULT_SCAN_POINTS),
+            block.get("bisect_tol", DEFAULT_BISECT_TOL))
     return StabilityControls(
-        n=n,
-        epsilons=eps,
+        n=grids[0].n,
+        epsilons=tuple(g.epsilon for g in grids),
         dt_max_factor=factor,
-        scan_points=scan_points,
+        scan_points=points,
         bisect_tol=tol,
         write_samples=samples,
     )
@@ -255,9 +226,10 @@ def _parse_output(block, where="output"):
     if not isinstance(out_dir, str):
         raise ConfigError(f"'dir' in {where} must be a string")
     snaps = block.get("snapshots", [])
-    if not isinstance(snaps, list) or not all(map(_is_number, snaps)):
+    if not isinstance(snaps, list):
         raise ConfigError(f"'snapshots' in {where} must be a list of times")
-    return out_dir, tuple(float(v) for v in snaps)
+    with _located(f"{where}: "):
+        return out_dir, tuple(check_real("snapshot time", v) for v in snaps)
 
 
 def _source_dict(source, block) -> dict | None:
@@ -275,10 +247,11 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
     _reject_unknown(data, ("model", "mode", "grid", "material", "dt_cfl",
                            "t_end", "source", "mms", "stability", "output"),
                     "config")
-    model = _integer(data, "model", "config", required=True)
-    if model not in SCENARIOS:
-        raise ConfigError("'model' in config must be 1 or 2")
-    scn_cls = SCENARIOS[model]
+    model = data["model"] if "model" in data else _missing("model")
+    try:
+        scn_cls = _model_scenario(model)
+    except ValueError:
+        raise ConfigError("'model' in config must be 1 or 2") from None
     mode = data.get("mode", default_mode)
     if mode not in MODES:
         raise ConfigError("'mode' in config must be one of run, mms, stability")
@@ -298,16 +271,9 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
             _missing("grid")
         grid = _parse_grid(data["grid"])
 
-    dt_cfl = _number(data, "dt_cfl", "config", default=DEFAULT_DT_CFL)
-    if not dt_cfl > 0.0:
-        raise ConfigError("'dt_cfl' in config must be positive")
-
-    t_end = _number(data, "t_end", "config")
-    if mode in ("run", "mms"):
-        if t_end is None:
-            raise ConfigError("missing key 't_end' in config")
-        if not t_end > 0.0:
-            raise ConfigError("'t_end' in config must be positive")
+    dt_cfl = _number(data, "dt_cfl", "config", default=DEFAULT_DT_CFL, positive=True)
+    marching = mode != "stability"
+    t_end = _number(data, "t_end", "config", required=marching, positive=marching)
 
     for key, only in (("source", "run"), ("mms", "mms"), ("stability", "stability")):
         if data.get(key) is not None and mode != only:
@@ -352,13 +318,13 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
         return cfg
     scenarios = []
     for n in ladder or (grid.n,):
-        try:  # the scenario checks every run rule, and the snapshot times
+        with _located(f"at N = {n}: "):  # the scenario checks every run rule
             g = replace(grid, n=n)
             scenarios.append(scn_cls(grid=g, mat=mat, dt=cfg.step(g), t_end=t_end,
                                      source=source, mms=exact))
             scenarios[-1].snapshot_levels(snapshots)
-        except ValueError as exc:
-            raise ConfigError(f"at N = {n}: {exc}") from exc
+    if any(b.grid.n <= a.grid.n for a, b in zip(scenarios, scenarios[1:])):
+        raise ConfigError("'n_ladder' in mms must increase")
     return replace(cfg, scenarios=tuple(scenarios))
 
 
@@ -374,7 +340,7 @@ def parse_config(path, default_mode: str = "run") -> RunConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return resolve_config(data, default_mode=default_mode)
 

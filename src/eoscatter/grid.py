@@ -1,4 +1,6 @@
-"""Interior grid family, material coefficients, and spatial stencils.
+"""Interior grid family, material coefficients, and spatial stencils, with
+the number rule the package checks every numeric input by
+(:func:`check_real`, :func:`check_integer`).
 
 The scatterer occupies [a0, a1] and all evolved fields live on N interior
 nodes only; boundary values enter through separately evolved traces. A single
@@ -17,12 +19,49 @@ the mismatch in between is O(dx/N)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 import math
 import numbers
+import reprlib
+import sys
 
 import numpy as np
+
+
+def check_real(name: str, v, *, positive: bool = False, finite: bool = True) -> float:
+    """``v`` as a float; ValueError naming ``name`` unless ``v`` is a real
+    number, not a bool, not NaN, finite as a float when ``finite`` (an int
+    too large for one is not) and greater than zero when ``positive``."""
+    try:
+        f = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) \
+            else math.nan
+    except OverflowError:  # an int beyond the float range
+        f = math.inf
+    if math.isnan(f) or (finite and math.isinf(f)) or (positive and not f > 0.0):
+        kind = ("positive " if positive else "") + ("finite " if finite else "")
+        raise ValueError(f"{name} must be a {kind}number, got {reprlib.repr(v)}")
+    return f
+
+
+def check_integer(name: str, v, minimum: int) -> int:
+    """``v`` as an int; ValueError naming ``name`` unless ``v`` is an
+    integer, not a bool, at least ``minimum`` and within the float range."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+            or not minimum <= v <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite integer >= {minimum}, "
+                         f"got {reprlib.repr(v)}")
+    return int(v)
+
+
+def check_fields(obj, positive=()) -> None:
+    """Store every ``float`` field of the frozen dataclass ``obj`` back as
+    the float :func:`check_real` makes of it, those named in ``positive``
+    checked as positive."""
+    for f in fields(obj):
+        if f.type in ("float", float):
+            v = check_real(f.name, getattr(obj, f.name), positive=f.name in positive)
+            object.__setattr__(obj, f.name, v)
 
 
 @dataclass(frozen=True)
@@ -35,17 +74,10 @@ class GridSpec:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        for name, v in (("a0", self.a0), ("a1", self.a1), ("epsilon", self.epsilon)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-        if not (math.isfinite(self.a0) and math.isfinite(self.a1)):
-            raise ValueError("a0 and a1 must be finite")
+        check_fields(self)
+        object.__setattr__(self, "n", check_integer("N", self.n, 4))
         if not self.a1 > self.a0:
             raise ValueError("a1 must be greater than a0")
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"N must be an integer, got {self.n!r}")
-        if self.n < 4:
-            raise ValueError("N must be >= 4")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
 
@@ -89,12 +121,7 @@ class Material1:
     gamma: float
 
     def __post_init__(self):
-        for name in ("c1", "c0"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("alpha", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self, positive=("c1", "c0"))
 
     @property
     def coupling(self) -> tuple[tuple[float]]:
@@ -117,12 +144,7 @@ class Material2:
     gamma: float
 
     def __post_init__(self):
-        for name in ("mu1", "nu1", "mu0", "nu0"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("alpha", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self, positive=("mu1", "nu1", "mu0", "nu0"))
 
     @property
     def c1(self) -> float:

@@ -28,9 +28,10 @@ stays for custom studies and as the reader's test oracle.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
+
+from .grid import check_integer, check_real
 
 
 def _weights(s):
@@ -70,16 +71,12 @@ class DelayBuffer:
     """
 
     def __init__(self, t0: float, dt: float, window: float, shape=()):
-        if not math.isfinite(t0):
-            raise ValueError("t0 must be finite")
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(window) and window >= 0.0):
-            raise ValueError("window must be nonnegative and finite")
-        self.t0 = float(t0)
-        self.dt = float(dt)
+        self.t0, self.dt = check_real("t0", t0), check_real("dt", dt, positive=True)
+        window = check_real("window", window)
+        if window < 0.0:
+            raise ValueError(f"window must be nonnegative, got {window!r}")
         self.shape = tuple(shape)
-        self._cap = int(math.ceil(window / dt)) + 4
+        self._cap = int(math.ceil(window / self.dt)) + 4
         self._data = np.zeros((self._cap,) + self.shape)
         self._levels = 0  # total samples appended so far
 
@@ -190,10 +187,7 @@ class RetardedSum:
     """
 
     def __init__(self, t0: float, dt: float, delays) -> None:
-        if not math.isfinite(t0):
-            raise ValueError("t0 must be finite")
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError("dt must be positive and finite")
+        t0, dt = check_real("t0", t0), check_real("dt", dt, positive=True)
         d = np.asarray(delays, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("delays must be a nonempty 1-D array")
@@ -251,16 +245,11 @@ class FixedLagReader:
     """
 
     def __init__(self, t0: float, dt: float, lag: float, width: int = 1):
-        if not math.isfinite(t0):
-            raise ValueError("t0 must be finite")
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(lag) and lag >= 0.0):
-            raise ValueError("lag must be finite and nonnegative")
-        if isinstance(width, bool) or not isinstance(width, numbers.Integral) \
-                or width < 1:
-            raise ValueError(f"width must be a positive integer, got {width!r}")
-        self.t0, self.dt, self.lag = float(t0), float(dt), float(lag)
+        self.t0, self.dt = check_real("t0", t0), check_real("dt", dt, positive=True)
+        self.lag = check_real("lag", lag)
+        if self.lag < 0.0:
+            raise ValueError(f"lag must be nonnegative, got {lag!r}")
+        width = check_integer("width", width, 1)
         q = self.lag / self.dt
         self._back = math.floor(q) + 1
         self._weights = _weights(self._back + 1 - q)

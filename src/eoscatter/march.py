@@ -20,7 +20,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .grid import ClosedPass, GridSpec, SpatialOps, confined_pass, drivers
+from .grid import (ClosedPass, GridSpec, SpatialOps, check_fields, check_real,
+                   confined_pass, drivers)
 from .history import FixedLagReader, RetardedSum
 from .mms import ResidualSources
 from .sources import source_support
@@ -107,10 +108,7 @@ class Scenario:
             if not isinstance(value, cls):
                 raise TypeError(f"{type(self).__name__} needs a {cls.__name__}, "
                                 f"got {type(value).__name__}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
-            raise ValueError("t0 and t_end must be finite")
+        check_fields(self, positive=("dt",))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed the start time")
         if self.dt > self.transit:
@@ -192,7 +190,7 @@ class Scenario:
         """Time level -> requested time, the first request per level kept;
         ValueError for a time outside ``[t0, t_end]`` (``1e-12`` slack)."""
         wanted = {}
-        for t_req in map(float, snapshot_times):
+        for t_req in (check_real("snapshot time", t) for t in snapshot_times):
             if not self.t0 - 1e-12 <= t_req <= self.t_end + 1e-12:
                 raise ValueError(f"snapshot time {t_req!r} outside "
                                  f"[t0, t_end] = [{self.t0!r}, {self.t_end!r}]")

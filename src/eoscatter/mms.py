@@ -19,7 +19,7 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .grid import Material1, Material2, drivers
+from .grid import Material1, Material2, check_fields, drivers
 
 
 # Positions in a jet ``(value, dx, dt, dxx, dxt, dtt)``.
@@ -35,17 +35,6 @@ def _entry(key: int):
 
     entry.__doc__ = f"Entry {key} of the jet at ``(x, t)``."
     return entry
-
-
-def _check_params(obj, positive) -> None:
-    """ValueError unless every field of ``obj`` is finite and those named in
-    ``positive`` are > 0."""
-    for name, v in vars(obj).items():
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite")
-    for name in positive:
-        if not getattr(obj, name) > 0.0:
-            raise ValueError(f"{name} must be positive")
 
 
 class Field:
@@ -103,7 +92,7 @@ class ArctanGaussianPulse(Field):
     t_shift: float
 
     def __post_init__(self) -> None:
-        _check_params(self, ("rate",))
+        check_fields(self, positive=("rate",))
 
     def at(self, x):
         """See :meth:`Field.at`; keeps ``x - center``, and each call makes
@@ -151,7 +140,7 @@ class GaussianBump(Field):
     t_width: float
 
     def __post_init__(self) -> None:
-        _check_params(self, ("x_width", "t_width"))
+        check_fields(self, positive=("x_width", "t_width"))
 
     def at(self, x):
         """See :meth:`Field.at`; keeps the x factor ``X``, ``P*X`` and

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Material1, Material2
+from .grid import Material1, Material2, check_fields, check_integer, check_real
 
 #: Absolute floor added to the relative convergence test, so that integrals
 #: which are numerically nothing terminate immediately.  Deliberately down at
@@ -52,17 +51,16 @@ class QuadratureError(RuntimeError):
     """Panel doubling hit the cap before the tolerance was reached."""
 
 
-def _support_ends(support) -> tuple[float, float]:
-    """``support`` as two floats; ValueError unless it is two numbers, not bools."""
+def _support_ends(support, finite=False) -> tuple[float, float]:
+    """``support`` as two floats, by :func:`check_real`: two numbers, two
+    finite ones when ``finite``."""
     try:
         lo, hi = support
     except (TypeError, ValueError):
-        lo = hi = None
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               for v in (lo, hi)):
-        raise ValueError(f"source support must be two numbers (lo, hi), "
-                         f"got {support!r}")
-    return float(lo), float(hi)
+        raise ValueError(f"support must be two numbers (lo, hi), "
+                         f"got {support!r}") from None
+    return (check_real("support lo", lo, finite=finite),
+            check_real("support hi", hi, finite=finite))
 
 
 def source_support(source) -> tuple[float, float]:
@@ -90,21 +88,15 @@ class GaussianSource:
     support: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        params = [self.amplitude, self.x_center, self.space_rate,
-                  self.t_center, self.time_rate]
-        if self.support is not None:  # its shape first; a NaN end fails next
-            object.__setattr__(self, "support", _support_ends(self.support))
-            params += self.support
-        if not all(map(math.isfinite, params)):
-            raise ValueError("Gaussian source parameters must be finite")
-        if self.space_rate <= 0.0 or self.time_rate <= 0.0:
-            raise ValueError("Gaussian decay rates must be positive")
+        check_fields(self, positive=("space_rate", "time_rate"))
         if self.support is None:
             half = 6.0 / math.sqrt(self.space_rate)
             object.__setattr__(
                 self, "support", (self.x_center - half, self.x_center + half)
             )
         else:
+            ends = _support_ends(self.support, finite=True)
+            object.__setattr__(self, "support", ends)
             source_support(self)
 
     def __call__(self, x, t):
@@ -296,15 +288,13 @@ def incident_series(
     interval, and each estimate is scaled by its ``amp/rt`` before the
     stopping test (see the module docstring).
     """
-    for name, v in (("rel_tol", rel_tol), ("c0", c0)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be positive and finite")
-    if isinstance(panel_cap, bool) or not isinstance(panel_cap, numbers.Integral) \
-            or panel_cap < 16:
-        raise ValueError(f"panel_cap must be an integer >= 16, got {panel_cap!r}")
+    c0 = check_real("c0", c0, positive=True)
+    rel_tol = check_real("rel_tol", rel_tol, positive=True)
+    panel_cap = check_integer("panel_cap", panel_cap, 16)
+    a1, t0 = check_real("a1", a1), check_real("t0", t0)
     t = np.asarray(times, dtype=float)
-    if not (math.isfinite(a1) and math.isfinite(t0) and np.isfinite(t).all()):
-        raise ValueError("a1, t0 and the times must be finite")
+    if not np.isfinite(t).all():
+        raise ValueError("the times must be finite")
     lo, hi = source_support(source)
     out = np.zeros(t.shape)
     lo = max(a1, lo)

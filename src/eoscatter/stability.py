@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, SpatialOps
+from .grid import GridSpec, SpatialOps, check_integer, check_real
 from .model1 import Scenario1
 from .model2 import Scenario2
 
@@ -42,28 +41,34 @@ class EigenSolverError(RuntimeError):
 
 
 def _model_scenario(model) -> type:
-    """The scenario class of ``model``, an integer 1 or 2 that is not a
-    bool (numpy integers count), else ValueError."""
-    if isinstance(model, bool) or not isinstance(model, numbers.Integral) \
-            or model not in SCENARIOS:
-        raise ValueError("model must be 1 or 2")
-    return SCENARIOS[model]
+    """The scenario class of ``model``, an integer 1 or 2 by
+    :func:`check_integer` (numpy integers count), else ValueError."""
+    try:
+        return SCENARIOS[check_integer("model", model, 1)]
+    except (KeyError, ValueError):
+        raise ValueError("model must be 1 or 2") from None
 
 
 def _check_inputs(model, mat, dt, steps=0) -> type:
     """The scenario class of ``model`` (:func:`_model_scenario`) once
-    ``mat`` is its material (else TypeError), ``dt`` positive and finite
-    and ``steps`` a non-negative integer (else ValueError)."""
+    ``mat`` is its material (else TypeError), ``dt`` positive and ``steps``
+    an integer >= 0 (else ValueError)."""
     scenario = _model_scenario(model)
     if not isinstance(mat, scenario.material):
         raise TypeError(f"model {model} needs a {scenario.material.__name__}, "
                         f"got {type(mat).__name__}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
-            or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    check_real("dt", dt, positive=True)
+    check_integer("steps", steps, 0)
     return scenario
+
+
+def _check_controls(dt_max_factor, scan_points, bisect_tol) -> tuple:
+    """The scan controls of :func:`stability_bounds` as ``(float, int,
+    float)``: ``dt_max_factor`` and ``bisect_tol`` positive, ``scan_points``
+    an integer >= 16 (else ValueError)."""
+    return (check_real("dt_max_factor", dt_max_factor, positive=True),
+            check_integer("scan_points", scan_points, 16),
+            check_real("bisect_tol", bisect_tol, positive=True))
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +206,8 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
                      bisect_tol: float = DEFAULT_BISECT_TOL) -> StabilityDomain:
     """Scan dt in (0, dt_max_factor*dx/c1], classify each point by spectral
     radius, and bisect the edges of the widest contiguous stable run."""
-    if isinstance(scan_points, bool) or not isinstance(scan_points, numbers.Integral):
-        raise ValueError(f"scan_points must be an integer, got {scan_points!r}")
-    if scan_points < 16:
-        raise ValueError("scan_points must be >= 16")
-    for name, v in (("dt_max_factor", dt_max_factor), ("bisect_tol", bisect_tol)):
-        if isinstance(v, bool) or not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    dt_max_factor, scan_points, bisect_tol = _check_controls(
+        dt_max_factor, scan_points, bisect_tol)
     c = mat.c1
     dt_unit = grid.dx / c
     dts = dt_unit * dt_max_factor * np.arange(1, scan_points + 1) / scan_points

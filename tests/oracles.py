@@ -99,6 +99,37 @@ def model1_left_trace(right, dt, *, length, c1, alpha, gamma):
     return np.fft.irfft(np.fft.rfft(right / ramp, m) * h, m)[:k] * ramp
 
 
+def model2_traces(incident_phi, dt, *, length, mu1, nu1, mu0, nu0, alpha, gamma):
+    """Model 2's boundary traces ``(phi_a0, psi_a0, phi_a1, psi_a1)`` at
+    beta = 0, at the times of ``incident_phi``, the incident ``phi`` trace
+    at a1 sampled every ``dt`` from a quiet start.
+
+    At beta = 0 the slab is linear and time invariant.  With p(s) = s -
+    alpha/(s + gamma), k = (s/c1)*sqrt(p/s), Y1 = nu1*k/s, Y0 = nu0/c0, E =
+    exp(-2*k*length) and D = Y0*(1 + E) + (Y0**2/Y1 + Y1)*(1 - E)/2, per
+    unit incident phi: phi_a0 = 2*Y0*exp(-k*length)/D, psi_a0 = Y0*phi_a0,
+    phi_a1 = 2*Y0*((1 + E)/2 + Y0*(1 - E)/(2*Y1))/D and psi_a1 =
+    2*Y0*(Y1*(1 - E)/2 + Y0*(1 + E)/2)/D.  Each is applied by the damped
+    FFT of :func:`model1_left_trace`.
+    """
+    f = np.asarray(incident_phi, dtype=float)
+    n, m = f.size, 8 * f.size
+    sigma = 20.0 / (m * dt)
+    ramp = np.exp(sigma * dt * np.arange(n))
+    s = sigma + 2j * np.pi * np.fft.rfftfreq(m, dt)
+    c1, c0 = math.sqrt(mu1 * nu1), math.sqrt(mu0 * nu0)
+    k = (s / c1) * np.sqrt((s - alpha / (s + gamma)) / s)
+    y1, y0 = nu1 * k / s, nu0 / c0
+    e = np.exp(-2.0 * k * length)
+    d = y0 * (1.0 + e) + (y0 * y0 / y1 + y1) * (1.0 - e) / 2.0
+    phi_a0 = 2.0 * y0 * np.exp(-k * length) / d
+    gains = (phi_a0, y0 * phi_a0,
+             2.0 * y0 * ((1.0 + e) / 2.0 + y0 * (1.0 - e) / (2.0 * y1)) / d,
+             2.0 * y0 * (y1 * (1.0 - e) / 2.0 + y0 * (1.0 + e) / 2.0) / d)
+    spectrum = np.fft.rfft(f / ramp, m)
+    return tuple(np.fft.irfft(spectrum * h, m)[:n] * ramp for h in gains)
+
+
 def model2_face_systems(mat):
     """Model 2's boundary update rules as the paper states them: the left
     system, the right system, and the interior mixes ``mix_out`` (left side)

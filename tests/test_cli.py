@@ -260,7 +260,9 @@ def test_stability_rejects_scan_controls_that_cannot_finish(tmp_path, capsys,
         "output": {"dir": str(tmp_path / "out")},
     })
     assert main(["stability", cfg]) == 2
-    assert f"'{next(iter(control))}'" in capsys.readouterr().err
+    ((key, value),) = control.items()
+    assert capsys.readouterr().err == (f"config error: stability: {key} must be a "
+                                       f"positive finite number, got {value!r}\n")
 
 
 def test_cli_import_starts_no_thread_pool_module():
@@ -289,6 +291,36 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", ok, "--preset", "fig2-run-m1"]) == 2
     # neither is an error too
     assert main(["run"]) == 2
+
+
+# 10**400, as a message abbreviates it
+HUGE = "100000000000000000...0000000000000000000"
+
+
+@pytest.mark.parametrize("key, message", [
+    ("t_end", f"'t_end' in config must be a positive finite number, got {HUGE}"),
+    ("N", f"grid: N must be a finite integer >= 4, got {HUGE}"),
+])
+def test_a_huge_integer_is_a_config_error(tmp_path, capsys, key, message):
+    # a 401-digit t_end or N raised OverflowError (float(v) in the parser,
+    # GridSpec.dx) and exited 1 with a traceback
+    data = {"model": 1, "grid": {"a0": 0.0, "a1": 3.0, "N": 40},
+            "material": MAT1, "t_end": 0.5, "output": {"dir": str(tmp_path / "out")}}
+    (data["grid"] if key == "N" else data)[key] = 10**400
+    assert main(["run", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_integer_too_long_to_read_is_a_config_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more digits than Python converts, which escaped as a traceback
+    path = tmp_path / "long.json"
+    path.write_text('{"model": 1, "t_end": ' + "9" * 5000 + "}")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
@@ -329,7 +361,8 @@ def test_degenerate_manufactured_fields_exit_2(tmp_path, capsys, block, key, val
         "output": {"dir": str(out)},
     })
     assert main(["mms", cfg]) == 2
-    assert f"mms.{block}: {key} must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"config error: mms.{block}: {key} must be "
+                                       f"a positive finite number, got {value!r}\n")
     assert not out.exists()
 
 

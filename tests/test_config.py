@@ -60,7 +60,8 @@ def test_defaults_recorded_in_resolved_dict():
 
 
 def test_too_coarse_grid_is_a_schema_error():
-    with pytest.raises(ConfigError, match="N must be >= 4"):
+    with pytest.raises(ConfigError,
+                       match=r"^grid: N must be a finite integer >= 4, got 3$"):
         resolve_config(minimal_run(grid={"a0": 0.0, "a1": 3.0, "N": 3}))
 
 
@@ -101,9 +102,11 @@ def test_missing_required_keys_named():
 
 
 def test_wrong_types_rejected():
-    with pytest.raises(ConfigError, match="'t_end' in config must be a number"):
+    with pytest.raises(ConfigError, match=r"^'t_end' in config must be a positive "
+                       r"finite number, got 'soon'$"):
         resolve_config(minimal_run(t_end="soon"))
-    with pytest.raises(ConfigError, match="'N' in grid must be an integer"):
+    with pytest.raises(ConfigError,
+                       match=r"^grid: N must be a finite integer >= 4, got 80\.5$"):
         resolve_config(minimal_run(grid={"a0": 0.0, "a1": 3.0, "N": 80.5}))
     with pytest.raises(ConfigError, match="'model' in config must be 1 or 2"):
         resolve_config(minimal_run(model=3))
@@ -135,23 +138,34 @@ GAUSSIAN = {"kind": "gaussian", "amplitude": 1.0, "x_center": 4.0,
 
 
 def test_source_errors_carry_one_prefix():
-    with pytest.raises(ConfigError, match=r"^'t_center' in source must be a number$"):
+    with pytest.raises(ConfigError,
+                       match=r"^source: t_center must be a finite number, got 'soon'$"):
         resolve_config(minimal_run(source={**GAUSSIAN, "t_center": "soon"}))
-    with pytest.raises(ConfigError, match=r"^'t_center' in source must be a number$"):
+    with pytest.raises(ConfigError,
+                       match=r"^source: t_center must be a finite number, got True$"):
         resolve_config(minimal_run(source={**GAUSSIAN, "t_center": True}))
     partial = {k: v for k, v in GAUSSIAN.items() if k != "t_center"}
     with pytest.raises(ConfigError, match=r"^missing key 't_center' in source$"):
         resolve_config(minimal_run(source=partial))
     # the class's own checks are prefixed once too
-    with pytest.raises(ConfigError,
-                       match=r"^source: Gaussian decay rates must be positive$"):
+    with pytest.raises(ConfigError, match=r"^source: time_rate must be a positive "
+                       r"finite number, got -1\.0$"):
         resolve_config(minimal_run(source={**GAUSSIAN, "time_rate": -1.0}))
 
 
-@pytest.mark.parametrize("support", [[True, 5], [3.0, False], [3.0], [3.0, "5"],
-                                     "3-5", 3.0])
-def test_source_support_must_be_a_pair_of_numbers(support):
-    with pytest.raises(ConfigError, match=r"^'support' in source must be \[lo, hi\]$"):
+@pytest.mark.parametrize("support, message", [
+    pytest.param([True, 5], "support lo must be a finite number, got True",
+                 id="support0"),
+    pytest.param([3.0, False], "support hi must be a finite number, got False",
+                 id="support1"),
+    pytest.param([3.0], "support must be two numbers (lo, hi), got [3.0]", id="support2"),
+    pytest.param([3.0, "5"], "support hi must be a finite number, got '5'",
+                 id="support3"),
+    pytest.param("3-5", "support must be two numbers (lo, hi), got '3-5'", id="3-5"),
+    pytest.param(3.0, "support must be two numbers (lo, hi), got 3.0", id="3.0"),
+])
+def test_source_support_must_be_a_pair_of_numbers(support, message):
+    with pytest.raises(ConfigError, match=f"^source: {re.escape(message)}$"):
         resolve_config(minimal_run(source={**GAUSSIAN, "support": support}))
 
 
@@ -211,7 +225,8 @@ def test_mms_ladder_validation():
     base = minimal_run(mode="mms")
     with pytest.raises(ConfigError, match="n_ladder"):
         resolve_config({**base, "mms": {"n_ladder": [200, 100]}})
-    with pytest.raises(ConfigError, match="N must be >= 4"):
+    with pytest.raises(ConfigError,
+                       match=r"^at N = 2: N must be a finite integer >= 4, got 2$"):
         resolve_config({**base, "mms": {"n_ladder": [2, 4]}})
     cfg = resolve_config({**base, "mms": {}})
     assert cfg.n_ladder == (80,)  # defaults to the grid resolution
@@ -349,9 +364,10 @@ def test_stability_controls_validation():
     assert cfg.stability.epsilons == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert cfg.stability.write_samples
     assert cfg.t_end is None and cfg.grid is None
-    with pytest.raises(ConfigError, match="epsilons"):
+    with pytest.raises(ConfigError, match=r"^stability: epsilon must lie in \[0, 1\]$"):
         resolve_config({**base, "stability": {"epsilons": [1.5]}})
-    with pytest.raises(ConfigError, match="scan_points"):
+    with pytest.raises(ConfigError, match=r"^stability: scan_points must be a finite "
+                       r"integer >= 16, got 8$"):
         resolve_config({**base, "stability": {"scan_points": 8}})
 
 
@@ -360,7 +376,8 @@ def test_stability_controls_validation():
 def test_stability_scan_controls_must_be_positive(key, value):
     base = {"model": 1, "mode": "stability",
             "material": minimal_run()["material"]}
-    with pytest.raises(ConfigError, match=f"'{key}' in stability must be positive"):
+    with pytest.raises(ConfigError, match=f"^stability: {key} must be a positive "
+                       f"finite number, got {re.escape(repr(value))}$"):
         resolve_config({**base, "stability": {key: value}})
 
 
@@ -376,17 +393,17 @@ REJECTED = {
     "block-not-an-object": (minimal_run(grid=[0.0, 3.0, 80]),
                             "grid must be an object"),
     "non-finite-number": (minimal_run(t_end=float("inf")),
-                          "'t_end' in config must be finite"),
+                          "'t_end' in config must be a positive finite number, got inf"),
     "missing-integer": (_without(minimal_run(), "model"),
                         "missing key 'model' in config"),
     "unknown-source-kind": (minimal_run(source={"kind": "plane"}),
                             "'kind' in source must be 'gaussian' or 'tabulated'"),
     "ladder-of-floats": (minimal_run(mode="mms", mms={"n_ladder": [80, 160.0]}),
-                         "'n_ladder' in mms must be a list of integers"),
+                         "at N = 160.0: N must be a finite integer >= 4, got 160.0"),
     "no-epsilons": ({**_STABILITY, "stability": {"epsilons": []}},
                     "'epsilons' in stability must be a list of numbers"),
     "stability-n": ({**_STABILITY, "stability": {"N": 3}},
-                    "stability: N must be >= 4"),
+                    "stability: N must be a finite integer >= 4, got 3"),
     "samples-not-a-bool": ({**_STABILITY, "stability": {"samples": 1}},
                            "'samples' in stability must be true or false"),
     "dir-not-a-string": (minimal_run(output={"dir": 3}),
@@ -395,8 +412,10 @@ REJECTED = {
                              "'snapshots' in output must be a list of times"),
     "missing-grid": (_without(minimal_run(), "grid"),
                      "missing key 'grid' in config"),
-    "zero-dt-cfl": (minimal_run(dt_cfl=0.0), "'dt_cfl' in config must be positive"),
-    "negative-t-end": (minimal_run(t_end=-1.0), "'t_end' in config must be positive"),
+    "zero-dt-cfl": (minimal_run(dt_cfl=0.0),
+                    "'dt_cfl' in config must be a positive finite number, got 0.0"),
+    "negative-t-end": (minimal_run(t_end=-1.0),
+                       "'t_end' in config must be a positive finite number, got -1.0"),
 }
 
 
@@ -463,7 +482,8 @@ def test_degenerate_manufactured_fields_are_config_errors(block, key, value):
     base = minimal_run(mode="mms")
     if block == "pulse_psi":
         base = {**base, "model": 2, "material": dict(PRESETS["fig3-mms-m2"]["material"])}
-    with pytest.raises(ConfigError, match=f"mms.{block}: {key} must be positive"):
+    with pytest.raises(ConfigError, match=f"^mms\\.{block}: {key} must be a positive "
+                       f"finite number, got {re.escape(repr(value))}$"):
         resolve_config({**base, "mms": {block: {key: value}}})
 
 

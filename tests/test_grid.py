@@ -53,7 +53,7 @@ def test_grid_family_invariants(a0, length, n, eps):
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError, match="N must be >= 4"):
+    with pytest.raises(ValueError, match=r"^N must be a finite integer >= 4, got 3$"):
         GridSpec(0.0, 1.0, 3, 1.0)
     with pytest.raises(ValueError, match="epsilon"):
         GridSpec(0.0, 1.0, 8, 1.5)
@@ -67,7 +67,8 @@ def test_grid_rejects_a_coordinate_or_epsilon_that_is_not_a_number(name, value):
     # GridSpec(True, 3.0, 8, True) built a grid on [1, 3] at epsilon 1, and a
     # string or None raised TypeError
     params = {"a0": 0.0, "a1": 3.0, "n": 8, "epsilon": 1.0, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a finite number, got {value!r}$"):
         GridSpec(**params)
 
 

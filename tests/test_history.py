@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -446,6 +447,7 @@ def test_fixed_lag_reader_rejects_bad_input():
         FixedLagReader(0.0, 0.1, 1.0, width=2).append((1.0,))
     # a width of 0 or less stored and returned empty tuples
     for width in (0, -3, True, 1.0, 2.5, "2", None):
-        with pytest.raises(ValueError, match="width must be a positive integer"):
+        with pytest.raises(ValueError, match=f"^width must be a finite integer >= 1, "
+                           f"got {re.escape(repr(width))}$"):
             FixedLagReader(0.0, 0.1, 1.0, width=width)
     assert FixedLagReader(0.0, 0.1, 1.0, width=np.int64(2)).read(0) == (0.0, 0.0)

@@ -29,3 +29,27 @@ def test_export_list_resolves_once_and_is_what_a_star_import_binds():
     bound = {}
     exec("from eoscatter import *", bound)
     assert set(bound) - {"__builtins__"} == set(names)
+
+
+def _number_classes(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr in ("Real", "Integral")
+            and isinstance(node.value, ast.Name) and node.value.id == "numbers"]
+
+
+def test_the_number_rule_is_stated_once():
+    # "a number, not a bool" is grid.check_real and grid.check_integer:
+    # numbers.Real and numbers.Integral appear nowhere else in the package
+    inside, found = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if (path.name == "grid.py" and isinstance(fn, ast.FunctionDef)
+                    and fn.name in ("check_real", "check_integer")):
+                inside |= {id(node) for node in _number_classes(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in _number_classes(tree)
+                  if id(node) not in inside]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "numbers"]
+    assert len(inside) == 2
+    assert found == []

@@ -1,6 +1,8 @@
 """Two-potential solver: stepping, coupled boundary solves, verification."""
 
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from eoscatter.sources import RUN_QUAD_REL_TOL, GaussianSource
 from oracles import (
     gaussian_line_integral,
     model2_face_systems,
+    model2_traces,
     reference_step_m2,
     slab_reflection_traces,
 )
@@ -327,6 +330,71 @@ def test_mismatched_slab_matches_the_reflection_series():
                 err = np.max(np.abs(a - b)) / np.max(np.abs(b))
                 assert err < RUN_QUAD_REL_TOL, (eps, n, name, err)
     assert time.perf_counter() - tic < 60.0
+
+
+def _slab(mat):
+    """``mat``'s coefficients as the keywords of ``model2_traces``."""
+    return dict(mu1=mat.mu1, nu1=mat.nu1, mu0=mat.mu0, nu0=mat.nu0,
+                alpha=mat.alpha, gamma=mat.gamma)
+
+
+def test_transfer_function_oracle_matches_the_reflection_series():
+    # alpha = gamma = 0 on the mismatched slab: the damped FFT against the
+    # multiple-reflection series, a one-pass transit of 1.5 = 300 steps
+    dt = 0.005
+    t = dt * np.arange(1600)
+
+    def pulse(s):
+        return math.exp(-(((s - 1.0) / 0.15) ** 2))
+
+    got = model2_traces([pulse(s) for s in t.tolist()], dt, length=3.0,
+                        **_slab(MISMATCHED))
+    want = np.array([slab_reflection_traces(
+        pulse, s, length=3.0, mu1=MISMATCHED.mu1, nu1=MISMATCHED.nu1,
+        mu0=MISMATCHED.mu0, nu0=MISMATCHED.nu0) for s in t.tolist()]).T
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+
+def test_transfer_function_oracle_delays_a_matched_slab():
+    # equal impedances (Z1 = Z0 = 1) and no current: phi crosses a0 one
+    # transit T = length/c1 = 0.5 (50 whole steps) after it arrives, with
+    # psi = phi/Z0, and nothing is reflected back out at a1
+    dt = 0.01
+    t = dt * np.arange(400)
+    f = np.exp(-(((t - 1.0) / 0.1) ** 2))
+    mat = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=0.0, beta=0.0, gamma=0.0)
+    delayed = np.concatenate((np.zeros(50), f[:-50]))
+    got = model2_traces(f, dt, length=1.0, **_slab(mat))
+    for a, b in zip(got, (delayed, delayed, f, f)):
+        assert np.max(np.abs(a - b)) < 1e-8
+
+
+def test_traces_converge_at_order_two_to_the_transfer_function_oracle():
+    # fig4's source on the mismatched slab with a current (alpha = -1,
+    # gamma = 8, beta = 0, where the slab is linear), against H(s) applied
+    # to the march's own incident phi row, so the incident quadrature drops
+    # out.  The a0 traces carry the largest error, 5.99e-5 to 8.57e-7 of
+    # max (orders 2.05, 2.05, 2.03); the a1 traces read 3.5e-6 to 4.0e-8
+    # and converge faster than order 2 on these grids (2.17, 2.17, 2.13),
+    # so their bound is one-sided
+    tic = time.perf_counter()
+    mat = replace(MISMATCHED, alpha=-1.0, gamma=8.0)
+    errors = []
+    for n in (100, 200, 400, 800):
+        g = GridSpec(0.0, 3.0, n, 1.0)
+        scn = Scenario2(grid=g, mat=mat, dt=0.4 * g.dx / mat.c1, t_end=4.0,
+                        source=PULSE)
+        res = run_m2(scn)
+        want = model2_traces(scn.incident(res.times)[:, 0], scn.dt, length=g.length,
+                             **_slab(mat))
+        got = (res.phi_a0, res.psi_a0, res.phi_a1, res.psi_a1)
+        errors.append([np.max(np.abs(a - b)) / np.max(np.abs(b))
+                       for a, b in zip(got, want)])
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all((orders[:, :2] > 1.9) & (orders[:, :2] < 2.1)), (errors, orders)
+    assert np.all(orders[:, 2:] > 1.9), (errors, orders)
+    assert time.perf_counter() - tic < 30.0
 
 
 def test_scenario_rejects_nonfinite_times():

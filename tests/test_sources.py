@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -384,7 +385,8 @@ def test_quadrature_rejects_a_bad_speed_or_tolerance(name, bad):
                                          args["rel_tol"]),
                  lambda: characteristic_integral(PULSE_M1, 3.0, args["c0"], 0.0,
                                                  1.0, args["rel_tol"])):
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive finite "
+                           f"number, got {bad!r}$"):
             call()
 
 
@@ -443,7 +445,8 @@ def test_quadrature_rejects_a_bad_panel_cap(cap):
                                          panel_cap=cap),
                  lambda: characteristic_integral(PULSE_M1, 3.0, 1.0, 0.0, 1.0,
                                                  panel_cap=cap)):
-        with pytest.raises(ValueError, match="panel_cap must be an integer >= 16"):
+        with pytest.raises(ValueError, match=f"^panel_cap must be a finite integer "
+                           f">= 16, got {re.escape(repr(cap))}$"):
             call()
 
 

@@ -210,14 +210,16 @@ def test_lab_rejects_a_bad_step(dt):
              lambda: homogeneous_run(1, g, MAT1, dt, 3),
              lambda: homogeneous_run(2, g, MAT2, dt, 3)]
     for call in calls:
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
+        with pytest.raises(ValueError,
+                           match=f"^dt must be a positive finite number, got {dt!r}$"):
             call()
 
 
 @pytest.mark.parametrize("steps", [-1, 2.5, 3.0, True, "3", None])
 def test_homogeneous_run_rejects_a_bad_step_count(steps):
     # steps=-1 raised IndexError and steps=2.5 a numpy TypeError
-    with pytest.raises(ValueError, match="steps must be a non-negative integer"):
+    with pytest.raises(ValueError, match=f"^steps must be a finite integer >= 0, "
+                       f"got {steps!r}$"):
         homogeneous_run(1, grid(16), MAT1, 0.01, steps)
 
 
