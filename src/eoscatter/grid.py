@@ -78,6 +78,8 @@ class GridSpec:
         object.__setattr__(self, "n", check_integer("N", self.n, 4))
         if not self.a1 > self.a0:
             raise ValueError("a1 must be greater than a0")
+        if not math.isfinite(self.length):
+            raise ValueError(f"a1 - a0 must be finite, got {self.length!r}")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
 

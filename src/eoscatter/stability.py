@@ -12,12 +12,24 @@ by scanning and bisecting on the spectral radius.  The current stays out of
 the analysis: the field update is studied with the reaction coupling
 switched off, which is the part of the scheme that carries the CFL-type
 restriction.
+
+A window search is almost all LAPACK time (a dense ``eigvals`` at N = 200
+takes about 27 ms, its matrix 0.2 ms), and ``eigvals`` holds the
+interpreter lock, so threads gain nothing.  The search therefore runs its
+eigensolves in batches: the scan points of every epsilon in one, then one
+bisection midpoint of every open window edge per round.  Where ``os.fork``
+exists and this process runs a single OS thread, a batch is dealt over
+forked worker processes, one per usable CPU (:func:`_fork_map`); otherwise
+it runs serially.  Each eigensolve sees the same matrix either way, so
+windows and samples are byte-identical.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,10 +104,11 @@ def _diff_matrices(grid: GridSpec):
     return d1, d2
 
 
-def _advection_matrix(grid: GridSpec, c: float, dt: float) -> np.ndarray:
-    d1, d2 = _diff_matrices(grid)
-    n = grid.n
-    return np.eye(n) + (dt * c) * d1 + 0.5 * (dt * c) ** 2 * d2
+def _advection_matrix(probe, c: float, dt: float) -> np.ndarray:
+    """The one-field propagator at signed speed ``c`` from a grid's probed
+    ``(d1, d2)`` (:func:`_diff_matrices`)."""
+    d1, d2 = probe
+    return np.eye(len(d1)) + (dt * c) * d1 + 0.5 * (dt * c) ** 2 * d2
 
 
 def _pair_matrix(grid: GridSpec, mu1: float, nu1: float, dt: float) -> np.ndarray:
@@ -121,7 +134,7 @@ def assemble_propagator(model: int, grid: GridSpec, mat, dt: float) -> np.ndarra
     step, and ``tests/test_stability.py``'s probe-fidelity tests."""
     _check_inputs(model, mat, dt)
     if model == 1:
-        return _advection_matrix(grid, mat.c1, dt)
+        return _advection_matrix(_diff_matrices(grid), mat.c1, dt)
     return _pair_matrix(grid, mat.mu1, mat.nu1, dt)
 
 
@@ -132,6 +145,139 @@ def spectral_radius(m) -> float:
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue solve failed: {exc}") from exc
     return float(np.max(np.abs(eig)))
+
+
+def _speeds(scenario, mat) -> tuple:
+    """The signed speeds whose one-field propagators make up the model's:
+    one potential carries waves one way, a pair carries them both ways."""
+    return (mat.c1, -mat.c1)[:len(scenario.potentials)]
+
+
+def _branch_radius(probe, c: float, dt: float) -> float:
+    """One eigensolve of the window search: the spectral radius of the
+    one-field propagator at signed speed ``c`` on a grid's ``probe``."""
+    return spectral_radius(_advection_matrix(probe, c, dt))
+
+
+def stability_radius(model: int, grid: GridSpec, mat, dt: float) -> float:
+    """Spectral radius of the one-step propagator, evaluated for the window
+    search.
+
+    For the two-field model the 2N x 2N propagator is exactly similar to the
+    direct sum of the two one-field propagators at signed speeds +-c with
+    c^2 = mu1*nu1 (scale the second field by sqrt(nu1/mu1) and take sums and
+    differences), so its radius equals the larger of the two N x N branch
+    radii.  The branch form is what gets eigensolved: near the CFL edge the
+    assembled matrix is close to a defective shift and a direct dense solve
+    of the doubled system returns eigenvalues with O(1) errors.
+
+    The branches are not well conditioned either.  At epsilon = 0 the +c
+    matrix is the -c one reversed on both axes, to rounding, so the two share
+    one spectrum; yet at N = 200 their dense eigensolves read 0.866 and 0.925
+    at sigma = c*dt/dx = 0.5, and 0.435 and 0.848 at sigma = 0.9 (at epsilon
+    = 1, 0.866 within 1e-4 and equal to 1e-13).  So model 2's epsilon = 0
+    window edges depend on eigensolver rounding (ROADMAP item 1).
+    """
+    scenario = _check_inputs(model, mat, dt)
+    probe = _diff_matrices(grid)
+    return max(_branch_radius(probe, c, dt) for c in _speeds(scenario, mat))
+
+
+# ---------------------------------------------------------------------------
+# batches of eigensolves over forked workers
+# ---------------------------------------------------------------------------
+
+_SIGKILL = 9  # POSIX; ``signal`` is not imported for this one number
+
+
+def _os_threads() -> int | None:
+    """The number of OS threads this process runs, read from
+    ``/proc/self/stat`` (Linux); None where that file cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            stat = f.read()
+    except OSError:
+        return None
+    # field 20, num_threads, counted past the parenthesised command name
+    return int(stat.rpartition(b")")[2].split()[17])
+
+
+def _processes(tasks: int) -> int:
+    """How many processes share a batch of ``tasks``: min(tasks, usable
+    CPUs) where ``os.fork`` exists and this process runs a single OS thread,
+    else 1.  A second thread, such as OpenBLAS's own pool when
+    OPENBLAS_NUM_THREADS is unset, keeps the batch serial: workers forked
+    beside BLAS threads oversubscribe the CPUs (twice the serial time on two
+    CPUs), and forking a threaded process is unsafe."""
+    if not hasattr(os, "fork") or _os_threads() != 1:
+        return 1
+    return max(1, min(tasks, len(os.sched_getaffinity(0))))
+
+
+def _fork_map(fn, tasks: list) -> list:
+    """``[fn(*task) for task in tasks]``, the tasks dealt round-robin over
+    :func:`_processes` processes.  This process takes share 0 and a forked
+    child each other share; the child sends back, pickled through a pipe,
+    its values or the exception it raised, which is raised here.  Every
+    child is reaped before this returns or raises, also on an interrupt."""
+    procs = _processes(len(tasks))
+    if procs == 1:
+        return [fn(*task) for task in tasks]
+    pipes = {}  # child pid -> read end of its pipe
+    try:
+        for share in range(1, procs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(fn, tasks[share::procs], write_fd)  # never returns
+            os.close(write_fd)
+            pipes[pid] = open(read_fd, "rb")
+        out = [None] * len(tasks)
+        out[0::procs] = [fn(*task) for task in tasks[0::procs]]
+        for share, (pid, pipe) in enumerate(pipes.items(), 1):
+            reply = pipe.read()
+            if not reply:
+                raise RuntimeError(f"stability worker {pid} exited without a result")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            out[share::procs] = value
+        return out
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, _SIGKILL)  # stops a child still at work
+            os.waitpid(pid, 0)
+
+
+def _worker(fn, share: list, write_fd: int) -> None:
+    """A forked child's whole life: evaluate ``share`` and write
+    ``(True, values)`` or ``(False, exception)`` to ``write_fd``.  It leaves
+    by ``os._exit``, so it never returns into the caller's code, runs no
+    exit handler and flushes none of the buffers it inherited."""
+    status = 1
+    try:
+        try:
+            reply = (True, [fn(*task) for task in share])
+        except BaseException as exc:
+            reply = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _radii(model, mat, points) -> list[float]:
+    """:func:`stability_radius` at every ``(probe, dt)`` of ``points``, a
+    grid's probed matrices and a step, as one batch of eigensolves, one per
+    signed branch, over :func:`_fork_map`."""
+    speeds = ()
+    for _, dt in points:
+        speeds = _speeds(_check_inputs(model, mat, dt), mat)
+    k = len(speeds)
+    radii = _fork_map(_branch_radius, [(p, c, dt) for p, dt in points for c in speeds])
+    return [max(radii[i * k:(i + 1) * k]) for i in range(len(points))]
 
 
 # ---------------------------------------------------------------------------
@@ -155,49 +301,104 @@ class StabilityDomain:
         return math.isnan(self.tau1)
 
 
-def stability_radius(model: int, grid: GridSpec, mat, dt: float) -> float:
-    """Spectral radius of the one-step propagator, evaluated for the window
-    search.
-
-    For the two-field model the 2N x 2N propagator is exactly similar to the
-    direct sum of the two one-field propagators at signed speeds +-c with
-    c^2 = mu1*nu1 (scale the second field by sqrt(nu1/mu1) and take sums and
-    differences), so its radius equals the larger of the two N x N branch
-    radii.  The branch form is what gets eigensolved: near the CFL edge the
-    assembled matrix is close to a defective shift and a direct dense solve
-    of the doubled system returns eigenvalues with O(1) errors.
-
-    The branches are not well conditioned either.  At epsilon = 0 the +c
-    matrix is the -c one reversed on both axes, to rounding, so the two share
-    one spectrum; yet at N = 200 their dense eigensolves read 0.866 and 0.925
-    at sigma = c*dt/dx = 0.5, and 0.435 and 0.848 at sigma = 0.9 (at epsilon
-    = 1, 0.866 within 1e-4 and equal to 1e-13).  So model 2's epsilon = 0
-    window edges depend on eigensolver rounding (ROADMAP item 1).
-    """
-    scenario = _check_inputs(model, mat, dt)
-    # one potential carries waves one way, a pair carries them both ways
-    speeds = (mat.c1, -mat.c1)[:len(scenario.potentials)]
-    return max(spectral_radius(_advection_matrix(grid, c, dt)) for c in speeds)
+def _stable(rho: float) -> bool:
+    return rho < 1.0 - RHO_MARGIN
 
 
-def _is_stable(model, grid, mat, dt) -> tuple[bool, float]:
-    rho = stability_radius(model, grid, mat, dt)
-    return rho < 1.0 - RHO_MARGIN, rho
-
-
-def _bisect_edge(model, grid, mat, dt_bad, dt_good, tol) -> float:
-    """Refine a stable/unstable transition; returns the bracket midpoint.
-    ``dt_bad`` may be 0 (the dt -> 0 limit is classified unstable because the
-    propagator tends to the identity, radius 1)."""
+def _bisect(dt_bad, dt_good, tol):
+    """Refine a stable/unstable transition, as a coroutine: it yields each
+    midpoint to classify, is sent whether that step is stable, and returns
+    the bracket midpoint.  ``dt_bad`` may be 0 (the dt -> 0 limit is
+    classified unstable because the propagator tends to the identity,
+    radius 1)."""
     while abs(dt_good - dt_bad) > tol * 0.5 * (dt_good + dt_bad):
         mid = 0.5 * (dt_bad + dt_good)
         if mid in (dt_bad, dt_good):
             break  # adjacent floats: the bracket cannot shrink any further
-        if _is_stable(model, grid, mat, mid)[0]:
+        if (yield mid):
             dt_good = mid
         else:
             dt_bad = mid
     return 0.5 * (dt_bad + dt_good)
+
+
+def _bisect_all(model, mat, brackets, tol) -> list:
+    """The final midpoint of every ``(probe, dt_bad, dt_good)`` bracket.  The
+    brackets are bisected in lock-step, one batch of :func:`_radii` per
+    round holding one midpoint of every open bracket; each bracket follows
+    its own midpoints, as it would alone."""
+    edges = [_bisect(bad, good, tol) for _, bad, good in brackets]
+    ends = [None] * len(edges)
+    sent = dict.fromkeys(range(len(edges)))  # None starts each coroutine
+    while sent:
+        mids = {}
+        for k, stable in sent.items():
+            try:
+                mids[k] = edges[k].send(stable)
+            except StopIteration as stop:
+                ends[k] = stop.value
+        rhos = _radii(model, mat, [(brackets[k][0], mid) for k, mid in mids.items()])
+        sent = {k: _stable(rho) for k, rho in zip(mids, rhos)}
+    return ends
+
+
+def _widest_run(rhos) -> tuple[int, int] | None:
+    """First and last index of the widest contiguous run of stable radii,
+    the later of equally wide runs; None when no radius is stable."""
+    # a run starts where the padded flags step up and ends before they
+    # step down
+    edges = np.diff(np.concatenate(([0], [_stable(r) for r in rhos], [0])))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if starts.size == 0:
+        return None
+    widths = ends - starts
+    best = np.flatnonzero(widths == widths.max())[-1]
+    return int(starts[best]), int(ends[best]) - 1
+
+
+def _windows(model, grids, mat, *,
+             dt_max_factor: float = DEFAULT_DT_MAX_FACTOR,
+             scan_points: int = DEFAULT_SCAN_POINTS,
+             bisect_tol: float = DEFAULT_BISECT_TOL) -> list[StabilityDomain]:
+    """The stable window on each of ``grids``, by :func:`stability_bounds`'s
+    scan and bisection: every grid's scan points in one batch of
+    eigensolves, and every grid's edges bisected in lock-step."""
+    dt_max_factor, scan_points, bisect_tol = _check_controls(
+        dt_max_factor, scan_points, bisect_tol)
+    c = mat.c1
+    dts = [grid.dx / c * dt_max_factor * np.arange(1, scan_points + 1) / scan_points
+           for grid in grids]
+    # every grid's matrices, probed once here and inherited by every worker
+    probes = [_diff_matrices(grid) for grid in grids]
+    rhos = _radii(model, mat, [(p, dt) for p, row in zip(probes, dts) for dt in row])
+    rhos = [rhos[i:i + scan_points] for i in range(0, len(rhos), scan_points)]
+    runs = [_widest_run(r) for r in rhos]
+    brackets = []
+    for probe, row, run in zip(probes, dts, runs):
+        if run is not None:
+            lo, hi = run
+            if lo > 0:
+                brackets.append((probe, row[lo - 1], row[lo]))
+            if hi < scan_points - 1:
+                brackets.append((probe, row[hi + 1], row[hi]))
+    bisected = iter(_bisect_all(model, mat, brackets, bisect_tol))
+    out = []
+    for grid, row, rho, run in zip(grids, dts, rhos, runs):
+        tau1 = tau2 = math.nan
+        if run is not None:
+            lo, hi = run
+            # A window that reaches the smallest scanned step has no
+            # observed lower transition: report the scan floor rather than
+            # bisecting against dt -> 0, where the propagator tends to the
+            # identity, its radius creeps up to 1, and the margin rule would
+            # turn that limit into a spurious "edge" at a margin-dependent
+            # spot.  A window truncated by the top of the scan ends there.
+            dt1 = next(bisected) if lo > 0 else row[0]
+            dt2 = next(bisected) if hi < scan_points - 1 else row[hi]
+            tau1, tau2 = dt1 * c / grid.dx, dt2 * c / grid.dx
+        samples = tuple((dt * c / grid.dx, r) for dt, r in zip(row, rho))
+        out.append(StabilityDomain(model, grid.epsilon, grid.n, tau1, tau2, samples))
+    return out
 
 
 def stability_bounds(model: int, grid: GridSpec, mat, *,
@@ -205,54 +406,26 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
                      scan_points: int = DEFAULT_SCAN_POINTS,
                      bisect_tol: float = DEFAULT_BISECT_TOL) -> StabilityDomain:
     """Scan dt in (0, dt_max_factor*dx/c1], classify each point by spectral
-    radius, and bisect the edges of the widest contiguous stable run."""
-    dt_max_factor, scan_points, bisect_tol = _check_controls(
-        dt_max_factor, scan_points, bisect_tol)
-    c = mat.c1
-    dt_unit = grid.dx / c
-    dts = dt_unit * dt_max_factor * np.arange(1, scan_points + 1) / scan_points
-    flags, samples = [], []
-    for dt in dts:
-        ok, rho = _is_stable(model, grid, mat, dt)
-        flags.append(ok)
-        samples.append((dt * c / grid.dx, rho))
+    radius, and bisect the edges of the widest contiguous stable run.
 
-    # widest contiguous stable run of scan points, the later of equally
-    # wide runs; a run starts where the padded flags step up and ends
-    # before they step down
-    edges = np.diff(np.concatenate(([0], flags, [0])))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    if starts.size == 0:
-        return StabilityDomain(model, grid.epsilon, grid.n,
-                               math.nan, math.nan, tuple(samples))
-    widths = ends - starts
-    best = np.flatnonzero(widths == widths.max())[-1]
-    lo_idx, hi_idx = int(starts[best]), int(ends[best]) - 1
-    if lo_idx > 0:
-        dt1 = _bisect_edge(model, grid, mat, dts[lo_idx - 1], dts[lo_idx],
-                           bisect_tol)
-    else:
-        # The window reaches the smallest scanned step, so no lower
-        # transition was observed.  Report the scan floor rather than
-        # bisecting against dt -> 0: the propagator tends to the identity
-        # there, its radius creeps up to 1, and the margin rule would turn
-        # that limit into a spurious "edge" at a margin-dependent spot.
-        dt1 = dts[0]
-    if hi_idx < scan_points - 1:
-        dt2 = _bisect_edge(model, grid, mat, dts[hi_idx + 1], dts[hi_idx],
-                           bisect_tol)
-    else:
-        dt2 = dts[hi_idx]  # window truncated by the scan range, same idea
-    return StabilityDomain(model, grid.epsilon, grid.n,
-                           dt1 * c / grid.dx, dt2 * c / grid.dx,
-                           tuple(samples))
+    This is :func:`scan_stability`'s search on one grid: the scan points go
+    in one batch of eigensolves and each bisection round in another, spread
+    over forked workers where the process allows it (module docstring)."""
+    return _windows(model, [grid], mat, dt_max_factor=dt_max_factor,
+                    scan_points=scan_points, bisect_tol=bisect_tol)[0]
 
 
 def scan_stability(model: int, mat, n: int, epsilons, **search) -> list[StabilityDomain]:
     """Stability window per grid stretching, for re-plotting the window as a
-    function of epsilon; each epsilon is checked by :class:`GridSpec`."""
-    return [stability_bounds(model, GridSpec(0.0, 1.0, n, e), mat, **search)
-            for e in epsilons]
+    function of epsilon; each epsilon is checked by :class:`GridSpec`.
+
+    Every epsilon's window equals :func:`stability_bounds` on its grid.  The
+    scan points of all epsilons (both signed branches for model 2) make one
+    batch of eigensolves, and the bisections of all window edges run in
+    lock-step, one batch per round, so forked workers share the whole scan
+    (module docstring)."""
+    return _windows(model, [GridSpec(0.0, 1.0, n, e) for e in epsilons], mat,
+                    **search)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +458,8 @@ def decomposition_check(grid: GridSpec, mat2, dt: float) -> DecompositionReport:
     even/odd split and block tests."""
     _check_inputs(2, mat2, dt)
     c = mat2.c1
-    m_plus = _advection_matrix(grid, +c, dt)
-    m_minus = _advection_matrix(grid, -c, dt)
+    m_plus = _advection_matrix(_diff_matrices(grid), +c, dt)
+    m_minus = _advection_matrix(_diff_matrices(grid), -c, dt)
     m_even = 0.5 * (m_plus + m_minus)
     m_odd = (m_plus - m_minus) / (2.0 * c)
     split_residual = max(

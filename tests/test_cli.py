@@ -271,10 +271,11 @@ def test_cli_import_starts_no_thread_pool_module():
     src = str(Path(eoscatter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, eoscatter.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, eoscatter.cli; "
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -309,6 +310,15 @@ def test_a_huge_integer_is_a_config_error(tmp_path, capsys, key, message):
     (data["grid"] if key == "N" else data)[key] = 10**400
     assert main(["run", write_config(tmp_path, data)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_whose_length_overflows_is_a_config_error(tmp_path, capsys):
+    # a0 and a1 are finite but a1 - a0 is not: this marched a grid of inf nodes
+    data = {"model": 1, "grid": {"a0": -1e308, "a1": 1e308, "N": 40},
+            "material": MAT1, "t_end": 0.5, "output": {"dir": str(tmp_path / "out")}}
+    assert main(["run", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == "config error: grid: a1 - a0 must be finite, got inf\n"
     assert not (tmp_path / "out").exists()
 
 

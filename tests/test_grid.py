@@ -61,6 +61,14 @@ def test_grid_validation():
         GridSpec(1.0, 1.0, 8, 1.0)
 
 
+def test_grid_rejects_a_length_that_is_not_finite():
+    # both ends are finite, but a1 - a0 overflows: this built a grid with
+    # length, dx and every node inf
+    with pytest.raises(ValueError, match=r"^a1 - a0 must be finite, got inf$"):
+        GridSpec(-1e308, 1e308, 8)
+    assert GridSpec(-0.5e308, 0.5e308, 8).length == 1e308
+
+
 @pytest.mark.parametrize("value", [True, False, "1", None])
 @pytest.mark.parametrize("name", ["a0", "a1", "epsilon"])
 def test_grid_rejects_a_coordinate_or_epsilon_that_is_not_a_number(name, value):

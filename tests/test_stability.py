@@ -329,17 +329,17 @@ def test_scan_points_must_be_an_integer(value):
     ([(3, 16)], (3, 16)),           # reaching the top of the scan
 ])
 def test_the_window_is_the_widest_stable_run(monkeypatch, runs, want):
-    """``_is_stable`` driven by a fixed pattern over 16 scan points: point k
-    (1-based, at tau = k/16) is stable when some run ``(a, b)`` has
-    ``a < k <= b``, and the bisection lands halfway between scan points."""
+    """The window search's eigensolve (``_branch_radius``) driven by a fixed
+    pattern over 16 scan points: point k (1-based, at tau = k/16) is stable
+    when some run ``(a, b)`` has ``a < k <= b``, and the bisection lands
+    halfway between scan points."""
     g = grid(16)
 
-    def fake(model, grid_, mat, dt):
+    def fake(probe, c, dt):
         k = 16.0 * dt * MAT1.c1 / g.dx
-        ok = any(a + 0.5 < k < b + 0.5 for a, b in runs)
-        return ok, 0.5 if ok else 2.0
+        return 0.5 if any(a + 0.5 < k < b + 0.5 for a, b in runs) else 2.0
 
-    monkeypatch.setattr(stability, "_is_stable", fake)
+    monkeypatch.setattr(stability, "_branch_radius", fake)
     dom = stability_bounds(1, g, MAT1, dt_max_factor=1.0, scan_points=16)
     assert [rho < 1.0 for _, rho in dom.samples] == [
         any(a < k <= b for a, b in runs) for k in range(1, 17)]
