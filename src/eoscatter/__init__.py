@@ -18,7 +18,7 @@ from .config import (
     resolve_config,
 )
 from .grid import GridSpec, Material1, Material2, SpatialOps
-from .history import DelayBuffer, FixedLagReader, HistoryError, RetardedSum
+from .history import DelayBuffer, HistoryError, RetardedSum
 from .mms import (
     ArctanGaussianPulse,
     ErrorReport,
@@ -60,7 +60,6 @@ __all__ = [
     "DivergenceError",
     "EigenSolverError",
     "ErrorReport",
-    "FixedLagReader",
     "GaussianBump",
     "GaussianSource",
     "GridSpec",

@@ -206,7 +206,7 @@ def _parse_stability(block, where="stability") -> StabilityControls:
         grids = [GridSpec(0.0, 1.0, block.get("N", DEFAULT_STABILITY_N), e)
                  for e in eps]
         factor, points, tol = _check_controls(
-            block.get("dt_max_factor", DEFAULT_DT_MAX_FACTOR),
+            grids, block.get("dt_max_factor", DEFAULT_DT_MAX_FACTOR),
             block.get("scan_points", DEFAULT_SCAN_POINTS),
             block.get("bisect_tol", DEFAULT_BISECT_TOL))
     return StabilityControls(

@@ -1,6 +1,7 @@
 """Interior grid family, material coefficients, and spatial stencils, with
 the number rule the package checks every numeric input by
-(:func:`check_real`, :func:`check_integer`).
+(:func:`check_real`, :func:`check_integer`) and the size rule it checks
+every array a numeric input asks for by (:func:`check_size`).
 
 The scatterer occupies [a0, a1] and all evolved fields live on N interior
 nodes only; boundary values enter through separately evolved traces. A single
@@ -52,6 +53,20 @@ def check_integer(name: str, v, minimum: int) -> int:
         raise ValueError(f"{name} must be a finite integer >= {minimum}, "
                          f"got {reprlib.repr(v)}")
     return int(v)
+
+
+#: The most float64 numbers one array may hold (2 GiB): a size past it is
+#: refused by :func:`check_size` before anything is allocated, so an input
+#: too large for memory is a ValueError, not an allocation failure.
+MAX_FLOATS = 2**28
+
+
+def check_size(what: str, count) -> None:
+    """ValueError naming ``what`` unless ``count``, the float64 numbers of
+    one array an input asks for, is at most :data:`MAX_FLOATS`."""
+    if not count <= MAX_FLOATS:
+        raise ValueError(f"{what} would need {reprlib.repr(count)} float64 numbers "
+                         f"in one array, more than the {MAX_FLOATS} allowed")
 
 
 def check_fields(obj, positive=()) -> None:

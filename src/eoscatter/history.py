@@ -18,10 +18,10 @@ carries each node's quadratic read forward in two running taps, and once a
 read is whole adds it into the pending sum of the level it belongs to, one
 value per node per level.
 
-A FixedLagReader is the DelayBuffer of the boundary closure: its samples are
-a row of traces, read back as Python floats, and every read is at one fixed
-lag behind a time level, so its bracket offset and weights are worked out
-once.  The march reads both models' trace histories with it; DelayBuffer
+The boundary closure reads its trace rows with :func:`lag_reader`: every
+read is at one fixed lag behind a time level, so its bracket offset and
+weights are worked out once, and it reads the flat series of trace rows
+the march keeps and returns, so the rows are stored once.  DelayBuffer
 stays for custom studies and as the reader's test oracle.
 """
 
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .grid import check_integer, check_real
+from .grid import check_integer, check_real, check_size
 
 
 def _weights(s):
@@ -76,6 +76,8 @@ class DelayBuffer:
         if window < 0.0:
             raise ValueError(f"window must be nonnegative, got {window!r}")
         self.shape = tuple(shape)
+        check_size("window, dt and shape",
+                   (window / self.dt + 5) * math.prod(self.shape))
         self._cap = int(math.ceil(window / self.dt)) + 4
         self._data = np.zeros((self._cap,) + self.shape)
         self._levels = 0  # total samples appended so far
@@ -193,6 +195,7 @@ class RetardedSum:
             raise ValueError("delays must be a nonempty 1-D array")
         if not np.all(np.isfinite(d) & (d >= 0.0)):
             raise ValueError("delays must be finite and nonnegative")
+        check_size("delays and dt", 2.0 * (float(d.max()) / dt + 4))  # the pending sums
         lam = _first_live(t0, dt, d)
         self._taps = np.array(_weights(lam + 1.0 - d / dt))
         self._offsets = lam - 1
@@ -229,58 +232,45 @@ class RetardedSum:
         return out
 
 
-class FixedLagReader:
-    """Samples at t0 + k*dt, k = 0, 1, 2, ..., each a tuple of ``width``
-    floats, read back at the fixed lag ``lag``.
+def lag_reader(series, t0: float, dt: float, lag: float, width: int = 1):
+    """``read(n)``: the rows of ``series`` at ``t0 + n*dt - lag``, as a list
+    of ``width`` Python floats.
 
-    ``read(n)`` equals ``DelayBuffer.query(t0 + n*dt - lag)``, to rounding,
-    for a DelayBuffer holding the same samples: exactly zero before the
-    first live level, which is worked out once by ``query``'s own float
-    test ``t0 + n*dt - lag > t0``, and from there on the bracket ``n - b -
-    1, n - b, n - b + 1``, ``b = floor(lag/dt) + 1``, with weights worked
-    out once.  The first reads' levels before 0 are ring slots not yet
-    written, so they read as zero.  A read may come before or after the
-    append of level n; the ring keeps the ``floor(lag/dt) + 3`` levels that
-    needs.
+    ``series`` is a flat sequence of float rows, row k the ``width`` samples
+    of level ``t0 + k*dt``, which the caller extends in place; ``read(n)``
+    reads it as it stands.  It equals ``DelayBuffer.query(t0 + n*dt -
+    lag)``, to rounding, for a DelayBuffer holding the same rows: exactly
+    zero before the first live level, which is worked out once by
+    ``query``'s own float test ``t0 + n*dt - lag > t0``, and from there on
+    the bracket ``n - b - 1, n - b, n - b + 1``, ``b = floor(lag/dt) + 1``,
+    with weights worked out once and the rows of levels before 0 read as
+    zero.  A read that needs a row not yet in ``series`` raises
+    HistoryError.
     """
+    t0, dt = check_real("t0", t0), check_real("dt", dt, positive=True)
+    lag = check_real("lag", lag)
+    if lag < 0.0:
+        raise ValueError(f"lag must be nonnegative, got {lag!r}")
+    width = check_integer("width", width, 1)
+    # the rows a series holds before the first live read, so also a lag
+    # too far back for any series, whose level offset would not fit an int
+    check_size("lag, dt and width", (lag / dt + 2) * width)
+    back = math.floor(lag / dt) + 1
+    w0, w1, w2 = _weights(back + 1 - lag / dt)
+    live = int(_first_live(t0, dt, lag))
 
-    def __init__(self, t0: float, dt: float, lag: float, width: int = 1):
-        self.t0, self.dt = check_real("t0", t0), check_real("dt", dt, positive=True)
-        self.lag = check_real("lag", lag)
-        if self.lag < 0.0:
-            raise ValueError(f"lag must be nonnegative, got {lag!r}")
-        width = check_integer("width", width, 1)
-        q = self.lag / self.dt
-        self._back = math.floor(q) + 1
-        self._weights = _weights(self._back + 1 - q)
-        self._live = int(_first_live(self.t0, self.dt, self.lag))
-        self._cap = self._back + 2
-        # one float64 ring per component, read back as Python floats
-        self._rings = [memoryview(bytearray(8 * self._cap)).cast("d")
-                       for _ in range(width)]
-        self._zero = (0.0,) * width
-        self._levels = 0
+    def read(n: int) -> list:
+        if n < live:
+            return [0.0] * width
+        # the bracket's first row: level n - back - 1, which is -2 or later
+        # from the first live level on
+        i, rows = (n - back - 1) * width, series
+        if i + 3 * width > len(rows):
+            raise HistoryError(f"read at t={t0 + n * dt - lag!r} is beyond the "
+                               "newest row")
+        if i < 0:  # the rows of levels before 0 read as zero
+            rows, i = [0.0] * (2 * width) + list(rows[:i + 3 * width]), i + 2 * width
+        return [w0 * rows[k] + w1 * rows[k + width] + w2 * rows[k + 2 * width]
+                for k in range(i, i + width)]
 
-    def append(self, sample) -> None:
-        """Append the next level's sample, ``width`` numbers."""
-        if len(sample) != len(self._rings):
-            raise ValueError(f"sample of {len(sample)} != width {len(self._rings)}")
-        i = self._levels % self._cap
-        for ring, v in zip(self._rings, sample):
-            ring[i] = v
-        self._levels += 1
-
-    def read(self, n: int) -> tuple:
-        """The series at ``t0 + n*dt - lag``, one float per component."""
-        if n < self._live:
-            return self._zero
-        m = n - self._back
-        if not self._levels - self._cap < m < self._levels - 1:
-            if m >= self._levels - 1:
-                raise HistoryError(f"read at t={self.t0 + n * self.dt - self.lag!r}"
-                                   " is beyond the newest sample")
-            raise HistoryError(f"read needs level {m - 1}, older than the ring")
-        i = m % self._cap  # levels m - 1 and m + 1 wrap by negative indices
-        w0, w1, w2 = self._weights
-        return tuple([w0 * r[i - 1] + w1 * r[i] + w2 * r[i + 1 - self._cap]
-                      for r in self._rings])
+    return read

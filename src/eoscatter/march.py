@@ -21,8 +21,8 @@ from operator import attrgetter
 import numpy as np
 
 from .grid import (ClosedPass, GridSpec, SpatialOps, check_fields, check_real,
-                   confined_pass, drivers)
-from .history import FixedLagReader, RetardedSum
+                   check_size, confined_pass, drivers)
+from .history import RetardedSum, lag_reader
 from .mms import ResidualSources
 from .sources import source_support
 
@@ -111,6 +111,9 @@ class Scenario:
         check_fields(self, positive=("dt",))
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed the start time")
+        # the trace series, the march's largest array, holds every level's row
+        check_size("t0, t_end and dt", 2 * len(self.potentials)
+                   * ((self.t_end - self.t0) / self.dt + 2))
         if self.dt > self.transit:
             raise ValueError("time step exceeds the boundary transit time; "
                              "the traces read their history one transit back")
@@ -298,9 +301,11 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     direction, ``(x - a0)/c1`` and, for a pair, ``(a1 - x)/c1``.  Each sum
     times the node weight ``dx/c1`` is a boundary integral, and the new
     traces are :meth:`Scenario.traces` of those integrals, the trace row one
-    transit back (a :class:`FixedLagReader`, read before the level's row is
-    appended) and the level's incident row; the start row is zeros at a0
-    and the incident row at a1.
+    transit back and the level's incident row; the start row is zeros at a0
+    and the incident row at a1.  The trace series the run returns, one flat
+    float64 array of the levels' rows, is the one record of the traces: the
+    row one transit back is read from it (:func:`history.lag_reader`)
+    before the level's row is appended.
 
     A step whose new current, or new potential other than ``phi`` (model
     2's ``psi``), is non-finite raises :class:`DivergenceError`; the other
@@ -319,7 +324,6 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     delays = ((g.x - g.a0) / scn.mat.c1, (g.a1 - g.x) / scn.mat.c1)
     sums = [[RetardedSum(t0, dt, d) for d in delays[:len(potentials)]]
             for _ in range(1 if scn.mms is None else len(potentials))]
-    history = FixedLagReader(t0, dt, scn.transit, width=2 * len(potentials))
     weight = g.dx / scn.mat.c1  # every node's share of a boundary integral
 
     def push(j, terms):
@@ -336,10 +340,16 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     terms = next(levels)
     push(fields[-1], terms)
     traces = [0.0] * len(potentials) + incident[0]
-    history.append(traces)
     state = scn.State(*fields, *traces, 0, t0)
     series = array("d", traces)  # each level's traces in turn, as float64
+    delayed = lag_reader(series, t0, dt, scn.transit, width=len(traces))
     snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
+
+    def result(last):  # the run up to the state ``last``
+        k = last.n + 1
+        return scn.Result(scn, times[:k], *np.reshape(series, (k, -1)).T,
+                          snapshots, last)
+
     # the step writes the new rho and j into level n - 1's arrays
     rho_spare, j_spare, *scratch = np.empty((4, g.n))
     finite = np.empty(g.n, dtype=bool)
@@ -358,12 +368,8 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
                        for f in (*fields[unfolded], fields[-1])):
                 raise DivergenceError(
                     f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
-                    partial=scn.Result(scn, times[:n], *np.reshape(series, (n, -1)).T,
-                                       snapshots, state),
-                )
-            traces = scn.traces(push(fields[-1], terms_next), history.read(n),
-                                incident[n])
-            history.append(traces)
+                    partial=result(state))
+            traces = scn.traces(push(fields[-1], terms_next), delayed(n), incident[n])
             rho_spare, j_spare = state.rho, state.j
             state = scn.State(*fields, *traces, n, t_next)
             series.extend(traces)
@@ -371,5 +377,4 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
                 snapshots.append((wanted[n], state.copy()))
             terms = terms_next
 
-    return scn.Result(scn, times, *np.reshape(series, (steps + 1, -1)).T,
-                      snapshots, state)
+    return result(state)

@@ -65,8 +65,8 @@ def boundary_a0_m1(current: float, delayed_a1: float) -> float:
     ``dx/c1``, as :func:`march.march` gives it.  In verification mode it is
     the integral of the current plus the potential equation's residual
     source, read by the same rule.  ``delayed_a1`` is the right trace one
-    transit time behind the new level, as a :class:`FixedLagReader` reads
-    it.
+    transit time behind the new level, which :func:`march.march` reads from
+    the run's trace series (:func:`history.lag_reader`).
     """
     return current + delayed_a1
 

@@ -83,8 +83,9 @@ def boundary_update_m2(face, left: float, right: float, delayed0, delayed1,
     verification mode the ``phi`` residual source.  ``psi_sums`` are the
     same two integrals of the ``psi`` residual source (zero outside
     verification mode).  ``delayed0`` and ``delayed1`` are the left and
-    right trace pairs one transit time behind the new level, as a
-    :class:`FixedLagReader` reads them.  ``incident`` is the level's
+    right trace pairs one transit time behind the new level, which
+    :func:`march.march` reads from the run's trace series
+    (:func:`history.lag_reader`).  ``incident`` is the level's
     exterior pair at ``a1`` (:meth:`Scenario2.incident`), whose incoming
     part ``[[c0, mu0], [nu0, c0]] @ pair`` (``2*c0*pair`` for an incident
     pair) enters the right system solved, ``[[d, b], [c, a]] @ pair``.

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, SpatialOps, check_integer, check_real
+from .grid import GridSpec, SpatialOps, check_integer, check_real, check_size
 from .model1 import Scenario1
 from .model2 import Scenario2
 
@@ -64,23 +64,29 @@ def _model_scenario(model) -> type:
 def _check_inputs(model, mat, dt, steps=0) -> type:
     """The scenario class of ``model`` (:func:`_model_scenario`) once
     ``mat`` is its material (else TypeError), ``dt`` positive and ``steps``
-    an integer >= 0 (else ValueError)."""
+    an integer >= 0 whose ``steps + 1`` levels pass :func:`check_size`
+    (else ValueError)."""
     scenario = _model_scenario(model)
     if not isinstance(mat, scenario.material):
         raise TypeError(f"model {model} needs a {scenario.material.__name__}, "
                         f"got {type(mat).__name__}")
     check_real("dt", dt, positive=True)
-    check_integer("steps", steps, 0)
+    check_size("steps", check_integer("steps", steps, 0) + 1)
     return scenario
 
 
-def _check_controls(dt_max_factor, scan_points, bisect_tol) -> tuple:
+def _check_controls(grids, dt_max_factor, scan_points, bisect_tol) -> tuple:
     """The scan controls of :func:`stability_bounds` as ``(float, int,
     float)``: ``dt_max_factor`` and ``bisect_tol`` positive, ``scan_points``
-    an integer >= 16 (else ValueError)."""
-    return (check_real("dt_max_factor", dt_max_factor, positive=True),
-            check_integer("scan_points", scan_points, 16),
-            check_real("bisect_tol", bisect_tol, positive=True))
+    an integer >= 16, and the scan points and the dense N x N matrices of
+    every one of ``grids`` within :func:`check_size` (else ValueError)."""
+    dt_max_factor = check_real("dt_max_factor", dt_max_factor, positive=True)
+    scan_points = check_integer("scan_points", scan_points, 16)
+    bisect_tol = check_real("bisect_tol", bisect_tol, positive=True)
+    check_size("scan_points", scan_points)
+    for grid in grids:  # the scan's dense N x N matrices
+        check_size(f"N = {grid.n}", grid.n * grid.n)
+    return dt_max_factor, scan_points, bisect_tol
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +370,7 @@ def _windows(model, grids, mat, *,
     scan and bisection: every grid's scan points in one batch of
     eigensolves, and every grid's edges bisected in lock-step."""
     dt_max_factor, scan_points, bisect_tol = _check_controls(
-        dt_max_factor, scan_points, bisect_tol)
+        grids, dt_max_factor, scan_points, bisect_tol)
     c = mat.c1
     dts = [grid.dx / c * dt_max_factor * np.arange(1, scan_points + 1) / scan_points
            for grid in grids]

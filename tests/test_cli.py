@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from eoscatter.cli import _fmt, main
+from eoscatter.grid import MAX_FLOATS
 from eoscatter.march import Scenario
 from eoscatter.mms import Field
 
@@ -319,6 +320,25 @@ def test_a_grid_whose_length_overflows_is_a_config_error(tmp_path, capsys):
             "material": MAT1, "t_end": 0.5, "output": {"dir": str(tmp_path / "out")}}
     assert main(["run", write_config(tmp_path, data)]) == 2
     assert capsys.readouterr().err == "config error: grid: a1 - a0 must be finite, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, data, message", [
+    ("run", {"grid": {"a0": 0.0, "a1": 3.0, "N": 100}, "t_end": 1e15},
+     "at N = 100: t0, t_end and dt would need "),
+    ("stability", {"stability": {"N": 1000000, "epsilons": [1.0]}},
+     "stability: N = 1000000 would need 1000000000000 "),
+])
+def test_a_size_past_memory_is_a_config_error(tmp_path, capsys, mode, data, message):
+    # the run's level series (1.16 EiB of times) and the scan's dense N x N
+    # matrices (7.28 TiB) failed to allocate and exited 1 with a traceback
+    data = {"model": 1, "mode": mode, "material": MAT1, **data,
+            "output": {"dir": str(tmp_path / "out")}}
+    assert main([mode, write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert err.endswith(" float64 numbers in one array, more than the "
+                        f"{MAX_FLOATS} allowed\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@ import math
 import re
 import time
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from eoscatter.grid import GridSpec
-from eoscatter.history import DelayBuffer, FixedLagReader, HistoryError, RetardedSum
+from eoscatter.history import DelayBuffer, HistoryError, RetardedSum, lag_reader
 
 
 def _fill(buf, func, n):
@@ -158,7 +159,8 @@ def _reads(sample, levels):
     reads = {name: np.full((levels, LAGS.size), np.nan) for name in READERS}
     buf = DelayBuffer(T0, DT, LAGS.max() + 2 * DT)
     nodal = DelayBuffer(T0, DT, LAGS.max() + 2 * DT, shape=LAGS.shape)
-    before, after = ([FixedLagReader(T0, DT, lag) for lag in LAGS] for _ in range(2))
+    series = array("d")
+    lagged = [lag_reader(series, T0, DT, lag) for lag in LAGS]
     sums = [RetardedSum(T0, DT, [lag]) for lag in LAGS]
     for n in range(levels):
         s = sample(n)
@@ -168,10 +170,10 @@ def _reads(sample, levels):
         reads["query_each"][n] = nodal.query_each(t)
         for i, lag in enumerate(LAGS):
             if lag >= DT:
-                reads["read_before"][n, i] = before[i].read(n)[0]
-            before[i].append((s,))
-            after[i].append((s,))
-            reads["read_after"][n, i] = after[i].read(n)[0]
+                reads["read_before"][n, i] = lagged[i](n)[0]
+        series.append(s)
+        for i, lag in enumerate(LAGS):
+            reads["read_after"][n, i] = lagged[i](n)[0]
             reads["push"][n, i] = sums[i].push([s])
             reads["query"][n, i] = buf.query(t[i])
     return reads
@@ -346,7 +348,7 @@ def test_fixed_lag_sum_rejects_bad_input():
         RetardedSum(0.0, 0.1, np.ones(3)).push(np.ones(4))
 
 
-# -- fixed-lag trace reader ----------------------------------------------------
+# -- fixed-lag trace reads -----------------------------------------------------
 
 
 @st.composite
@@ -372,33 +374,34 @@ def lag_setups(draw):
        read_first=st.booleans(), seed=st.integers(0, 2**16))
 def _reader_matches_delay_buffer(setup, width, read_first, seed):
     # Every read, from before t0 through the first live levels into the
-    # steady bracket and past a full turn of the ring, against the oracle,
-    # with the read of level n before its append (model 2's order) or after
-    # it (model 1's).  Agreement is to 1e-15 relative to the bracket's
+    # steady bracket and on for as many levels again, against the oracle,
+    # with the read of level n before its row is appended (the march's
+    # order) or after it.  Agreement is to 1e-15 relative to the bracket's
     # magnitude; off the exact draws the oracle's fractional level carries
     # a rounding error of about eps*(|t0| + |t_next| + lag)/dt levels, which
     # the reader's once-computed weights do not share, so the bound scales
     # with that count.
     t0, dt, lag, exact = setup
     rng = np.random.default_rng(seed)
-    reader = FixedLagReader(t0, dt, lag, width)
+    series = array("d")
+    read = lag_reader(series, t0, dt, lag, width)
     oracle = DelayBuffer(t0, dt, lag + 2 * dt, shape=(width,))
     peak = 0.0
     for n in range(2 * int(lag / dt) + 8):
         sample = rng.uniform(0.5, 1.5, width) * rng.choice([-1.0, 1.0], width)
         peak = max(peak, np.max(np.abs(sample)))
         if not read_first:
-            reader.append(tuple(sample))
+            series.extend(sample)
             oracle.append(sample)
         t_next = t0 + n * dt
-        got, want = reader.read(n), oracle.query(t_next - lag)
-        assert all(type(v) is float for v in got)
+        got, want = read(n), oracle.query(t_next - lag)
+        assert len(got) == width and all(type(v) is float for v in got)
         if t_next - lag <= t0:
-            assert got == (0.0,) * width, n
+            assert got == [0.0] * width, n
         levels = 1.0 if exact else 1.0 + (abs(t0) + abs(t_next) + lag) / dt
         assert np.max(np.abs(np.array(got) - want)) <= 1e-15 * levels * 3 * peak, n
         if read_first:
-            reader.append(tuple(sample))
+            series.extend(sample)
             oracle.append(sample)
 
 
@@ -415,39 +418,36 @@ def test_fixed_lag_reader_prehistory_and_first_levels():
     # quadratic in time reads back exactly
     dt, lag = 0.25, 0.625
     q = lambda t: 2.0 + t - 3.0 * t * t
-    reader = FixedLagReader(0.0, dt, lag)
+    series = array("d")
+    read = lag_reader(series, 0.0, dt, lag)
     got = []
     for n in range(12):
-        reader.append((q(n * dt),))
-        got.append(reader.read(n)[0])
+        series.append(q(n * dt))
+        got.append(read(n)[0])
     assert got[:3] == [0.0, 0.0, 0.0]
     assert got[3] == pytest.approx(q(0.0) * 0.75 + q(dt) * 0.375, rel=1e-14)
     for n in range(4, 12):
         assert got[n] == pytest.approx(q(n * dt - lag), rel=1e-14)
 
 
-def test_fixed_lag_reader_keeps_a_bounded_ring():
-    dt, lag = 0.1, 0.95  # floor(lag/dt) + 3 = 12 levels kept
-    reader = FixedLagReader(0.0, dt, lag, width=2)
-    for n in range(100):
-        reader.append((n, -n))
-    assert reader.read(99) == pytest.approx((99 - 9.5, 9.5 - 99), rel=1e-14)
-    with pytest.raises(HistoryError, match="older"):
-        reader.read(95 - 12)
-    with pytest.raises(HistoryError, match="beyond"):
-        reader.read(120)
-
-
 def test_fixed_lag_reader_rejects_bad_input():
+    series = array("d")
     for t0, dt, lag in ((math.nan, 0.1, 1.0), (0.0, 0.0, 1.0), (0.0, math.inf, 1.0),
                         (0.0, 0.1, -0.1), (0.0, 0.1, math.nan)):
         with pytest.raises(ValueError):
-            FixedLagReader(t0, dt, lag)
-    with pytest.raises(ValueError, match="width"):
-        FixedLagReader(0.0, 0.1, 1.0, width=2).append((1.0,))
-    # a width of 0 or less stored and returned empty tuples
+            lag_reader(series, t0, dt, lag)
+    # a read needing a row the series does not hold yet: lag 0.95 reads
+    # level 99 from the rows of levels 88-90, so 90 rows are too few
+    read = lag_reader(series, 0.0, 0.1, 0.95, width=2)
+    for n in range(90):
+        series.extend((n, -n))
+    with pytest.raises(HistoryError, match="beyond the newest row"):
+        read(99)
+    series.extend((90, -90))
+    assert read(99) == pytest.approx([99 - 9.5, 9.5 - 99], rel=1e-14)
+    # a width of 0 or less read empty rows
     for width in (0, -3, True, 1.0, 2.5, "2", None):
         with pytest.raises(ValueError, match=f"^width must be a finite integer >= 1, "
                            f"got {re.escape(repr(width))}$"):
-            FixedLagReader(0.0, 0.1, 1.0, width=width)
-    assert FixedLagReader(0.0, 0.1, 1.0, width=np.int64(2)).read(0) == (0.0, 0.0)
+            lag_reader(series, 0.0, 0.1, 1.0, width=width)
+    assert lag_reader(series, 0.0, 0.1, 1.0, width=np.int64(2))(0) == [0.0, 0.0]

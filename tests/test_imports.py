@@ -1,6 +1,7 @@
 """The package's import graph is settled when its modules load."""
 
 import ast
+import re
 from pathlib import Path
 
 import eoscatter
@@ -53,3 +54,15 @@ def test_the_number_rule_is_stated_once():
                   if isinstance(node, ast.ImportFrom) and node.module == "numbers"]
     assert len(inside) == 2
     assert found == []
+
+
+def test_readme_library_use_names_every_export():
+    # every name a star import binds is documented where a library user
+    # looks, as inline code in README's "Library use" section
+    readme = (SRC.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in eoscatter.__all__
+               if not re.search(rf"`{re.escape(name)}\b", section)]
+    assert missing == []
+    # a removed public name stays listed there as removed
+    assert "`FixedLagReader` was removed" in section

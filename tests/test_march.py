@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from eoscatter import cli, model1, model2
 from eoscatter.config import parse_config
 from eoscatter.grid import GridSpec, Material1, Material2, SpatialOps
+from eoscatter.history import DelayBuffer
 from eoscatter.march import DivergenceError, march
 from eoscatter.mms import GaussianBump, ManufacturedFields1, ManufacturedFields2
 from eoscatter.model1 import Scenario1, State1, run_m1
@@ -450,6 +451,47 @@ def test_closures_trade_in_python_floats(monkeypatch, model, drive):
     assert seen[0] == (0.0,) * model + tuple(np.reshape(scn.incident(scn.t0), -1))
     assert [getattr(res, name)[0] for name in names] == list(seen[0])
     assert np.max(np.abs(res.phi_a0)) > 0.0 or drive == "null"
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("drive", ["source", "mms"])
+@pytest.mark.parametrize("model", [1, 2])
+def test_each_delayed_row_is_the_runs_own_series_one_transit_back(monkeypatch, model,
+                                                                   drive, epsilon):
+    # the march keeps one record of its traces, the series it returns, and
+    # reads the row one transit back from it: every row a model's trace
+    # update gets equals DelayBuffer.query of that series, to the bound of
+    # the reader's own oracle test (tests/test_history.py).  The source run
+    # starts at t0 = 1.5, so the reads' first live level is t0's
+    scenario, run, mat = MODELS[model]
+    traces, seen = scenario.traces, []
+
+    def spy(scn, sums, delayed, incident):
+        seen.append(list(delayed))
+        return traces(scn, sums, delayed, incident)
+
+    monkeypatch.setattr(scenario, "traces", spy)
+    t0 = 1.5 if drive == "source" else 0.0
+    kw = ({"source": GaussianSource(1.0, 4.0, 36.0, t0 + 0.5, 4.0)} if drive == "source"
+          else {"mms": FIELDS[model].demo()})
+    grid = GridSpec(0.0, 3.0, 16, epsilon)
+    scn = scenario(grid=grid, mat=mat, dt=0.9 * grid.dx / mat.c1, t0=t0,
+                   t_end=t0 + 4.0, **kw)
+    res = run(scn)
+    rows = np.column_stack([getattr(res, f"{p}_{a}")
+                            for a in ("a0", "a1") for p in scn.potentials])
+    assert len(seen) == scn.steps and rows.shape == (scn.steps + 1, 2 * model)
+    oracle = DelayBuffer(t0, scn.dt, scn.t_end - t0, shape=(2 * model,))
+    oracle.append(rows[0])
+    peak = np.max(np.abs(rows[0]))
+    for n, got in enumerate(seen, start=1):
+        t_next = t0 + n * scn.dt
+        want = oracle.query(t_next - scn.transit)
+        levels = 1.0 + (abs(t0) + abs(t_next) + scn.transit) / scn.dt
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-15 * levels * 3 * peak, n
+        oracle.append(rows[n])
+        peak = max(peak, np.max(np.abs(rows[n])))
+    assert np.max(np.abs(seen)) > 0.0
 
 
 TRACED = ((model1, "boundary_a0_m1"), (model1, "boundary_a1_m1"),

@@ -9,18 +9,22 @@ OverflowError.
 
 import math
 import re
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
-from eoscatter.grid import GridSpec, Material1, Material2, check_integer, check_real
-from eoscatter.history import DelayBuffer, FixedLagReader, RetardedSum
+from eoscatter.grid import (MAX_FLOATS, GridSpec, Material1, Material2, check_integer,
+                           check_real, check_size)
+from eoscatter.history import DelayBuffer, RetardedSum, lag_reader
 from eoscatter.mms import ArctanGaussianPulse, GaussianBump
 from eoscatter.model1 import Scenario1
 from eoscatter.model2 import Scenario2
 from eoscatter.sources import GaussianSource, incident_series
 from eoscatter.stability import (assemble_propagator, decomposition_check,
-                                 homogeneous_run, stability_bounds, stability_radius)
+                                 homogeneous_run, scan_stability, stability_bounds,
+                                 stability_radius)
 
 GRID = dict(a0=0.0, a1=3.0, n=40, epsilon=1.0)
 MAT1 = dict(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
@@ -60,7 +64,7 @@ CASES = {
     **_keywords("DelayBuffer", DelayBuffer, dict(t0=0.0, dt=0.1, window=1.0)),
     **_keywords("RetardedSum", lambda **kw: RetardedSum(delays=[0.5], **kw),
                 dict(t0=0.0, dt=0.1)),
-    **_keywords("FixedLagReader", FixedLagReader,
+    **_keywords("lag_reader", lambda **kw: lag_reader(array("d"), **kw),
                 dict(t0=0.0, dt=0.1, lag=1.0, width=2)),
     **_keywords("Scenario1", lambda **kw: Scenario1(grid=G, mat=M1, **kw), RUN),
     **_keywords("Scenario2", lambda **kw: Scenario2(grid=G, mat=M2, **kw), RUN),
@@ -118,3 +122,57 @@ def test_the_checks_return_plain_floats_and_ints():
 def test_the_checks_word_their_rules(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# -- the size rule -------------------------------------------------------------
+
+# Each input asks for one array past MAX_FLOATS, by the name the message
+# starts with.  Each of these failed to allocate (MemoryError, for the
+# scenario only at its run) before the check, and none may allocate now.
+SIZES = {
+    "Scenario1": ("t0, t_end and dt", lambda: Scenario1(grid=G, mat=M1, dt=0.01,
+                                                        t_end=1e15)),
+    "Scenario2": ("t0, t_end and dt", lambda: Scenario2(grid=G, mat=M2, dt=0.01,
+                                                        t_end=1e15)),
+    "Scenario.t0": ("t0, t_end and dt", lambda: Scenario1(grid=G, mat=M1, dt=0.01,
+                                                          t0=-1e300, t_end=1e300)),
+    "homogeneous_run": ("steps", lambda: homogeneous_run(1, LAB, M1, 0.01, 10**15)),
+    "DelayBuffer.window": ("window, dt and shape",
+                           lambda: DelayBuffer(0.0, 0.1, window=1e17)),
+    "DelayBuffer.shape": ("window, dt and shape",
+                          lambda: DelayBuffer(0.0, 0.1, 1.0, shape=(10**9, 10**9))),
+    "RetardedSum": ("delays and dt", lambda: RetardedSum(0.0, 1e-3, [1e14])),
+    "lag_reader.width": ("lag, dt and width",
+                         lambda: lag_reader(array("d"), 0.0, 0.1, 1.0, 10**15)),
+    "lag_reader.lag": ("lag, dt and width",
+                       lambda: lag_reader(array("d"), 0.0, 1e-300, 1e10)),
+    "stability_bounds.N": ("N = 1000000", lambda: stability_bounds(
+        1, GridSpec(0.0, 1.0, 10**6), M1)),
+    "stability_bounds.scan_points": ("scan_points", lambda: stability_bounds(
+        1, LAB, M1, scan_points=10**15)),
+    "scan_stability": ("N = 1000000", lambda: scan_stability(2, M2, 10**6, [1.0])),
+}
+
+
+@pytest.mark.parametrize("case", SIZES)
+def test_every_size_past_the_limit_is_refused_before_it_is_allocated(case):
+    name, call = SIZES[case]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} would need .* "
+                           f"float64 numbers in one array, more than the "
+                           f"{MAX_FLOATS} allowed$"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_size_rule_allows_the_limit_itself():
+    check_size("x", MAX_FLOATS)
+    with pytest.raises(ValueError, match=f"^x would need {MAX_FLOATS + 1} "):
+        check_size("x", MAX_FLOATS + 1)
+    for count in (math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match="^x would need "):
+            check_size("x", count)
