@@ -28,6 +28,10 @@ DEFAULT_STABILITY_N = 200
 DEFAULT_EPSILONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 MODES = ("run", "mms", "stability")
+#: The top-level keys that only some modes read, and those modes; a
+#: provenance line records each as null in the other modes.
+_READ_IN = {"grid": ("run", "mms"), "t_end": ("run", "mms"), "source": ("run",),
+            "mms": ("mms",), "stability": ("stability",)}
 
 
 def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorReport:
@@ -219,7 +223,7 @@ def _parse_stability(block, where="stability") -> StabilityControls:
     )
 
 
-def _parse_output(block, where="output"):
+def _parse_output(block, mode, where="output"):
     block = _require_mapping(block if block is not None else {}, where)
     _reject_unknown(block, ("dir", "snapshots"), where)
     out_dir = block.get("dir", ".")
@@ -228,6 +232,8 @@ def _parse_output(block, where="output"):
     snaps = block.get("snapshots", [])
     if not isinstance(snaps, list):
         raise ConfigError(f"'snapshots' in {where} must be a list of times")
+    if snaps and mode != "run":
+        raise ConfigError(f"'snapshots' in {where} is only meaningful in run mode")
     with _located(f"{where}: "):
         return out_dir, tuple(check_real("snapshot time", v) for v in snaps)
 
@@ -259,32 +265,22 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
     mat = _build(scn_cls.material, data.get("material"), "material") \
         if "material" in data else _missing("material")
 
-    grid = None
-    if mode == "stability":
-        # A stability run's provenance records no grid or t_end as null.
-        data = {k: v for k, v in data.items()
-                if not (k in ("grid", "t_end") and v is None)}
-        if "grid" in data:
-            grid = _parse_grid(data["grid"])
-    else:
-        if "grid" not in data:
-            _missing("grid")
-        grid = _parse_grid(data["grid"])
-
+    for key, modes in _READ_IN.items():
+        if data.get(key) is not None and mode not in modes:
+            raise ConfigError(f"'{key}' in config is only meaningful in "
+                              f"{' and '.join(modes)} mode")
+    grid = t_end = None
+    if mode != "stability":
+        grid = _parse_grid(data["grid"]) if "grid" in data else _missing("grid")
+        t_end = _number(data, "t_end", "config", required=True, positive=True)
     dt_cfl = _number(data, "dt_cfl", "config", default=DEFAULT_DT_CFL, positive=True)
-    marching = mode != "stability"
-    t_end = _number(data, "t_end", "config", required=marching, positive=marching)
-
-    for key, only in (("source", "run"), ("mms", "mms"), ("stability", "stability")):
-        if data.get(key) is not None and mode != only:
-            raise ConfigError(f"'{key}' in config is only meaningful in {only} mode")
     source = _parse_source(data.get("source"))
     exact = ladder = stability = None
     if mode == "mms":
         exact, ladder = _parse_mms(data.get("mms"), scn_cls, grid)
     if mode == "stability":
         stability = _parse_stability(data.get("stability"))
-    out_dir, snapshots = _parse_output(data.get("output"))
+    out_dir, snapshots = _parse_output(data.get("output"), mode)
 
     resolved = {
         "model": model,

@@ -5,8 +5,8 @@ material, whose ``coupling`` is their matrix ``A``, the source's drive at
 the right boundary (:meth:`Scenario.drive`) and its trace update
 (:meth:`Scenario.traces`).  The state and result classes, the scenario
 checks, the Lax-Wendroff passes, the incident rows, the interior step, the
-boundary closure's weighted retarded sums, trace history and start traces,
-the snapshots, the trace series and the divergence handling live here once.
+stream of levels (:func:`_levels`: start state, steps, divergence check and
+boundary closure) and its one recorder (:func:`march`) live here once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .mms import ResidualSources
 from .sources import source_support
 
 #: Level-node points per call of the nodal residual evaluator: on a grid of
-#: N <= 1024 nodes :func:`march` evaluates ``_BLOCK_POINTS // N`` levels per
+#: N <= 1024 nodes :func:`_levels` evaluates ``_BLOCK_POINTS // N`` levels per
 #: call, which spreads the fixed cost of the field families' numpy calls; a
 #: finer grid keeps one scalar call per level, where a block only costs
 #: memory traffic.
@@ -151,7 +151,7 @@ class Scenario:
 
     def traces(self, sums, delayed, incident):
         """A new level's traces, left then right, as Python floats, from the
-        boundary integrals ``sums`` (:func:`march`), the trace row ``delayed``
+        boundary integrals ``sums`` (:func:`_levels`), the trace row ``delayed``
         one transit back and the row ``incident`` of :meth:`incident`."""
         raise NotImplementedError
 
@@ -190,15 +190,15 @@ class Scenario:
         return max(1, int(math.ceil((self.t_end - self.t0) / self.dt - 1e-9)))
 
     def snapshot_levels(self, snapshot_times) -> dict:
-        """Time level -> requested time, the first request per level kept;
+        """Time level -> its distinct requested times, in request order;
         ValueError for a time outside ``[t0, t_end]`` (``1e-12`` slack)."""
         wanted = {}
-        for t_req in (check_real("snapshot time", t) for t in snapshot_times):
-            if not self.t0 - 1e-12 <= t_req <= self.t_end + 1e-12:
-                raise ValueError(f"snapshot time {t_req!r} outside "
+        for t in dict.fromkeys(check_real("snapshot time", v) for v in snapshot_times):
+            if not self.t0 - 1e-12 <= t <= self.t_end + 1e-12:
+                raise ValueError(f"snapshot time {t!r} outside "
                                  f"[t0, t_end] = [{self.t0!r}, {self.t_end!r}]")
-            level = min(self.steps, max(0, int(round((t_req - self.t0) / self.dt))))
-            wanted.setdefault(level, t_req)
+            level = min(self.steps, max(0, int(round((t - self.t0) / self.dt))))
+            wanted.setdefault(level, []).append(t)
         return wanted
 
 
@@ -215,7 +215,7 @@ def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
     The density then takes the Taylor step ``rho - dt*D1(g)`` and the
     current a Heun corrector, which reads the current's term at level n + 1.
     ``terms`` and ``terms_next`` are the nodal terms at levels n and n + 1,
-    given together (:func:`march` evaluates each level once); a
+    given together (:func:`_levels` evaluates each level once); a
     verification scenario stepped without them raises ValueError.
 
     ``out`` is four N-arrays, none of them the state's: the new density and
@@ -256,7 +256,7 @@ def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
     # j_new = (a - b*rho_new)*phi_new + (1 - 2c)*g + c*j [+ h*s_j].  j_new is
     # non-finite at every node where phi_new or rho_new is (IEEE 754: inf*0
     # and 0*inf are NaN, so a zero factor, b = 0 included, cannot hide one):
-    # march tests j_new in their place, so keep both in this product
+    # _levels tests j_new in their place, so keep both in this product
     np.subtract(a, np.multiply(b, rho_new, out=j_new), out=j_new)
     j_new *= potentials[0]
     j_new += np.multiply(1.0 - 2.0 * c, g, out=tmp)
@@ -281,18 +281,18 @@ def _level_terms(terms_at, times, n: int):
             yield {name: v[i] for name, v in rows.items()}
 
 
-def march(scn: Scenario, snapshot_times, step=interior_step):
-    """Advance ``scn`` from its start time to ``t_end``, returning a
-    ``scn.Result`` of ``scn.State`` levels.
+def _levels(scn: Scenario, series, step):
+    """Yield ``scn``'s levels 0 to ``scn.steps`` in order, each a ``scn.State``
+    at ``t0 + n*dt`` once its trace row is appended to ``series`` (an empty
+    float64 ``array``, the one record of the traces).
 
     Each step runs ``step(state, scn, terms, terms_next, out=...)`` with the
-    nodal residual terms at both of its levels (or None) and the buffers of
-    :func:`interior_step`, then closes the boundary at the new level.  It
-    hands level n - 1's density and current arrays to the step as the arrays
-    of level n + 1; snapshots are copies.  The nodal evaluator ``terms_at =
-    scn.residuals(scn.mms, scn.mat).at(g.x)`` is built once per run, and
-    each level's terms are evaluated once with it, in blocks of levels on a
-    coarse grid (:func:`_level_terms`), and carried to the next step.
+    nodal residual terms at both of its levels (or None), which one
+    ``scn.residuals(scn.mms, scn.mat).at(g.x)`` per run evaluates once per
+    level (:func:`_level_terms`), and the buffers of :func:`interior_step`:
+    level n + 1's density and current go into level n - 1's arrays, so a
+    consumer that keeps a yielded state copies it.  Between levels the
+    consumer runs with numpy's overflow and invalid warnings off.
 
     The boundary closure is the same for both models.  Each level's
     right-hand sides of the potential equations (the current, plus in
@@ -300,23 +300,19 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     potential's residual source) go into one :class:`RetardedSum` per
     direction, ``(x - a0)/c1`` and, for a pair, ``(a1 - x)/c1``.  Each sum
     times the node weight ``dx/c1`` is a boundary integral, and the new
-    traces are :meth:`Scenario.traces` of those integrals, the trace row one
-    transit back and the level's incident row; the start row is zeros at a0
-    and the incident row at a1.  The trace series the run returns, one flat
-    float64 array of the levels' rows, is the one record of the traces: the
-    row one transit back is read from it (:func:`history.lag_reader`)
-    before the level's row is appended.
+    traces are :meth:`Scenario.traces` of those integrals, the row of
+    ``series`` one transit back (:func:`history.lag_reader`) and the
+    level's incident row; the start row is zeros at a0 and the incident
+    row at a1.
 
     A step whose new current, or new potential other than ``phi`` (model
     2's ``psi``), is non-finite raises :class:`DivergenceError`; the other
-    fields are not tested.  So the march stops at the first step with a
+    fields are not tested.  So the stream stops at the first step with a
     non-finite field only for steps that fold their new ``phi`` and ``rho``
     into the new current, as :func:`interior_step` does.
     """
-    g, t0, dt, steps = scn.grid, scn.t0, scn.dt, scn.steps
-    potentials = scn.potentials
-    wanted = scn.snapshot_levels(snapshot_times)
-    times = t0 + dt * np.arange(steps + 1)
+    g, t0, dt, potentials = scn.grid, scn.t0, scn.dt, scn.potentials
+    times = t0 + dt * np.arange(scn.steps + 1)
     levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
               if scn.mms is not None else itertools.repeat(None))
     incident = scn.incident(times).tolist()
@@ -325,6 +321,7 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
     sums = [[RetardedSum(t0, dt, d) for d in delays[:len(potentials)]]
             for _ in range(1 if scn.mms is None else len(potentials))]
     weight = g.dx / scn.mat.c1  # every node's share of a boundary integral
+    delayed = lag_reader(series, t0, dt, scn.transit, width=2 * len(potentials))
 
     def push(j, terms):
         """The integrals' new values, by equation, then leftward before rightward."""
@@ -332,49 +329,52 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
             j + terms["phi"], *(terms[p] for p in potentials[1:]))
         return [weight * s.push(v) for v, row in zip(rhs, sums) for s in row]
 
-    if scn.mms is not None:
-        fields = [np.asarray(getattr(scn.mms, name).value(g.x, t0), dtype=float)
-                  for name in scn.field_names]
-    else:
-        fields = [np.zeros(g.n) for _ in scn.field_names]
+    fields = [np.zeros(g.n) if scn.mms is None else
+              np.asarray(getattr(scn.mms, name).value(g.x, t0), dtype=float)
+              for name in scn.field_names]
     terms = next(levels)
     push(fields[-1], terms)
     traces = [0.0] * len(potentials) + incident[0]
-    state = scn.State(*fields, *traces, 0, t0)
-    series = array("d", traces)  # each level's traces in turn, as float64
-    delayed = lag_reader(series, t0, dt, scn.transit, width=len(traces))
-    snapshots = [(wanted[0], state.copy())] if 0 in wanted else []
-
-    def result(last):  # the run up to the state ``last``
-        k = last.n + 1
-        return scn.Result(scn, times[:k], *np.reshape(series, (k, -1)).T,
-                          snapshots, last)
-
-    # the step writes the new rho and j into level n - 1's arrays
     rho_spare, j_spare, *scratch = np.empty((4, g.n))
     finite = np.empty(g.n, dtype=bool)
-    # j' carries every non-finite phi' and rho' (see interior_step), so the
-    # current and the potentials beyond phi' are the fields to test
-    unfolded = slice(1, len(potentials))
 
     # a diverging run overflows before the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, steps + 1):
-            t_next = t0 + n * dt
-            terms_next = next(levels)
-            fields = step(state, scn, terms, terms_next,
-                          out=(rho_spare, j_spare, *scratch))
-            if not all(np.count_nonzero(np.isfinite(f, out=finite)) == g.n
-                       for f in (*fields[unfolded], fields[-1])):
-                raise DivergenceError(
-                    f"non-finite fields at step {n} (t = {t_next:.6g})", step=n,
-                    partial=result(state))
-            traces = scn.traces(push(fields[-1], terms_next), delayed(n), incident[n])
-            rho_spare, j_spare = state.rho, state.j
-            state = scn.State(*fields, *traces, n, t_next)
+        for n, t in enumerate(times.tolist()):
+            if n:
+                terms_next = next(levels)
+                fields = step(state, scn, terms, terms_next,
+                              out=(rho_spare, j_spare, *scratch))
+                # test j', which carries any non-finite phi' and rho', and psi'
+                if not all(np.count_nonzero(np.isfinite(f, out=finite)) == g.n
+                           for f in (*fields[1:-2], fields[-1])):
+                    raise DivergenceError(
+                        f"non-finite fields at step {n} (t = {t:.6g})", step=n)
+                traces = scn.traces(push(fields[-1], terms_next), delayed(n), incident[n])
+                rho_spare, j_spare, terms = state.rho, state.j, terms_next
+            state = scn.State(*fields, *traces, n, t)
             series.extend(traces)
-            if n in wanted:
-                snapshots.append((wanted[n], state.copy()))
-            terms = terms_next
+            yield state
 
+
+def march(scn: Scenario, snapshot_times, step=interior_step):
+    """The one recorder of :func:`_levels`: ``scn`` advanced by ``step`` to
+    ``t_end`` as a ``scn.Result``, with a copy of the level of each distinct
+    requested time (:meth:`Scenario.snapshot_levels`); a DivergenceError
+    leaves with ``partial``, the result of the levels before its step."""
+    wanted = scn.snapshot_levels(snapshot_times)
+    series, snapshots = array("d"), []  # each level's traces in turn
+
+    def result(last):  # the run up to the state ``last``
+        k = last.n + 1
+        return scn.Result(scn, scn.t0 + scn.dt * np.arange(k),
+                          *np.reshape(series, (k, -1)).T, snapshots, last)
+
+    try:
+        for state in _levels(scn, series, step):
+            for t in wanted.get(state.n, ()):
+                snapshots.append((t, state.copy()))
+    except DivergenceError as exc:
+        exc.partial = result(state)
+        raise
     return result(state)

@@ -62,10 +62,10 @@ def boundary_a0_m1(current: float, delayed_a1: float) -> float:
     ``current`` is the current's boundary integral: the retarded sum of
     every node at its own delay ``(x - a0)/c1`` behind the new level, zero
     at or before the start time (the causal mask), times the node weight
-    ``dx/c1``, as :func:`march.march` gives it.  In verification mode it is
+    ``dx/c1``, as :func:`march._levels` gives it.  In verification mode it is
     the integral of the current plus the potential equation's residual
     source, read by the same rule.  ``delayed_a1`` is the right trace one
-    transit time behind the new level, which :func:`march.march` reads from
+    transit time behind the new level, which :func:`march._levels` reads from
     the run's trace series (:func:`history.lag_reader`).
     """
     return current + delayed_a1

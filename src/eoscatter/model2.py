@@ -77,14 +77,14 @@ def boundary_update_m2(face, left: float, right: float, delayed0, delayed1,
     :func:`boundary_map` of the scenario's material.
 
     ``left`` and ``right`` are the boundary integrals, retarded sums times
-    the node weight ``dx/c1`` as :func:`march.march` gives them, over the
+    the node weight ``dx/c1`` as :func:`march._levels` gives them, over the
     leftward delays ``(x - a0)/c1`` and the rightward ones ``(a1 - x)/c1``
     of the ``phi`` equation's right-hand side: the current, plus in
     verification mode the ``phi`` residual source.  ``psi_sums`` are the
     same two integrals of the ``psi`` residual source (zero outside
     verification mode).  ``delayed0`` and ``delayed1`` are the left and
     right trace pairs one transit time behind the new level, which
-    :func:`march.march` reads from the run's trace series
+    :func:`march._levels` reads from the run's trace series
     (:func:`history.lag_reader`).  ``incident`` is the level's
     exterior pair at ``a1`` (:meth:`Scenario2.incident`), whose incoming
     part ``[[c0, mu0], [nu0, c0]] @ pair`` (``2*c0*pair`` for an incident

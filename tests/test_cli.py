@@ -93,6 +93,25 @@ def test_run_outputs_have_the_documented_shape(tmp_path):
     assert np.all(np.isfinite(body))
 
 
+def test_every_requested_snapshot_time_is_written(tmp_path):
+    # 1.0 and 1.001 fall on one level (dt = 0.006): each gets its file of
+    # that level, and a time requested twice gets one
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "model": 1,
+        "grid": {"a0": 0.0, "a1": 3.0, "N": 100},
+        "material": MAT1,
+        "t_end": 1.5,
+        "source": SRC,
+        "output": {"dir": str(out), "snapshots": [1.0, 1.001, 1.5, 1.0]},
+    })
+    assert main(["run", cfg]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "boundary.csv", "snapshot_1.0.csv", "snapshot_1.001.csv", "snapshot_1.5.csv"]
+    rows = [read_rows(out / f"snapshot_{t}.csv")[2] for t in (1.0, 1.001, 1.5)]
+    assert rows[0] == rows[1] != rows[2]
+
+
 def test_csv_cells_are_pinned():
     # every cell type a row may carry; floats, numpy's included, as the
     # shortest round-trip decimal

@@ -124,6 +124,18 @@ def test_mode_gating_of_blocks():
             mode="mms",
             source={"kind": "gaussian", "amplitude": 1.0, "x_center": 4.0,
                     "space_rate": 36.0, "t_center": 0.5, "time_rate": 4.0}))
+    # a stability scan reads no grid or t_end, and only a run writes
+    # snapshots; the null and the empty list a provenance line records pass
+    for key, value in (("grid", minimal_run()["grid"]), ("t_end", 1.0)):
+        with pytest.raises(ConfigError, match=f"^'{key}' in config is only "
+                           "meaningful in run and mms mode$"):
+            resolve_config({**_STABILITY, key: value})
+        assert resolve_config({**_STABILITY, key: None}).resolved[key] is None
+    for data in (minimal_run(mode="mms"), _STABILITY):
+        with pytest.raises(ConfigError, match="^'snapshots' in output is only "
+                           "meaningful in run mode$"):
+            resolve_config({**data, "output": {"snapshots": [0.5]}})
+        assert resolve_config({**data, "output": {"snapshots": []}}).snapshot_times == ()
 
 
 def test_source_must_sit_beyond_the_right_boundary():
@@ -514,15 +526,13 @@ def valid_configs(draw):
     data = {"model": model, "mode": mode,
             "material": {**{k: draw(pos) for k in _MATERIAL_KEYS[model]},
                          **{k: draw(num) for k in ("alpha", "beta", "gamma")}}}
-    a0 = draw(num)
-    a1 = a0 + draw(st.floats(0.5, 5.0))
-    grid = {"a0": a0, "a1": a1, "N": draw(st.integers(4, 400)),
-            **_some(draw, {"epsilon": st.floats(0.0, 1.0)})}
-    if mode != "stability" or draw(st.booleans()):
-        data["grid"] = grid
-    data.update(_some(draw, {"dt_cfl": st.floats(0.05, 2.0)}))
-    if mode != "stability" or draw(st.booleans()):
+    if mode != "stability":  # a stability scan reads no grid or t_end
+        a0 = draw(num)
+        a1 = a0 + draw(st.floats(0.5, 5.0))
+        data["grid"] = {"a0": a0, "a1": a1, "N": draw(st.integers(4, 400)),
+                        **_some(draw, {"epsilon": st.floats(0.0, 1.0)})}
         data["t_end"] = draw(pos)
+    data.update(_some(draw, {"dt_cfl": st.floats(0.05, 2.0)}))
     if mode == "run" and draw(st.booleans()):
         rate = draw(st.floats(1.0, 50.0))
         data["source"] = {
@@ -548,10 +558,10 @@ def valid_configs(draw):
             "epsilons": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
             "dt_max_factor": pos, "scan_points": st.integers(16, 200),
             "bisect_tol": st.floats(1e-8, 1e-2), "samples": st.booleans()})
-    horizon = data.get("t_end", 5.0)
-    data["output"] = _some(draw, {
-        "dir": st.text(max_size=8),
-        "snapshots": st.lists(st.floats(0.0, horizon), max_size=3)})
+    output = {"dir": st.text(max_size=8)}
+    if mode == "run":  # only a run writes snapshots
+        output["snapshots"] = st.lists(st.floats(0.0, data["t_end"]), max_size=3)
+    data["output"] = _some(draw, output)
     return data
 
 

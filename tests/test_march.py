@@ -6,6 +6,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from array import array
 from collections import defaultdict
 from dataclasses import asdict, fields, replace
 
@@ -17,7 +18,7 @@ from eoscatter import cli, model1, model2
 from eoscatter.config import parse_config
 from eoscatter.grid import GridSpec, Material1, Material2, SpatialOps
 from eoscatter.history import DelayBuffer
-from eoscatter.march import DivergenceError, march
+from eoscatter.march import DivergenceError, _levels, interior_step, march
 from eoscatter.mms import GaussianBump, ManufacturedFields1, ManufacturedFields2
 from eoscatter.model1 import Scenario1, State1, run_m1
 from eoscatter.model2 import Scenario2, State2, run_m2
@@ -196,12 +197,19 @@ def test_null_run_outputs_are_positive_zeros(model):
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_snapshots_own_their_arrays(model):
-    run = MODELS[model][1]
-    res = run(null_scenario(model), snapshot_times=[1.0])
-    (_, snap), final = res.snapshots[0], res.final
-    assert snap.n == final.n
-    snap.phi[0] = 1.0
+    # every distinct requested time gets a copy of its level, two times on
+    # one level included, in request order
+    run, scn = MODELS[model][1], null_scenario(model)
+    at, near = 3 * scn.dt, 3.25 * scn.dt
+    res = run(scn, snapshot_times=[at, near, at])
+    final = res.final
+    assert [t for t, _ in res.snapshots] == [at, near]
+    for _, snap in res.snapshots:
+        assert snap.n == 3
+        snap.phi[0] = 1.0
+        snap.rho[0] = 1.0
     assert final.phi[0] == 0.0 and np.all(final.rho == 0.0)
+    assert res.snapshots[0][1].phi is not res.snapshots[1][1].phi
 
 
 STEPPERS = {1: (model1, "interior_step_m1"), 2: (model2, "interior_step_m2")}
@@ -215,7 +223,7 @@ STEPPERS = {1: (model1, "interior_step_m1"), 2: (model2, "interior_step_m2")}
 def test_one_bad_value_in_any_field_stops_the_run(monkeypatch, model, field, bad):
     module, name = STEPPERS[model]
     step = getattr(module, name)
-    scn = null_scenario(model)
+    scn = null_scenario(model, source=GaussianSource(1.0, 4.0, 36.0, 1.0, 4.0))
     at = 3
 
     def poisoned(state, *args, **kw):
@@ -227,18 +235,56 @@ def test_one_bad_value_in_any_field_stops_the_run(monkeypatch, model, field, bad
             getattr(state, field)[5] = bad
         return step(state, *args, **kw)
 
+    # the partial result holds exactly levels 0 to at - 1, as a clean run
+    # gives them: the times, the traces, the snapshots up to level at - 1
+    # and that level's state, none of the poisoned level's
+    before, failing = (at - 1) * scn.dt, at * scn.dt
+    clean = MODELS[model][1](scn, snapshot_times=[before])
     monkeypatch.setattr(module, name, poisoned)
     with pytest.raises(DivergenceError) as info:
-        MODELS[model][1](scn, snapshot_times=[0.0])
+        MODELS[model][1](scn, snapshot_times=[0.0, before, failing, 1.0])
     err = info.value
-    t = scn.t0 + at * scn.dt
-    assert str(err) == f"non-finite fields at step {at} (t = {t:.6g})"
+    assert str(err) == f"non-finite fields at step {at} (t = {failing:.6g})"
     assert err.step == at
     part = err.partial
     assert part.final.n == at - 1 and len(part.times) == at
-    assert [s.n for _, s in part.snapshots] == [0]
+    assert [(t, s.n) for t, s in part.snapshots] == [(0.0, 0), (before, at - 1)]
+    np.testing.assert_array_equal(part.times, clean.times[:at])
+    for p in scn.potentials:
+        for k in (f"{p}_a0", f"{p}_a1"):
+            np.testing.assert_array_equal(getattr(part, k), getattr(clean, k)[:at])
     for name in scn.field_names:
-        assert np.all(getattr(part.final, name) == 0.0)
+        np.testing.assert_array_equal(getattr(part.final, name),
+                                      getattr(clean.snapshots[0][1], name))
+    assert np.max(np.abs(part.phi_a1)) > 0.0
+
+
+@pytest.mark.parametrize("model", [1, 2])
+@pytest.mark.parametrize("drive", ["null", "source", "mms"])
+def test_the_level_stream_yields_each_level_once_in_order(model, drive):
+    """``_levels`` yields levels 0 to ``steps``, each once and in order, at
+    ``t0 + n*dt``, each after its trace row; a level's density and current
+    arrays are those of the level two before it, and the march records
+    exactly these levels."""
+    kw = {"null": {"t0": 0.7, "t_end": 1.7}, "mms": {"mms": FIELDS[model].demo()},
+          "source": {"t0": 0.7, "t_end": 1.7,
+                     "source": GaussianSource(1.0, 4.0, 36.0, 1.2, 4.0)}}[drive]
+    scn = null_scenario(model, **kw)
+    names = [f"{p}_{a}" for a in ("a0", "a1") for p in scn.potentials]
+    series, states = array("d"), []
+    for state in _levels(scn, series, interior_step):
+        assert series[-len(names):].tolist() == [getattr(state, k) for k in names]
+        states.append(state)
+    assert [s.n for s in states] == list(range(scn.steps + 1))
+    assert [s.t for s in states] == [scn.t0 + n * scn.dt for n in range(scn.steps + 1)]
+    assert len(series) == len(names) * len(states)
+    for older, newer in zip(states, states[2:]):
+        assert newer.rho is older.rho and newer.j is older.j
+    res = march(scn, [s.t for s in states[:-1]])  # the last level passes t_end
+    assert res.times.tolist() == [s.t for s in states] and res.final.n == scn.steps
+    assert np.array_equal(np.column_stack([getattr(res, k) for k in names]),
+                          np.reshape(series, (len(states), -1)))
+    assert [(t, s.n) for t, s in res.snapshots] == [(s.t, s.n) for s in states[:-1]]
 
 
 @settings(max_examples=300, deadline=None)
