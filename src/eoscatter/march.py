@@ -118,10 +118,8 @@ class Scenario:
             raise ValueError("time step exceeds the boundary transit time; "
                              "the traces read their history one transit back")
         if self.source is not None and self.mms is not None:
-            raise ValueError(
-                "scenario cannot carry both an external source and "
-                "manufactured fields"
-            )
+            raise ValueError("scenario cannot carry both an external source "
+                             "and manufactured fields")
         if self.source is not None:
             lo = source_support(self.source)[0]
             if lo < self.grid.a1 - 1e-12:
@@ -188,6 +186,10 @@ class Scenario:
     @property
     def steps(self) -> int:
         return max(1, int(math.ceil((self.t_end - self.t0) / self.dt - 1e-9)))
+
+    @property
+    def _times(self) -> np.ndarray:  # level n's time t0 + n*dt, n = 0 to steps
+        return self.t0 + self.dt * np.arange(self.steps + 1)
 
     def snapshot_levels(self, snapshot_times) -> dict:
         """Time level -> its distinct requested times, in request order;
@@ -291,8 +293,8 @@ def _levels(scn: Scenario, series, step):
     ``scn.residuals(scn.mms, scn.mat).at(g.x)`` per run evaluates once per
     level (:func:`_level_terms`), and the buffers of :func:`interior_step`:
     level n + 1's density and current go into level n - 1's arrays, so a
-    consumer that keeps a yielded state copies it.  Between levels the
-    consumer runs with numpy's overflow and invalid warnings off.
+    consumer that keeps a yielded state copies it.  A diverging step
+    overflows; :func:`march` silences that with ``np.errstate``.
 
     The boundary closure is the same for both models.  Each level's
     right-hand sides of the potential equations (the current, plus in
@@ -311,8 +313,7 @@ def _levels(scn: Scenario, series, step):
     non-finite field only for steps that fold their new ``phi`` and ``rho``
     into the new current, as :func:`interior_step` does.
     """
-    g, t0, dt, potentials = scn.grid, scn.t0, scn.dt, scn.potentials
-    times = t0 + dt * np.arange(scn.steps + 1)
+    g, t0, dt, potentials, times = scn.grid, scn.t0, scn.dt, scn.potentials, scn._times
     levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
               if scn.mms is not None else itertools.repeat(None))
     incident = scn.incident(times).tolist()
@@ -338,23 +339,21 @@ def _levels(scn: Scenario, series, step):
     rho_spare, j_spare, *scratch = np.empty((4, g.n))
     finite = np.empty(g.n, dtype=bool)
 
-    # a diverging run overflows before the finiteness check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, t in enumerate(times.tolist()):
-            if n:
-                terms_next = next(levels)
-                fields = step(state, scn, terms, terms_next,
-                              out=(rho_spare, j_spare, *scratch))
-                # test j', which carries any non-finite phi' and rho', and psi'
-                if not all(np.count_nonzero(np.isfinite(f, out=finite)) == g.n
-                           for f in (*fields[1:-2], fields[-1])):
-                    raise DivergenceError(
-                        f"non-finite fields at step {n} (t = {t:.6g})", step=n)
-                traces = scn.traces(push(fields[-1], terms_next), delayed(n), incident[n])
-                rho_spare, j_spare, terms = state.rho, state.j, terms_next
-            state = scn.State(*fields, *traces, n, t)
-            series.extend(traces)
-            yield state
+    for n, t in enumerate(times.tolist()):
+        if n:
+            terms_next = next(levels)
+            fields = step(state, scn, terms, terms_next,
+                          out=(rho_spare, j_spare, *scratch))
+            # test j', which carries any non-finite phi' and rho', and psi'
+            if not all(np.count_nonzero(np.isfinite(f, out=finite)) == g.n
+                       for f in (*fields[1:-2], fields[-1])):
+                raise DivergenceError(
+                    f"non-finite fields at step {n} (t = {t:.6g})", step=n)
+            traces = scn.traces(push(fields[-1], terms_next), delayed(n), incident[n])
+            rho_spare, j_spare, terms = state.rho, state.j, terms_next
+        state = scn.State(*fields, *traces, n, t)
+        series.extend(traces)
+        yield state
 
 
 def march(scn: Scenario, snapshot_times, step=interior_step):
@@ -367,13 +366,14 @@ def march(scn: Scenario, snapshot_times, step=interior_step):
 
     def result(last):  # the run up to the state ``last``
         k = last.n + 1
-        return scn.Result(scn, scn.t0 + scn.dt * np.arange(k),
-                          *np.reshape(series, (k, -1)).T, snapshots, last)
+        return scn.Result(scn, scn._times[:k], *np.reshape(series, (k, -1)).T,
+                          snapshots, last)
 
-    try:
-        for state in _levels(scn, series, step):
-            for t in wanted.get(state.n, ()):
-                snapshots.append((t, state.copy()))
+    try:  # a diverging step overflows before the finiteness test reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for state in _levels(scn, series, step):
+                for t in wanted.get(state.n, ()):
+                    snapshots.append((t, state.copy()))
     except DivergenceError as exc:
         exc.partial = result(state)
         raise

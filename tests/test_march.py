@@ -198,18 +198,24 @@ def test_null_run_outputs_are_positive_zeros(model):
 @pytest.mark.parametrize("model", [1, 2])
 def test_snapshots_own_their_arrays(model):
     # every distinct requested time gets a copy of its level, two times on
-    # one level included, in request order
+    # one level included, in request order; a snapshot of the final level is
+    # a copy of the final state, which no change to a snapshot reaches
     run, scn = MODELS[model][1], null_scenario(model)
     at, near = 3 * scn.dt, 3.25 * scn.dt
-    res = run(scn, snapshot_times=[at, near, at])
+    res = run(scn, snapshot_times=[at, near, at, scn.t_end])
     final = res.final
-    assert [t for t, _ in res.snapshots] == [at, near]
-    for _, snap in res.snapshots:
-        assert snap.n == 3
-        snap.phi[0] = 1.0
-        snap.rho[0] = 1.0
-    assert final.phi[0] == 0.0 and np.all(final.rho == 0.0)
-    assert res.snapshots[0][1].phi is not res.snapshots[1][1].phi
+    assert [t for t, _ in res.snapshots] == [at, near, scn.t_end]
+    assert [s.n for _, s in res.snapshots] == [3, 3, final.n]
+    states = [s for _, s in res.snapshots] + [final]
+    assert states[-2] is not final
+    arrays = [getattr(s, name) for s in states for name in scn.field_names]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    for snap in states[:-1]:
+        for name in scn.field_names:
+            getattr(snap, name)[0] = 1.0
+    for name in scn.field_names:
+        assert np.all(getattr(final, name) == 0.0)
 
 
 STEPPERS = {1: (model1, "interior_step_m1"), 2: (model2, "interior_step_m2")}
