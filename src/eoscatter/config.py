@@ -136,8 +136,9 @@ class RunConfig:
         return self.dt_cfl * grid.dx / self.mat.c1
 
     @property
-    def dt(self) -> float:
-        return self.step(self.grid)
+    def dt(self) -> float | None:
+        """The time step on ``grid``; None in stability mode, which has none."""
+        return None if self.grid is None else self.step(self.grid)
 
     def provenance(self) -> dict:
         """Resolved config minus anything that cannot affect the numbers

@@ -30,7 +30,9 @@ from .sources import source_support
 #: N <= 1024 nodes :func:`_levels` evaluates ``_BLOCK_POINTS // N`` levels per
 #: call, which spreads the fixed cost of the field families' numpy calls; a
 #: finer grid keeps one scalar call per level, where a block only costs
-#: memory traffic.
+#: memory traffic.  At N = 1600 blocks of K >= 4 levels ran 1.8-2.4x slower
+#: per level than one level per call (timeit, 2-vCPU VM): their fresh
+#: temporaries, 51 KB and up, fault their pages in afresh.
 _BLOCK_POINTS = 2048
 
 
@@ -167,15 +169,13 @@ class Scenario:
     def _halves(self) -> tuple:
         """Per potential ``u``, what :func:`interior_step` reads, worked out
         once: the getter of ``u`` and of the potential whose gradient drives
-        it (``u``'s row of ``A`` has one non-zero entry, ``a``), each with
-        its traces; ``dt**2/2*(A*e1)_u``; and ``u``'s name, ``a`` and the
-        names of the residual derivatives ``u`` reads."""
+        it (``u``'s row of ``A`` has one non-zero entry), each with its
+        traces; ``dt**2/2*(A*e1)_u``; and ``u``'s name."""
         halves, A = [], self.mat.coupling
-        for p, row, (l, a) in zip(self.potentials, A, drivers(A)):
+        for p, row, (l, _) in zip(self.potentials, A, drivers(A)):
             q = self.potentials[l]
             halves.append((attrgetter(p, f"{p}_a0", f"{p}_a1", q, f"{q}_a0", f"{q}_a1"),
-                           0.5 * self.dt * self.dt * row[0],
-                           p, a, f"{q}_dx", f"{p}_dt"))
+                           0.5 * self.dt * self.dt * row[0], p))
         return tuple(halves)
 
     @property
@@ -204,7 +204,7 @@ class Scenario:
         return wanted
 
 
-def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
+def interior_step(state, scn: Scenario, inc=None, inc_next=None, out=None):
     """Advance the interior fields one step using level-n boundary traces.
 
     Each potential ``u_k`` solves ``u_t = A*u_x + e1*j`` (``A`` is the
@@ -212,22 +212,21 @@ def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
     :attr:`Scenario.lw_pass`, plus ``dt*g`` for the first potential, plus
     ``(dt**2/2*(A*e1)_k)*D1(j)``, where ``g = j + (dt/2)*f`` is the
     half-step current, ``f`` being the response forcing ``(alpha -
-    beta*rho)*phi - gamma*j``; in verification mode, plus ``dt*s_k +
-    dt**2/2*(sum_l A_kl*s_l,x + s_k,t + e1_k*s_j)`` of the terms ``s``.
-    The density then takes the Taylor step ``rho - dt*D1(g)`` and the
-    current a Heun corrector, which reads the current's term at level n + 1.
-    ``terms`` and ``terms_next`` are the nodal terms at levels n and n + 1,
-    given together (:func:`_levels` evaluates each level once); a
-    verification scenario stepped without them raises ValueError.
+    beta*rho)*phi - gamma*j``.  The density then takes the Taylor step
+    ``rho - dt*D1(g)`` and the current a Heun corrector.  In verification
+    mode each field adds its increment at level n, of ``inc``, and the
+    corrector the current's at level n + 1, of ``inc_next``
+    (:meth:`eoscatter.mms.ResidualSources.at`; :func:`_levels` evaluates
+    each level once); stepped without them, it raises ValueError.
 
     ``out`` is four N-arrays, none of them the state's: the new density and
     current are written into the first two, which are returned after the
     new potentials, and the last two hold ``g`` and scratch.  By default
     they are fresh.
     """
-    if terms is None and scn.mms is not None:
-        raise ValueError("a verification step needs the residual terms at "
-                         "both of its levels")
+    if inc is None and scn.mms is not None:
+        raise ValueError("a verification step needs the residual increments "
+                         "at both of its levels")
     m, dt, h = scn.mat, scn.dt, 0.5 * scn.dt
     a, b, c = h * m.alpha, h * m.beta, h * m.gamma  # (dt/2) times the forcing's
     rho, j = state.rho, state.j
@@ -237,23 +236,20 @@ def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
     g *= state.phi
     g += np.multiply(1.0 - c, j, out=tmp)
     potentials = []
-    for (read, jx, p, coef, q_dx, p_dt), lw in zip(scn._halves, scn.lw_pass):
+    for (read, jx, p), lw in zip(scn._halves, scn.lw_pass):
         u = lw(*read(state))
         if not potentials:
             u += np.multiply(dt, g, out=tmp)
         if jx:
             u += confined_pass(j, jx, scn.grid.dx, tmp)
-        if terms is not None:
-            second = coef * terms[q_dx] + terms[p_dt]
-            if not potentials:
-                second = second + terms["j"]
-            u += dt * terms[p] + 0.5 * dt**2 * second
+        if inc is not None:
+            u += inc[p]
         potentials.append(u)
 
     np.add(rho, confined_pass(g, -dt, scn.grid.dx, tmp), out=rho_new)
-    if terms is not None:
-        rho_new += dt * terms["rho"] + 0.5 * dt**2 * (terms["rho_dt"] - terms["j_dx"])
-        g += h * terms["j"]
+    if inc is not None:
+        rho_new += inc["rho"]
+        g += inc["j"]
     # Heun: the predictor j + dt*f is 2*g - j, and the corrector g + h*f_next,
     # j_new = (a - b*rho_new)*phi_new + (1 - 2c)*g + c*j [+ h*s_j].  j_new is
     # non-finite at every node where phi_new or rho_new is (IEEE 754: inf*0
@@ -263,22 +259,22 @@ def interior_step(state, scn: Scenario, terms=None, terms_next=None, out=None):
     j_new *= potentials[0]
     j_new += np.multiply(1.0 - 2.0 * c, g, out=tmp)
     j_new += np.multiply(c, j, out=tmp)
-    if terms_next is not None:
-        j_new += h * terms_next["j"]
+    if inc_next is not None:
+        j_new += inc_next["j"]
     return (*potentials, rho_new, j_new)
 
 
-def _level_terms(terms_at, times, n: int):
-    """The nodal residual terms at each of ``times`` in turn, from
-    ``terms_at(t)`` per level or, on a coarse grid, one ``terms_at`` call on
-    a ``(K, 1)`` array of times per K levels, row k the level's terms bit
-    for bit (:meth:`eoscatter.mms.Field.at`)."""
+def _level_terms(increments_at, times, n: int):
+    """The nodal residual increments at each of ``times`` in turn, from
+    ``increments_at(t)`` per level or, on a coarse grid, one call on a
+    ``(K, 1)`` array of times per K levels, row k the level's increments
+    bit for bit (:meth:`eoscatter.mms.Field.at`)."""
     block = max(1, _BLOCK_POINTS // n)
     if block == 1:
-        yield from map(terms_at, times.tolist())
+        yield from map(increments_at, times.tolist())
         return
     for k in range(0, times.size, block):
-        rows = terms_at(times[k:k + block, None])
+        rows = increments_at(times[k:k + block, None])
         for i in range(min(block, times.size - k)):
             yield {name: v[i] for name, v in rows.items()}
 
@@ -288,24 +284,24 @@ def _levels(scn: Scenario, series, step):
     at ``t0 + n*dt`` once its trace row is appended to ``series`` (an empty
     float64 ``array``, the one record of the traces).
 
-    Each step runs ``step(state, scn, terms, terms_next, out=...)`` with the
-    nodal residual terms at both of its levels (or None), which one
-    ``scn.residuals(scn.mms, scn.mat).at(g.x)`` per run evaluates once per
-    level (:func:`_level_terms`), and the buffers of :func:`interior_step`:
-    level n + 1's density and current go into level n - 1's arrays, so a
-    consumer that keeps a yielded state copies it.  A diverging step
-    overflows; :func:`march` silences that with ``np.errstate``.
+    Each step runs ``step(state, scn, inc, inc_next, out=...)`` with the
+    nodal residual increments at both of its levels (or None), which one
+    ``scn.residuals(scn.mms, scn.mat).at(g.x, dt)`` per run evaluates once
+    per level (:func:`_level_terms`), and the buffers of
+    :func:`interior_step`: level n + 1's density and current go into level
+    n - 1's arrays, so a consumer that keeps a yielded state copies it.  A
+    diverging step overflows; :func:`march` silences that with
+    ``np.errstate``.
 
     The boundary closure is the same for both models.  Each level's
     right-hand sides of the potential equations (the current, plus in
-    verification mode the ``phi`` residual source, and each further
-    potential's residual source) go into one :class:`RetardedSum` per
-    direction, ``(x - a0)/c1`` and, for a pair, ``(a1 - x)/c1``.  Each sum
-    times the node weight ``dx/c1`` is a boundary integral, and the new
-    traces are :meth:`Scenario.traces` of those integrals, the row of
-    ``series`` one transit back (:func:`history.lag_reader`) and the
-    level's incident row; the start row is zeros at a0 and the incident
-    row at a1.
+    verification mode the increments' ``s_phi``, and each further
+    potential's source) go into one :class:`RetardedSum` per direction,
+    ``(x - a0)/c1`` and, for a pair, ``(a1 - x)/c1``.  Each sum times the
+    node weight ``dx/c1`` is a boundary integral, and the new traces are
+    :meth:`Scenario.traces` of those integrals, the row of ``series`` one
+    transit back (:func:`history.lag_reader`) and the level's incident
+    row; the start row is zeros at a0 and the incident row at a1.
 
     A step whose new current, or new potential other than ``phi`` (model
     2's ``psi``), is non-finite raises :class:`DivergenceError`; the other
@@ -314,7 +310,7 @@ def _levels(scn: Scenario, series, step):
     into the new current, as :func:`interior_step` does.
     """
     g, t0, dt, potentials, times = scn.grid, scn.t0, scn.dt, scn.potentials, scn._times
-    levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x), times, g.n)
+    levels = (_level_terms(scn.residuals(scn.mms, scn.mat).at(g.x, dt), times, g.n)
               if scn.mms is not None else itertools.repeat(None))
     incident = scn.incident(times).tolist()
     # one potential carries waves one way, a pair carries them both ways
@@ -324,33 +320,33 @@ def _levels(scn: Scenario, series, step):
     weight = g.dx / scn.mat.c1  # every node's share of a boundary integral
     delayed = lag_reader(series, t0, dt, scn.transit, width=2 * len(potentials))
 
-    def push(j, terms):
+    def push(j, inc):
         """The integrals' new values, by equation, then leftward before rightward."""
-        rhs = (j,) if terms is None else (
-            j + terms["phi"], *(terms[p] for p in potentials[1:]))
+        rhs = (j,) if inc is None else (
+            j + inc["s_phi"], *(inc["s_" + p] for p in potentials[1:]))
         return [weight * s.push(v) for v, row in zip(rhs, sums) for s in row]
 
     fields = [np.zeros(g.n) if scn.mms is None else
               np.asarray(getattr(scn.mms, name).value(g.x, t0), dtype=float)
               for name in scn.field_names]
-    terms = next(levels)
-    push(fields[-1], terms)
+    inc = next(levels)
+    push(fields[-1], inc)
     traces = [0.0] * len(potentials) + incident[0]
     rho_spare, j_spare, *scratch = np.empty((4, g.n))
     finite = np.empty(g.n, dtype=bool)
 
     for n, t in enumerate(times.tolist()):
         if n:
-            terms_next = next(levels)
-            fields = step(state, scn, terms, terms_next,
+            inc_next = next(levels)
+            fields = step(state, scn, inc, inc_next,
                           out=(rho_spare, j_spare, *scratch))
             # test j', which carries any non-finite phi' and rho', and psi'
             if not all(np.count_nonzero(np.isfinite(f, out=finite)) == g.n
                        for f in (*fields[1:-2], fields[-1])):
                 raise DivergenceError(
                     f"non-finite fields at step {n} (t = {t:.6g})", step=n)
-            traces = scn.traces(push(fields[-1], terms_next), delayed(n), incident[n])
-            rho_spare, j_spare, terms = state.rho, state.j, terms_next
+            traces = scn.traces(push(fields[-1], inc_next), delayed(n), incident[n])
+            rho_spare, j_spare, inc = state.rho, state.j, inc_next
         state = scn.State(*fields, *traces, n, t)
         series.extend(traces)
         yield state

@@ -6,9 +6,9 @@ chosen fields are then an exact solution of the extended system, so the
 solver's output can be compared against them directly.
 
 This module supplies the closed-form field families (with the analytic
-derivatives the second-order stepper needs), the residual-source bundles
-for both models, and the error/convergence reporting used by the
-verification runs.
+derivatives the second-order stepper needs), the residual sources of both
+models as the increments a step adds, and the error/convergence reporting
+used by the verification runs.
 """
 
 from __future__ import annotations
@@ -195,35 +195,39 @@ ManufacturedFields2 = _manufactured("ManufacturedFields2", ("phi", "psi"))
 
 @dataclass(frozen=True)
 class ResidualSources:
-    """Per-equation residual sources that make ``fields`` solve the extended
-    model, ``u_t = A*u_x + e1*j`` with ``A`` the material's ``coupling``.
-
-    The terms ``phi`` (and ``psi``) / ``rho`` / ``j`` are the extra sources
-    in the potential, density and current equations; the ``_dx`` / ``_dt``
-    companions are the analytic derivatives the second-order time step
-    consumes.  :meth:`at` builds them all from one jet per field.
-    """
+    """The residual sources that make ``fields`` solve the extended model:
+    with ``resp = alpha - beta*rho``, ``s_k = u_k,t - A_kl*u_l,x - e1_k*j``
+    for a potential ``u_k`` (``A_kl`` the one non-zero entry of its row of
+    ``mat.coupling``), ``s_rho = rho_t + j_x`` and ``s_j = j_t - resp*phi +
+    gamma*j``."""
 
     fields: ManufacturedFields1 | ManufacturedFields2
     mat: Material1 | Material2
 
-    def at(self, x):
-        """``terms_at(t)``: the residual terms at ``(x, t)`` by name (``phi``,
-        ``phi_dx``, ...) for the fixed points ``x``, whose x-only factors
-        each field computes once (:meth:`Field.at`).
+    def at(self, x, dt):
+        """``increments_at(t)``: what a step of ``dt`` adds at ``(x, t)``, by
+        name, for the fixed points ``x``, whose x-only factors each field
+        computes once (:meth:`Field.at`): ``phi`` (and ``psi``) ``dt*s_k +
+        dt**2/2*(s_k,t + A_kl*s_l,x + e1_k*s_j)``, ``rho`` ``dt*s_rho +
+        dt**2/2*(s_rho,t - s_j,x)``, ``j`` ``dt/2*s_j`` (the Heun corrector
+        adds it at both of a step's levels) and ``s_phi`` (and ``s_psi``)
+        ``s_k``, which the boundary integrals read.  The terms that cancel
+        (``A_kl*u_l,xt``, ``j_t`` and ``j_xt``) are never formed.
 
         Each distinct field is evaluated once per call: equal fields (for
         hashable ones such as the frozen field families) or one object
         under two names share a jet, so model 2's ``psi`` costs nothing
         more when it is ``phi``'s pulse.  A ``(K, 1)`` array of times gives
-        every term at K levels, row k equal to the call at ``t[k, 0]`` bit
-        for bit (:meth:`Field.at`).
+        every increment at K levels, row k equal to the call at ``t[k, 0]``
+        bit for bit (:meth:`Field.at`).
         """
         m, A, potentials = self.mat, self.mat.coupling, self.fields.potentials
-        # per potential u_k: its terms' names, the potential u_l that drives
-        # it with a = A_kl, and whether the current drives it (e1_k)
-        halves = [((p, f"{p}_dx", f"{p}_dt"), potentials[l], a, k == 0)
-                  for k, (p, (l, a)) in enumerate(zip(potentials, drivers(A)))]
+        h, h2, drive = 0.5 * dt, 0.5 * dt * dt, drivers(A)
+        # per potential u_k: its name, u_l that drives it with a = A_kl, u_m
+        # that drives u_l with b = A_lm, -a*b, -a*e1_l and e1_k
+        halves = [(p, potentials[l], potentials[drive[l][0]], a,
+                   -a * drive[l][1], -a if l == 0 else 0.0, k == 0)
+                  for k, (p, (l, a)) in enumerate(zip(potentials, drive))]
         groups = {}  # (evaluator, names) per distinct field
         for name in potentials + ("rho", "j"):
             field = getattr(self.fields, name)
@@ -235,28 +239,39 @@ class ResidualSources:
             groups.setdefault(key, (field.at(x), []))[1].append(name)
         groups = list(groups.values())
 
-        def terms_at(t) -> dict:
+        def increments_at(t) -> dict:
+            # augmented assignments act on fresh temporaries, never on jets
             jets = {}
             for jet_at, names in groups:
                 jets.update(dict.fromkeys(names, jet_at(t)))
             phi, rho, j = jets["phi"], jets["rho"], jets["j"]
-            terms = {}
-            # s_k = u_k,t - A_kl*u_l,x - e1_k*j, then its x and t derivatives
-            for names, q, a, current in halves:
-                u, v = jets[names[0]], jets[q]
-                s = (u[DT] - a * v[DX], u[DXT] - a * v[DXX], u[DTT] - a * v[DXT])
-                if current:
-                    s = (s[0] - j[VALUE], s[1] - j[DX], s[2] - j[DT])
-                terms.update(zip(names, s))
             resp = m.alpha - m.beta * rho[VALUE]
-            terms["rho"] = rho[DT] + j[DX]
-            terms["rho_dt"] = rho[DTT] + j[DXT]
-            terms["j"] = j[DT] - resp * phi[VALUE] + m.gamma * j[VALUE]
-            terms["j_dx"] = (j[DXT] - resp * phi[DX]
-                             + m.beta * rho[DX] * phi[VALUE] + m.gamma * j[DX])
-            return terms
+            react = m.gamma * j[VALUE]  # gamma*j - resp*phi, s_j less j_t
+            react -= resp * phi[VALUE]
+            inc = {}
+            for p, q, w, a, ab, ae, current in halves:
+                u = jets[p]
+                s = u[DT] - a * jets[q][DX]
+                second = u[DTT] + ab * jets[w][DXX]
+                if ae:
+                    second += ae * j[DX]
+                if current:
+                    s -= j[VALUE]
+                    second += react
+                second *= h2
+                second += dt * s
+                inc[p], inc["s_" + p] = second, s
+            second = rho[DTT] + resp * phi[DX]
+            second -= (m.beta * rho[DX]) * phi[VALUE]
+            second -= m.gamma * j[DX]
+            second *= h2
+            second += dt * (rho[DT] + j[DX])
+            react += j[DT]
+            react *= h
+            inc["rho"], inc["j"] = second, react
+            return inc
 
-        return terms_at
+        return increments_at
 
 
 #: the residual sources of model 1 and of model 2, one class over ``A``

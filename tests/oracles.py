@@ -321,3 +321,70 @@ def bump_derivatives_longhand(b, x, t):
         gx * gt * v,
         (gt**2 - 2.0 / b.t_width**2) * v,
     )
+
+
+# -- manufactured residual terms and step increments, written longhand -------
+
+def _jet_longhand(f, x, t):
+    """The longhand jet of a pulse (it has a ``ramp_rate``) or of a bump."""
+    if hasattr(f, "ramp_rate"):
+        return pulse_derivatives_longhand(f, x, t)
+    return bump_derivatives_longhand(f, x, t)
+
+
+def residual_terms_longhand(fields, mat, x, t):
+    """The ten named residual terms of the manufactured ``fields`` on the
+    material ``mat`` (model 2 when it has ``mu1``) at ``(x, t)``, from the
+    longhand jets.
+
+    With ``resp = alpha - beta*rho``, model 1 solves ``phi_t = c1*phi_x + j``
+    and model 2 ``phi_t = mu1*psi_x + j``, ``psi_t = nu1*phi_x``; both
+    ``rho_t = -j_x`` and ``j_t = resp*phi - gamma*j``.  The terms are what
+    the fields leave over in each equation, ``phi``, ``psi``, ``rho`` and
+    ``j``, with the derivatives a second-order step reads: ``phi_dx``,
+    ``phi_dt`` (and ``psi_dx``, ``psi_dt``), ``rho_dt`` and ``j_dx``.
+    """
+    v, dx, dt, dxx, dxt, dtt = range(6)
+    two = hasattr(mat, "mu1")
+    phi, rho, j = (_jet_longhand(getattr(fields, k), x, t) for k in ("phi", "rho", "j"))
+    partner, speed = (_jet_longhand(fields.psi, x, t), mat.mu1) if two else (phi, mat.c1)
+    resp = mat.alpha - mat.beta * rho[v]
+    terms = {
+        "phi": phi[dt] - speed * partner[dx] - j[v],
+        "phi_dx": phi[dxt] - speed * partner[dxx] - j[dx],
+        "phi_dt": phi[dtt] - speed * partner[dxt] - j[dt],
+        "rho": rho[dt] + j[dx],
+        "rho_dt": rho[dtt] + j[dxt],
+        "j": j[dt] - resp * phi[v] + mat.gamma * j[v],
+        "j_dx": (j[dxt] - resp * phi[dx] + mat.beta * rho[dx] * phi[v]
+                 + mat.gamma * j[dx]),
+    }
+    if two:
+        psi = partner
+        terms["psi"] = psi[dt] - mat.nu1 * phi[dx]
+        terms["psi_dx"] = psi[dxt] - mat.nu1 * phi[dxx]
+        terms["psi_dt"] = psi[dtt] - mat.nu1 * phi[dxt]
+    return terms
+
+
+def step_increments_longhand(terms, mat, dt):
+    """What a step of ``dt`` adds to each field, by name, from the named
+    ``terms`` of :func:`residual_terms_longhand` at its level, as
+    :func:`reference_step_m1` and :func:`reference_step_m2` add them.
+
+    ``phi`` (and ``psi``) and ``rho`` get ``dt*s + dt**2/2*(...)``, the
+    Taylor step's source part; ``j`` is ``dt/2`` times the current's term,
+    which the Heun corrector adds at each of a step's two levels; ``s_phi``
+    (and ``s_psi``) are the potentials' terms themselves.
+    """
+    r, h2 = terms, 0.5 * dt**2
+    if "psi" in r:
+        inc = {"phi": dt * r["phi"] + h2 * (mat.mu1 * r["psi_dx"] + r["j"] + r["phi_dt"]),
+               "psi": dt * r["psi"] + h2 * (mat.nu1 * r["phi_dx"] + r["psi_dt"]),
+               "s_psi": r["psi"]}
+    else:
+        inc = {"phi": dt * r["phi"] + h2 * (mat.c1 * r["phi_dx"] + r["j"] + r["phi_dt"])}
+    inc["s_phi"] = r["phi"]
+    inc["rho"] = dt * r["rho"] + h2 * (r["rho_dt"] - r["j_dx"])
+    inc["j"] = 0.5 * dt * r["j"]
+    return inc

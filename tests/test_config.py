@@ -18,7 +18,7 @@ from eoscatter.config import (
     resolve_config,
 )
 from eoscatter.grid import GridSpec, Material1, Material2
-from eoscatter.mms import ManufacturedFields1, ManufacturedFields2
+from eoscatter.mms import ManufacturedFields1, ManufacturedFields2, ResidualSources
 from eoscatter.model1 import Scenario1, run_m1
 from eoscatter.model2 import Scenario2
 from eoscatter.sources import GaussianSource, TabulatedSource
@@ -629,3 +629,30 @@ def test_run_config_holds_the_scenario_of_every_marched_grid():
         assert scn.dt == cfg.step(scn.grid)
         assert scn.mms is cfg.mms and scn.source is None
     assert load_preset("stability-m1").scenarios == ()
+
+
+@pytest.mark.parametrize("name", ["stability-m1", "stability-m2"])
+def test_a_stability_config_has_no_step(name):
+    """Stability mode has no grid of its own, so no step: ``dt`` is None."""
+    cfg = load_preset(name)
+    assert cfg.grid is None and cfg.dt is None
+    mms = load_preset("fig1-mms-m1" if name.endswith("1") else "fig3-mms-m2")
+    assert mms.dt == mms.step(mms.grid) > 0.0
+
+
+@pytest.mark.parametrize("name", ["fig1-mms-m1", "fig3-mms-m2"])
+def test_building_a_verification_config_evaluates_no_residual(monkeypatch, name):
+    """Resolving an MMS preset and building its scenarios makes no call of
+    the residual evaluator: every residual is evaluated inside the run."""
+    calls = []
+    at = ResidualSources.at
+
+    def spied_at(self, *args):
+        calls.append(args)
+        return at(self, *args)
+
+    monkeypatch.setattr(ResidualSources, "at", spied_at)
+    cfg = load_preset(name)
+    assert len(cfg.scenarios) == 4 and calls == []
+    cfg.scenarios[0].run()
+    assert len(calls) == 1  # the spy sees the run's one evaluator

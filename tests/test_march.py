@@ -164,7 +164,7 @@ def test_null_run_incident_is_zeros(model):
 
 
 @pytest.mark.parametrize("model", [1, 2])
-def test_verification_step_without_terms_raises(model):
+def test_verification_step_without_increments_raises(model):
     module, name = STEPPERS[model]
     scn = null_scenario(model, mms=FIELDS[model].demo())
     g, t = scn.grid, 0.5
@@ -172,10 +172,11 @@ def test_verification_step_without_terms_raises(model):
     traces = [float(getattr(scn.mms, p).value(a, t))
               for a in (g.a0, g.a1) for p in scn.potentials]
     state = (State1 if model == 1 else State2)(*fields, *traces, 0, t)
-    with pytest.raises(ValueError, match="residual terms"):
+    with pytest.raises(ValueError, match="residual increments"):
         getattr(module, name)(state, scn)
-    terms_at = scn.residuals(scn.mms, scn.mat).at(g.x)
-    stepped = getattr(module, name)(state, scn, terms_at(t), terms_at(t + scn.dt))
+    increments_at = scn.residuals(scn.mms, scn.mat).at(g.x, scn.dt)
+    stepped = getattr(module, name)(state, scn, increments_at(t),
+                                    increments_at(t + scn.dt))
     assert len(stepped) == len(scn.field_names)
 
 
@@ -302,10 +303,10 @@ def test_the_level_stream_yields_each_level_once_in_order(model, drive):
        bad=st.sampled_from([math.inf, -math.inf, math.nan, None]),
        zeros=st.sampled_from(["none", "phi", "all"]),
        huge=st.integers(0, 3), scale=st.sampled_from([1.0, 1e300, 1e306, 1e308]),
-       with_terms=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       with_increments=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_the_march_flags_a_step_exactly_when_some_field_is_non_finite(
         model, n, epsilon, cfl, response, field, node, bad, zeros, huge, scale,
-        with_terms, seed):
+        with_increments, seed):
     """The march tests the new current (and model 2's psi) for finiteness:
     a step whose inputs carry one non-finite value (or none) at one node of
     one field, on a random state, is flagged exactly when some output field
@@ -328,15 +329,15 @@ def test_the_march_flags_a_step_exactly_when_some_field_is_non_finite(
         fields[huge % len(fields)] *= scale
     if bad is not None:
         fields[field % len(fields)][node % n] = bad
-    terms = terms_next = None
-    if with_terms:
-        terms = {k: rng.standard_normal(n) for k in TERM_NAMES}
-        terms_next = {"j": rng.standard_normal(n)}
+    inc = inc_next = None
+    if with_increments:
+        inc, inc_next = ({k: rng.standard_normal(n) for k in INCREMENT_NAMES}
+                         for _ in range(2))
     every_field = []
 
-    def step(state, scn, _terms, _terms_next, **kw):
+    def step(state, scn, _inc, _inc_next, **kw):
         start = state_cls(*fields, *rng.standard_normal(2 * model), 0, 0.0)
-        out = real(start, scn, terms, terms_next, **kw)
+        out = real(start, scn, inc, inc_next, **kw)
         every_field.append(bool(np.isfinite(np.concatenate(out)).all()))
         return out
 
@@ -647,7 +648,7 @@ def test_manufactured_potentials_must_be_quiet_at_the_start(model):
 def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
                                                            n, t_end):
     """The nodal evaluator is built once per run, and each level's nodal
-    terms are evaluated once with it, K = max(1, 2048 // N) levels per call
+    increments are evaluated once with it, K = max(1, 2048 // N) levels per call
     (at N = 40 in blocks of 51 levels and a last one of 17, at N = 1600 one
     scalar call per level), and carried into the next step and into the
     retarded sums: no source is evaluated at retarded points, and the exact
@@ -675,22 +676,22 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
             exps[2] += 1
         return exp(z, *args, **kw)
 
-    def spied_at(self, x):
-        built.append(x)
-        terms_at = at(self, x)
+    def spied_at(self, x, dt):
+        built.append((x, dt))
+        increments_at = at(self, x, dt)
 
-        def spied_terms_at(t):
+        def spied_increments_at(t):
             if np.shape(t) in ((), (min(block, len(times) - len(nodal)), 1)):
                 nodal.extend(np.ravel(t).tolist())
             else:
                 retarded.append(t)
             inside[0] = True
             try:
-                return terms_at(t)
+                return increments_at(t)
             finally:
                 inside[0] = False
 
-        return spied_terms_at
+        return spied_increments_at
 
     def spied_step(state, *args, **kw):
         steps.append((state.n, exps[2], args[1:]))
@@ -704,51 +705,50 @@ def test_manufactured_sources_are_evaluated_once_per_level(monkeypatch, model,
     calls = -(-len(times) // block)
     assert exps[:2] == [len(times), 3 * calls]
     assert {others for _, others, _ in steps} == {steps[0][1]}  # none in the loop
-    assert len(built) == 1 and np.array_equal(built[0], grid.x)
+    assert len(built) == 1 and np.array_equal(built[0][0], grid.x)
+    assert built[0][1] == scn.dt
     assert nodal == times.tolist()
     assert retarded == []
-    # the terms a step is given are those of a fresh evaluation, bit for bit
-    terms_at = scn.residuals(scn.mms, scn.mat).at(grid.x)
+    # the increments a step is given are those of a fresh evaluation, bit for bit
+    increments_at = scn.residuals(scn.mms, scn.mat).at(grid.x, scn.dt)
     for at_n, _, levels in steps:
         for level, got in zip((at_n, at_n + 1), levels, strict=True):
-            want = terms_at(times[level].item())
+            want = increments_at(times[level].item())
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
-def unfused_step(state, scn, terms=None, terms_next=None):
+def unfused_step(state, scn, inc=None, inc_next=None):
     """The interior step composed of :class:`SpatialOps`' per-derivative
     stencils, the operators the stability lab probes: the Taylor step of the
-    potentials and the density, then the Heun corrector of the current."""
+    potentials and the density, then the Heun corrector of the current,
+    each field plus its residual increment."""
     ops, m, dt, s = SpatialOps(scn.grid), scn.mat, scn.dt, state
-    r, r1 = defaultdict(float, terms or {}), defaultdict(float, terms_next or {})
+    r, r1 = defaultdict(float, inc or {}), defaultdict(float, inc_next or {})
     f = (m.alpha - m.beta * s.rho) * s.phi - m.gamma * s.j
     dj = ops.d1_confined(s.j)
     dphi = ops.d1_closed(s.phi, s.phi_a0, s.phi_a1)
     d2phi = ops.d2_closed(s.phi, s.phi_a0, s.phi_a1)
     if isinstance(scn, Scenario1):
-        potentials = [s.phi + dt * (m.c1 * dphi + s.j + r["phi"]) + 0.5 * dt**2 * (
-            m.c1**2 * d2phi + m.c1 * dj + f + m.c1 * r["phi_dx"] + r["phi_dt"]
-            + r["j"])]
+        potentials = [s.phi + dt * (m.c1 * dphi + s.j) + 0.5 * dt**2 * (
+            m.c1**2 * d2phi + m.c1 * dj + f) + r["phi"]]
     else:
         dpsi = ops.d1_closed(s.psi, s.psi_a0, s.psi_a1)
         d2psi = ops.d2_closed(s.psi, s.psi_a0, s.psi_a1)
         c2 = m.mu1 * m.nu1
         potentials = [
-            s.phi + dt * (m.mu1 * dpsi + s.j + r["phi"]) + 0.5 * dt**2 * (
-                c2 * d2phi + f + r["j"] + m.mu1 * r["psi_dx"] + r["phi_dt"]),
-            s.psi + dt * (m.nu1 * dphi + r["psi"]) + 0.5 * dt**2 * (
-                c2 * d2psi + m.nu1 * dj + m.nu1 * r["phi_dx"] + r["psi_dt"]),
+            s.phi + dt * (m.mu1 * dpsi + s.j) + 0.5 * dt**2 * (c2 * d2phi + f) + r["phi"],
+            s.psi + dt * m.nu1 * dphi + 0.5 * dt**2 * (c2 * d2psi + m.nu1 * dj) + r["psi"],
         ]
-    rho = s.rho + dt * (-dj + r["rho"]) + 0.5 * dt**2 * (
-        -ops.d1_confined(f) + r["rho_dt"] - r["j_dx"])
-    j_pred = s.j + dt * (f + r["j"])
-    f_next = (m.alpha - m.beta * rho) * potentials[0] - m.gamma * j_pred + r1["j"]
-    return (*potentials, rho, 0.5 * (s.j + j_pred + dt * f_next))
+    rho = s.rho - dt * dj - 0.5 * dt**2 * ops.d1_confined(f) + r["rho"]
+    # the current's increment is dt/2 times its source, so the predictor
+    # j + dt*(f + s_j) adds twice it
+    j_pred = s.j + dt * f + 2.0 * r["j"]
+    f_next = (m.alpha - m.beta * rho) * potentials[0] - m.gamma * j_pred
+    return (*potentials, rho, 0.5 * (s.j + j_pred + dt * f_next) + r1["j"])
 
 
-TERM_NAMES = ("phi", "phi_dx", "phi_dt", "psi", "psi_dx", "psi_dt",
-              "rho", "rho_dt", "j", "j_dx")
+INCREMENT_NAMES = ("phi", "psi", "rho", "j", "s_phi", "s_psi")
 
 
 @settings(max_examples=200, deadline=None)
@@ -756,12 +756,12 @@ TERM_NAMES = ("phi", "phi_dx", "phi_dt", "psi", "psi_dx", "psi_dt",
        epsilon=st.floats(0.0, 1.0), cfl=st.floats(0.05, 1.0),
        speeds=st.lists(st.floats(0.25, 4.0), min_size=4, max_size=4),
        response=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
-       with_terms=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       with_increments=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_fused_step_is_the_scheme_the_stability_lab_probes(
-        model, n, epsilon, cfl, speeds, response, with_terms, seed):
+        model, n, epsilon, cfl, speeds, response, with_increments, seed):
     """The one-pass interior step equals the composition of the stencils
     :mod:`eoscatter.stability` builds its matrices from, on every grid of
-    the family, with and without manufactured terms."""
+    the family, with and without manufactured increments."""
     rng = np.random.default_rng(seed)
     grid = GridSpec(0.0, 1.0, n, epsilon)
     if model == 1:
@@ -772,12 +772,12 @@ def test_fused_step_is_the_scheme_the_stability_lab_probes(
                            t_end=1.0)
     fields = [rng.standard_normal(n) for _ in scn.field_names]
     state = state_cls(*fields, *rng.standard_normal(2 * model), 0, 0.0)
-    terms = terms_next = None
-    if with_terms:
-        terms = {k: rng.standard_normal(n) for k in TERM_NAMES}
-        terms_next = {"j": rng.standard_normal(n)}
-    got = step(state, scn, terms, terms_next)
-    want = unfused_step(state, scn, terms, terms_next)
+    inc = inc_next = None
+    if with_increments:
+        inc, inc_next = ({k: rng.standard_normal(n) for k in INCREMENT_NAMES}
+                         for _ in range(2))
+    got = step(state, scn, inc, inc_next)
+    want = unfused_step(state, scn, inc, inc_next)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))

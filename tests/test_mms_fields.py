@@ -27,18 +27,23 @@ from oracles import (
     fd4_dt,
     fd4_dx,
     pulse_derivatives_longhand,
+    residual_terms_longhand,
+    step_increments_longhand,
 )
 
 MAT1 = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 MAT2 = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
+# mu1 != nu1, so a source that read the coupling matrix transposed shows
+MAT2_UNEQUAL = Material2(mu1=3.0, nu1=4.0 / 3.0, mu0=2.0, nu0=0.5,
+                         alpha=-1.0, beta=0.3, gamma=8.0)
 
 POINTS = [(0.3, 0.4), (1.0, 1.1), (2.2, 1.9), (1.55, 0.75)]
+DT = 0.006  # the step of the increments, the N = 100 rung's at dt_cfl 0.4
 
 
-def term(src, name):
-    """The residual term ``name`` as a function of ``(x, t)``, read from the
-    sources' one evaluator, ``src.at(x)(t)``."""
-    return lambda x, t: src.at(x)(t)[name]
+def term(fields, mat, name):
+    """The oracle's residual term ``name`` as a function of ``(x, t)``."""
+    return lambda x, t: residual_terms_longhand(fields, mat, x, t)[name]
 
 
 def check_derivatives(f, tol=1e-8):
@@ -119,15 +124,19 @@ def test_zero_fields_give_zero_sources():
         ManufacturedFields1(ZeroField(), ZeroField(), ZeroField()), MAT1
     )
     for x, t in POINTS:
-        terms = src.at(x)(t)
-        assert all(v == 0.0 for v in terms.values())
+        inc = src.at(x, DT)(t)
+        assert sorted(inc) == ["j", "phi", "rho", "s_phi"]
+        assert all(v == 0.0 for v in inc.values())
 
 
 def test_residual_closure_model1():
+    """The oracle's terms, and the sources' ``s_phi``, are what the fields
+    leave over in each equation."""
     f = ManufacturedFields1.demo()
     src = ResidualSources1(f, MAT1)
     for x, t in POINTS:
-        terms = src.at(x)(t)
+        terms = residual_terms_longhand(f, MAT1, x, t)
+        assert src.at(x, DT)(t)["s_phi"] == pytest.approx(terms["phi"], abs=1e-13)
         r1 = f.phi.dt(x, t) - MAT1.c1 * f.phi.dx(x, t) - f.j.value(x, t) - terms["phi"]
         r2 = f.rho.dt(x, t) + f.j.dx(x, t) - terms["rho"]
         r3 = (
@@ -143,7 +152,10 @@ def test_residual_closure_model2():
     f = ManufacturedFields2.demo()
     src = ResidualSources2(f, MAT2)
     for x, t in POINTS:
-        terms = src.at(x)(t)
+        terms = residual_terms_longhand(f, MAT2, x, t)
+        inc = src.at(x, DT)(t)
+        for p in ("phi", "psi"):
+            assert inc["s_" + p] == pytest.approx(terms[p], abs=1e-13)
         r1 = f.phi.dt(x, t) - MAT2.mu1 * f.psi.dx(x, t) - f.j.value(x, t) - terms["phi"]
         r2 = f.psi.dt(x, t) - MAT2.nu1 * f.phi.dx(x, t) - terms["psi"]
         r3 = f.rho.dt(x, t) + f.j.dx(x, t) - terms["rho"]
@@ -160,20 +172,22 @@ def test_residual_closure_model2_with_unequal_coupling():
     # mu1 != nu1 and psi a pulse of its own, so a source that read the
     # coupling matrix transposed, or psi for phi, would show here; the
     # demo material's mu1 = nu1 hides the first
-    mat = Material2(mu1=3.0, nu1=4.0 / 3.0, mu0=2.0, nu0=0.5,
-                    alpha=-1.0, beta=0.3, gamma=8.0)
+    mat = MAT2_UNEQUAL
     f = own_psi_family()
     src = ResidualSources2(f, mat)
     for x, t in POINTS:
-        terms = src.at(x)(t)
-        r1 = f.phi.dt(x, t) - mat.mu1 * f.psi.dx(x, t) - f.j.value(x, t) - terms["phi"]
-        r2 = f.psi.dt(x, t) - mat.nu1 * f.phi.dx(x, t) - terms["psi"]
+        inc = src.at(x, DT)(t)
+        r1 = f.phi.dt(x, t) - mat.mu1 * f.psi.dx(x, t) - f.j.value(x, t) - inc["s_phi"]
+        r2 = f.psi.dt(x, t) - mat.nu1 * f.phi.dx(x, t) - inc["s_psi"]
         assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+        terms = residual_terms_longhand(f, mat, x, t)
+        assert abs(terms["phi"] - inc["s_phi"]) < 1e-12
+        assert abs(terms["psi"] - inc["s_psi"]) < 1e-12
     # the coupling terms are not negligible at every point
     assert max(abs(f.psi.dx(x, t)) for x, t in POINTS) > 0.1
     assert max(abs(f.phi.dx(x, t)) for x, t in POINTS) > 0.1
     check_source_derivatives(
-        src, SOURCE_DERIVATIVES + [("psi_dx", "psi", fd4_dx), ("psi_dt", "psi", fd4_dt)])
+        f, mat, SOURCE_DERIVATIVES + [("psi_dx", "psi", fd4_dx), ("psi_dt", "psi", fd4_dt)])
 
 
 def test_source_via_finite_differenced_fields_model1():
@@ -185,16 +199,17 @@ def test_source_via_finite_differenced_fields_model1():
             - MAT1.c1 * fd4_dx(f.phi.value, x, t)
             - f.j.value(x, t)
         )
-        assert src.at(x)(t)["phi"] == pytest.approx(indirect, abs=1e-8)
+        assert src.at(x, DT)(t)["s_phi"] == pytest.approx(indirect, abs=1e-8)
 
 
-def check_source_derivatives(src, derived):
-    """Each ``(derivative, term, fd)`` of ``derived`` against the fourth-order
-    finite difference ``fd`` of its term."""
+def check_source_derivatives(fields, mat, derived):
+    """Each ``(derivative, term, fd)`` of ``derived`` among the oracle's
+    terms against the fourth-order finite difference ``fd`` of its term."""
     for x, t in POINTS:
-        terms = src.at(x)(t)
+        terms = residual_terms_longhand(fields, mat, x, t)
         for name, of, fd in derived:
-            assert terms[name] == pytest.approx(fd(term(src, of), x, t), abs=1e-8), name
+            want = fd(term(fields, mat, of), x, t)
+            assert terms[name] == pytest.approx(want, abs=1e-8), name
 
 
 SOURCE_DERIVATIVES = [("phi_dx", "phi", fd4_dx), ("phi_dt", "phi", fd4_dt),
@@ -202,13 +217,12 @@ SOURCE_DERIVATIVES = [("phi_dx", "phi", fd4_dx), ("phi_dt", "phi", fd4_dt),
 
 
 def test_source_derivatives_model1():
-    check_source_derivatives(ResidualSources1(ManufacturedFields1.demo(), MAT1),
-                             SOURCE_DERIVATIVES)
+    check_source_derivatives(ManufacturedFields1.demo(), MAT1, SOURCE_DERIVATIVES)
 
 
 def test_source_derivatives_model2():
     check_source_derivatives(
-        ResidualSources2(ManufacturedFields2.demo(), MAT2),
+        ManufacturedFields2.demo(), MAT2,
         SOURCE_DERIVATIVES + [("psi_dx", "psi", fd4_dx), ("psi_dt", "psi", fd4_dt)])
 
 
@@ -276,47 +290,11 @@ def test_zero_field_jet_is_zeros_of_the_broadcast_shape(shape):
         assert a.shape == want and np.all(a == 0.0)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("model", [1, 2])
-def test_source_bundle_matches_the_field_methods(model, shape):
-    """Each bundled term against its residual written with the fields'
-    one-derivative methods."""
-    x, t = SHAPES[shape]
-    if model == 1:
-        f, m = ManufacturedFields1.demo(), MAT1
-        src = ResidualSources1(f, m)
-        partner, speed = f.phi, m.c1
-    else:
-        f, m = ManufacturedFields2.demo(), MAT2
-        src = ResidualSources2(f, m)
-        partner, speed = f.psi, m.mu1
-    resp = m.alpha - m.beta * f.rho.value(x, t)
-    want = {
-        "phi": f.phi.dt(x, t) - speed * partner.dx(x, t) - f.j.value(x, t),
-        "phi_dx": f.phi.dxt(x, t) - speed * partner.dxx(x, t) - f.j.dx(x, t),
-        "phi_dt": f.phi.dtt(x, t) - speed * partner.dxt(x, t) - f.j.dt(x, t),
-        "rho": f.rho.dt(x, t) + f.j.dx(x, t),
-        "rho_dt": f.rho.dtt(x, t) + f.j.dxt(x, t),
-        "j": f.j.dt(x, t) - resp * f.phi.value(x, t) + m.gamma * f.j.value(x, t),
-        "j_dx": (f.j.dxt(x, t) - resp * f.phi.dx(x, t)
-                 + m.beta * f.rho.dx(x, t) * f.phi.value(x, t)
-                 + m.gamma * f.j.dx(x, t)),
-    }
-    if model == 2:
-        want["psi"] = f.psi.dt(x, t) - m.nu1 * f.phi.dx(x, t)
-        want["psi_dx"] = f.psi.dxt(x, t) - m.nu1 * f.phi.dxx(x, t)
-        want["psi_dt"] = f.psi.dtt(x, t) - m.nu1 * f.phi.dxt(x, t)
-    terms = src.at(x)(t)
-    assert sorted(terms) == sorted(want)
-    for name, value in want.items():
-        assert close_to(terms[name], value, 1e-14), name
-
-
 def test_folded_source_sums_are_third_order_close_to_exact_retarded_sums():
     # The solver pushes the nodal phi and psi residual sources of each level
     # into the retarded sums beside the current, so each node's source is
     # read at its retarded time by the quadratic rule of the current.  Its
-    # gap to the masked sum of the terms at the retarded times, weighted by
+    # gap to the masked sum of the sources at the retarded times, weighted by
     # dx/c1 as in the traces, must fall 8x per doubling: third order.
     src = ResidualSources2(ManufacturedFields2.demo(), MAT2)
     c1 = MAT2.c1
@@ -328,18 +306,18 @@ def test_folded_source_sums_are_third_order_close_to_exact_retarded_sums():
         sets = ((g.x - g.a0) / c1, (g.a1 - g.x) / c1)
         readers = [[RetardedSum(0.0, dt, delays) for _ in range(2)]
                    for delays in sets]
-        terms_at = src.at(g.x)
+        increments_at = src.at(g.x, dt)
         folded = np.array([
-            [[reader.push(terms[p]) for reader, p in zip(pair, ("phi", "psi"))]
+            [[reader.push(inc["s_" + p]) for reader, p in zip(pair, ("phi", "psi"))]
              for pair in readers]
-            for terms in map(terms_at, t)])
+            for inc in map(increments_at, t)])
         gap = 0.0
         for block in np.array_split(np.arange(t.size), t.size // 256 + 1):
             for side, delays in enumerate(sets):
                 at = t[block, None] - delays
-                exact = terms_at(at)
+                exact = increments_at(at)
                 for k, p in enumerate(("phi", "psi")):
-                    want = np.sum(np.where(at > 0.0, exact[p], 0.0), axis=1)
+                    want = np.sum(np.where(at > 0.0, exact["s_" + p], 0.0), axis=1)
                     gap = max(gap, np.max(np.abs(folded[block, side, k] - want)))
         gaps.append(g.dx / c1 * gap)
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
@@ -384,15 +362,15 @@ def test_field_at_equals_jet_bit_for_bit(f, shape):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("model", [1, 2])
-def test_source_at_equals_src_terms_bit_for_bit(model, shape):
-    """One evaluator ``at(x)`` serves every time: its terms equal those of
-    an evaluator built afresh for the call, bit for bit."""
+def test_source_at_equals_fresh_increments_bit_for_bit(model, shape):
+    """One evaluator ``at(x, dt)`` serves every time: its increments equal
+    those of an evaluator built afresh for the call, bit for bit."""
     x, t = SHAPES[shape]
     src = (ResidualSources1(ManufacturedFields1.demo(), MAT1) if model == 1
            else ResidualSources2(ManufacturedFields2.demo(), MAT2))
-    terms_at = src.at(x)
+    increments_at = src.at(x, DT)
     for when in (t, np.add(t, LATER)):
-        got, want = terms_at(when), src.at(x)(when)
+        got, want = increments_at(when), src.at(x, DT)(when)
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[k], want[k]) for k in want)
 
@@ -410,7 +388,33 @@ SOURCES = {
     "m1-demo": lambda: ResidualSources1(ManufacturedFields1.demo(), MAT1),
     "m2-demo": lambda: ResidualSources2(ManufacturedFields2.demo(), MAT2),
     "m2-own-psi": lambda: ResidualSources2(own_psi_family(), MAT2),
+    "m2-own-psi-unequal": lambda: ResidualSources2(own_psi_family(), MAT2_UNEQUAL),
 }
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+@pytest.mark.parametrize("family", SOURCES)
+def test_increments_equal_the_longhand_oracle(family, epsilon):
+    """The increments equal the oracle's ``dt*s + dt**2/2*(...)`` of its
+    longhand terms to rounding, on the nodes at one time, at the retarded
+    points (one time per node) and at a column of times."""
+    src, grid = SOURCES[family](), GridSpec(0.0, 3.0, 100, epsilon)
+    dt = 0.4 * grid.dx / src.mat.c1
+    increments_at = src.at(grid.x, dt)
+    for t in (0.75, 1.3, 1.9 - grid.x / 2.0, np.array([[0.4], [1.1], [1.6]])):
+        got = increments_at(t)
+        terms = residual_terms_longhand(src.fields, src.mat, grid.x, t)
+        want = step_increments_longhand(terms, src.mat, dt)
+        assert sorted(got) == sorted(want)
+        for name, value in want.items():
+            assert close_to(got[name], value, 1e-13), name
+    # and at one point, where every entry is a numpy scalar
+    x, t = SHAPES["scalar"]
+    got = src.at(x, dt)(t)
+    want = step_increments_longhand(residual_terms_longhand(src.fields, src.mat, x, t),
+                                    src.mat, dt)
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-13, abs=1e-300), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -419,16 +423,18 @@ SOURCES = {
 # the N = 200 rung's level 221 (t = 0.663), where squaring a float with
 # ``**`` and an array with a product rounded the rho bump's time factor apart
 @example(family="m1-demo", n=200, start=216, length=8)
-def test_blocked_terms_equal_per_level_terms_bit_for_bit(family, n, start, length):
-    """One ``terms_at`` call on a ``(K, 1)`` array of level times, as the
-    march makes on a coarse grid, gives each level's terms bit for bit."""
+def test_blocked_increments_equal_per_level_increments_bit_for_bit(family, n, start,
+                                                                   length):
+    """One ``increments_at`` call on a ``(K, 1)`` array of level times, as
+    the march makes on a coarse grid, gives each level's increments bit for
+    bit."""
     src, grid = SOURCES[family](), GridSpec(0.0, 3.0, n)
     dt = 0.4 * grid.dx / src.mat.c1
     times = dt * np.arange(start, start + length)
-    terms_at = src.at(grid.x)
-    rows = terms_at(times[:, None])
+    increments_at = src.at(grid.x, dt)
+    rows = increments_at(times[:, None])
     for k, t in enumerate(times.tolist()):
-        want = terms_at(t)
+        want = increments_at(t)
         assert rows.keys() == want.keys()
         for name in want:
             assert rows[name].shape == (length, n)
@@ -436,16 +442,16 @@ def test_blocked_terms_equal_per_level_terms_bit_for_bit(family, n, start, lengt
 
 
 def node_exps_per_level(src, monkeypatch) -> int:
-    """N-node exponentials in one ``terms_at`` call at a scalar time."""
+    """N-node exponentials in one ``increments_at`` call at a scalar time."""
     x, exp, count = np.linspace(0.0, 3.0, 64), np.exp, [0]
 
     def counted_exp(z, *args, **kw):
         count[0] += np.size(z) == x.size
         return exp(z, *args, **kw)
 
-    terms_at = src.at(x)
+    increments_at = src.at(x, DT)
     monkeypatch.setattr(np, "exp", counted_exp)
-    terms_at(0.7)
+    increments_at(0.7)
     monkeypatch.undo()
     return count[0]
 
@@ -466,11 +472,11 @@ def test_model2_evaluates_each_distinct_pulse_once(monkeypatch):
     for fields, want in ((demo, 1), (cfg, 1), (own_psi_family(), 2)):
         src = ResidualSources2(fields, MAT2)
         assert node_exps_per_level(src, monkeypatch) == want
-        # a shared jet changes no term: psi evaluated on its own gives the same
+        # a shared jet changes no increment: psi evaluated on its own gives the same
         alone = ResidualSources2(ManufacturedFields2(
             fields.phi, Unhashable(**vars(fields.psi)), fields.j, fields.rho), MAT2)
         assert node_exps_per_level(alone, monkeypatch) == 2
-        got, ref = src.at(x)(0.7), alone.at(x)(0.7)
+        got, ref = src.at(x, DT)(0.7), alone.at(x, DT)(0.7)
         assert all(np.array_equal(got[k], ref[k]) for k in ref)
     assert node_exps_per_level(
         ResidualSources1(ManufacturedFields1.demo(), MAT1), monkeypatch) == 1

@@ -19,7 +19,7 @@ from eoscatter.model1 import (
 )
 from eoscatter.sources import GaussianSource
 
-from oracles import model1_left_trace, reference_step_m1
+from oracles import model1_left_trace, reference_step_m1, step_increments_longhand
 
 MAT = Material1(c1=2.0, c0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
 FREE = Material1(c1=2.0, c0=1.0, alpha=0.0, beta=0.0, gamma=0.0)
@@ -77,6 +77,8 @@ def test_single_step_matches_longhand_oracle():
 
 
 def test_terms_step_matches_longhand_oracle():
+    """Random residual terms, handed to the step as the increments the oracle
+    forms from them, step as the longhand step of the terms does."""
     scn = scenario(n=40)
     g = scn.grid
     rng = np.random.default_rng(8)
@@ -86,8 +88,9 @@ def test_terms_step_matches_longhand_oracle():
     )
     terms = {k: rng.standard_normal(g.n) for k in
              ("phi", "phi_dx", "phi_dt", "rho", "rho_dt", "j", "j_dx")}
-    terms_next = {"j": rng.standard_normal(g.n)}
-    got = interior_step_m1(state, scn, terms, terms_next)
+    terms_next = {k: rng.standard_normal(g.n) for k in terms}
+    got = interior_step_m1(state, scn, *(step_increments_longhand(r, MAT, scn.dt)
+                                         for r in (terms, terms_next)))
     want = reference_step_m1(
         state.phi, state.rho, state.j, state.phi_a0, state.phi_a1,
         MAT.c1, MAT.alpha, MAT.beta, MAT.gamma, g.dx, scn.dt,
@@ -147,9 +150,9 @@ def test_mms_step_local_error_is_third_order():
             phi_a0=float(mms.phi.value(g.a0, t)),
             phi_a1=float(mms.phi.value(g.a1, t)), n=0, t=t,
         )
-        terms_at = scn.residuals(mms, scn.mat).at(g.x)
-        terms = terms_at(t), terms_at(t + scn.dt)
-        phi, rho, j = interior_step_m1(state, scn, *terms)
+        increments_at = scn.residuals(mms, scn.mat).at(g.x, scn.dt)
+        inc = increments_at(t), increments_at(t + scn.dt)
+        phi, rho, j = interior_step_m1(state, scn, *inc)
         t1 = t + scn.dt
         errs[n] = (
             np.max(np.abs(phi - mms.phi.value(g.x, t1))),

@@ -28,6 +28,7 @@ from oracles import (
     model2_traces,
     reference_step_m2,
     slab_reflection_traces,
+    step_increments_longhand,
 )
 
 MAT = Material2(mu1=2.0, nu1=2.0, mu0=1.0, nu0=1.0, alpha=-1.0, beta=0.3, gamma=8.0)
@@ -110,6 +111,8 @@ def test_single_step_matches_longhand_oracle():
 
 
 def test_terms_step_matches_longhand_oracle():
+    """Random residual terms, handed to the step as the increments the oracle
+    forms from them, step as the longhand step of the terms does."""
     # mu1 != nu1, so a swapped coupling coefficient shows
     mat = Material2(mu1=3.0, nu1=4.0 / 3.0, mu0=2.0, nu0=0.5,
                     alpha=-1.0, beta=0.3, gamma=8.0)
@@ -124,8 +127,9 @@ def test_terms_step_matches_longhand_oracle():
     terms = {k: rng.standard_normal(g.n) for k in
              ("phi", "phi_dx", "phi_dt", "psi", "psi_dx", "psi_dt",
               "rho", "rho_dt", "j", "j_dx")}
-    terms_next = {"j": rng.standard_normal(g.n)}
-    got = interior_step_m2(state, scn, terms, terms_next)
+    terms_next = {k: rng.standard_normal(g.n) for k in terms}
+    got = interior_step_m2(state, scn, *(step_increments_longhand(r, mat, scn.dt)
+                                         for r in (terms, terms_next)))
     want = reference_step_m2(
         state.phi, state.psi, state.rho, state.j,
         state.phi_a0, state.phi_a1, state.psi_a0, state.psi_a1,
@@ -239,9 +243,9 @@ def test_mms_step_local_error_is_third_order():
             phi_a1=float(mms.phi.value(g.a1, t)),
             psi_a1=float(mms.psi.value(g.a1, t)), n=0, t=t,
         )
-        terms_at = scn.residuals(mms, scn.mat).at(g.x)
-        terms = terms_at(t), terms_at(t + scn.dt)
-        out = interior_step_m2(state, scn, *terms)
+        increments_at = scn.residuals(mms, scn.mat).at(g.x, scn.dt)
+        inc = increments_at(t), increments_at(t + scn.dt)
+        out = interior_step_m2(state, scn, *inc)
         t1 = t + scn.dt
         exact = (
             mms.phi.value(g.x, t1), mms.psi.value(g.x, t1),
