@@ -46,11 +46,15 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, provenance: dict, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# " + json.dumps(provenance, sort_keys=True,
-                                   separators=(",", ":")) + "\n")
-        fh.write(header + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+    """Write one output file; ConfigError naming it when that fails."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write("# " + json.dumps(provenance, sort_keys=True,
+                                       separators=(",", ":")) + "\n")
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -98,29 +102,21 @@ def _run_mode(cfg: RunConfig, out: Path) -> int:
 # mms mode
 # ---------------------------------------------------------------------------
 
-def _order_cell(prev, rep, field: str) -> str:
-    """Observed order against the previous rung, blank when the rung pair is
-    not an N-doubling at fixed dt*N."""
-    if prev is None:
-        return ""
-    try:
-        orders = convergence_order([prev, rep])
-    except ValueError:
-        return ""
-    return _fmt(orders[field][0])
-
-
 def _flush_mms(reports, out: Path, prov: dict) -> None:
     rows = []
     trace_rows = []
-    prev = None
-    for rep in reports:
+    for prev, rep in zip([None, *reports], reports):
+        # the observed orders against the previous rung, blank for the first
+        # rung and for a rung pair that is not an N-doubling at fixed dt*N
+        try:
+            orders = {} if prev is None else convergence_order([prev, rep])
+        except ValueError:
+            orders = {}
         for f in rep.linf:
             rows.append((f, rep.n, rep.dt, rep.linf[f], rep.l2[f],
-                         _order_cell(prev, rep, f)))
+                         orders[f][0] if orders else ""))
         for name in sorted(rep.trace_linf):
             trace_rows.append((name, rep.n, rep.dt, rep.trace_linf[name]))
-        prev = rep
     _write_csv(out / "errors.csv", prov, "field,N,dt,linf,l2,order", rows)
     _write_csv(out / "trace_errors.csv", prov, "field,N,dt,linf", trace_rows)
 
@@ -220,15 +216,14 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         if cfg.mode == "run":
             return _run_mode(cfg, out)
         if cfg.mode == "mms":
             return _mms_mode(cfg, out)
         return _stability_mode(cfg, out)
+    except ConfigError as exc:  # also an output file that cannot be written
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (QuadratureError, EigenSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS

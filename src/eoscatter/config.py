@@ -20,7 +20,7 @@ from .sources import GaussianSource, TabulatedSource
 # number, is the stability lab's (the lowest module that imports both
 # models), and so is the check of the scan controls
 from .stability import (DEFAULT_BISECT_TOL, DEFAULT_DT_MAX_FACTOR,
-                        DEFAULT_SCAN_POINTS, _check_controls, _model_scenario)
+                        DEFAULT_SCAN_POINTS, check_controls, model_scenario)
 
 DEFAULT_DT_CFL = 0.4
 DEFAULT_EPSILON = 1.0
@@ -36,8 +36,8 @@ _READ_IN = {"grid": ("run", "mms"), "t_end": ("run", "mms"), "source": ("run",),
 
 def mms_run(model: int, exact, grid, mat, dt: float, t_end: float) -> ErrorReport:
     """:func:`mms_report` of the model's scenario built from these inputs."""
-    return mms_report(_model_scenario(model)(grid=grid, mat=mat, dt=dt, t_end=t_end,
-                                             mms=exact))
+    return mms_report(model_scenario(model)(grid=grid, mat=mat, dt=dt, t_end=t_end,
+                                            mms=exact))
 
 
 # The mms blocks and the manufactured fields they set, in parse order;
@@ -210,7 +210,7 @@ def _parse_stability(block, where="stability") -> StabilityControls:
     with _located(f"{where}: "):  # the scan's grids and the lab's controls
         grids = [GridSpec(0.0, 1.0, block.get("N", DEFAULT_STABILITY_N), e)
                  for e in eps]
-        factor, points, tol = _check_controls(
+        factor, points, tol = check_controls(
             grids, block.get("dt_max_factor", DEFAULT_DT_MAX_FACTOR),
             block.get("scan_points", DEFAULT_SCAN_POINTS),
             block.get("bisect_tol", DEFAULT_BISECT_TOL))
@@ -256,7 +256,7 @@ def resolve_config(data: dict, default_mode: str = "run") -> RunConfig:
                     "config")
     model = data["model"] if "model" in data else _missing("model")
     try:
-        scn_cls = _model_scenario(model)
+        scn_cls = model_scenario(model)
     except ValueError:
         raise ConfigError("'model' in config must be 1 or 2") from None
     mode = data.get("mode", default_mode)

@@ -16,12 +16,13 @@ restriction.
 A window search is almost all LAPACK time (a dense ``eigvals`` at N = 200
 takes about 27 ms, its matrix 0.2 ms), and ``eigvals`` holds the
 interpreter lock, so threads gain nothing.  The search therefore runs its
-eigensolves in batches: the scan points of every epsilon in one, then one
-bisection midpoint of every open window edge per round.  Where ``os.fork``
-exists and this process runs a single OS thread, a batch is dealt over
-forked worker processes, one per usable CPU (:func:`_fork_map`); otherwise
-it runs serially.  Each eigensolve sees the same matrix either way, so
-windows and samples are byte-identical.
+eigensolves in batches: one scan batch holding the scan points of every
+epsilon, then one batch per bisection round holding the midpoint of every
+window edge still open (:func:`_windows`).  Where ``os.fork`` exists and
+this process runs a single OS thread, a batch is dealt over forked worker
+processes, one per usable CPU (:func:`_fork_map`); otherwise it runs
+serially.  Each eigensolve sees the same matrix either way, so windows and
+samples are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class EigenSolverError(RuntimeError):
     """Raised when the dense eigenvalue solve does not converge."""
 
 
-def _model_scenario(model) -> type:
+def model_scenario(model) -> type:
     """The scenario class of ``model``, an integer 1 or 2 by
     :func:`check_integer` (numpy integers count), else ValueError."""
     try:
@@ -61,21 +62,20 @@ def _model_scenario(model) -> type:
         raise ValueError("model must be 1 or 2") from None
 
 
-def _check_inputs(model, mat, dt, steps=0) -> type:
-    """The scenario class of ``model`` (:func:`_model_scenario`) once
-    ``mat`` is its material (else TypeError), ``dt`` positive and ``steps``
-    an integer >= 0 whose ``steps + 1`` levels pass :func:`check_size`
-    (else ValueError)."""
-    scenario = _model_scenario(model)
+def _check_inputs(model, mat, *dts) -> type:
+    """The scenario class of ``model`` (:func:`model_scenario`) once ``mat``
+    is its material (else TypeError) and every one of ``dts`` is a
+    positive step (else ValueError)."""
+    scenario = model_scenario(model)
     if not isinstance(mat, scenario.material):
         raise TypeError(f"model {model} needs a {scenario.material.__name__}, "
                         f"got {type(mat).__name__}")
-    check_real("dt", dt, positive=True)
-    check_size("steps", check_integer("steps", steps, 0) + 1)
+    for dt in dts:
+        check_real("dt", dt, positive=True)
     return scenario
 
 
-def _check_controls(grids, dt_max_factor, scan_points, bisect_tol) -> tuple:
+def check_controls(grids, dt_max_factor, scan_points, bisect_tol) -> tuple:
     """The scan controls of :func:`stability_bounds` as ``(float, int,
     float)``: ``dt_max_factor`` and ``bisect_tol`` positive, ``scan_points``
     an integer >= 16, and the scan points and the dense N x N matrices of
@@ -274,13 +274,10 @@ def _worker(fn, share: list, write_fd: int) -> None:
         os._exit(status)
 
 
-def _radii(model, mat, points) -> list[float]:
+def _radii(speeds, points) -> list[float]:
     """:func:`stability_radius` at every ``(probe, dt)`` of ``points``, a
     grid's probed matrices and a step, as one batch of eigensolves, one per
-    signed branch, over :func:`_fork_map`."""
-    speeds = ()
-    for _, dt in points:
-        speeds = _speeds(_check_inputs(model, mat, dt), mat)
+    signed branch of ``speeds`` (:func:`_speeds`), over :func:`_fork_map`."""
     k = len(speeds)
     radii = _fork_map(_branch_radius, [(p, c, dt) for p, dt in points for c in speeds])
     return [max(radii[i * k:(i + 1) * k]) for i in range(len(points))]
@@ -311,43 +308,6 @@ def _stable(rho: float) -> bool:
     return rho < 1.0 - RHO_MARGIN
 
 
-def _bisect(dt_bad, dt_good, tol):
-    """Refine a stable/unstable transition, as a coroutine: it yields each
-    midpoint to classify, is sent whether that step is stable, and returns
-    the bracket midpoint.  ``dt_bad`` may be 0 (the dt -> 0 limit is
-    classified unstable because the propagator tends to the identity,
-    radius 1)."""
-    while abs(dt_good - dt_bad) > tol * 0.5 * (dt_good + dt_bad):
-        mid = 0.5 * (dt_bad + dt_good)
-        if mid in (dt_bad, dt_good):
-            break  # adjacent floats: the bracket cannot shrink any further
-        if (yield mid):
-            dt_good = mid
-        else:
-            dt_bad = mid
-    return 0.5 * (dt_bad + dt_good)
-
-
-def _bisect_all(model, mat, brackets, tol) -> list:
-    """The final midpoint of every ``(probe, dt_bad, dt_good)`` bracket.  The
-    brackets are bisected in lock-step, one batch of :func:`_radii` per
-    round holding one midpoint of every open bracket; each bracket follows
-    its own midpoints, as it would alone."""
-    edges = [_bisect(bad, good, tol) for _, bad, good in brackets]
-    ends = [None] * len(edges)
-    sent = dict.fromkeys(range(len(edges)))  # None starts each coroutine
-    while sent:
-        mids = {}
-        for k, stable in sent.items():
-            try:
-                mids[k] = edges[k].send(stable)
-            except StopIteration as stop:
-                ends[k] = stop.value
-        rhos = _radii(model, mat, [(brackets[k][0], mid) for k, mid in mids.items()])
-        sent = {k: _stable(rho) for k, rho in zip(mids, rhos)}
-    return ends
-
-
 def _widest_run(rhos) -> tuple[int, int] | None:
     """First and last index of the widest contiguous run of stable radii,
     the later of equally wide runs; None when no radius is stable."""
@@ -366,42 +326,52 @@ def _windows(model, grids, mat, *,
              dt_max_factor: float = DEFAULT_DT_MAX_FACTOR,
              scan_points: int = DEFAULT_SCAN_POINTS,
              bisect_tol: float = DEFAULT_BISECT_TOL) -> list[StabilityDomain]:
-    """The stable window on each of ``grids``, by :func:`stability_bounds`'s
-    scan and bisection: every grid's scan points in one batch of
-    eigensolves, and every grid's edges bisected in lock-step."""
-    dt_max_factor, scan_points, bisect_tol = _check_controls(
+    """The stable window on each of ``grids`` (:func:`stability_bounds`): one
+    scan batch of eigensolves, then one batch per bisection round."""
+    dt_max_factor, scan_points, bisect_tol = check_controls(
         grids, dt_max_factor, scan_points, bisect_tol)
+    speeds = _speeds(_check_inputs(model, mat), mat)
     c = mat.c1
     dts = [grid.dx / c * dt_max_factor * np.arange(1, scan_points + 1) / scan_points
            for grid in grids]
+    for dt in [row[k] for row in dts for k in (0, -1)]:  # bound every searched step
+        check_real("dt", dt, positive=True)
     # every grid's matrices, probed once here and inherited by every worker
     probes = [_diff_matrices(grid) for grid in grids]
-    rhos = _radii(model, mat, [(p, dt) for p, row in zip(probes, dts) for dt in row])
+    rhos = _radii(speeds, [(p, dt) for p, row in zip(probes, dts) for dt in row])
     rhos = [rhos[i:i + scan_points] for i in range(0, len(rhos), scan_points)]
     runs = [_widest_run(r) for r in rhos]
+    # Two (unstable dt, stable dt) brackets per grid, lower edge then upper.
+    # A window that reaches the smallest scanned step has no observed lower
+    # transition: its bracket closes on the scan floor rather than bisecting
+    # against dt -> 0, where the propagator tends to the identity, its radius
+    # creeps up to 1, and the margin rule would turn that limit into a
+    # spurious "edge" at a margin-dependent spot.  A window truncated by the
+    # top of the scan closes on it.  A grid with no stable step gets NaNs.
     brackets = []
-    for probe, row, run in zip(probes, dts, runs):
-        if run is not None:
+    for row, run in zip(dts, runs):
+        if run is None:
+            brackets += [(math.nan, math.nan)] * 2
+        else:
             lo, hi = run
-            if lo > 0:
-                brackets.append((probe, row[lo - 1], row[lo]))
-            if hi < scan_points - 1:
-                brackets.append((probe, row[hi + 1], row[hi]))
-    bisected = iter(_bisect_all(model, mat, brackets, bisect_tol))
+            brackets += [(row[max(lo - 1, 0)], row[lo]),
+                         (row[min(hi + 1, scan_points - 1)], row[hi])]
+    bad, good = np.array(brackets, dtype=float).reshape(-1, 2).T
+    while True:
+        # one bisection step of every open bracket, in the float operations
+        # of a scalar bisection, so each edge is the one it would find alone
+        mid = 0.5 * (bad + good)
+        live = np.flatnonzero((abs(good - bad) > bisect_tol * 0.5 * (good + bad))
+                              & (mid != bad) & (mid != good))  # else adjacent floats
+        if live.size == 0:
+            break
+        for k, rho in zip(live, _radii(speeds, [(probes[k // 2], mid[k]) for k in live])):
+            (good if _stable(rho) else bad)[k] = mid[k]
+    ends = (0.5 * (bad + good)).reshape(-1, 2)
     out = []
-    for grid, row, rho, run in zip(grids, dts, rhos, runs):
-        tau1 = tau2 = math.nan
-        if run is not None:
-            lo, hi = run
-            # A window that reaches the smallest scanned step has no
-            # observed lower transition: report the scan floor rather than
-            # bisecting against dt -> 0, where the propagator tends to the
-            # identity, its radius creeps up to 1, and the margin rule would
-            # turn that limit into a spurious "edge" at a margin-dependent
-            # spot.  A window truncated by the top of the scan ends there.
-            dt1 = next(bisected) if lo > 0 else row[0]
-            dt2 = next(bisected) if hi < scan_points - 1 else row[hi]
-            tau1, tau2 = dt1 * c / grid.dx, dt2 * c / grid.dx
+    for grid, row, rho, run, edge in zip(grids, dts, rhos, runs, ends):
+        # math.nan itself, so that an empty domain equals its rerun
+        tau1, tau2 = (math.nan, math.nan) if run is None else edge * c / grid.dx
         samples = tuple((dt * c / grid.dx, r) for dt, r in zip(row, rho))
         out.append(StabilityDomain(model, grid.epsilon, grid.n, tau1, tau2, samples))
     return out
@@ -414,9 +384,9 @@ def stability_bounds(model: int, grid: GridSpec, mat, *,
     """Scan dt in (0, dt_max_factor*dx/c1], classify each point by spectral
     radius, and bisect the edges of the widest contiguous stable run.
 
-    This is :func:`scan_stability`'s search on one grid: the scan points go
-    in one batch of eigensolves and each bisection round in another, spread
-    over forked workers where the process allows it (module docstring)."""
+    This is :func:`scan_stability`'s search on one grid: one scan batch of
+    eigensolves, then one batch per bisection round, spread over forked
+    workers where the process allows it (module docstring)."""
     return _windows(model, [grid], mat, dt_max_factor=dt_max_factor,
                     scan_points=scan_points, bisect_tol=bisect_tol)[0]
 
@@ -427,9 +397,8 @@ def scan_stability(model: int, mat, n: int, epsilons, **search) -> list[Stabilit
 
     Every epsilon's window equals :func:`stability_bounds` on its grid.  The
     scan points of all epsilons (both signed branches for model 2) make one
-    batch of eigensolves, and the bisections of all window edges run in
-    lock-step, one batch per round, so forked workers share the whole scan
-    (module docstring)."""
+    batch of eigensolves, and each bisection round one more, holding the
+    midpoint of every window edge still open (module docstring)."""
     return _windows(model, [GridSpec(0.0, 1.0, n, e) for e in epsilons], mat,
                     **search)
 
@@ -493,7 +462,8 @@ def homogeneous_run(model: int, grid: GridSpec, mat, dt: float, steps: int,
     Callers: acceptance criterion c09, which checks the window against it,
     and ``tests/test_stability.py``'s window-classification and envelope
     tests."""
-    scenario = _check_inputs(model, mat, dt, steps)
+    scenario = _check_inputs(model, mat, dt)
+    check_size("steps", check_integer("steps", steps, 0) + 1)
     passes = scenario(grid=grid, mat=mat, dt=dt, t_end=dt).lw_pass
     rng = np.random.default_rng(seed)
     fields = [rng.standard_normal(grid.n) for _ in passes]  # phi, then psi

@@ -384,6 +384,27 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("mode, name, block", [
+    ("run", "boundary.csv", {"grid": {"a0": 0.0, "a1": 3.0, "N": 40}, "t_end": 0.5}),
+    ("mms", "errors.csv", {"grid": {"a0": 0.0, "a1": 3.0, "N": 20}, "t_end": 0.5,
+                           "mms": {"n_ladder": [20, 40]}}),
+    ("stability", "samples.csv", {"stability": {"N": 16, "epsilons": [1.0],
+                                                "scan_points": 16}}),
+])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(
+        tmp_path, capsys, mode, name, block):
+    # a directory in the place of one output file: the run ended in an
+    # IsADirectoryError traceback with exit 1
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_config(tmp_path, {"model": 1, "mode": mode, "material": MAT1,
+                                  **block})
+    assert main([mode, cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output file: ")
+    assert str(out / name) in err and err.count("\n") == 1
+
+
 def test_run_mode_runs_the_configs_own_scenario(tmp_path, monkeypatch):
     from eoscatter import cli
     from eoscatter.config import resolve_config

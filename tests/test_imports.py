@@ -23,6 +23,19 @@ def test_no_module_imports_inside_a_function():
     assert found == []
 
 
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # an underscore name belongs to its own module: a name a sibling needs
+    # is made public where it is defined
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {alias.name}"
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").startswith("eoscatter"))
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_export_list_resolves_once_and_is_what_a_star_import_binds():
     names = eoscatter.__all__
     assert [n for n in names if not hasattr(eoscatter, n)] == []

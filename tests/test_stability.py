@@ -157,13 +157,15 @@ def lab_calls(model, g, mat):
 
 
 @pytest.mark.parametrize("model, mat, expected, given", [
-    (1, MAT2, "Material1", "Material2"), (2, MAT1, "Material2", "Material1")],
-    ids=["m1", "m2"])
+    (1, MAT2, "Material1", "Material2"), (2, MAT1, "Material2", "Material1"),
+    (1, None, "Material1", "NoneType"), (2, None, "Material2", "NoneType")],
+    ids=["m1", "m2", "m1-none", "m2-none"])
 def test_every_lab_entry_point_rejects_the_other_models_material(
         model, mat, expected, given):
     # stability_radius(1, grid, Material2) gave a radius, the model-2 entry
     # points died on a missing attribute, and homogeneous_run raised the
-    # scenario's TypeError: one mistake, three outcomes
+    # scenario's TypeError: one mistake, three outcomes.  The window search
+    # read mat.c1 before its check, so None was an AttributeError there.
     g = grid(16)
     calls = lab_calls(model, g, mat)
     if model == 2:
@@ -370,6 +372,73 @@ def test_bisection_stops_at_float_resolution():
     dom = stability_bounds(1, grid(40), MAT1, scan_points=16)
     assert fine.tau1 == pytest.approx(dom.tau1, rel=1e-4)
     assert fine.tau2 == pytest.approx(dom.tau2, rel=1e-4)
+
+
+def plain_bisection(bad, good, stable, tol):
+    """The edge in one ``(unstable dt, stable dt)`` bracket, bisected alone."""
+    while abs(good - bad) > tol * 0.5 * (good + bad):
+        mid = 0.5 * (bad + good)
+        if mid in (bad, good):
+            break
+        if stable(mid):
+            good = mid
+        else:
+            bad = mid
+    return 0.5 * (bad + good)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-300])
+def test_the_search_finds_the_edges_of_a_plain_bisection(monkeypatch, tol):
+    # Synthetic, eigensolver-free radii on three grids, stable for tau in
+    # (lo, hi): a window from the scan floor, one to the scan top (0.9) and
+    # none.  Every edge equals, bit for bit, the bisection of its own bracket.
+    n, points, factor, c = 30, 16, 0.9, MAT1.c1
+    windows = {0.0: (0.0, math.e / 5.0), 0.5: (math.pi / 11.0, 2.0), 1.0: (2.0, 2.0)}
+    calls = []
+
+    def stable(g, dt):
+        lo, hi = windows[g.epsilon]
+        return lo < dt * c / g.dx < hi
+
+    def fake(g, speed, dt):  # the probe is the grid itself
+        calls.append((g.epsilon, dt))
+        return 0.5 if stable(g, dt) else 1.5
+
+    monkeypatch.setattr(stability, "_diff_matrices", lambda g: g)
+    monkeypatch.setattr(stability, "_branch_radius", fake)
+    monkeypatch.setattr(stability, "_processes", lambda tasks: 1)
+    floor, top, empty = scan_stability(1, MAT1, n, list(windows), scan_points=points,
+                                       dt_max_factor=factor, bisect_tol=tol)
+
+    def scan(g):
+        return g.dx / c * factor * np.arange(1, points + 1) / points
+
+    def edge(g, bad, good):
+        dt = plain_bisection(bad, good, lambda dt: stable(g, dt), tol)
+        return (dt * c / g.dx).hex()
+
+    # from the scan floor: no eigensolve below the first scanned step
+    g = grid(n, 0.0)
+    row, k = scan(g), sum(stable(g, dt) for dt in scan(g))
+    assert floor.tau1.hex() == floor.samples[0][0].hex() == (row[0] * c / g.dx).hex()
+    assert floor.tau2.hex() == edge(g, row[k], row[k - 1])
+    assert min(dt for eps, dt in calls if eps == 0.0) == row[0]
+    # to the scan top
+    g = grid(n, 0.5)
+    row, k = scan(g), sum(not stable(g, dt) for dt in scan(g))
+    assert top.tau1.hex() == edge(g, row[k - 1], row[k])
+    assert top.tau2.hex() == top.samples[-1][0].hex() == (row[-1] * c / g.dx).hex()
+    # no stable step
+    assert empty.empty and math.isnan(empty.tau2)
+    assert 0 < k < points and len(calls) > 3 * points
+
+
+@pytest.mark.parametrize("model, mat", [(1, MAT1), (2, MAT2)], ids=["m1", "m2"])
+def test_a_scan_of_no_epsilon_is_empty(model, mat):
+    assert scan_stability(model, mat, 16, []) == []
+    # and checks its model all the same: a model 3 scan of nothing was []
+    with pytest.raises(ValueError, match="model must be 1 or 2"):
+        scan_stability(3, mat, 16, [])
 
 
 def test_uniform_window_no_narrower_than_stretched():
